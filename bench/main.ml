@@ -1200,12 +1200,46 @@ type alloc_profile = {
   a_pool_acquired : int;
   a_pool_recycled : int;
   a_wall_s : float;
+  a_failover_words_per_packet : float;
 }
+
+(* Run [make_spec ()] once to warm up, then once more bracketed by GC
+   counters: the result, the counter deltas and the wall time. *)
+let bracketed make_spec =
+  ignore (Core.Scenario.run (make_spec ()));
+  Gc.full_major ();
+  let t0 = Unix.gettimeofday () in
+  let c0 = Engine.Gctune.counters () in
+  let r = Core.Scenario.run (make_spec ()) in
+  let c1 = Engine.Gctune.counters () in
+  (r, Engine.Gctune.diff c0 c1, Unix.gettimeofday () -. t0)
+
+let per_packet words (r : Core.Scenario.result) =
+  if r.packets_created > 0 then words /. float_of_int r.packets_created else 0.0
+
+(* The failover path, which the plain paper sim never takes: CUBIC on
+   the paper net with rto_cap 2 and the default unbounded send buffer,
+   2 s, under a 0.6 s flap of the s-v1 bottleneck (killing subflows 1
+   and 2 at once) and then a 0.8 s spell of 5 % loss on v2-v3.  The
+   chunk-ownership table grows while the data ACK stalls, so a per-grant
+   cost that grows with it shows up here as words per packet.  The same
+   scenario is test_events' failover allocation test. *)
+let failover_spec () =
+  let topo = Core.Paper_net.topology () in
+  let events =
+    Events.Parse.events topo
+      (Events.Sexp.parse_string
+         {|(at-s 0.05 (link-down s v1)) (at-s 0.65 (link-up s v1))
+           (at-s 1.05 (loss-set v2 v3 0.05)) (at-s 1.85 (loss-set v2 v3 0))|})
+  in
+  Core.Scenario.make ~topo ~paths:(Core.Paper_net.tagged_paths ~default:2 topo)
+    ~cc:Mptcp.Algorithm.Cubic ~duration:(Engine.Time.s 2) ~events ~rto_cap:2 ()
 
 (* One paper-figure simulation bracketed by GC counters: the
    steady-state allocation cost per simulated packet, the number the
    freelist/ring work exists to keep flat.  A warm-up run populates the
-   freelist and code caches first. *)
+   freelist and code caches first.  The failover scenario is bracketed
+   the same way. *)
 let alloc_profile () =
   hr "allocation profile: paper sim (CUBIC), GC-counter bracketed";
   let make_spec () =
@@ -1215,29 +1249,23 @@ let alloc_profile () =
       ~duration:(Engine.Time.s (if quick then 1 else 4))
       ~sampling:(Engine.Time.ms 100) ()
   in
-  ignore (Core.Scenario.run (make_spec ()));
-  Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  let c0 = Engine.Gctune.counters () in
-  let r = Core.Scenario.run (make_spec ()) in
-  let c1 = Engine.Gctune.counters () in
-  let wall = Unix.gettimeofday () -. t0 in
-  let d = Engine.Gctune.diff c0 c1 in
+  let r, d, wall = bracketed make_spec in
   let words = Engine.Gctune.allocated_words d in
-  let packets = r.Core.Scenario.packets_created in
+  let fr, fd, _ = bracketed failover_spec in
   let pool = r.Core.Scenario.pool_stats in
   let profile =
     {
-      a_packets = packets;
+      a_packets = r.Core.Scenario.packets_created;
       a_allocated_words = words;
-      a_words_per_packet =
-        (if packets > 0 then words /. float_of_int packets else 0.0);
+      a_words_per_packet = per_packet words r;
       a_minor_collections = d.Engine.Gctune.minor_collections;
       a_major_collections = d.Engine.Gctune.major_collections;
       a_promoted_words = d.Engine.Gctune.promoted_words;
       a_pool_acquired = pool.Packet.Pool.acquired;
       a_pool_recycled = pool.Packet.Pool.recycled;
       a_wall_s = wall;
+      a_failover_words_per_packet =
+        per_packet (Engine.Gctune.allocated_words fd) fr;
     }
   in
   Printf.printf "  packets simulated     %12d\n" profile.a_packets;
@@ -1259,6 +1287,10 @@ let alloc_profile () =
        /. float_of_int profile.a_pool_acquired
      else 0.0);
   Printf.printf "  wall %.3f s\n" profile.a_wall_s;
+  Printf.printf
+    "  failover words per packet %8.1f (%d packets, %d subflow churn)\n"
+    profile.a_failover_words_per_packet fr.Core.Scenario.packets_created
+    fr.Core.Scenario.subflow_churn;
   profile
 
 (* Minimal JSON number extraction for the gate: finds ["key": <num>] in
@@ -1376,6 +1408,13 @@ let gate_check ~microbench_ns ~alloc ~hybrid =
      heap-era box measured — the counter is deterministic per build
      environment, not across them). *)
   floor_check "alloc words_per_packet < 110" alloc.a_words_per_packet 110.0;
+  (* The failover path may cost no more than twice the plain sim per
+     packet (same run, deterministic counts; measured 1.0x).  A
+     per-grant cost that grows with the chunk-ownership table reads
+     over 20x here. *)
+  floor_check "failover words/packet <= 2x plain"
+    alloc.a_failover_words_per_packet
+    (2.0 *. alloc.a_words_per_packet);
   (* OLIA's per-ack formula is ~3n float divisions (rate sum, quality
      pass, coupled term) against CUBIC's division-free cubic update, so
      a small constant multiple of CUBIC is the honest steady state;
@@ -1437,7 +1476,9 @@ let write_bench_json ~microbench_ns ~alloc ~hybrid ~daemon ~total_s =
   add "    \"promoted_words\": %.0f,\n" alloc.a_promoted_words;
   add "    \"pool_acquired\": %d,\n" alloc.a_pool_acquired;
   add "    \"pool_recycled\": %d,\n" alloc.a_pool_recycled;
-  add "    \"wall_s\": %.3f\n" alloc.a_wall_s;
+  add "    \"wall_s\": %.3f,\n" alloc.a_wall_s;
+  add "    \"failover_words_per_packet\": %.2f\n"
+    alloc.a_failover_words_per_packet;
   add "  },\n";
   add "  \"hybrid\": {\n";
   add "    \"floor_classes\": %d,\n" hybrid.ho_floor_classes;

@@ -60,6 +60,9 @@ doc_one engine Engine -- \
     "$root/lib/engine/sched.mli" \
     "$root/lib/engine/pool.mli"
 
+doc_one mptcp Mptcp -- \
+    "$root/lib/mptcp/chunks.mli"
+
 doc_one audit -- \
     "$root/lib/audit/audit.mli"
 

@@ -271,11 +271,21 @@ let attach_connection t ~label conn =
     }
     :: t.conns;
   (* Scheduler-decision invariants: the scheduler must never map data
-     onto a dead subflow, and liveness transitions must actually
-     alternate (a repeated down or up for the same subflow means the
-     idempotence guard broke).  The audit claims the monitor slot first;
-     the observability collector chains onto it. *)
+     onto a dead subflow, liveness transitions must actually alternate
+     (a repeated down or up for the same subflow means the idempotence
+     guard broke), and every (re)mapping must leave the chunk-ownership
+     ring sound.  The audit claims the monitor slot first; the
+     observability collector chains onto it. *)
   let active = Array.make (Mptcp.Connection.subflow_count conn) true in
+  let owners ~what ~dseq =
+    check t ~invariant:"mptcp.chunk-owners"
+      (Mptcp.Connection.owners_consistent conn)
+      (fun () ->
+        Printf.sprintf
+          "%s: chunk-ownership ring inconsistent after %s of dseq %d \
+           (order, overlap, owner index or end past next_dseq)"
+          label what dseq)
+  in
   Mptcp.Connection.set_monitor conn
     (Some
        (function
@@ -285,7 +295,10 @@ let attach_connection t ~label conn =
            (fun () ->
              Printf.sprintf
                "%s: scheduler granted dseq %d to inactive subflow %d" label
-               dseq subflow)
+               dseq subflow);
+         owners ~what:"grant" ~dseq
+       | Mptcp.Connection.Reinjected { dseq; _ } ->
+         owners ~what:"reinjection" ~dseq
        | Mptcp.Connection.Subflow_state { subflow; active = a } ->
          check t ~invariant:"mptcp.subflow-churn"
            (active.(subflow) <> a)
@@ -294,7 +307,7 @@ let attach_connection t ~label conn =
                "%s: subflow %d reported %s twice in a row" label subflow
                (if a then "active" else "inactive"));
          active.(subflow) <- a
-       | Mptcp.Connection.Sched_defer _ | Mptcp.Connection.Reinjected _ -> ()));
+       | Mptcp.Connection.Sched_defer _ -> ()));
   for i = 0 to Mptcp.Connection.subflow_count conn - 1 do
     let sub_label = Printf.sprintf "%s/sf%d" label i in
     attach_sender t ~label:sub_label (Mptcp.Connection.subflow_sender conn i);

@@ -20,7 +20,9 @@
       bounds ([tcp.*]);
     - {b MPTCP}: DATA_ACKs are monotone and never exceed what the
       reassembly buffer has seen; delivered + buffered connection bytes
-      never exceed the bytes mapped onto subflows ([mptcp.*]);
+      never exceed the bytes mapped onto subflows; after every grant and
+      reinjection the chunk-ownership ring is sorted, disjoint, owned by
+      real subflows and below [next_dseq] ([mptcp.*]);
     - {b LP feasibility}: measured per-path goodputs satisfy every link
       constraint of the paper's LP (e.g. x1+x2 <= 40, x1+x3 <= 60,
       x2+x3 <= 80 Mbps on the paper net) within a tolerance, and their

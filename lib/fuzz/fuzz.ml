@@ -375,6 +375,159 @@ let scoreboard_test ?(count = 400) () =
         prog;
       true)
 
+(* --- chunk-ownership ring vs Hashtbl model --- *)
+
+(* The model is the structure the ring replaced: a [Hashtbl] from dseq
+   to (len, owner), with the connection's drop rule (a chunk leaves once
+   its dseq is below the rising ACK).  Programs mirror how the
+   connection drives the ring: grants append at [next_dseq], the ACK
+   trims the front, reinjection re-maps an existing chunk, a short
+   failover grant splits a chunk (a mid-ring insert), a chunk whose key
+   was already trimmed is re-granted (an insert below the front), and
+   lookups, plus an ascending scan after every step, read it all back.
+   Inserts that would overlap a held chunk are skipped, so
+   {!Mptcp.Chunks.consistent} must hold after every step. *)
+let chunks_ops =
+  QCheck.(
+    list_of_size Gen.(int_range 1 300)
+      (pair (int_range 0 9) (int_range 0 1_000_000)))
+
+let chunk_owners = 4
+
+let chunks_test ?(count = 400) () =
+  QCheck.Test.make ~count
+    ~name:"fuzz: chunk-ownership ring matches Hashtbl model on random traces"
+    chunks_ops
+    (fun prog ->
+      let module C = Mptcp.Chunks in
+      let c = C.create () in
+      let model : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+      let trimmed = ref [] in (* chunks the ACK dropped, for re-grants *)
+      let next = ref 0 and ack = ref 0 in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let bindings () =
+        List.sort compare
+          (Hashtbl.fold (fun d (l, o) acc -> (d, l, o) :: acc) model [])
+      in
+      let scan () =
+        List.init (C.length c) (fun i ->
+            (C.dseq_at c i, C.len_at c i, C.owner_at c i))
+      in
+      let overlaps d l =
+        Hashtbl.fold
+          (fun d' (l', _) acc -> acc || (d < d' + l' && d' < d + l))
+          model false
+      in
+      let append a =
+        let len = 1 + (a mod 1448) and owner = a / 1448 mod chunk_owners in
+        C.append c ~dseq:!next ~len ~owner;
+        Hashtbl.replace model !next (len, owner);
+        next := !next + len
+      in
+      let trim x =
+        ack := max !ack (min !next x);
+        C.trim_below c !ack;
+        Hashtbl.filter_map_inplace
+          (fun d (l, o) ->
+            if d < !ack then begin
+              trimmed := (d, l) :: !trimmed;
+              None
+            end
+            else Some (l, o))
+          model
+      in
+      let replace ~dseq ~len ~owner =
+        C.replace c ~dseq ~len ~owner;
+        Hashtbl.replace model dseq (len, owner)
+      in
+      let lookup x =
+        let i = C.find c x in
+        match Hashtbl.find_opt model x with
+        | None -> if i >= 0 then fail "find %d = %d, model has no such key" x i
+        | Some (l, o) ->
+          if i < 0 then fail "find %d missed, model holds (%d,%d)" x l o
+          else if C.dseq_at c i <> x || C.len_at c i <> l || C.owner_at c i <> o
+          then
+            fail "find %d -> (%d,%d,%d), model (%d,%d)" x (C.dseq_at c i)
+              (C.len_at c i) (C.owner_at c i) l o
+      in
+      let verify ctx =
+        if C.length c <> Hashtbl.length model then
+          fail "%s: length %d <> model %d" ctx (C.length c)
+            (Hashtbl.length model);
+        if not (C.consistent c ~owners:chunk_owners ~limit:!next) then
+          fail "%s: consistency check failed" ctx;
+        if scan () <> bindings () then
+          fail "%s: ascending scan differs from model" ctx
+      in
+      (* Prefix: append until the arrays grow, trim half, then fill
+         every slot, so each case crosses growth and the wrap-around. *)
+      let seed = match prog with (_, a) :: _ -> a | [] -> 0 in
+      let k = ref 0 in
+      let grown = 2 * C.capacity c in
+      while C.capacity c < grown do
+        append (seed + (7919 * !k));
+        incr k
+      done;
+      trim (C.dseq_at c (C.length c / 2));
+      while C.length c < C.capacity c do
+        append (seed + (7919 * !k));
+        incr k
+      done;
+      verify "prefix";
+      List.iter
+        (fun (code, a) ->
+          let held = bindings () in
+          let n = List.length held in
+          (match code with
+          | 0 | 1 | 2 -> append a
+          | 3 ->
+            (* the ACK rises by up to 4000 bytes, possibly mid-chunk *)
+            trim (!ack + (a mod 4000))
+          | 4 | 5 ->
+            (* reinjection or failover re-grant: re-map a held chunk in
+               place *)
+            if n > 0 then begin
+              let d, l, _ = List.nth held (a mod n) in
+              replace ~dseq:d ~len:l ~owner:(a / n mod chunk_owners)
+            end
+          | 6 ->
+            (* a short grant splits a pending chunk: the head keeps the
+               key, the tail is inserted mid-ring *)
+            if n > 0 then begin
+              let d, l, o = List.nth held (a mod n) in
+              if l >= 2 then begin
+                let g = 1 + (a mod (l - 1)) in
+                replace ~dseq:d ~len:g ~owner:(a / n mod chunk_owners);
+                replace ~dseq:(d + g) ~len:(l - g) ~owner:o
+              end
+            end
+          | 7 ->
+            (* re-grant of a chunk the ACK already trimmed *)
+            (match !trimmed with
+            | [] -> ()
+            | ts ->
+              let d, l = List.nth ts (a mod List.length ts) in
+              if not (overlaps d l) then
+                replace ~dseq:d ~len:l ~owner:(a mod chunk_owners))
+          | 8 ->
+            (* lookups: a held key, and an arbitrary point near the ring *)
+            if n > 0 then begin
+              let d, _, _ = List.nth held (a mod n) in
+              lookup d;
+              lookup (d + 1 + (a mod 1500))
+            end;
+            lookup (!ack + (a mod (!next - !ack + 20)) - 10)
+          | _ ->
+            (* the ACK lands on a chunk boundary, as the data ACK does *)
+            if n > 0 then
+              let d, _, _ = List.nth held (a mod n) in
+              trim d);
+          (* the ascending scan, after every step *)
+          verify "post-op")
+        prog;
+      true)
+
 (* --- parallel-sweep determinism (wheel edition) --- *)
 
 let determinism_test ?(count = 20) () =

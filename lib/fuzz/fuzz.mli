@@ -81,6 +81,15 @@ val scoreboard_test : ?count:int -> unit -> QCheck.Test.t
     SACK counter, the RFC 6675 pipe recount and both binary searches,
     with {!Tcp.Scoreboard.consistent} holding after every step. *)
 
+val chunks_test : ?count:int -> unit -> QCheck.Test.t
+(** Chunk-ownership equivalence: [count] (default 400) random programs
+    of appends, trims below a rising ACK, in-place re-maps, mid-ring
+    inserts (a split pending chunk), re-grants below the front, lookups
+    and ascending scans, driven against {!Mptcp.Chunks} and the
+    [Hashtbl] model it replaced, must agree on every lookup and scan,
+    with {!Mptcp.Chunks.consistent} holding after every step.  Every
+    case first grows the arrays and wraps the ring. *)
+
 val determinism_test : ?count:int -> unit -> QCheck.Test.t
 (** Parallel determinism: [count] (default 20) random audited scenario
     pairs run through {!Core.Runner.scenarios} with [jobs = 1] and

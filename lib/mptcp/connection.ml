@@ -49,9 +49,10 @@ type t = {
   rr_cursor : int ref;
   mutable next_dseq : int;
   mutable data_ack_rx : int; (* highest DATA_ACK seen by the sender side *)
-  (* Which subflow a connection-level chunk was (last) mapped to, for
-     reinjection; entries below data_ack_rx are garbage-collected. *)
-  chunk_owner : (int, int * int) Hashtbl.t; (* dseq -> owner index, len *)
+  (* Which subflow each connection-level chunk was (last) mapped to, for
+     reinjection and failover; a grant first trims the chunks that start
+     below data_ack_rx. *)
+  chunks : Chunks.t;
   liveness : Path_manager.Liveness.t;
   mutable pending : (int * int * int) list;
       (* (dseq, len, dead owner) chunks orphaned by a deactivation,
@@ -100,26 +101,22 @@ let conn_window_open t =
   | None -> true
   | Some cap -> t.next_dseq - t.data_ack_rx < cap
 
-let gc_chunk_owners t =
-  if Hashtbl.length t.chunk_owner > 64 then
-    Hashtbl.iter
-      (fun dseq _ -> if dseq < t.data_ack_rx then Hashtbl.remove t.chunk_owner dseq)
-      (Hashtbl.copy t.chunk_owner)
-
 (* Opportunistic reinjection (Raiciu et al., NSDI 2012): when the
    connection-level window blocks subflow [sf], re-send the blocking
    chunk (the first un-data-acked one) on [sf] and penalize the subflow
    that originally carried it. *)
 let reinject t sf =
-  match Hashtbl.find_opt t.chunk_owner t.data_ack_rx with
-  | Some (owner, len) when owner <> sf.index ->
-    Hashtbl.replace t.chunk_owner t.data_ack_rx (sf.index, len);
+  let i = Chunks.find t.chunks t.data_ack_rx in
+  if i < 0 || Chunks.owner_at t.chunks i = sf.index then None
+  else begin
+    let owner = Chunks.owner_at t.chunks i and len = Chunks.len_at t.chunks i in
+    Chunks.replace t.chunks ~dseq:t.data_ack_rx ~len ~owner:sf.index;
     t.reinjections <- t.reinjections + 1;
     emit t (Reinjected { subflow = sf.index; dseq = t.data_ack_rx; len; owner });
     Tcp.Sender.penalize (sender_exn t.subflows.(owner));
     Some { Tcp.Sender.dss = Some { Packet.dseq = t.data_ack_rx; dlen = len };
            len }
-  | Some _ | None -> None
+  end
 
 let remaining t ~from =
   match t.total_bytes with
@@ -147,7 +144,7 @@ let grant_pending t sf ~max_len =
         t.pending <-
           (if granted < len then (dseq + granted, len - granted, owner) :: rest
            else rest);
-        Hashtbl.replace t.chunk_owner dseq (sf.index, granted);
+        Chunks.replace t.chunks ~dseq ~len:granted ~owner:sf.index;
         t.reinjections <- t.reinjections + 1;
         emit t (Reinjected { subflow = sf.index; dseq; len = granted; owner });
         Some
@@ -189,8 +186,8 @@ let source t sf ~max_len =
         let dseq = t.next_dseq in
         t.next_dseq <- dseq + len;
         if track_owners t then begin
-          gc_chunk_owners t;
-          Hashtbl.replace t.chunk_owner dseq (sf.index, len)
+          Chunks.trim_below t.chunks t.data_ack_rx;
+          Chunks.append t.chunks ~dseq ~len ~owner:sf.index
         end;
         emit t (Sched_grant { subflow = sf.index; dseq; len });
         Some { Tcp.Sender.dss = Some { Packet.dseq; dlen = len }; len }
@@ -226,18 +223,16 @@ let deactivate_subflow t i =
     emit t (Subflow_state { subflow = i; active = false });
     (* Orphan the chunks the dead subflow was carrying: everything it
        owns at or above the connection-level cumulative ACK must be
-       re-sent by a live subflow. *)
+       re-sent by a live subflow.  Scanning the ring from the top down
+       builds the list in ascending dseq order. *)
     let orphans = ref [] in
-    Hashtbl.iter
-      (fun dseq (owner, len) ->
-        if owner = i && dseq + len > t.data_ack_rx then
-          orphans := (dseq, len, owner) :: !orphans)
-      t.chunk_owner;
+    for k = Chunks.length t.chunks - 1 downto 0 do
+      let dseq = Chunks.dseq_at t.chunks k and len = Chunks.len_at t.chunks k in
+      if Chunks.owner_at t.chunks k = i && dseq + len > t.data_ack_rx then
+        orphans := (dseq, len, i) :: !orphans
+    done;
     t.pending <-
-      List.merge
-        (fun (a, _, _) (b, _, _) -> compare a b)
-        (List.sort (fun (a, _, _) (b, _, _) -> compare a b) !orphans)
-        t.pending;
+      List.merge (fun (a, _, _) (b, _, _) -> compare a b) !orphans t.pending;
     kick_live t ~but:i ()
   end
 
@@ -282,7 +277,7 @@ let establish ~net ~src ~dst ~conn ~paths ~cc ?(config = default_config)
       rr_cursor = ref 0;
       next_dseq = 0;
       data_ack_rx = 0;
-      chunk_owner = Hashtbl.create 64;
+      chunks = Chunks.create ();
       liveness = Path_manager.Liveness.create paths;
       pending = [];
       reinjections = 0;
@@ -406,6 +401,11 @@ let cc t = t.algorithm
 let data_ack_rx t = t.data_ack_rx
 let liveness t = t.liveness
 let subflow_active t i = subflow_is_active t t.subflows.(i)
+
+let owners_consistent t =
+  Chunks.consistent t.chunks ~owners:(Array.length t.subflows)
+    ~limit:t.next_dseq
+
 let set_monitor t m = t.monitor <- m
 let monitor t = t.monitor
 

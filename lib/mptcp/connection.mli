@@ -119,6 +119,14 @@ val reactivate_subflow : t -> int -> unit
 (** Mark subflow [i]'s path usable again and wake its sender.
     Idempotent. *)
 
+val owners_consistent : t -> bool
+(** [true] iff the chunk-ownership ring ({!Chunks}) is structurally
+    sound: chunks strictly ascending and non-overlapping, every owner a
+    valid subflow index, and the last chunk ending at or before the next
+    unmapped data-sequence number.  Audit hook ([mptcp.chunk-owners]):
+    failover re-sends exactly what this table says a dead subflow
+    carried, so drift here means lost or duplicated rescue data. *)
+
 (** {1 Monitoring} *)
 
 type monitor_event =

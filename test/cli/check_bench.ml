@@ -26,6 +26,7 @@ let required =
     "Daemon: cold-process vs warm-daemon submission latency";
     "allocation profile: paper sim (CUBIC)";
     "words per packet";
+    "failover words per packet";
     "Bechamel micro-benchmarks";
     "fluid equilibrium paper (CUBIC)";
     "fluid speedup: paper equilibrium";
@@ -57,7 +58,8 @@ let () =
       contains j "\"microbench_ns\"" && contains j "\"wall_clock_s\""
       && contains j "\"jobs\": 2" && contains j "\"profile\""
       && contains j "\"alloc\"" && contains j "\"words_per_packet\""
-      && contains j "\"pool_recycled\"" && contains j "\"hybrid\""
+      && contains j "\"pool_recycled\""
+      && contains j "\"failover_words_per_packet\"" && contains j "\"hybrid\""
       && contains j "\"speedup\"" && contains j "\"daemon\""
       && contains j "\"warm_p99_ms\""
     in

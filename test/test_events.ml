@@ -381,6 +381,53 @@ let dynamic_determinism () =
   Alcotest.(check bool) "transfer completed" true (completed_at <> None);
   Alcotest.(check bool) "cross traffic flowed" true (cross > 1_000_000)
 
+(* --- failover allocation regression --- *)
+
+(* A flap of the paper net's s-v1 bottleneck kills subflows 1 and 2 at
+   once; until the rto_cap declares them dead, the data ACK stalls while
+   subflow 3 keeps mapping fresh data, so the chunk-ownership table
+   grows with the stall.  Its per-grant cost must not grow with it: the
+   run's allocated words per packet, bracketed after a warm-up run (as
+   bench/main.ml's alloc_profile does), stay within 2x those of the
+   plain paper sim bracketed the same way.  Both counts are
+   deterministic per build.  bench/main.ml gates the same scenario. *)
+let failover_script =
+  {|(at-s 0.05 (link-down s v1)) (at-s 0.65 (link-up s v1))
+    (at-s 1.05 (loss-set v2 v3 0.05)) (at-s 1.85 (loss-set v2 v3 0))|}
+
+let paper_run ?(failover = false) ?(audit = false) () =
+  let topo = Core.Paper_net.topology () in
+  Core.Scenario.run
+    (Core.Scenario.make ~topo
+       ~paths:(Core.Paper_net.tagged_paths ~default:2 topo)
+       ~cc:Mptcp.Algorithm.Cubic ~duration:(Engine.Time.s 2) ~audit
+       ?events:
+         (if failover then
+            Some (Events.Parse.events topo (parse failover_script))
+          else None)
+       ?rto_cap:(if failover then Some 2 else None)
+       ())
+
+let words_per_packet run =
+  ignore (run ());
+  let c0 = Engine.Gctune.counters () in
+  let r = run () in
+  let d = Engine.Gctune.diff c0 (Engine.Gctune.counters ()) in
+  ( r,
+    Engine.Gctune.allocated_words d
+    /. float_of_int r.Core.Scenario.packets_created )
+
+let failover_alloc () =
+  let _, plain = words_per_packet (fun () -> paper_run ()) in
+  let r, failover = words_per_packet (fun () -> paper_run ~failover:true ()) in
+  (* the flap must actually take the failover path *)
+  if r.Core.Scenario.subflow_churn < 2 then
+    Alcotest.failf "flap declared %d subflows dead"
+      r.Core.Scenario.subflow_churn;
+  if failover > 2.0 *. plain then
+    Alcotest.failf "failover %.1f words/packet > 2x plain %.1f" failover plain;
+  check_clean "failover alloc" (paper_run ~failover:true ~audit:true ())
+
 let () =
   Alcotest.run "events"
     [
@@ -402,5 +449,10 @@ let () =
           Alcotest.test_case "lossy regime" `Slow lossy_regime;
           Alcotest.test_case "down-up recovery" `Slow down_up_recovery;
           Alcotest.test_case "determinism" `Slow dynamic_determinism;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "failover words/packet <= 2x plain" `Quick
+            failover_alloc;
         ] );
     ]

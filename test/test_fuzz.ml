@@ -9,8 +9,9 @@
    delay/loss changes, subflow churn, cross-traffic) with the same
    topologies and requires the full audit to stay clean.  The
    data-structure properties drive the timing wheel against the
-   reference heap and the flat SACK scoreboard against a naive list
-   model on random programs, and the final sweeps re-check jobs=1 vs
+   reference heap, the flat SACK scoreboard against a naive list model
+   and the chunk-ownership ring against a Hashtbl model on random
+   programs, and the final sweeps re-check jobs=1 vs
    jobs=4 bit-identity — static and dynamic — with the wheel's
    heap-shadow lockstep armed.  The hybrid sweep crosses the same
    topologies with random fluid background mixes (CBR and windowed
@@ -47,6 +48,7 @@ let sweeps =
     ("hybrid", Fuzz.hybrid_test ~count:(n 40) ());
     ("wheel", Fuzz.wheel_test ~count:(n 400) ());
     ("scoreboard", Fuzz.scoreboard_test ~count:(n 400) ());
+    ("chunks", Fuzz.chunks_test ~count:(n 400) ());
     ("determinism", Fuzz.determinism_test ~count:(n 20) ());
     ("events-determinism", Fuzz.events_determinism_test ~count:(n 12) ());
     ("daemon", Fuzz.daemon_test ~count:(n 12) ());

@@ -1,4 +1,5 @@
-(* Tests for the MPTCP layer: data-sequence reassembly, the coupled
+(* Tests for the MPTCP layer: data-sequence reassembly, the
+   chunk-ownership ring's consistency check, the coupled
    congestion-control laws (LIA alpha against hand-computed values, OLIA
    alpha sets, BALIA/EWTCP gains), schedulers, the path manager, and
    end-to-end connections over the simulator. *)
@@ -936,6 +937,31 @@ let join_delay_respected () =
     ((Tcp.Sender.stats (Mptcp.Connection.subflow_sender conn 1))
        .Tcp.Sender.segments_sent > 0)
 
+(* --- Chunk-ownership ring --- *)
+
+(* The audit's [mptcp.chunk-owners] oracle must reject each bad shape it
+   names: the equivalence fuzz only ever builds sound rings, so it
+   cannot show the check fires. *)
+let chunks_consistent_flags () =
+  let sound () =
+    let c = Mptcp.Chunks.create () in
+    Mptcp.Chunks.append c ~dseq:0 ~len:100 ~owner:0;
+    Mptcp.Chunks.append c ~dseq:100 ~len:100 ~owner:2;
+    c
+  in
+  let ok c ~limit = Mptcp.Chunks.consistent c ~owners:3 ~limit in
+  Alcotest.(check bool) "sound" true (ok (sound ()) ~limit:200);
+  Alcotest.(check bool) "end past limit" false (ok (sound ()) ~limit:199);
+  let c = sound () in
+  Mptcp.Chunks.replace c ~dseq:50 ~len:10 ~owner:1;
+  Alcotest.(check bool) "overlap" false (ok c ~limit:200);
+  let c = sound () in
+  Mptcp.Chunks.replace c ~dseq:100 ~len:100 ~owner:3;
+  Alcotest.(check bool) "owner out of range" false (ok c ~limit:200);
+  Alcotest.check_raises "append below the last chunk"
+    (Invalid_argument "Chunks.append: dseq not above the last chunk")
+    (fun () -> Mptcp.Chunks.append (sound ()) ~dseq:100 ~len:1 ~owner:0)
+
 let () =
   Alcotest.run "mptcp"
     [
@@ -951,6 +977,11 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_reassembly_any_order;
           QCheck_alcotest.to_alcotest qcheck_reassembly_monotone;
           QCheck_alcotest.to_alcotest qcheck_reassembly_oracle;
+        ] );
+      ( "chunks",
+        [
+          Alcotest.test_case "consistent flags bad rings" `Quick
+            chunks_consistent_flags;
         ] );
       ( "coupled-cc",
         [

@@ -622,6 +622,7 @@ let serve_cmd =
               match outcome with
               | Serve.Service.Hit r -> ("hit  ", r)
               | Serve.Service.Fresh r -> ("fresh", r)
+              | Serve.Service.Shared r -> ("shared", r)
             in
             Format.printf "%s %s %-24s tail %.1f / opt %.1f Mbps%s@." kind
               (Core.Canon.short r.Serve.Store.hash)
@@ -630,10 +631,16 @@ let serve_cmd =
               (if perf then Printf.sprintf "  (%.3f s)" r.Serve.Store.wall_s
                else ""))
           outcomes;
+        (* shared only when nonzero: a batch without repeats has a
+           hits-and-fresh summary *)
         Format.printf
-          "batch: %d entries, %d hits, %d fresh, %d simulation events%s@."
+          "batch: %d entries, %d hits, %d fresh%s, %d simulation events%s@."
           stats.Serve.Service.entries stats.Serve.Service.hits
-          stats.Serve.Service.fresh stats.Serve.Service.fresh_sim_events
+          stats.Serve.Service.fresh
+          (if stats.Serve.Service.shared > 0 then
+             Printf.sprintf ", %d shared" stats.Serve.Service.shared
+           else "")
+          stats.Serve.Service.fresh_sim_events
           (if perf then
              Printf.sprintf " (wall %.3f s)" stats.Serve.Service.wall_s
            else ""))

@@ -1,64 +1,5 @@
 module Protocol = Protocol
 
-module Flights = struct
-  type payload = Serve.Store.record * Serve.Service.sim_kind
-  type slot = { mutable result : (payload, exn) result option }
-  type role = Leader of slot | Follower of slot
-
-  type t = {
-    m : Mutex.t;
-    c : Condition.t;
-    tbl : (string, slot) Hashtbl.t;
-  }
-
-  let create () =
-    { m = Mutex.create (); c = Condition.create (); tbl = Hashtbl.create 16 }
-
-  let inflight t =
-    Mutex.lock t.m;
-    let n = Hashtbl.length t.tbl in
-    Mutex.unlock t.m;
-    n
-
-  let enter t ~hash =
-    Mutex.lock t.m;
-    let role =
-      match Hashtbl.find_opt t.tbl hash with
-      | Some slot -> Follower slot
-      | None ->
-        let slot = { result = None } in
-        Hashtbl.add t.tbl hash slot;
-        Leader slot
-    in
-    Mutex.unlock t.m;
-    role
-
-  let publish t ~hash slot res =
-    Mutex.lock t.m;
-    slot.result <- Some res;
-    (* Retire the hash so the next [enter] opens a fresh flight; guard
-       against a stale publish retiring a newer flight of the same
-       hash. *)
-    (match Hashtbl.find_opt t.tbl hash with
-    | Some s when s == slot -> Hashtbl.remove t.tbl hash
-    | _ -> ());
-    Condition.broadcast t.c;
-    Mutex.unlock t.m
-
-  let wait t slot =
-    Mutex.lock t.m;
-    let rec settled () =
-      match slot.result with
-      | Some r -> r
-      | None ->
-        Condition.wait t.c t.m;
-        settled ()
-    in
-    let r = settled () in
-    Mutex.unlock t.m;
-    r
-end
-
 type conf = {
   socket_path : string;
   store_dir : string;
@@ -90,7 +31,7 @@ type t = {
   conf : conf;
   store : Serve.Store.t;
   pool : Engine.Pool.t;
-  flights : Flights.t;
+  flights : Serve.Service.Flights.t;
   listen : Unix.file_descr;
   m : Mutex.t;
   cond : Condition.t;
@@ -153,74 +94,6 @@ let initiate_drain t =
    promotes it to [initiate_drain] from ordinary thread context. *)
 let request_drain t = Atomic.set t.drain_requested true
 
-(* One submission's entry, after the store lookup and flight entry.
-   Leaders carry the pool ticket for their own simulation; followers
-   (of this or another submission) only carry the slot to wait on. *)
-type item =
-  | Cached of Serve.Batch.entry * string * Serve.Store.record
-  | Lead of
-      Serve.Batch.entry
-      * string
-      * Flights.slot
-      * (Serve.Store.record * Serve.Service.sim_kind) Engine.Pool.ticket
-  | Join of Serve.Batch.entry * string * Flights.slot
-
-(* Resolve every entry to (entry, hash, record, outcome kind), dispatch
-   order preserved.  Phase 1 enters flights and enqueues every miss on
-   the pool before phase 2 awaits any of them, so a submission's misses
-   run in parallel and a concurrent submission of the same hash joins
-   the flight instead of re-simulating. *)
-let resolve t entries =
-  let items =
-    List.map
-      (fun (e : Serve.Batch.entry) ->
-        let hash = Serve.Service.hash_entry e in
-        match Serve.Store.lookup t.store ~hash with
-        | Some r -> Cached (e, hash, r)
-        | None -> (
-          match Flights.enter t.flights ~hash with
-          | Flights.Follower slot -> Join (e, hash, slot)
-          | Flights.Leader slot -> (
-            match
-              Engine.Pool.submit t.pool (fun () ->
-                  Serve.Service.simulate_entry ~store:t.store e ~hash)
-            with
-            | ticket -> Lead (e, hash, slot, ticket)
-            | exception ex ->
-              (* never leave a flight unpublished: followers would
-                 block forever *)
-              Flights.publish t.flights ~hash slot (Error ex);
-              Join (e, hash, slot))))
-      entries
-  in
-  List.iter
-    (function
-      | Lead (_, hash, slot, ticket) ->
-        let res =
-          match Engine.Pool.await ticket with
-          | payload -> Ok payload
-          | exception ex -> Error ex
-        in
-        Flights.publish t.flights ~hash slot res
-      | Cached _ | Join _ -> ())
-    items;
-  List.map
-    (function
-      | Cached (e, hash, r) -> (e, hash, r, Protocol.Hit)
-      | Lead (e, _, slot, _) -> (
-        match Flights.wait t.flights slot with
-        | Ok (r, Serve.Service.Simulated) ->
-          (e, r.Serve.Store.hash, r, Protocol.Fresh)
-        | Ok (r, Serve.Service.Adopted) ->
-          (* a peer process held the store claim; we rode its run *)
-          (e, r.Serve.Store.hash, r, Protocol.Shared)
-        | Error ex -> raise ex)
-      | Join (e, hash, slot) -> (
-        match Flights.wait t.flights slot with
-        | Ok (r, _) -> (e, hash, r, Protocol.Shared)
-        | Error ex -> raise ex))
-    items
-
 let submit_entries t entries =
   let wall0 = Unix.gettimeofday () in
   let n = List.length entries in
@@ -252,29 +125,15 @@ let submit_entries t entries =
         Condition.broadcast t.cond;
         Mutex.unlock t.m)
       (fun () ->
-        match resolve t entries with
+        match
+          Serve.Service.run_batch ~pool:t.pool ~flights:t.flights
+            ~store:t.store entries
+        with
         | exception ex ->
           Protocol.Error (Protocol.Failed, Printexc.to_string ex)
-        | resolved ->
-          let at_unix = Unix.gettimeofday () in
-          List.iter
-            (fun (_, _, r, kind) ->
-              Serve.Trend.append ~dir:(Serve.Store.dir t.store)
-                (Serve.Trend.entry_of_record ~at_unix
-                   ~cached:(kind <> Protocol.Fresh) r))
-            resolved;
-          let count k =
-            List.length (List.filter (fun (_, _, _, k') -> k' = k) resolved)
-          in
-          let hits = count Protocol.Hit in
-          let fresh = count Protocol.Fresh in
-          let shared = count Protocol.Shared in
-          let fresh_sim_events =
-            List.fold_left
-              (fun acc (_, _, r, k) ->
-                if k = Protocol.Fresh then acc + r.Serve.Store.sim_events
-                else acc)
-              0 resolved
+        | outcomes, stats ->
+          let { Serve.Service.hits; fresh; shared; fresh_sim_events; _ } =
+            stats
           in
           Mutex.lock t.m;
           Obs.Metrics.incr ~by:hits t.c_hits;
@@ -286,16 +145,22 @@ let submit_entries t entries =
               ((Unix.gettimeofday () -. wall0) *. 1000.);
           let outcomes =
             List.map
-              (fun ((e : Serve.Batch.entry), hash, r, kind) ->
+              (fun ((e : Serve.Batch.entry), outcome) ->
+                let kind, (r : Serve.Store.record) =
+                  match outcome with
+                  | Serve.Service.Hit r -> (Protocol.Hit, r)
+                  | Serve.Service.Fresh r -> (Protocol.Fresh, r)
+                  | Serve.Service.Shared r -> (Protocol.Shared, r)
+                in
                 {
                   Protocol.kind;
-                  hash;
+                  hash = r.Serve.Store.hash;
                   label = e.Serve.Batch.label;
                   tail_mbps = r.Serve.Store.tail_mbps;
                   opt_mbps = r.Serve.Store.opt_mbps;
                   sim_events = r.Serve.Store.sim_events;
                 })
-              resolved
+              outcomes
           in
           Protocol.Batch
             { Protocol.outcomes; entries = n; hits; fresh; shared;
@@ -334,7 +199,7 @@ let handle t (req : Protocol.request) =
         Protocol.pid = Unix.getpid ();
         draining;
         queue_depth;
-        inflight = Flights.inflight t.flights;
+        inflight = Serve.Service.Flights.inflight t.flights;
         pool_domains = Engine.Pool.size t.pool;
         store_records = Serve.Store.count t.store;
       }
@@ -534,7 +399,7 @@ let start conf =
       conf;
       store;
       pool;
-      flights = Flights.create ();
+      flights = Serve.Service.Flights.create ();
       listen;
       m = Mutex.create ();
       cond = Condition.create ();
@@ -558,7 +423,7 @@ let start conf =
   Obs.Metrics.gauge metrics "daemon.queue_depth" (fun () ->
       float_of_int (queue_depth t));
   Obs.Metrics.gauge metrics "daemon.inflight_singles" (fun () ->
-      float_of_int (Flights.inflight t.flights));
+      float_of_int (Serve.Service.Flights.inflight t.flights));
   let helpers = ref [] in
   (match conf.gc_max_bytes with
   | Some _ -> helpers := Thread.create gc_loop t :: !helpers

@@ -8,12 +8,17 @@
     resubmission of a cached batch does zero simulation work and spawns
     nothing.
 
+    Every submission goes through {!Serve.Service.run_batch}, the same
+    pipeline and outcome kinds as one-shot [serve].  The daemon adds
+    transport, admission, drain, GC and watch, and one resident
+    {!Serve.Service.Flights} table shared by all submissions.
+
     Concurrency model: one [Thread] per connection, all sharing the one
     domain pool.  Submissions are deduplicated twice over —
 
-    - {e in-process} by {!Flights}: concurrent clients submitting the
-      same spec share one simulation (one leader runs it, followers
-      wait for the published record);
+    - {e in-process} by the resident flight table: concurrent clients
+      submitting the same spec share one simulation (one leader runs
+      it, followers wait for the published record);
     - {e cross-process} by the store's advisory claims
       ({!Serve.Store.try_claim} via {!Serve.Service.simulate_entry}):
       a second daemon or one-shot [serve] on the same store adopts this
@@ -31,45 +36,6 @@
 module Protocol = Protocol
 (** Re-exported: this module is the library's interface module, which
     hides its siblings, so the wire protocol rides along here. *)
-
-(** In-process single-flight: at most one running simulation per hash.
-
-    The first thread to {!Flights.enter} a hash becomes the [Leader]
-    and must eventually {!Flights.publish} a result (even a failure) —
-    every concurrent [Follower] of that hash blocks in {!Flights.wait}
-    until then.  The split between [enter] (non-blocking) and [wait]
-    lets a submission dispatch all its misses to the pool before
-    awaiting any of them, and lets tests drive the leader/follower
-    handshake deterministically. *)
-module Flights : sig
-  type payload = Serve.Store.record * Serve.Service.sim_kind
-  (** What a flight lands with: the record, and whether this process
-      simulated it or adopted a peer process's run. *)
-
-  type slot
-  (** One in-flight (or landed) simulation of one hash. *)
-
-  type role =
-    | Leader of slot  (** first in: run it, then {!publish} *)
-    | Follower of slot  (** someone is on it: {!wait} for the result *)
-
-  type t
-
-  val create : unit -> t
-
-  val inflight : t -> int
-  (** Flights currently between [enter] and [publish]. *)
-
-  val enter : t -> hash:string -> role
-  (** Join (or open) the flight for [hash].  Never blocks. *)
-
-  val publish : t -> hash:string -> slot -> (payload, exn) result -> unit
-  (** Leader only: land the flight, wake every waiter, and retire the
-      hash so the next [enter] starts a fresh flight. *)
-
-  val wait : t -> slot -> (payload, exn) result
-  (** Block until the slot's leader has published. *)
-end
 
 (** {1 Configuration and lifecycle} *)
 

@@ -1,9 +1,13 @@
-type outcome = Hit of Store.record | Fresh of Store.record
+type outcome =
+  | Hit of Store.record
+  | Fresh of Store.record
+  | Shared of Store.record
 
 type stats = {
   entries : int;
   hits : int;
   fresh : int;
+  shared : int;
   fresh_sim_events : int;
   wall_s : float;
 }
@@ -108,99 +112,177 @@ let rec simulate_entry ?(claim = true) ~store (e : Batch.entry) ~hash =
       | Some r -> (r, Adopted)
       | None -> simulate_entry ~claim ~store e ~hash)
 
-let run_batch ?jobs ?pool ?(cache = true) ~store entries =
-  let wall0 = Unix.gettimeofday () in
-  let looked_up =
-    List.map
-      (fun e ->
-        let hash = hash_entry e in
-        (e, hash, if cache then Store.lookup store ~hash else None))
-      entries
-  in
-  (* Unique misses only: a batch that repeats a scenario simulates it
-     once and shares the record. *)
-  let misses =
-    let seen = Hashtbl.create 16 in
-    List.filter_map
-      (function
-        | _, _, Some _ -> None
-        | e, hash, None ->
-          if Hashtbl.mem seen hash then None
-          else begin
-            Hashtbl.add seen hash ();
-            Some (e, hash)
-          end)
-      looked_up
-  in
-  let run_one (e, hash) () = simulate_entry ~claim:cache ~store e ~hash in
-  let run_serially () = List.map (fun m -> run_one m ()) misses in
-  let run_on pool =
-    let tickets =
-      List.map (fun m -> Engine.Pool.submit pool (run_one m)) misses
+module Flights = struct
+  type payload = Store.record * sim_kind
+  type slot = { mutable result : (payload, exn) result option }
+  type role = Leader of slot | Follower of slot
+
+  type t = {
+    m : Mutex.t;
+    c : Condition.t;
+    tbl : (string, slot) Hashtbl.t;
+  }
+
+  let create () =
+    { m = Mutex.create (); c = Condition.create (); tbl = Hashtbl.create 16 }
+
+  let inflight t =
+    Mutex.lock t.m;
+    let n = Hashtbl.length t.tbl in
+    Mutex.unlock t.m;
+    n
+
+  let enter t ~hash =
+    Mutex.lock t.m;
+    let role =
+      match Hashtbl.find_opt t.tbl hash with
+      | Some slot -> Follower slot
+      | None ->
+        let slot = { result = None } in
+        Hashtbl.add t.tbl hash slot;
+        Leader slot
     in
-    List.map Engine.Pool.await tickets
+    Mutex.unlock t.m;
+    role
+
+  let publish t ~hash slot res =
+    Mutex.lock t.m;
+    slot.result <- Some res;
+    (* Retire the hash so the next [enter] opens a fresh flight; guard
+       against a stale publish retiring a newer flight of the same
+       hash. *)
+    (match Hashtbl.find_opt t.tbl hash with
+    | Some s when s == slot -> Hashtbl.remove t.tbl hash
+    | _ -> ());
+    Condition.broadcast t.c;
+    Mutex.unlock t.m
+
+  let wait t slot =
+    Mutex.lock t.m;
+    let rec settled () =
+      match slot.result with
+      | Some r -> r
+      | None ->
+        Condition.wait t.c t.m;
+        settled ()
+    in
+    let r = settled () in
+    Mutex.unlock t.m;
+    r
+end
+
+(* One entry after its store lookup and flight entry.  A [Lead] owes
+   its flight a publish; a [Join] waits on a flight led elsewhere — by
+   an earlier entry of this call or by another submission. *)
+type item = Cached of Store.record | Lead of Flights.slot | Join of Flights.slot
+
+let run_batch ?jobs ?pool ?flights ?(cache = true) ~store entries =
+  let wall0 = Unix.gettimeofday () in
+  let flights =
+    match flights with Some f -> f | None -> Flights.create ()
   in
-  let miss_results =
-    match (misses, pool) with
-    | [], _ -> []
-    | [ m ], None -> [ run_one m () ]
-    | _, Some pool -> run_on pool
-    | _, None ->
-      let domains =
-        min
-          (match jobs with
-          | Some j -> j
-          | None -> Engine.Pool.default_domains ())
-          (List.length misses)
-      in
-      if domains <= 1 then run_serially ()
-      else begin
-        let pool = Engine.Pool.create ~domains () in
-        Fun.protect
-          ~finally:(fun () -> Engine.Pool.shutdown pool)
-          (fun () -> run_on pool)
-      end
+  (* Phase 1: hash, look up, and open or join a flight per miss.  An
+     opened flight must be published or its followers block forever,
+     so a raise here first fails the flights opened so far. *)
+  let leads = ref [] in
+  let resolve e =
+    let hash = hash_entry e in
+    match if cache then Store.lookup store ~hash else None with
+    | Some r -> Cached r
+    | None -> (
+      match Flights.enter flights ~hash with
+      | Flights.Follower slot -> Join slot
+      | Flights.Leader slot ->
+        leads := (e, hash, slot) :: !leads;
+        Lead slot)
   in
-  let miss_by_hash = Hashtbl.create 16 in
-  List.iter2
-    (fun (_, hash) rk -> Hashtbl.replace miss_by_hash hash rk)
-    misses miss_results;
+  let items =
+    match List.map (fun e -> (e, resolve e)) entries with
+    | items -> items
+    | exception ex ->
+      List.iter
+        (fun (_, hash, slot) -> Flights.publish flights ~hash slot (Error ex))
+        !leads;
+      raise ex
+  in
+  let leads = List.rev !leads in
+  (* Phase 2: simulate every lead — serially, or all enqueued on the
+     pool before any is awaited — and publish each as it lands,
+     failures included. *)
+  let attempt f = match f () with v -> Ok v | exception ex -> Error ex in
+  let settle (_, hash, slot) res = Flights.publish flights ~hash slot res in
+  let sim (e, hash, _) () = simulate_entry ~claim:cache ~store e ~hash in
+  let run_serially () =
+    List.iter (fun l -> settle l (attempt (sim l))) leads
+  in
+  let run_on pool =
+    List.map
+      (fun l -> (l, attempt (fun () -> Engine.Pool.submit pool (sim l))))
+      leads
+    |> List.iter (fun (l, ticket) ->
+           settle l
+             (Result.bind ticket (fun t ->
+                  attempt (fun () -> Engine.Pool.await t))))
+  in
+  (match (leads, pool) with
+  | [], _ -> ()
+  | _, Some pool -> run_on pool
+  | _, None ->
+    let domains =
+      min
+        (match jobs with
+        | Some j -> j
+        | None -> Engine.Pool.default_domains ())
+        (List.length leads)
+    in
+    if domains <= 1 then run_serially ()
+    else begin
+      let pool = Engine.Pool.create ~domains () in
+      Fun.protect
+        ~finally:(fun () -> Engine.Pool.shutdown pool)
+        (fun () -> run_on pool)
+    end);
+  (* Phase 3: this call's own flights have all landed, so no wait
+     below can block on one of them. *)
+  let landed slot =
+    match Flights.wait flights slot with Ok p -> p | Error ex -> raise ex
+  in
   let outcomes =
     List.map
-      (fun (e, hash, hit) ->
-        match hit with
-        | Some r -> (e, Hit r)
-        | None -> (
-          match Hashtbl.find miss_by_hash hash with
+      (fun (e, item) ->
+        match item with
+        | Cached r -> (e, Hit r)
+        | Lead slot -> (
+          match landed slot with
           | r, Simulated -> (e, Fresh r)
-          (* a peer process simulated it while we waited: a hit from
-             the submitter's point of view — zero work of ours *)
-          | r, Adopted -> (e, Hit r)))
-      looked_up
+          | r, Adopted -> (e, Shared r))
+        | Join slot -> (e, Shared (fst (landed slot))))
+      items
   in
   let at_unix = Unix.gettimeofday () in
   List.iter
     (fun (_, outcome) ->
       let cached, r =
-        match outcome with Hit r -> (true, r) | Fresh r -> (false, r)
+        match outcome with
+        | Fresh r -> (false, r)
+        | Hit r | Shared r -> (true, r)
       in
       Trend.append ~dir:(Store.dir store)
         (Trend.entry_of_record ~at_unix ~cached r))
     outcomes;
-  let hits =
-    List.length (List.filter (function _, Hit _ -> true | _ -> false) outcomes)
-  in
+  let count p = List.length (List.filter (fun (_, o) -> p o) outcomes) in
   let stats =
     {
       entries = List.length entries;
-      hits;
-      fresh = List.length entries - hits;
+      hits = count (function Hit _ -> true | _ -> false);
+      fresh = count (function Fresh _ -> true | _ -> false);
+      shared = count (function Shared _ -> true | _ -> false);
       fresh_sim_events =
         List.fold_left
           (fun acc -> function
-            | r, Simulated -> acc + r.Store.sim_events
-            | _, Adopted -> acc)
-          0 miss_results;
+            | _, Fresh r -> acc + r.Store.sim_events
+            | _ -> acc)
+          0 outcomes;
       wall_s = Unix.gettimeofday () -. wall0;
     }
   in

@@ -308,10 +308,14 @@ let split_file content =
 
 type read_outcome = Ok_record of record | Stale | Corrupt | Missing
 
+(* Open without a stat first: a concurrent gc or invalidate may unlink
+   the record between the two.  A record that is gone, or that cannot
+   be read as a file, is a miss. *)
 let read_record path =
-  if not (Sys.file_exists path) then Missing
-  else
-    match split_file (read_file path) with
+  match read_file path with
+  | exception Sys_error _ -> Missing
+  | content -> (
+    match split_file content with
     | None -> Corrupt
     | Some (v, body, csum) ->
       if Digest.to_hex (Digest.string body) <> csum then Corrupt
@@ -319,7 +323,7 @@ let read_record path =
       else (
         match record_of_body body with
         | r -> Ok_record r
-        | exception _ -> Corrupt)
+        | exception _ -> Corrupt))
 
 let lookup t ~hash =
   match read_record (record_path t ~hash) with

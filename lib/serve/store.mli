@@ -76,8 +76,9 @@ val open_store : dir:string -> t
 val dir : t -> string
 
 val lookup : t -> hash:string -> record option
-(** [None] on absent, stale (version mismatch) or corrupt (checksum or
-    parse failure) records; the latter two bump the {!stale_seen} /
+(** [None] on absent or unreadable (a concurrent unlink, a directory in
+    the way), stale (version mismatch) or corrupt (checksum or parse
+    failure) records; the latter two bump the {!stale_seen} /
     {!corrupt_seen} counters. *)
 
 val insert : t -> record -> unit

@@ -1,9 +1,9 @@
 (* Resident-daemon tests: wire-protocol codecs and framing, the
    in-process single-flight table, admission control, warm resubmission
    (zero simulation work, no domain respawn), concurrent-client dedup
-   (exactly one fresh run), graceful drain with an in-flight batch, and
-   the periodic store-GC pass holding the byte bound while batches
-   append. *)
+   (exactly one fresh run), no flight left open by a failed submission,
+   graceful drain with an in-flight batch, and the periodic store-GC
+   pass holding the byte bound while batches append. *)
 
 module P = Daemon.Protocol
 
@@ -242,44 +242,49 @@ let framing_write_limit () =
 (* --- the single-flight table --- *)
 
 let flights_roles () =
-  let f = Daemon.Flights.create () in
-  match Daemon.Flights.enter f ~hash:"h" with
-  | Daemon.Flights.Follower _ -> Alcotest.fail "first entrant must lead"
-  | Daemon.Flights.Leader slot -> (
-    Alcotest.(check int) "one flight open" 1 (Daemon.Flights.inflight f);
-    match Daemon.Flights.enter f ~hash:"h" with
-    | Daemon.Flights.Leader _ -> Alcotest.fail "second entrant must follow"
-    | Daemon.Flights.Follower slot' ->
-      Alcotest.(check int) "still one flight" 1 (Daemon.Flights.inflight f);
-      Daemon.Flights.publish f ~hash:"h" slot (Error Exit);
-      (match Daemon.Flights.wait f slot' with
+  let f = Serve.Service.Flights.create () in
+  match Serve.Service.Flights.enter f ~hash:"h" with
+  | Serve.Service.Flights.Follower _ -> Alcotest.fail "first entrant must lead"
+  | Serve.Service.Flights.Leader slot -> (
+    Alcotest.(check int) "one flight open" 1 (Serve.Service.Flights.inflight f);
+    match Serve.Service.Flights.enter f ~hash:"h" with
+    | Serve.Service.Flights.Leader _ ->
+      Alcotest.fail "second entrant must follow"
+    | Serve.Service.Flights.Follower slot' ->
+      Alcotest.(check int)
+        "still one flight" 1
+        (Serve.Service.Flights.inflight f);
+      Serve.Service.Flights.publish f ~hash:"h" slot (Error Exit);
+      (match Serve.Service.Flights.wait f slot' with
       | Error Exit -> ()
       | _ -> Alcotest.fail "follower must see the published result");
-      Alcotest.(check int) "flight retired" 0 (Daemon.Flights.inflight f);
+      Alcotest.(check int)
+        "flight retired" 0
+        (Serve.Service.Flights.inflight f);
       (* retired: the next entrant opens a fresh flight *)
-      (match Daemon.Flights.enter f ~hash:"h" with
-      | Daemon.Flights.Leader slot2 ->
-        Daemon.Flights.publish f ~hash:"h" slot2 (Error Exit)
-      | Daemon.Flights.Follower _ ->
+      (match Serve.Service.Flights.enter f ~hash:"h" with
+      | Serve.Service.Flights.Leader slot2 ->
+        Serve.Service.Flights.publish f ~hash:"h" slot2 (Error Exit)
+      | Serve.Service.Flights.Follower _ ->
         Alcotest.fail "a retired hash must lead again"))
 
 let flights_cross_thread () =
-  let f = Daemon.Flights.create () in
-  match Daemon.Flights.enter f ~hash:"x" with
-  | Daemon.Flights.Follower _ -> Alcotest.fail "first entrant must lead"
-  | Daemon.Flights.Leader slot ->
+  let f = Serve.Service.Flights.create () in
+  match Serve.Service.Flights.enter f ~hash:"x" with
+  | Serve.Service.Flights.Follower _ -> Alcotest.fail "first entrant must lead"
+  | Serve.Service.Flights.Leader slot ->
     let got = ref None in
     let waiter =
       Thread.create
         (fun () ->
-          match Daemon.Flights.enter f ~hash:"x" with
-          | Daemon.Flights.Follower s ->
-            got := Some (Daemon.Flights.wait f s)
-          | Daemon.Flights.Leader _ -> ())
+          match Serve.Service.Flights.enter f ~hash:"x" with
+          | Serve.Service.Flights.Follower s ->
+            got := Some (Serve.Service.Flights.wait f s)
+          | Serve.Service.Flights.Leader _ -> ())
         ()
     in
     Thread.delay 0.05;
-    Daemon.Flights.publish f ~hash:"x" slot (Error Not_found);
+    Serve.Service.Flights.publish f ~hash:"x" slot (Error Not_found);
     Thread.join waiter;
     (match !got with
     | Some (Error Not_found) -> ()
@@ -388,6 +393,35 @@ let bad_requests_over_socket () =
         Alcotest.(check bool) "not draining" false s.P.draining
       | _ -> Alcotest.fail "status after bad requests failed");
       ignore t)
+
+(* A submission that fails part-way must still publish every flight
+   it opened; otherwise [status] counts it in flight forever and a
+   later submission of that spec waits on it.  The second spec's
+   record path is a directory, so its run fails after the first spec's
+   flight has opened. *)
+let failed_submission_leaves_no_flight () =
+  with_daemon (fun _conf t ->
+      let blocked = tiny_form ~seed:32 "blocked" in
+      let hash =
+        match Serve.Batch.of_sexps ~base_dir:"." (sexps blocked) with
+        | [ e ] -> Serve.Service.hash_entry e
+        | _ -> Alcotest.fail "expected one entry"
+      in
+      let path = Serve.Store.record_path (Daemon.store t) ~hash in
+      (try Unix.mkdir (Filename.dirname path) 0o755
+       with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      Unix.mkdir path 0o755;
+      (match
+         Daemon.handle t
+           (P.Submit (sexps (tiny_form ~seed:31 "ok" ^ " " ^ blocked)))
+       with
+      | P.Error (P.Failed, _) -> ()
+      | _ -> Alcotest.fail "the failed run must get a typed failed reply");
+      match Daemon.handle t P.Status with
+      | P.Status_reply s ->
+        Alcotest.(check int) "no flight left open" 0 s.P.inflight;
+        Alcotest.(check int) "nothing queued" 0 s.P.queue_depth
+      | _ -> Alcotest.fail "expected a status reply")
 
 let drain_with_in_flight () =
   let conf = fresh_conf () in
@@ -508,6 +542,8 @@ let () =
           Alcotest.test_case "admission bound" `Quick admission_bound;
           Alcotest.test_case "bad requests over the socket" `Quick
             bad_requests_over_socket;
+          Alcotest.test_case "failed submission leaves no flight" `Slow
+            failed_submission_leaves_no_flight;
           Alcotest.test_case "drain with in-flight batch" `Slow
             drain_with_in_flight;
           Alcotest.test_case "periodic gc bounds the store" `Slow

@@ -207,6 +207,20 @@ let store_corruption () =
     (Serve.Store.corrupt_seen store);
   Alcotest.(check int) "none counted stale" 0 (Serve.Store.stale_seen store)
 
+(* A record that vanishes under a concurrent gc or invalidate, or that
+   cannot be read as a file, is a miss, never an exception.  A
+   directory squatting on the record path is the deterministic
+   stand-in. *)
+let store_unreadable () =
+  let store = fresh_store () in
+  let hash = String.make 32 '9' in
+  let path = Serve.Store.record_path store ~hash in
+  Unix.mkdir (Filename.dirname path) 0o755;
+  Unix.mkdir path 0o755;
+  Alcotest.(check bool)
+    "unreadable record is a miss" true
+    (Serve.Store.lookup store ~hash = None)
+
 (* GC evicts oldest-mtime first until the survivors fit the budget;
    the sweep's byte accounting is exact and the per-store eviction
    counter accumulates across sweeps. *)
@@ -315,6 +329,7 @@ let find_record outcomes label =
   with
   | Some (_, Serve.Service.Hit r) -> (`Hit, r)
   | Some (_, Serve.Service.Fresh r) -> (`Fresh, r)
+  | Some (_, Serve.Service.Shared r) -> (`Shared, r)
   | None -> Alcotest.failf "no outcome for %s" label
 
 let second_submission_is_free () =
@@ -370,7 +385,22 @@ let duplicate_entries_simulate_once () =
   let _, r = find_record outcomes "dup" in
   Alcotest.(check int)
     "only one simulation ran" r.Serve.Store.sim_events
-    stats.Serve.Service.fresh_sim_events
+    stats.Serve.Service.fresh_sim_events;
+  (* the repeat rode the first entry's run: shared, logged as cached *)
+  Alcotest.(check (list string))
+    "outcome kinds" [ "fresh"; "shared" ]
+    (List.map
+       (function
+         | _, Serve.Service.Hit _ -> "hit"
+         | _, Fresh _ -> "fresh"
+         | _, Shared _ -> "shared")
+       outcomes);
+  Alcotest.(check int) "one fresh" 1 stats.Serve.Service.fresh;
+  Alcotest.(check int) "one shared" 1 stats.Serve.Service.shared;
+  let trend, _ = Serve.Trend.load ~dir:(Serve.Store.dir store) in
+  Alcotest.(check (list bool))
+    "trend cached flags" [ false; true ]
+    (List.map (fun e -> e.Serve.Trend.cached) trend)
 
 let jobs_do_not_change_results () =
   let batch =
@@ -387,8 +417,8 @@ let jobs_do_not_change_results () =
     (fun (ea, oa) (eb, ob) ->
       Alcotest.(check string) "submission order preserved" ea.Serve.Batch.label
         eb.Serve.Batch.label;
-      let ra = match oa with Serve.Service.Hit r | Fresh r -> r in
-      let rb = match ob with Serve.Service.Hit r | Fresh r -> r in
+      let ra = match oa with Serve.Service.Hit r | Fresh r | Shared r -> r in
+      let rb = match ob with Serve.Service.Hit r | Fresh r | Shared r -> r in
       Alcotest.(check bool)
         "parallel and serial runs agree bit for bit" true
         (Serve.Store.same_results ra rb))
@@ -519,6 +549,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick store_roundtrip;
           Alcotest.test_case "version bump is stale" `Quick store_version_bump;
           Alcotest.test_case "corruption rejected" `Quick store_corruption;
+          Alcotest.test_case "unreadable record is a miss" `Quick
+            store_unreadable;
           Alcotest.test_case "gc evicts oldest first" `Quick store_gc;
         ] );
       ( "trend",

@@ -637,17 +637,13 @@ let run_hybrid ~classes () =
       bg_path.Netgraph.Path.links
   in
   let decls =
-    Array.init classes (fun i ->
-        let frac =
-          if classes = 1 then 0.5
-          else float_of_int i /. float_of_int (classes - 1)
-        in
-        { Fluid.Background.Driver.links;
-          flows = bg_flows_per_class;
-          kind = Some Fluid.Controller.Reno;
-          flow_rate_bps = 0;
-          rtt_s = bg_rtt_s *. (0.85 +. (0.3 *. frac));
-          start_s = 0.0 })
+    [| { Fluid.Background.Driver.links;
+         classes;
+         flows = bg_flows_per_class;
+         kind = Some Fluid.Controller.Reno;
+         flow_rate_bps = 0;
+         rtt_s = bg_rtt_s;
+         start_s = 0.0 } |]
   in
   (* Clean heap per measurement: without this, major-GC slices
      collecting the previous run's garbage land in the next timing. *)

@@ -207,12 +207,11 @@ let run spec =
   let traffic = Events.Event.arm ~sched ~net ~conn spec.events in
   (* Background declarations compile into one fluid field whose driver
      ticks through the same wheel as everything else; each declaration
-     expands to [classes] single-path class fields along the current
-     shortest path, with propagation RTTs spread +/-15% around the
-     declared mean so the classes don't move as one synchronized cohort. *)
+     expands (in [Fluid.Background.Driver.attach]) to [classes]
+     single-path class fields along the current shortest path. *)
   let background_driver =
     let decls =
-      List.concat_map
+      List.filter_map
         (fun { Events.Event.at = start; action } ->
           match action with
           | Events.Event.Background_start
@@ -238,20 +237,15 @@ let run spec =
                 (fun a -> Option.get (Fluid.Controller.of_algorithm a))
                 cc
             in
-            let start_s = Engine.Time.to_float_s start in
-            let rtt_s = Engine.Time.to_float_s rtt in
-            List.init classes (fun i ->
-                let frac =
-                  if classes = 1 then 0.5
-                  else float_of_int i /. float_of_int (classes - 1)
-                in
-                { Fluid.Background.Driver.links;
-                  flows;
-                  kind;
-                  flow_rate_bps = rate_bps;
-                  rtt_s = rtt_s *. (0.85 +. (0.3 *. frac));
-                  start_s })
-          | _ -> [])
+            Some
+              { Fluid.Background.Driver.links;
+                classes;
+                flows;
+                kind;
+                flow_rate_bps = rate_bps;
+                rtt_s = Engine.Time.to_float_s rtt;
+                start_s = Engine.Time.to_float_s start }
+          | _ -> None)
         spec.events
     in
     match decls with

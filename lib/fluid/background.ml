@@ -10,7 +10,14 @@
    side (the foreground simulation) enters as an exogenous arrival rate
    refreshed each coarse tick; the field's outputs — occupancy and
    bandwidth share per channel — drive Netsim.Linkq's service and drop
-   decisions through Driver below. *)
+   decisions through Driver below.
+
+   Only windowed classes carry state.  A constant class has no
+   dynamics, so it is an arrival term, not a state: the active constant
+   classes that precede the first windowed class fold into a
+   per-channel open-loop rate when they activate, and the rest are
+   added in class order during each derivative evaluation, so every
+   channel sums its arrivals in exactly the class order. *)
 
 type law = Constant | Windowed of Controller.kind
 
@@ -25,30 +32,39 @@ type class_spec = {
 
 type channel_spec = { cap_pps : float; limit_pkts : int }
 
+(* State vector [y]: the windowed classes' windows in class order
+   (positions [0, nw)), then the channel queues ([nw, nw + l)), then the
+   CUBIC auxiliary pairs ([extra_off, dim)). *)
 type t = {
   config : Model.config;  (* buffer_pkts unused: channels carry their own *)
   tol : float;
   classes : class_spec array;
   c : int;
   l : int;
+  nw : int;               (* windowed classes *)
+  pos : int array;        (* class -> window position, or -1 if constant *)
+  wcls : int array;       (* window position -> class *)
+  first_w : int;          (* first windowed class, or [c] if none *)
   extra_off : int;
   dim : int;
-  reno_idx : int array;   (* Windowed Reno/Lia/Olia classes *)
-  cubic_idx : int array;
-  cubic_pos : int array;  (* class -> position in cubic_idx, or -1 *)
+  reno_idx : int array;   (* window positions of Reno/Lia/Olia classes *)
+  cubic_idx : int array;  (* window positions of CUBIC classes *)
+  cubic_pos : int array;  (* window position -> position in cubic_idx, or -1 *)
   cap_pps : float array;
   qmax : float array;
   q0 : float array;
   y : float array;
   mutable time_s : float;
   mutable last_dt : float;
-  mutable n_inactive : int;
-  active : bool array;
+  active : bool array;    (* per class, as of the last refresh *)
+  mutable active_at : int;  (* [start_ptr] [active] was computed at, or -1 *)
+  open_pps : float array; (* per channel: active constant classes before
+                             [first_w], folded in class order *)
   starts : float array;   (* distinct future activation times, ascending *)
   mutable start_ptr : int;
   fg_pps : float array;   (* exogenous foreground arrival per channel *)
   (* scratch reused by [deriv]; a [t] is single-domain *)
-  rtt : float array;
+  rtt : float array;      (* per window position *)
   loss : float array;
   rate : float array;     (* per-flow pps *)
   chan_loss : float array;
@@ -90,18 +106,25 @@ let compile ~(channels : channel_spec array) ~classes
           invalid_arg "Background.compile: constant class needs a rate"
       | Windowed _ -> ())
     classes;
+  let wcls =
+    Array.of_seq
+      (Seq.filter (fun i -> classes.(i).law <> Constant) (Seq.init c Fun.id))
+  in
+  let nw = Array.length wcls in
+  let pos = Array.make c (-1) in
+  Array.iteri (fun k i -> pos.(i) <- k) wcls;
   let reno = ref [] and cubic = ref [] in
-  for i = c - 1 downto 0 do
-    match classes.(i).law with
-    | Windowed Controller.Cubic -> cubic := i :: !cubic
+  for k = nw - 1 downto 0 do
+    match classes.(wcls.(k)).law with
+    | Windowed Controller.Cubic -> cubic := k :: !cubic
     | Windowed (Controller.Reno | Controller.Lia | Controller.Olia) ->
-      reno := i :: !reno
+      reno := k :: !reno
     | Constant -> ()
   done;
   let cubic_idx = Array.of_list !cubic in
-  let cubic_pos = Array.make c (-1) in
-  Array.iteri (fun j i -> cubic_pos.(i) <- j) cubic_idx;
-  let extra_off = c + l in
+  let cubic_pos = Array.make nw (-1) in
+  Array.iteri (fun j k -> cubic_pos.(k) <- j) cubic_idx;
+  let extra_off = nw + l in
   let dim = extra_off + (2 * Array.length cubic_idx) in
   let qmax =
     Array.map (fun ch -> float_of_int (max 1 ch.limit_pkts)) channels
@@ -121,6 +144,10 @@ let compile ~(channels : channel_spec array) ~classes
       classes;
       c;
       l;
+      nw;
+      pos;
+      wcls;
+      first_w = (if nw = 0 then c else wcls.(0));
       extra_off;
       dim;
       reno_idx = Array.of_list !reno;
@@ -132,14 +159,15 @@ let compile ~(channels : channel_spec array) ~classes
       y = Array.make dim 0.0;
       time_s = 0.0;
       last_dt = 1e-4;
-      n_inactive = 0;
-      active = Array.make c true;
+      active = Array.make c false;
+      active_at = -1;
+      open_pps = Array.make l 0.0;
       starts;
       start_ptr = 0;
       fg_pps = Array.make l 0.0;
-      rtt = Array.make c 0.0;
-      loss = Array.make c 0.0;
-      rate = Array.make c 0.0;
+      rtt = Array.make nw 0.0;
+      loss = Array.make nw 0.0;
+      rate = Array.make nw 0.0;
       chan_loss = Array.make l 0.0;
       chan_qdelay = Array.make l 0.0;
       arrival = Array.make l 0.0;
@@ -155,7 +183,7 @@ let compile ~(channels : channel_spec array) ~classes
       dormant = false;
       dormant_skips = 0 }
   in
-  for i = 0 to c - 1 do t.y.(i) <- config.Model.min_cwnd done;
+  Array.fill t.y 0 nw config.Model.min_cwnd;
   t
 
 let n_classes t = t.c
@@ -209,11 +237,35 @@ let set_capacity t ~chan ~cap_pps =
   then wake t;
   t.cap_pps.(chan) <- cap_pps
 
+(* Aggregate rate of a constant class: all its flows. *)
+let constant_pps (cl : class_spec) = cl.flow_rate_pps *. float_of_int cl.flows
+
+(* Which classes have started, and the open-loop arrival per channel of
+   the active constant classes before the first windowed class.  The
+   active set only changes when [start_ptr] moves, so [advance] calls
+   this on its first integration and after each move. *)
+let activate t =
+  for i = 0 to t.c - 1 do
+    t.active.(i) <- t.classes.(i).start_s <= t.time_s +. 1e-12
+  done;
+  Array.fill t.open_pps 0 t.l 0.0;
+  for i = 0 to t.first_w - 1 do
+    if t.active.(i) then begin
+      let cl = t.classes.(i) in
+      let agg = constant_pps cl in
+      Array.iter (fun ch -> t.open_pps.(ch) <- t.open_pps.(ch) +. agg) cl.chans
+    end
+  done;
+  t.active_at <- t.start_ptr
+
 (* Channel queues and per-class views from a state vector (mid-step RK
-   states may sit slightly outside the box, so reads are clamped). *)
+   states may sit slightly outside the box, so reads are clamped).
+   Arrivals start from the folded open-loop rate and continue over the
+   remaining classes in class order; a constant class there only adds
+   its aggregate rate. *)
 let refresh t y =
   for ch = 0 to t.l - 1 do
-    let q = Float.min t.qmax.(ch) (Float.max 0.0 y.(t.c + ch)) in
+    let q = Float.min t.qmax.(ch) (Float.max 0.0 y.(t.nw + ch)) in
     let cap = t.cap_pps.(ch) in
     let r = t.arrival.(ch) /. cap in
     let s =
@@ -241,34 +293,36 @@ let refresh t y =
       t.chan_qdelay.(ch) <- (((1.0 -. s) *. q) +. (s *. q_eq)) /. cap
     end
   done;
-  Array.fill t.arrival 0 t.l 0.0;
-  for i = 0 to t.c - 1 do
+  Array.blit t.open_pps 0 t.arrival 0 t.l;
+  for i = t.first_w to t.c - 1 do
     let cl = Array.unsafe_get t.classes i in
     let chans = cl.chans in
-    let rtt = ref cl.base_rtt_s and surv = ref 1.0 in
-    for j = 0 to Array.length chans - 1 do
-      let ch = Array.unsafe_get chans j in
-      rtt := !rtt +. Array.unsafe_get t.chan_qdelay ch;
-      surv := !surv *. (1.0 -. Array.unsafe_get t.chan_loss ch)
-    done;
-    t.rtt.(i) <- !rtt;
-    t.loss.(i) <- 1.0 -. !surv;
-    let x =
-      if not (Array.unsafe_get t.active i) then 0.0
-      else
-        match cl.law with
-        | Constant -> cl.flow_rate_pps
-        | Windowed _ ->
-          Float.max t.config.Model.min_cwnd (Array.unsafe_get y i) /. !rtt
+    let k = Array.unsafe_get t.pos i in
+    let agg =
+      if k < 0 then
+        if Array.unsafe_get t.active i then constant_pps cl else 0.0
+      else begin
+        let rtt = ref cl.base_rtt_s and surv = ref 1.0 in
+        for j = 0 to Array.length chans - 1 do
+          let ch = Array.unsafe_get chans j in
+          rtt := !rtt +. Array.unsafe_get t.chan_qdelay ch;
+          surv := !surv *. (1.0 -. Array.unsafe_get t.chan_loss ch)
+        done;
+        t.rtt.(k) <- !rtt;
+        t.loss.(k) <- 1.0 -. !surv;
+        let x =
+          if not (Array.unsafe_get t.active i) then 0.0
+          else Float.max t.config.Model.min_cwnd (Array.unsafe_get y k) /. !rtt
+        in
+        t.rate.(k) <- x;
+        x *. float_of_int cl.flows
+      end
     in
-    t.rate.(i) <- x;
-    if x > 0.0 then begin
-      let agg = x *. float_of_int cl.flows in
+    if agg > 0.0 then
       for j = 0 to Array.length chans - 1 do
         let ch = Array.unsafe_get chans j in
         Array.unsafe_set t.arrival ch (Array.unsafe_get t.arrival ch +. agg)
       done
-    end
   done;
   for ch = 0 to t.l - 1 do
     t.arrival.(ch) <- t.arrival.(ch) +. t.fg_pps.(ch)
@@ -280,7 +334,7 @@ let deriv t y dy =
      Lipschitz boundary layers at both box edges. *)
   let tau = Model.boundary_tau in
   for ch = 0 to t.l - 1 do
-    let q = Float.max 0.0 y.(t.c + ch) in
+    let q = Float.max 0.0 y.(t.nw + ch) in
     let d =
       (t.arrival.(ch) *. (1.0 -. t.chan_loss.(ch))) -. t.cap_pps.(ch)
     in
@@ -291,10 +345,9 @@ let deriv t y dy =
       if s = 0.0 then d
       else ((1.0 -. s) *. d) +. (s *. ((t.qss_qeq.(ch) -. q) /. qss_tau))
     in
-    dy.(t.c + ch) <- d
+    dy.(t.nw + ch) <- d
   done;
-  (* Windows, batched per law family; constant-rate classes hold. *)
-  Array.fill dy 0 t.c 0.0;
+  (* Windows, batched per law family. *)
   if Array.length t.reno_idx > 0 then
     Controller.dwindows_single Controller.Reno ~idx:t.reno_idx ~w:y ~rtt:t.rtt
       ~rate:t.rate ~loss:t.loss ~extras:y ~extras_off:t.extra_off ~dextras:dy
@@ -306,29 +359,25 @@ let deriv t y dy =
   (* Window floor boundary layer, and a frozen field for classes that
      have not started yet (their rate is zero, but CUBIC's epoch age
      would still tick). *)
-  for i = 0 to t.c - 1 do
-    if not t.active.(i) then begin
-      dy.(i) <- 0.0;
-      let j = t.cubic_pos.(i) in
+  for k = 0 to t.nw - 1 do
+    if not t.active.(t.wcls.(k)) then begin
+      dy.(k) <- 0.0;
+      let j = t.cubic_pos.(k) in
       if j >= 0 then begin
         dy.(t.extra_off + (2 * j)) <- 0.0;
         dy.(t.extra_off + (2 * j) + 1) <- 0.0
       end
     end
-    else
-      match t.classes.(i).law with
-      | Constant -> ()
-      | Windowed _ ->
-        let slack =
-          (y.(i) -. t.config.Model.min_cwnd) /. Model.boundary_tau
-        in
-        dy.(i) <- Float.max dy.(i) (-.Float.max 0.0 slack)
+    else begin
+      let slack = (y.(k) -. t.config.Model.min_cwnd) /. Model.boundary_tau in
+      dy.(k) <- Float.max dy.(k) (-.Float.max 0.0 slack)
+    end
   done
 
 let project t y =
   let floor = t.config.Model.min_cwnd in
-  for i = 0 to t.c - 1 do
-    if y.(i) < floor then y.(i) <- floor
+  for k = 0 to t.nw - 1 do
+    if y.(k) < floor then y.(k) <- floor
   done;
   for ch = 0 to t.l - 1 do
     (* Fully slaved channels snap straight to the ramp equilibrium: a
@@ -336,11 +385,11 @@ let project t y =
        arrival), far inside one step, so the snap is more accurate than
        relaxing toward it — and it kills the settle tail that would
        otherwise keep the field integrating for tens of ticks. *)
-    if t.qss_s.(ch) = 1.0 then y.(t.c + ch) <- t.qss_qeq.(ch)
+    if t.qss_s.(ch) = 1.0 then y.(t.nw + ch) <- t.qss_qeq.(ch)
     else begin
-      let q = y.(t.c + ch) in
-      if q < 0.0 then y.(t.c + ch) <- 0.0
-      else if q > t.qmax.(ch) then y.(t.c + ch) <- t.qmax.(ch)
+      let q = y.(t.nw + ch) in
+      if q < 0.0 then y.(t.nw + ch) <- 0.0
+      else if q > t.qmax.(ch) then y.(t.nw + ch) <- t.qmax.(ch)
     end
   done;
   for j = t.extra_off to t.dim - 1 do
@@ -355,7 +404,7 @@ let problem t =
 let refresh_outputs t =
   refresh t t.y;
   for ch = 0 to t.l - 1 do
-    t.occupancy.(ch) <- Float.min t.qmax.(ch) (Float.max 0.0 t.y.(t.c + ch));
+    t.occupancy.(ch) <- Float.min t.qmax.(ch) (Float.max 0.0 t.y.(t.nw + ch));
     let bg_arr = Float.max 0.0 (t.arrival.(ch) -. t.fg_pps.(ch)) in
     t.departure.(ch) <-
       Float.min (bg_arr *. (1.0 -. t.chan_loss.(ch))) t.cap_pps.(ch)
@@ -376,12 +425,7 @@ let advance t ~dt_s =
   end
   else begin
     if activating then wake t;
-    t.n_inactive <- 0;
-    for i = 0 to t.c - 1 do
-      let a = t.classes.(i).start_s <= t.time_s +. 1e-12 in
-      t.active.(i) <- a;
-      if not a then t.n_inactive <- t.n_inactive + 1
-    done;
+    if t.active_at <> t.start_ptr then activate t;
     Array.blit t.y 0 t.y_prev 0 t.dim;
     let stats =
       Ode.integrate (problem t) ~y:t.y ~t0:t.time_s ~t1:(t.time_s +. dt_s)
@@ -425,13 +469,29 @@ let advance t ~dt_s =
 let occupancy_pkts t ~chan = t.occupancy.(chan)
 let departure_pps t ~chan = t.departure.(chan)
 let loss_prob t ~chan = t.chan_loss.(chan)
-let windows t = Array.sub t.y 0 t.c
-let queues_pkts t = Array.sub t.y t.c t.l
+
+(* Per-flow rate and path loss of class [i] as of the last refresh.  A
+   constant class's are not kept: they follow from [active] and the
+   channel losses that refresh left. *)
+let class_rate t i =
+  let k = t.pos.(i) in
+  if k >= 0 then t.rate.(k)
+  else if t.active.(i) then t.classes.(i).flow_rate_pps
+  else 0.0
+
+let class_loss t i =
+  let k = t.pos.(i) in
+  if k >= 0 then t.loss.(k)
+  else
+    1.0
+    -. Array.fold_left
+         (fun surv ch -> surv *. (1.0 -. t.chan_loss.(ch)))
+         1.0 t.classes.(i).chans
 
 let offered_pps t =
   let acc = ref 0.0 in
   for i = 0 to t.c - 1 do
-    acc := !acc +. (t.rate.(i) *. float_of_int t.classes.(i).flows)
+    acc := !acc +. (class_rate t i *. float_of_int t.classes.(i).flows)
   done;
   !acc
 
@@ -440,7 +500,8 @@ let goodput_pps t =
   for i = 0 to t.c - 1 do
     acc :=
       !acc
-      +. (t.rate.(i) *. (1.0 -. t.loss.(i)) *. float_of_int t.classes.(i).flows)
+      +. (class_rate t i *. (1.0 -. class_loss t i)
+         *. float_of_int t.classes.(i).flows)
   done;
   !acc
 
@@ -454,6 +515,7 @@ let dormant_ticks t = t.dormant_skips
 module Driver = struct
   type decl = {
     links : (int * bool) array;  (* (topology link id, forward?) *)
+    classes : int;
     flows : int;
     kind : Controller.kind option;  (* [None] = constant-rate *)
     flow_rate_bps : int;
@@ -522,20 +584,33 @@ module Driver = struct
         incr n_chans;
         ch
     in
-    let classes =
-      Array.map
-        (fun decl ->
-          { flows = decl.flows;
-            law =
-              (match decl.kind with
-              | None -> Constant
-              | Some k -> Windowed k);
-            flow_rate_pps = float_of_int decl.flow_rate_bps /. bits_per_pkt;
-            base_rtt_s = decl.rtt_s;
-            chans = Array.map chan_of decl.links;
-            start_s = decl.start_s })
-        decls
+    (* A declaration expands into [classes] classes on one path.
+       Windowed classes spread their propagation RTTs +/-15% around the
+       declared mean so they don't move as one synchronized cohort;
+       constant classes ignore RTT, so theirs share one spec. *)
+    let expand decl =
+      let n = decl.classes in
+      if n < 1 then
+        invalid_arg "Background.Driver: declaration without classes";
+      let chans = Array.map chan_of decl.links in
+      let spec law base_rtt_s =
+        { flows = decl.flows;
+          law;
+          flow_rate_pps = float_of_int decl.flow_rate_bps /. bits_per_pkt;
+          base_rtt_s;
+          chans;
+          start_s = decl.start_s }
+      in
+      match decl.kind with
+      | None -> Array.make n (spec Constant decl.rtt_s)
+      | Some k ->
+        Array.init n (fun i ->
+            let frac =
+              if n = 1 then 0.5 else float_of_int i /. float_of_int (n - 1)
+            in
+            spec (Windowed k) (decl.rtt_s *. (0.85 +. (0.3 *. frac))))
     in
+    let classes = Array.concat (Array.to_list (Array.map expand decls)) in
     let qs = Array.of_list (List.rev !qs) in
     let channels =
       Array.map

@@ -3,23 +3,25 @@
     {!Model} compiles a handful of foreground connections into a coupled
     ODE; this module scales the other axis: {e thousands} of background
     flow {e classes}, each an aggregate of identical single-path flows,
-    sharing directional link {e channels}.  Per class one window state
-    evolves by the controller's single-flow law
+    sharing directional link {e channels}.  Per windowed class one
+    window state evolves by the controller's single-flow law
     ({!Controller.dwindows_single} — LIA and OLIA degenerate to Reno
-    exactly for one path, CUBIC keeps its two auxiliary states), or
-    holds a constant per-flow rate for CBR-style classes.  Per channel
-    one queue state integrates admitted aggregate arrivals minus the
-    drain rate, with the same quadratic loss ramp ({!Model.ramp_loss})
-    and Lipschitz boundary layers ({!Model.boundary_tau}) as the
-    connection model, so the class fields and the foreground fluid model
-    describe queues identically.
+    exactly for one path, CUBIC keeps its two auxiliary states).  A
+    CBR-style class sends at a constant per-flow rate and has no state
+    at all: it is folded into its channels' open-loop arrival when it
+    activates.  Per channel one queue state integrates admitted
+    aggregate arrivals minus the drain rate, with the same quadratic
+    loss ramp ({!Model.ramp_loss}) and Lipschitz boundary layers
+    ({!Model.boundary_tau}) as the connection model, so the class fields
+    and the foreground fluid model describe queues identically.
 
     The coupling to the packet simulation is two-sided and runs on a
     coarse tick ({!Driver}): the field sees the foreground's measured
     arrival rate as exogenous load on its channels, and the packet-level
     {!Netsim.Linkq} sees the field's queue occupancy and bandwidth share
     ({!Netsim.Linkq.set_background}) in its service rate and drop
-    decisions.  Cost per ODE step is linear in classes + channels, so a
+    decisions.  Cost per ODE step is linear in windowed classes +
+    channels and independent of the number of constant classes, so a
     million background flows (say 10^5 classes of 10) advance in
     microseconds per tick while four foreground connections keep full
     packet fidelity — the hybrid scaling argument of Peng et al.
@@ -53,9 +55,14 @@ type t
 val compile :
   channels:channel_spec array -> classes:class_spec array
   -> ?config:Model.config -> ?tol:float -> unit -> t
-(** Builds the field: state vector [windows (one per class); queues
-    (one per channel); CUBIC auxiliary pairs (per CUBIC class)], windows
-    at the floor, queues empty.  [config] supplies the loss-ramp knee,
+(** Builds the field: state vector [windows (one per [Windowed] class,
+    in class order); queues (one per channel); CUBIC auxiliary pairs
+    (per CUBIC class)], windows at the floor, queues empty.  [Constant]
+    classes carry no state, only arrival: those declared before the
+    first windowed class fold into a per-channel open-loop rate when
+    they activate, later ones add their rate in each derivative
+    evaluation, so every channel sums its arrivals in class order
+    whatever the mix of laws.  [config] supplies the loss-ramp knee,
     window floor and MSS exactly as for {!Model.compile}; [tol] (default
     [1e-4]) is the step-doubling error bound passed to {!Ode.integrate}
     — coarser than the foreground default because class fields are
@@ -65,7 +72,11 @@ val compile :
 
 val n_classes : t -> int
 val n_channels : t -> int
+
 val dim : t -> int
+(** State dimension: windowed classes + channels + 2 x CUBIC classes.
+    Constant classes add nothing. *)
+
 val time_s : t -> float
 
 val set_foreground : t -> chan:int -> pps:float -> unit
@@ -76,15 +87,12 @@ val set_capacity : t -> chan:int -> cap_pps:float -> unit
 (** Re-rate a channel — tracks {!Netsim.Linkq.set_rate} mid-run.
     Raises [Invalid_argument] on a non-positive rate. *)
 
-val problem : t -> Ode.problem
-(** The vector field plus box projection.  The closures reuse per-field
-    scratch, so a [t] must not be shared across domains. *)
-
 val advance : t -> dt_s:float -> Ode.stats
 (** Integrate the field forward by [dt_s] seconds (one coarse tick) and
     refresh the per-channel outputs below.  Classes whose [start_s] has
-    not been reached are held frozen for the whole step.  Raises
-    [Invalid_argument] on a non-positive step.
+    not been reached are held frozen for the whole step.  The field
+    reuses per-field work arrays, so a [t] must not be shared across
+    domains.  Raises [Invalid_argument] on a non-positive step.
 
     Two regime-aware fast paths keep the cost flat at scale.  {e Deeply
     overloaded channels} (aggregate arrival beyond ~1.5x capacity, where
@@ -120,17 +128,13 @@ val departure_pps : t -> chan:int -> float
 val loss_prob : t -> chan:int -> float
 (** The channel's current ramp loss probability. *)
 
-val windows : t -> float array
-(** Per-class window snapshot (fresh array, class order). *)
-
-val queues_pkts : t -> float array
-(** Per-channel queue snapshot (fresh array, channel order). *)
-
 val offered_pps : t -> float
-(** Aggregate pre-loss sending rate over all classes and flows. *)
+(** Aggregate pre-loss sending rate over all classes and flows (0
+    before the first {!advance}). *)
 
 val goodput_pps : t -> float
-(** Aggregate post-loss delivered rate over all classes and flows. *)
+(** Aggregate post-loss delivered rate over all classes and flows (0
+    before the first {!advance}). *)
 
 val ode_steps : t -> int
 val ode_rejected : t -> int
@@ -147,11 +151,16 @@ val ode_rejected : t -> int
 module Driver : sig
   type decl = {
     links : (int * bool) array;
-        (** the class path as (topology link id, forward?) hops *)
-    flows : int;
+        (** the classes' path as (topology link id, forward?) hops *)
+    classes : int;  (** classes this declaration expands into *)
+    flows : int;  (** identical flows per class *)
     kind : Controller.kind option;  (** [None] = constant-rate (CBR) *)
     flow_rate_bps : int;  (** per-flow rate for CBR classes *)
-    rtt_s : float;  (** propagation RTT *)
+    rtt_s : float;
+        (** mean propagation RTT: class [i] of [n] gets
+            [rtt_s * (0.85 + 0.3 i / (n - 1))] (the mean itself when
+            [n = 1]), spread +/-15% so windowed classes do not move as
+            one synchronized cohort *)
     start_s : float;
   }
 
@@ -164,13 +173,16 @@ module Driver : sig
     sched:Engine.Sched.t -> net:Netsim.Net.t -> tick:Engine.Time.t
     -> until:Engine.Time.t -> ?config:Model.config -> ?tol:float
     -> decl array -> t
-  (** Compiles the field (deduplicating [(link, dir)] pairs into
-      channels), arms the per-tick coupling from [now + tick] to
-      [until], and returns the driver.  [config] defaults to
-      {!Model.default_config} — its [mss_bytes] sets the bits-per-packet
-      conversion between the field's pps and the link's bps.  Raises
-      [Invalid_argument] on an empty declaration array or an unknown
-      link. *)
+  (** Expands each declaration into its [classes] (resolving its links
+      once, and giving a constant declaration's classes one shared
+      {!class_spec}, since constant classes ignore RTT), compiles the
+      field (deduplicating [(link, dir)] pairs into channels), arms the
+      per-tick coupling from [now + tick] to [until], and returns its
+      handle.  [config] defaults to {!Model.default_config} — its
+      [mss_bytes] sets the bits-per-packet conversion between the
+      field's pps and the link's bps.  Raises [Invalid_argument] on an
+      empty declaration array, a declaration with fewer than one class,
+      or an unknown link. *)
 
   val field : t -> field
   val ticks : t -> int

@@ -58,10 +58,20 @@ doc_one engine Engine -- \
     "$root/lib/engine/wheel.mli" \
     "$root/lib/engine/rng.mli" \
     "$root/lib/engine/sched.mli" \
+    "$root/lib/engine/tap.mli" \
     "$root/lib/engine/pool.mli"
 
+doc_one netsim Netsim -- \
+    "$root/lib/netsim/linkq.mli" \
+    "$root/lib/netsim/net.mli"
+
+doc_one tcp Tcp -- \
+    "$root/lib/tcp/sender.mli" \
+    "$root/lib/tcp/receiver.mli"
+
 doc_one mptcp Mptcp -- \
-    "$root/lib/mptcp/chunks.mli"
+    "$root/lib/mptcp/chunks.mli" \
+    "$root/lib/mptcp/connection.mli"
 
 doc_one audit -- \
     "$root/lib/audit/audit.mli"

@@ -49,7 +49,7 @@ type t = {
   mutable nets : Netsim.Net.t list;
   mutable conns : conn_watch list;
   mutable finished : bool;
-  mutable monitor : (violation -> unit) option;
+  tap : violation Engine.Tap.t;
 }
 
 let create ?(max_violations = 50) ~sched () =
@@ -73,7 +73,7 @@ let create ?(max_violations = 50) ~sched () =
     nets = [];
     conns = [];
     finished = false;
-    monitor = None;
+    tap = Engine.Tap.create ();
   }
 
 let violate t ~invariant detail =
@@ -81,9 +81,9 @@ let violate t ~invariant detail =
   let v = { at = Engine.Sched.now t.sched; invariant; detail } in
   if t.n_violations <= t.max_violations then
     t.violations_rev <- v :: t.violations_rev;
-  match t.monitor with None -> () | Some f -> f v
+  Engine.Tap.emit t.tap v
 
-let set_monitor t m = t.monitor <- m
+let tap t = t.tap
 
 (* One invariant evaluation; [detail] is only built on failure. *)
 let check t ~invariant cond detail =
@@ -130,136 +130,129 @@ let assert_live t p ~where =
 
 let attach_net t net =
   t.nets <- net :: t.nets;
-  Netsim.Net.set_monitor net
-    (Some
-       {
-         Netsim.Net.on_inject = (fun ~node p -> track_inject t ~node p);
-         on_host_deliver =
-           (fun ~node:_ p ->
-             if settle t p ~fate:"host delivery" then begin
-               t.delivered_pkts <- t.delivered_pkts + 1;
-               t.delivered_bytes <- t.delivered_bytes + p.Packet.size
-             end);
-         on_no_route =
-           (fun ~node p ->
-             if settle t p ~fate:(Printf.sprintf "no route at node %d" node)
-             then t.no_route_pkts <- t.no_route_pkts + 1);
-       });
+  for node = 0 to Netgraph.Topology.num_nodes (Netsim.Net.topology net) - 1 do
+    Engine.Tap.subscribe (Netsim.Net.inject_tap net ~node) (fun p ->
+        track_inject t ~node p);
+    (* an arrival at the packet's destination is its host delivery *)
+    Engine.Tap.subscribe (Netsim.Net.arrival_tap net ~node) (fun p ->
+        if p.Packet.dst = node && settle t p ~fate:"host delivery" then begin
+          t.delivered_pkts <- t.delivered_pkts + 1;
+          t.delivered_bytes <- t.delivered_bytes + p.Packet.size
+        end);
+    Engine.Tap.subscribe (Netsim.Net.no_route_tap net ~node) (fun p ->
+        if settle t p ~fate:(Printf.sprintf "no route at node %d" node) then
+          t.no_route_pkts <- t.no_route_pkts + 1)
+  done;
   Netsim.Net.iter_linkqs net (fun ~link ~dir q ->
       let dir_name =
         match dir with Netsim.Net.Fwd -> "fwd" | Netsim.Net.Rev -> "rev"
       in
-      Netsim.Linkq.set_monitor q
-        (Some
-           (function
-           | Netsim.Linkq.Enqueued p ->
-             assert_live t p
-               ~where:(Printf.sprintf "enqueued on link %d/%s" link dir_name);
-             check t ~invariant:"link.occupancy"
-               (Netsim.Linkq.queue_pkts q <= Netsim.Linkq.limit_pkts q)
-               (fun () ->
-                 Printf.sprintf
-                   "link %d/%s: %d packets queued exceeds limit %d after \
-                    admitting packet id %d"
-                   link dir_name
-                   (Netsim.Linkq.queue_pkts q)
-                   (Netsim.Linkq.limit_pkts q)
-                   p.Packet.id)
-           | Netsim.Linkq.Delivered p ->
-             assert_live t p
-               ~where:(Printf.sprintf "delivered by link %d/%s" link dir_name);
-             check t ~invariant:"link.down-delivery"
-               (Netsim.Linkq.is_up q)
-               (fun () ->
-                 Printf.sprintf
-                   "link %d/%s: packet id %d delivered while the link is down"
-                   link dir_name p.Packet.id)
-           | Netsim.Linkq.Dropped p ->
-             if
-               settle t p
-                 ~fate:(Printf.sprintf "qdisc drop on link %d/%s" link dir_name)
-             then begin
-               t.dropped_pkts <- t.dropped_pkts + 1;
-               t.dropped_bytes <- t.dropped_bytes + p.Packet.size
-             end
-           | Netsim.Linkq.Lost_down p ->
-             if
-               settle t p
-                 ~fate:
-                   (Printf.sprintf "lost on downed link %d/%s" link dir_name)
-             then t.lost_down_pkts <- t.lost_down_pkts + 1)))
+      Engine.Tap.subscribe (Netsim.Linkq.tap q) (function
+        | Netsim.Linkq.Enqueued p ->
+          assert_live t p
+            ~where:(Printf.sprintf "enqueued on link %d/%s" link dir_name);
+          check t ~invariant:"link.occupancy"
+            (Netsim.Linkq.queue_pkts q <= Netsim.Linkq.limit_pkts q)
+            (fun () ->
+              Printf.sprintf
+                "link %d/%s: %d packets queued exceeds limit %d after \
+                 admitting packet id %d"
+                link dir_name
+                (Netsim.Linkq.queue_pkts q)
+                (Netsim.Linkq.limit_pkts q)
+                p.Packet.id)
+        | Netsim.Linkq.Delivered p ->
+          assert_live t p
+            ~where:(Printf.sprintf "delivered by link %d/%s" link dir_name);
+          check t ~invariant:"link.down-delivery"
+            (Netsim.Linkq.is_up q)
+            (fun () ->
+              Printf.sprintf
+                "link %d/%s: packet id %d delivered while the link is down"
+                link dir_name p.Packet.id)
+        | Netsim.Linkq.Dropped p ->
+          if
+            settle t p
+              ~fate:(Printf.sprintf "qdisc drop on link %d/%s" link dir_name)
+          then begin
+            t.dropped_pkts <- t.dropped_pkts + 1;
+            t.dropped_bytes <- t.dropped_bytes + p.Packet.size
+          end
+        | Netsim.Linkq.Lost_down p ->
+          if
+            settle t p
+              ~fate:(Printf.sprintf "lost on downed link %d/%s" link dir_name)
+          then t.lost_down_pkts <- t.lost_down_pkts + 1))
 
 (* --- per-subflow transport invariants --- *)
 
 let attach_sender t ~label s =
   let mss = Tcp.Sender.mss s in
   let last_una = ref (Tcp.Sender.snd_una s) in
-  Tcp.Sender.set_monitor s
-    (Some
-       (fun ev ->
-         let cw = Tcp.Sender.cwnd s in
-         check t ~invariant:"tcp.cwnd"
-           (Float.is_finite cw && cw >= 1.0 -. 1e-9)
-           (fun () ->
-             Printf.sprintf "%s: cwnd=%g outside [1, +inf)" label cw);
-         let ss = Tcp.Sender.ssthresh s in
-         check t ~invariant:"tcp.ssthresh"
-           (Float.is_finite ss && ss >= Tcp.Cc.min_cwnd -. 1e-9)
-           (fun () ->
-             Printf.sprintf "%s: ssthresh=%g below CC floor %g" label ss
-               Tcp.Cc.min_cwnd);
-         match ev with
-         | Tcp.Sender.Seg_sent { seq; len; retx } ->
-           check t ~invariant:"tcp.segment"
-             (len > 0 && len <= mss && seq >= Tcp.Sender.snd_una s)
-             (fun () ->
-               Printf.sprintf
-                 "%s: sent%s seq=%d len=%d outside (0, mss=%d] or below \
-                  snd_una=%d"
-                 label
-                 (if retx then " (retx)" else "")
-                 seq len mss (Tcp.Sender.snd_una s))
-         | Tcp.Sender.Ack_advanced { una } ->
-           check t ~invariant:"tcp.ack-monotone"
-             (una > !last_una && una <= Tcp.Sender.snd_nxt s)
-             (fun () ->
-               Printf.sprintf
-                 "%s: snd_una advanced to %d (previous %d, snd_nxt %d)" label
-                 una !last_una (Tcp.Sender.snd_nxt s));
-           last_una := max !last_una una;
-           check t ~invariant:"tcp.pipe"
-             (Tcp.Sender.pipe_consistent s)
-             (fun () ->
-               Printf.sprintf
-                 "%s: incremental pipe diverged from scoreboard recount"
-                 label);
-           check t ~invariant:"tcp.scoreboard"
-             (Tcp.Sender.scoreboard_consistent s)
-             (fun () ->
-               Printf.sprintf
-                 "%s: flat scoreboard inconsistent (contiguity or SACK \
-                  counter drift)"
-                 label)
-         | Tcp.Sender.Cwnd_changed _ | Tcp.Sender.State_changed _ ->
-           (* observability events; window sanity is re-checked above on
-              every event anyway *)
-           ()))
+  Engine.Tap.subscribe (Tcp.Sender.tap s)
+    (fun ev ->
+      let cw = Tcp.Sender.cwnd s in
+      check t ~invariant:"tcp.cwnd"
+        (Float.is_finite cw && cw >= 1.0 -. 1e-9)
+        (fun () ->
+          Printf.sprintf "%s: cwnd=%g outside [1, +inf)" label cw);
+      let ss = Tcp.Sender.ssthresh s in
+      check t ~invariant:"tcp.ssthresh"
+        (Float.is_finite ss && ss >= Tcp.Cc.min_cwnd -. 1e-9)
+        (fun () ->
+          Printf.sprintf "%s: ssthresh=%g below CC floor %g" label ss
+            Tcp.Cc.min_cwnd);
+      match ev with
+      | Tcp.Sender.Seg_sent { seq; len; retx } ->
+        check t ~invariant:"tcp.segment"
+          (len > 0 && len <= mss && seq >= Tcp.Sender.snd_una s)
+          (fun () ->
+            Printf.sprintf
+              "%s: sent%s seq=%d len=%d outside (0, mss=%d] or below \
+               snd_una=%d"
+              label
+              (if retx then " (retx)" else "")
+              seq len mss (Tcp.Sender.snd_una s))
+      | Tcp.Sender.Ack_advanced { una } ->
+        check t ~invariant:"tcp.ack-monotone"
+          (una > !last_una && una <= Tcp.Sender.snd_nxt s)
+          (fun () ->
+            Printf.sprintf
+              "%s: snd_una advanced to %d (previous %d, snd_nxt %d)" label
+              una !last_una (Tcp.Sender.snd_nxt s));
+        last_una := max !last_una una;
+        check t ~invariant:"tcp.pipe"
+          (Tcp.Sender.pipe_consistent s)
+          (fun () ->
+            Printf.sprintf
+              "%s: incremental pipe diverged from scoreboard recount"
+              label);
+        check t ~invariant:"tcp.scoreboard"
+          (Tcp.Sender.scoreboard_consistent s)
+          (fun () ->
+            Printf.sprintf
+              "%s: flat scoreboard inconsistent (contiguity or SACK \
+               counter drift)"
+              label)
+      | Tcp.Sender.Cwnd_changed _ | Tcp.Sender.State_changed _ ->
+        (* observability events; window sanity is re-checked above on
+           every event anyway *)
+        ())
 
 let attach_receiver t ~label r =
   let expected = ref (Tcp.Receiver.rcv_nxt r) in
-  Tcp.Receiver.set_monitor r
-    (Some
-       (fun (Tcp.Receiver.Delivered { seq; len }) ->
-         check t ~invariant:"tcp.rx-order"
-           (len > 0 && seq <= !expected
-           && seq + len > !expected
-           && Tcp.Receiver.rcv_nxt r = seq + len)
-           (fun () ->
-             Printf.sprintf
-               "%s: delivered seq=%d len=%d but expected prefix up to %d \
-                (rcv_nxt now %d)"
-               label seq len !expected (Tcp.Receiver.rcv_nxt r));
-         expected := max !expected (seq + len)))
+  Engine.Tap.subscribe (Tcp.Receiver.tap r)
+    (fun (Tcp.Receiver.Delivered { seq; len }) ->
+      check t ~invariant:"tcp.rx-order"
+        (len > 0 && seq <= !expected
+        && seq + len > !expected
+        && Tcp.Receiver.rcv_nxt r = seq + len)
+        (fun () ->
+          Printf.sprintf
+            "%s: delivered seq=%d len=%d but expected prefix up to %d \
+             (rcv_nxt now %d)"
+            label seq len !expected (Tcp.Receiver.rcv_nxt r));
+      expected := max !expected (seq + len))
 
 let attach_connection t ~label conn =
   t.conns <-
@@ -274,8 +267,7 @@ let attach_connection t ~label conn =
      onto a dead subflow, liveness transitions must actually alternate
      (a repeated down or up for the same subflow means the idempotence
      guard broke), and every (re)mapping must leave the chunk-ownership
-     ring sound.  The audit claims the monitor slot first; the
-     observability collector chains onto it. *)
+     ring sound. *)
   let active = Array.make (Mptcp.Connection.subflow_count conn) true in
   let owners ~what ~dseq =
     check t ~invariant:"mptcp.chunk-owners"
@@ -286,28 +278,27 @@ let attach_connection t ~label conn =
            (order, overlap, owner index or end past next_dseq)"
           label what dseq)
   in
-  Mptcp.Connection.set_monitor conn
-    (Some
-       (function
-       | Mptcp.Connection.Sched_grant { subflow; dseq; len = _ } ->
-         check t ~invariant:"mptcp.grant-inactive"
-           (active.(subflow) && Mptcp.Connection.subflow_active conn subflow)
-           (fun () ->
-             Printf.sprintf
-               "%s: scheduler granted dseq %d to inactive subflow %d" label
-               dseq subflow);
-         owners ~what:"grant" ~dseq
-       | Mptcp.Connection.Reinjected { dseq; _ } ->
-         owners ~what:"reinjection" ~dseq
-       | Mptcp.Connection.Subflow_state { subflow; active = a } ->
-         check t ~invariant:"mptcp.subflow-churn"
-           (active.(subflow) <> a)
-           (fun () ->
-             Printf.sprintf
-               "%s: subflow %d reported %s twice in a row" label subflow
-               (if a then "active" else "inactive"));
-         active.(subflow) <- a
-       | Mptcp.Connection.Sched_defer _ -> ()));
+  Engine.Tap.subscribe (Mptcp.Connection.tap conn)
+    (function
+    | Mptcp.Connection.Sched_grant { subflow; dseq; len = _ } ->
+      check t ~invariant:"mptcp.grant-inactive"
+        (active.(subflow) && Mptcp.Connection.subflow_active conn subflow)
+        (fun () ->
+          Printf.sprintf
+            "%s: scheduler granted dseq %d to inactive subflow %d" label
+            dseq subflow);
+      owners ~what:"grant" ~dseq
+    | Mptcp.Connection.Reinjected { dseq; _ } ->
+      owners ~what:"reinjection" ~dseq
+    | Mptcp.Connection.Subflow_state { subflow; active = a } ->
+      check t ~invariant:"mptcp.subflow-churn"
+        (active.(subflow) <> a)
+        (fun () ->
+          Printf.sprintf
+            "%s: subflow %d reported %s twice in a row" label subflow
+            (if a then "active" else "inactive"));
+      active.(subflow) <- a
+    | Mptcp.Connection.Sched_defer _ -> ());
   for i = 0 to Mptcp.Connection.subflow_count conn - 1 do
     let sub_label = Printf.sprintf "%s/sf%d" label i in
     attach_sender t ~label:sub_label (Mptcp.Connection.subflow_sender conn i);

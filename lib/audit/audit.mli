@@ -3,9 +3,10 @@
     The paper's claim — coupled congestion control steering MPTCP to the
     LP optimum — is only evidence if the simulator itself conserves
     bytes, keeps sequence numbers monotone and never reports throughputs
-    outside the feasible region.  This module taps the monitor hooks of
-    {!Netsim.Net}/{!Netsim.Linkq}, {!Tcp.Sender}/{!Tcp.Receiver} and
-    {!Mptcp.Connection} and checks, while a scenario runs:
+    outside the feasible region.  This module subscribes to the taps
+    ({!Engine.Tap}) of {!Netsim.Net}/{!Netsim.Linkq},
+    {!Tcp.Sender}/{!Tcp.Receiver} and {!Mptcp.Connection} and checks,
+    while a scenario runs:
 
     - {b conservation}: every injected packet is eventually delivered to
       a host, dropped by a qdisc, discarded for lack of a route, lost to
@@ -67,15 +68,16 @@ val create : ?max_violations:int -> sched:Engine.Sched.t -> unit -> t
     records are retained (the total count is always exact). *)
 
 val attach_net : t -> Netsim.Net.t -> unit
-(** Installs the packet-conservation and link-sanity taps.  Attach
-    before any packet is injected. *)
+(** Subscribes the packet-conservation and link-sanity checks to the
+    network's per-node taps and every queue's tap.  Attach before any
+    packet is injected. *)
 
 val attach_sender : t -> label:string -> Tcp.Sender.t -> unit
 val attach_receiver : t -> label:string -> Tcp.Receiver.t -> unit
 
 val attach_connection : t -> label:string -> Mptcp.Connection.t -> unit
-(** Registers the connection for {!tick} checks and taps every subflow's
-    sender and receiver. *)
+(** Registers the connection for {!tick} checks and subscribes to its
+    tap and every subflow's sender and receiver taps. *)
 
 val tick : t -> unit
 (** Evaluates the MPTCP connection-level invariants now; call it
@@ -101,11 +103,11 @@ val finish : t -> ?elapsed:Engine.Time.t -> unit -> unit
     cross-checked against each queue's own counters.  [elapsed] defaults
     to the scheduler's current time.  Idempotent. *)
 
-val set_monitor : t -> (violation -> unit) option -> unit
-(** Installs (or clears) a violation tap: fires once per violation, at
-    detection time, even after the stored-violation cap is reached.
-    [None] (the default) is free.  The observability layer uses it to
-    put audit violations on the trace timeline. *)
+val tap : t -> violation Engine.Tap.t
+(** Emits once per violation, at detection time, even after the
+    stored-violation cap is reached.  The scenario layer subscribes the
+    observability collector to put audit violations on the trace
+    timeline. *)
 
 val ok : t -> bool
 val violations : t -> violation list

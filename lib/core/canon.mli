@@ -11,11 +11,16 @@
     {!hash} digests it.
 
     Excluded from the canonical form — and so from the hash — are the
-    observation-only switches [trace_limit], [audit] and [obs]: runs
-    with and without them are bit-identical (the monitor hooks cost one
-    mutable load when unused, and the audit/obs layers only read), so a
-    traced or audited submission may reuse a result cached by a plain
-    one and vice versa.
+    observation-only switches [trace_limit], [audit] and [obs]: they
+    change no simulated outcome (the audit and obs layers only read),
+    so a traced or audited submission may reuse a result cached by a
+    plain one and vice versa.  They are not invisible to the event
+    count, though: the audit tick and the metrics snapshot are
+    scheduler events, one per sampling tick each, so
+    [Scenario.result.events_processed] (and a stored record's
+    [sim_events]) grows with them — a 600 ms paper run sampled every
+    100 ms dispatches 61 300 events plain, 6 more with obs, 6 more with
+    audit and 12 more with both.
 
     {!version} is baked into the canonical text: any change to the
     rendering (new field, different unit, reordering) must bump it,

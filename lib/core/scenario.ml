@@ -166,18 +166,9 @@ let run spec =
       Audit.attach_connection a ~label:"conn1" conn;
       (* Connection-level invariants are evaluated once per sampling
          period, and a last time at the end of the run. *)
-      let rec arm at =
-        if Engine.Time.( <= ) at spec.duration then
-          ignore
-            (Engine.Sched.at sched at (fun () ->
-                 Audit.tick a;
-                 arm (Engine.Time.add at spec.sampling)))
-      in
-      arm spec.sampling)
+      Engine.Sched.periodic sched ~period:spec.sampling ~until:spec.duration
+        (fun () -> Audit.tick a))
     auditor;
-  (* Observability attaches after the auditor so its taps chain onto
-     (rather than clobber) the audit hooks; the audit attach functions
-     overwrite monitors, the collector reads and extends them. *)
   let obs =
     Option.map (fun conf -> Obs.Collect.create ~sched conf) spec.obs
   in
@@ -188,19 +179,12 @@ let run spec =
       Obs.Collect.attach_connection o conn;
       Option.iter
         (fun a ->
-          Audit.set_monitor a
-            (Some
-               (fun v -> Obs.Collect.violation o ~invariant:v.Audit.invariant)))
+          Engine.Tap.subscribe (Audit.tap a) (fun v ->
+              Obs.Collect.violation o ~invariant:v.Audit.invariant))
         auditor;
       (* Metrics snapshots share the run's sampling cadence. *)
-      let rec arm at =
-        if Engine.Time.( <= ) at spec.duration then
-          ignore
-            (Engine.Sched.at sched at (fun () ->
-                 Obs.Collect.snapshot o;
-                 arm (Engine.Time.add at spec.sampling)))
-      in
-      arm spec.sampling)
+      Engine.Sched.periodic sched ~period:spec.sampling ~until:spec.duration
+        (fun () -> Obs.Collect.snapshot o))
     obs;
   (* Timed events arm last, after the audit's and collector's link taps
      are in place, so every event-induced packet fate is observed. *)

@@ -33,8 +33,10 @@ type spec = {
       (** attach the observability collector (trace ring and/or metrics
           registry, per the conf) and return it in [result.obs]; the
           [--trace]/[--metrics] CLI flags set it.  [None] (default)
-          leaves every monitor hook untouched, so the run is
-          bit-identical to a pre-observability build *)
+          subscribes nothing.  The collector changes no simulated
+          outcome, but its metrics snapshot is a scheduler event, so
+          [events_processed] counts one more event per sampling tick
+          (as the audit tick does when [audit] is set) *)
   events : Events.Event.t list;
       (** timed scenario events (failover, ramps, churn, cross-traffic),
           validated by {!make} and armed on the run's scheduler; default

@@ -4,7 +4,7 @@ type t = {
   mutable seq : int;
   mutable fired : int;
   mutable cancelled : int;
-  mutable monitor : (Time.t -> unit) option;
+  tap : Time.t Tap.t;
   mutable shadow : timer Heap.t option;
       (* lockstep cross-check: mirror of every push, popped (skipping
          cancelled timers) alongside the wheel under [--audit] *)
@@ -24,7 +24,7 @@ let create () =
     seq = 0;
     fired = 0;
     cancelled = 0;
-    monitor = None;
+    tap = Tap.create ();
     shadow = None;
   }
 
@@ -131,7 +131,7 @@ let fire t when_ timer =
     timer.alive <- false;
     timer.cell <- -1;
     t.fired <- t.fired + 1;
-    (match t.monitor with None -> () | Some f -> f when_);
+    if Array.length t.tap.Tap.subs > 0 then Tap.emit t.tap when_;
     timer.action ()
   end
 
@@ -149,7 +149,7 @@ let step t =
     if tie land 1 = 1 then begin
       t.clock <- when_;
       t.fired <- t.fired + 1;
-      (match t.monitor with None -> () | Some f -> f when_);
+      if Array.length t.tap.Tap.subs > 0 then Tap.emit t.tap when_;
       (Obj.magic (v : timer) : unit -> unit) ()
     end
     else fire t when_ v;
@@ -178,8 +178,7 @@ let stats t =
   let fired = events_processed t and cancelled = cancelled_count t in
   { pending = queue_length t; fired; cancelled }
 
-let set_monitor t m = t.monitor <- m
-let monitor t = t.monitor
+let tap t = t.tap
 
 (* Coarse periodic ticks (the hybrid fluid/packet driver's cadence, and
    a natural fit for any sampling loop).  Each firing re-arms the next

@@ -78,16 +78,12 @@ val set_lockstep : t -> bool -> unit
 val lockstep : t -> bool
 (** Whether the lockstep shadow queue is armed. *)
 
-val set_monitor : t -> (Time.t -> unit) option -> unit
-(** Installs (or clears) an event-dispatch tap: the callback fires once
-    per live event, with the event's timestamp, after the clock has
-    advanced but before the event's own callback runs.  [None] (the
-    default) costs one mutable load per dispatch — the same optional-
-    monitor discipline as [Netsim.Linkq.set_monitor].  The observability
-    layer ([Obs.Collect]) uses it to trace event-loop dispatches. *)
-
-val monitor : t -> (Time.t -> unit) option
-(** The currently installed dispatch tap, for monitor chaining. *)
+val tap : t -> Time.t Tap.t
+(** Event-dispatch observation point: emits once per live event, with
+    the event's timestamp, after the clock has advanced but before the
+    event's own callback runs.  Without subscribers a dispatch pays one
+    length test.  The observability layer ([Obs.Collect]) subscribes to
+    count and trace event-loop dispatches. *)
 
 val periodic : t -> period:Time.t -> until:Time.t -> (unit -> unit) -> unit
 (** [periodic t ~period ~until f] fires [f] at [now + period],

@@ -34,7 +34,7 @@ let record t ~time ~tag ~bytes =
 let attach net ~node ?conn () =
   let t = create () in
   let sched = Netsim.Net.sched net in
-  Netsim.Net.add_tap net ~node (fun p ->
+  Engine.Tap.subscribe (Netsim.Net.arrival_tap net ~node) (fun p ->
       if p.Packet.dst = node && Packet.is_data p then begin
         let keep =
           match conn with

@@ -17,18 +17,10 @@ let push t v =
   t.size <- t.size + 1
 
 let attach ~sched ~period ~until f =
-  if Engine.Time.( <= ) period Engine.Time.zero then
-    invalid_arg "Probe.attach: period must be positive";
-  let started = Engine.Sched.now sched in
-  let t = { period; started; values = [||]; size = 0 } in
-  let rec tick at =
-    if Engine.Time.( <= ) at until then
-      ignore
-        (Engine.Sched.at sched at (fun () ->
-             push t (f ());
-             tick (Engine.Time.add at period)))
+  let t =
+    { period; started = Engine.Sched.now sched; values = [||]; size = 0 }
   in
-  tick (Engine.Time.add started period);
+  Engine.Sched.periodic sched ~period ~until (fun () -> push t (f ()));
   t
 
 let series t =

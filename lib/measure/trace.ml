@@ -27,8 +27,8 @@ let attach net ~nodes ?(keep = fun _ -> true) ?(limit = 100_000) () =
   let sched = Netsim.Net.sched net in
   List.iter
     (fun node ->
-      Netsim.Net.add_tap net ~node (fun p ->
-          (* Tap callbacks must not retain the (pooled, recyclable)
+      Engine.Tap.subscribe (Netsim.Net.arrival_tap net ~node) (fun p ->
+          (* Tap subscribers must not retain the (pooled, recyclable)
              packet past their return: snapshot it. *)
           if keep p then
             record t

@@ -32,7 +32,7 @@ type subflow = {
   mutable cursor : int; (* Redundant scheduler: private stream position *)
 }
 
-type monitor_event =
+type event =
   | Sched_grant of { subflow : int; dseq : int; len : int }
   | Sched_defer of { subflow : int; preferred : int option }
   | Reinjected of { subflow : int; dseq : int; len : int; owner : int }
@@ -59,14 +59,16 @@ type t = {
          ascending by dseq; drained by live subflows before new data *)
   mutable reinjections : int;
   mutable completed_at : Engine.Time.t option;
-  mutable monitor : (monitor_event -> unit) option;
+  tap : event Engine.Tap.t;
 }
 
 (* Chunk ownership is needed both for opportunistic reinjection and to
    find what a freshly-dead subflow was carrying. *)
 let track_owners t = t.config.reinjection || t.config.rto_cap <> None
 
-let emit t ev = match t.monitor with None -> () | Some f -> f ev
+(* Emit sites test this before building their event: an unobserved
+   connection allocates nothing and calls nothing per grant. *)
+let[@inline] observed t = Array.length t.tap.Engine.Tap.subs > 0
 
 let sender_exn sf =
   match sf.sender with Some s -> s | None -> assert false
@@ -112,7 +114,9 @@ let reinject t sf =
     let owner = Chunks.owner_at t.chunks i and len = Chunks.len_at t.chunks i in
     Chunks.replace t.chunks ~dseq:t.data_ack_rx ~len ~owner:sf.index;
     t.reinjections <- t.reinjections + 1;
-    emit t (Reinjected { subflow = sf.index; dseq = t.data_ack_rx; len; owner });
+    if observed t then
+      Engine.Tap.emit t.tap
+        (Reinjected { subflow = sf.index; dseq = t.data_ack_rx; len; owner });
     Tcp.Sender.penalize (sender_exn t.subflows.(owner));
     Some { Tcp.Sender.dss = Some { Packet.dseq = t.data_ack_rx; dlen = len };
            len }
@@ -146,7 +150,9 @@ let grant_pending t sf ~max_len =
            else rest);
         Chunks.replace t.chunks ~dseq ~len:granted ~owner:sf.index;
         t.reinjections <- t.reinjections + 1;
-        emit t (Reinjected { subflow = sf.index; dseq; len = granted; owner });
+        if observed t then
+          Engine.Tap.emit t.tap
+            (Reinjected { subflow = sf.index; dseq; len = granted; owner });
         Some
           { Tcp.Sender.dss = Some { Packet.dseq; dlen = granted };
             len = granted }
@@ -166,7 +172,9 @@ let source t sf ~max_len =
     else begin
       let dseq = sf.cursor in
       sf.cursor <- dseq + len;
-      emit t (Sched_grant { subflow = sf.index; dseq; len });
+      if observed t then
+        Engine.Tap.emit t.tap
+          (Sched_grant { subflow = sf.index; dseq; len });
       Some { Tcp.Sender.dss = Some { Packet.dseq; dlen = len }; len }
     end
   | Scheduler.Min_rtt | Scheduler.Round_robin ->
@@ -189,10 +197,14 @@ let source t sf ~max_len =
           Chunks.trim_below t.chunks t.data_ack_rx;
           Chunks.append t.chunks ~dseq ~len ~owner:sf.index
         end;
-        emit t (Sched_grant { subflow = sf.index; dseq; len });
+        if observed t then
+          Engine.Tap.emit t.tap
+            (Sched_grant { subflow = sf.index; dseq; len });
         Some { Tcp.Sender.dss = Some { Packet.dseq; dlen = len }; len }
       | Scheduler.Defer preferred ->
-        emit t (Sched_defer { subflow = sf.index; preferred });
+        if observed t then
+          Engine.Tap.emit t.tap
+            (Sched_defer { subflow = sf.index; preferred });
         (match preferred with
         | Some j
           when j <> sf.index && t.subflows.(j).joined
@@ -220,7 +232,7 @@ let kick_live t ?(but = -1) () =
 let deactivate_subflow t i =
   let sf = t.subflows.(i) in
   if Path_manager.Liveness.deactivate t.liveness ~tag:sf.tag then begin
-    emit t (Subflow_state { subflow = i; active = false });
+    Engine.Tap.emit t.tap (Subflow_state { subflow = i; active = false });
     (* Orphan the chunks the dead subflow was carrying: everything it
        owns at or above the connection-level cumulative ACK must be
        re-sent by a live subflow.  Scanning the ring from the top down
@@ -239,7 +251,7 @@ let deactivate_subflow t i =
 let reactivate_subflow t i =
   let sf = t.subflows.(i) in
   if Path_manager.Liveness.reactivate t.liveness ~tag:sf.tag then begin
-    emit t (Subflow_state { subflow = i; active = true });
+    Engine.Tap.emit t.tap (Subflow_state { subflow = i; active = true });
     (match sf.sender with
     | Some s ->
       (* a stale timeout run from before the repair must not re-trip
@@ -282,7 +294,7 @@ let establish ~net ~src ~dst ~conn ~paths ~cc ?(config = default_config)
       pending = [];
       reinjections = 0;
       completed_at = None;
-      monitor = None;
+      tap = Engine.Tap.create ();
     }
   in
   let fresh_id () = Netsim.Net.fresh_packet_id net in
@@ -406,8 +418,7 @@ let owners_consistent t =
   Chunks.consistent t.chunks ~owners:(Array.length t.subflows)
     ~limit:t.next_dseq
 
-let set_monitor t m = t.monitor <- m
-let monitor t = t.monitor
+let tap t = t.tap
 
 (* Distinct connection-level bytes handed to any subflow so far.  The
    Redundant scheduler maps per-subflow cursors over the same stream, so

@@ -127,9 +127,9 @@ val owners_consistent : t -> bool
     failover re-sends exactly what this table says a dead subflow
     carried, so drift here means lost or duplicated rescue data. *)
 
-(** {1 Monitoring} *)
+(** {1 Observation} *)
 
-type monitor_event =
+type event =
   | Sched_grant of { subflow : int; dseq : int; len : int }
       (** the scheduler mapped connection-level bytes
           [\[dseq, dseq+len)] onto [subflow] (for the Redundant policy,
@@ -147,11 +147,7 @@ type monitor_event =
       (** the subflow's path was declared dead ([active = false]) or
           usable again — by the RTO-cap detector or the event layer *)
 
-val set_monitor : t -> (monitor_event -> unit) option -> unit
-(** Installs (or clears) a scheduler-decision tap; fires after the
-    connection's own state is updated.  [None] (the default) costs one
-    mutable load per decision. *)
-
-val monitor : t -> (monitor_event -> unit) option
-(** The currently installed tap, so a second subscriber can chain
-    rather than clobber it. *)
+val tap : t -> event Engine.Tap.t
+(** Scheduler decisions and liveness changes, emitted after the
+    connection's own state is updated.  Without subscribers a grant or
+    defer pays one length test and builds no event. *)

@@ -58,13 +58,17 @@ type t = {
          [rate_since] — the bound on *delivered* bits, so it integrates
          what the serializer can actually drain, not the nominal rate *)
   mutable rate_since : Engine.Time.t;
-  mutable monitor : (event -> unit) option;
+  tap : event Engine.Tap.t;
   mutable tx_done : unit -> unit;
       (* the serializer-free continuation, allocated once at create
          instead of a fresh closure per packet *)
   mutable arrive_done : unit -> unit;
   stats : stats;
 }
+
+(* Emit sites test this before building their event, so an unobserved
+   queue allocates nothing and calls nothing per packet. *)
+let[@inline] observed t = Array.length t.tap.Engine.Tap.subs > 0
 
 (* What the packet side may drain: nominal rate minus the background's
    bandwidth share, floored at 1/64 of nominal so a saturating fluid
@@ -108,7 +112,7 @@ let rec create ~sched ~rng ~rate_bps ~delay ?(jitter = Engine.Time.zero) ~qdisc
       min_eff_rate_bps = rate_bps;
       cap_bits_before = 0.0;
       rate_since = Engine.Sched.now sched;
-      monitor = None;
+      tap = Engine.Tap.create ();
       tx_done = ignore;
       arrive_done = ignore;
       stats =
@@ -125,12 +129,12 @@ and arrive t p =
   if t.up then begin
     t.stats.delivered <- t.stats.delivered + 1;
     t.stats.bytes_delivered <- t.stats.bytes_delivered + p.Packet.size;
-    (match t.monitor with None -> () | Some f -> f (Delivered p));
+    if observed t then Engine.Tap.emit t.tap (Delivered p);
     t.deliver p
   end
   else begin
     t.stats.lost_down <- t.stats.lost_down + 1;
-    (match t.monitor with None -> () | Some f -> f (Lost_down p));
+    if observed t then Engine.Tap.emit t.tap (Lost_down p);
     t.release p
   end
 
@@ -148,7 +152,7 @@ and start_tx t =
         ~sojourn:(Engine.Time.diff now enqueued_at) ~now
     then begin
       t.stats.dropped <- t.stats.dropped + 1;
-      (match t.monitor with None -> () | Some f -> f (Dropped p));
+      if observed t then Engine.Tap.emit t.tap (Dropped p);
       t.release p;
       start_tx t
     end
@@ -194,7 +198,7 @@ let enqueue t p =
      serializer has already left the queue (tc semantics). *)
   if not t.up then begin
     t.stats.lost_down <- t.stats.lost_down + 1;
-    (match t.monitor with None -> () | Some f -> f (Lost_down p));
+    if observed t then Engine.Tap.emit t.tap (Lost_down p);
     t.release p
   end
   else if t.loss > 0.0 && Engine.Rng.float t.rng 1.0 < t.loss then begin
@@ -202,7 +206,7 @@ let enqueue t p =
        the conservation ledger needs no new fate; the [loss > 0.0] guard
        keeps the rng stream untouched on loss-free links. *)
     t.stats.dropped <- t.stats.dropped + 1;
-    (match t.monitor with None -> () | Some f -> f (Dropped p));
+    if observed t then Engine.Tap.emit t.tap (Dropped p);
     t.release p
   end
   else begin
@@ -210,7 +214,7 @@ let enqueue t p =
       t.stats.enqueued <- t.stats.enqueued + 1;
       Pktring.push t.queue p ~stamp:(Engine.Sched.now t.sched);
       t.queued_bytes <- t.queued_bytes + p.Packet.size;
-      (match t.monitor with None -> () | Some f -> f (Enqueued p));
+      if observed t then Engine.Tap.emit t.tap (Enqueued p);
       if not t.busy then start_tx t
     in
     match
@@ -227,7 +231,7 @@ let enqueue t p =
       admit ()
     | Qdisc.Drop ->
       t.stats.dropped <- t.stats.dropped + 1;
-      (match t.monitor with None -> () | Some f -> f (Dropped p));
+      if observed t then Engine.Tap.emit t.tap (Dropped p);
       t.release p
   end
 
@@ -283,16 +287,15 @@ let capacity_bits t ~now =
   t.cap_bits_before
   +. (float_of_int (effective_rate_bps t)
       *. (float_of_int (Engine.Time.diff now t.rate_since) /. 1e9))
-let set_monitor t m = t.monitor <- m
-let monitor t = t.monitor
+
+let tap t = t.tap
 
 let set_up t up =
   t.up <- up;
   if not up then begin
     t.stats.lost_down <- t.stats.lost_down + Pktring.length t.queue;
-    (match t.monitor with
-     | None -> ()
-     | Some f -> Pktring.iter t.queue (fun p -> f (Lost_down p)));
+    if observed t then
+      Pktring.iter t.queue (fun p -> Engine.Tap.emit t.tap (Lost_down p));
     Pktring.iter t.queue t.release;
     Pktring.clear t.queue;
     t.queued_bytes <- 0

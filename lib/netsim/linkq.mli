@@ -45,7 +45,7 @@ val create :
 
     [release] (default a no-op) is invoked exactly once on every packet
     whose terminal fate this queue owns — qdisc drops (enqueue and
-    dequeue) and link-down losses — after the stats and monitor have
+    dequeue) and link-down losses — after the stats and {!tap} have
     seen it.  {!Netsim.Net} passes its freelist's release here.
     Delivered packets are handed to [deliver] instead, which owns their
     release. *)
@@ -81,7 +81,7 @@ val loss : t -> float
 
 val set_loss : t -> float -> unit
 (** Independent per-packet random loss probability applied on enqueue
-    (before the qdisc).  Losses count as drops in the stats, monitor and
+    (before the qdisc).  Losses count as drops in the stats, {!tap} and
     conservation ledger.  Default [0.0]; the rng is only consulted when
     the probability is positive, so loss-free runs keep their stream.
     Raises [Invalid_argument] outside [0, 1]. *)
@@ -125,15 +125,12 @@ val capacity_bits : t -> now:Engine.Time.t -> float
 val limit_pkts : t -> int
 (** The buffer limit this queue was created with. *)
 
-val set_monitor : t -> (event -> unit) option -> unit
-(** Installs (or clears) a per-packet event tap.  The callback fires
-    after the queue's own state and counters are updated, exactly once
-    per packet fate transition; [None] (the default) costs one mutable
-    load on the hot path.  Used by [Audit] for conservation ledgers. *)
-
-val monitor : t -> (event -> unit) option
-(** The currently installed tap, so a second subscriber (e.g. the
-    observability layer) can chain rather than clobber it. *)
+val tap : t -> event Engine.Tap.t
+(** Per-packet fate transitions, emitted after the queue's own state and
+    counters are updated, exactly once per transition.  Without
+    subscribers an emit site pays one length test and builds no event.
+    The audit builds its conservation ledger on it; [Obs.Collect] counts
+    and traces the same events. *)
 
 val utilisation : t -> now:Engine.Time.t -> float
 (** Fraction of wall time the serializer has been busy so far. *)

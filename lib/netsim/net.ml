@@ -5,12 +5,6 @@ type config = { qdisc : Qdisc.t; limit_pkts : int; delay_jitter : Engine.Time.t 
 let default_config =
   { qdisc = Qdisc.Drop_tail; limit_pkts = 40; delay_jitter = Engine.Time.zero }
 
-type monitor = {
-  on_inject : node:int -> Packet.t -> unit;
-  on_host_deliver : node:int -> Packet.t -> unit;
-  on_no_route : node:int -> Packet.t -> unit;
-}
-
 (* Routing keys are flattened to one immediate int so the per-hop lookup
    neither allocates a (dst, tag) pair nor runs the polymorphic hash
    over a block.  20 bits of tag leave 42 for the destination — both far
@@ -31,10 +25,14 @@ type t = {
   mutable linkqs : Linkq.t array array; (* link id -> [| fwd; rev |] *)
   tables : (int, int) Hashtbl.t array; (* node -> route_key -> link *)
   hosts : (Packet.t -> unit) option array;
-  taps : (Packet.t -> unit) list array;
+  (* node-indexed observation points; the node is implied by which tap
+     fires, so the packet itself is the event and emitting allocates
+     nothing *)
+  arrivals : Packet.t Engine.Tap.t array;
+  injects : Packet.t Engine.Tap.t array;
+  no_routes : Packet.t Engine.Tap.t array;
   mutable next_id : int;
   mutable no_route : int;
-  mutable monitor : monitor option;
 }
 
 let dir_index = function Fwd -> 0 | Rev -> 1
@@ -42,9 +40,9 @@ let dir_index = function Fwd -> 0 | Rev -> 1
 let release_pkt t p = Packet.Pool.release t.pool p
 
 let rec receive t ~node p =
-  List.iter (fun f -> f p) t.taps.(node);
+  let tap = t.arrivals.(node) in
+  if Array.length tap.Engine.Tap.subs > 0 then Engine.Tap.emit tap p;
   if p.Packet.dst = node then begin
-    (match t.monitor with None -> () | Some m -> m.on_host_deliver ~node p);
     (match t.hosts.(node) with
     | Some h -> h p
     | None -> () (* destination without a host: silently sink *));
@@ -62,7 +60,7 @@ and forward t ~node p =
   with
   | None ->
     t.no_route <- t.no_route + 1;
-    (match t.monitor with None -> () | Some m -> m.on_no_route ~node p);
+    Engine.Tap.emit t.no_routes.(node) p;
     release_pkt t p
   | Some lid ->
     let l = Netgraph.Topology.link t.topo lid in
@@ -79,10 +77,11 @@ let create ~sched ~rng ?(config = default_config) topo =
       linkqs = [||];
       tables = Array.init n (fun _ -> Hashtbl.create 8);
       hosts = Array.make n None;
-      taps = Array.make n [];
+      arrivals = Array.init n (fun _ -> Engine.Tap.create ());
+      injects = Array.init n (fun _ -> Engine.Tap.create ());
+      no_routes = Array.init n (fun _ -> Engine.Tap.create ());
       next_id = 0;
       no_route = 0;
-      monitor = None;
     }
   in
   let make_q (l : Netgraph.Topology.link) ~to_node =
@@ -138,14 +137,14 @@ let attach_host t ~node h =
   | Some _ -> invalid_arg "Net.attach_host: host already attached"
   | None -> t.hosts.(node) <- Some h
 
-let add_tap t ~node f = t.taps.(node) <- t.taps.(node) @ [ f ]
+let arrival_tap t ~node = t.arrivals.(node)
+let inject_tap t ~node = t.injects.(node)
+let no_route_tap t ~node = t.no_routes.(node)
 
 let inject t ~at p =
-  (match t.monitor with None -> () | Some m -> m.on_inject ~node:at p);
+  let tap = t.injects.(at) in
+  if Array.length tap.Engine.Tap.subs > 0 then Engine.Tap.emit tap p;
   if p.Packet.dst = at then receive t ~node:at p else forward t ~node:at p
-
-let set_monitor t m = t.monitor <- m
-let monitor t = t.monitor
 
 let iter_linkqs t f =
   Array.iteri

@@ -35,8 +35,8 @@ val pool : t -> Packet.Pool.t
     the network — host delivery, qdisc drop, link-down loss, no-route —
     is handed back here exactly once, so senders that allocate through
     this pool run allocation-flat at steady state.  Host handlers (and
-    taps/monitors) must not retain a packet past their return; copy with
-    {!Packet.copy} if longer retention is needed. *)
+    tap subscribers) must not retain a packet past their return; copy
+    with {!Packet.copy} if longer retention is needed. *)
 
 val fresh_packet_id : t -> int
 (** Allocates a unique wire id for a new packet. *)
@@ -67,9 +67,26 @@ val attach_host : t -> node:int -> (Packet.t -> unit) -> unit
 (** Handler for packets addressed to [node].  One host per node; raises
     [Invalid_argument] on double attachment. *)
 
-val add_tap : t -> node:int -> (Packet.t -> unit) -> unit
-(** Observes every packet arriving at [node] (whether delivered locally
-    or forwarded on) — the simulator's tshark. *)
+(** The network's observation points are per-node {!Engine.Tap}s whose
+    event is the packet itself: the node is implied by which tap fires,
+    so emitting allocates nothing, and a node without subscribers pays
+    one length test per packet.  Together with {!Linkq.tap} on every
+    queue they account for every packet's fate — the audit builds its
+    conservation ledger on them. *)
+
+val arrival_tap : t -> node:int -> Packet.t Engine.Tap.t
+(** Every packet arriving at [node], whether delivered locally or
+    forwarded on — the simulator's tshark.  An arrival with
+    [p.dst = node] is a host delivery: once the subscribers return, the
+    packet goes to the host handler, if one is attached, and leaves the
+    network. *)
+
+val inject_tap : t -> node:int -> Packet.t Engine.Tap.t
+(** Every fresh packet a host hands to the network at [node] (see
+    {!inject}), before it is routed. *)
+
+val no_route_tap : t -> node:int -> Packet.t Engine.Tap.t
+(** Every packet discarded at [node] for lack of a route. *)
 
 (** {1 Sending} *)
 
@@ -80,26 +97,6 @@ val inject : t -> at:int -> Packet.t -> unit
 (** {1 Introspection} *)
 
 val linkq : t -> link:int -> dir:dir -> Linkq.t
-
-type monitor = {
-  on_inject : node:int -> Packet.t -> unit;
-      (** a host handed a fresh packet to the network at [node] *)
-  on_host_deliver : node:int -> Packet.t -> unit;
-      (** a packet reached its destination node and left the network
-          (fires whether or not a host handler is attached) *)
-  on_no_route : node:int -> Packet.t -> unit;
-      (** a packet was discarded at [node] for lack of a route *)
-}
-
-val set_monitor : t -> monitor option -> unit
-(** Installs (or clears) a network-edge event tap; [None] (the default)
-    is free on the forwarding path.  Together with {!Linkq.set_monitor}
-    on every queue this is enough to account for every packet's fate —
-    the hook the audit subsystem builds its conservation ledger on. *)
-
-val monitor : t -> monitor option
-(** The currently installed tap, so a second subscriber (e.g. the
-    observability layer) can chain rather than clobber it. *)
 
 val iter_linkqs : t -> (link:int -> dir:dir -> Linkq.t -> unit) -> unit
 (** Applies [f] to both directions of every link. *)

@@ -27,9 +27,9 @@ let rec_trace t kind ~track ?a ?b ?label () =
   | None -> ()
   | Some tr -> Trace.record tr kind ~sim_ns:(now_ns t) ~track ?a ?b ?label ()
 
-(* Chain [f] after a hook's current subscriber. *)
-let chain prev f =
-  match prev with None -> f | Some g -> fun ev -> g ev; f ev
+(* A counter, or [None] when the metrics layer is off. *)
+let counter t name = Option.map (fun m -> Metrics.counter m name) t.metrics
+let bump ?by = function None -> () | Some c -> Metrics.incr ?by c
 
 (* --- tracks --- *)
 
@@ -79,113 +79,71 @@ let attach_sched t sched =
         fun () -> Metrics.incr c
     in
     let tap _when = count (); rec_trace t Trace.Loop_dispatch ~track:track_loop () in
-    Engine.Sched.set_monitor sched
-      (Some (chain (Engine.Sched.monitor sched) tap))
+    Engine.Tap.subscribe (Engine.Sched.tap sched) tap
   end
 
 (* --- network --- *)
 
 let attach_net t net =
   if enabled t then begin
-    (match t.metrics, t.trace with
-    | None, None -> ()
-    | _ ->
-      let counter name =
-        match t.metrics with
-        | None -> None
-        | Some m -> Some (Metrics.counter m name)
-      in
-      let bump = function
-        | None -> ()
-        | Some c -> Metrics.incr c
-      in
-      let bump_by c by =
-        match c with None -> () | Some c -> Metrics.incr ~by c
-      in
-      let enq = counter "netsim.pkts_enqueued"
-      and drp = counter "netsim.pkts_dropped"
-      and dlv = counter "netsim.pkts_delivered"
-      and dlv_b = counter "netsim.bytes_delivered"
-      and lost = counter "netsim.pkts_lost_down"
-      and nort = counter "netsim.no_route" in
-      (* Freelist health: recycled/live counts are functions of the
-         deterministic simulation, so they are safe to compare across
-         job counts. *)
-      (match t.metrics with
-      | Some m ->
-        let pool = Netsim.Net.pool net in
-        Metrics.gauge m "netsim.pool.acquired" (fun () ->
-            float_of_int (Packet.Pool.stats pool).Packet.Pool.acquired);
-        Metrics.gauge m "netsim.pool.recycled" (fun () ->
-            float_of_int (Packet.Pool.stats pool).Packet.Pool.recycled);
-        Metrics.gauge m "netsim.pool.live" (fun () ->
-            float_of_int (Packet.Pool.live pool))
-      | None -> ());
-      Netsim.Net.iter_linkqs net (fun ~link ~dir q ->
-          let dir_i = match dir with Netsim.Net.Fwd -> 0 | Rev -> 1 in
-          let track = track_link ~link ~dir:dir_i in
-          (match t.trace with
-          | Some tr ->
-            Trace.name_track tr track
-              (Printf.sprintf "link%d.%s" link
-                 (if dir_i = 0 then "fwd" else "rev"))
-          | None -> ());
-          let tap ev =
-            match ev with
-            | Netsim.Linkq.Enqueued p ->
-              bump enq;
-              rec_trace t Trace.Link_enqueue ~track ~a:p.Packet.id
-                ~b:p.Packet.size ()
-            | Netsim.Linkq.Dropped p ->
-              bump drp;
-              rec_trace t Trace.Link_drop ~track ~a:p.Packet.id
-                ~b:p.Packet.size ()
-            | Netsim.Linkq.Delivered p ->
-              bump dlv;
-              bump_by dlv_b p.Packet.size;
-              rec_trace t Trace.Link_dequeue ~track ~a:p.Packet.id
-                ~b:p.Packet.size ()
-            | Netsim.Linkq.Lost_down p ->
-              bump lost;
-              rec_trace t Trace.Link_lost ~track ~a:p.Packet.id
-                ~b:p.Packet.size ()
-          in
-          Netsim.Linkq.set_monitor q
-            (Some (chain (Netsim.Linkq.monitor q) tap)));
-      let edge_tap =
-        {
-          Netsim.Net.on_inject = (fun ~node:_ _ -> ());
-          on_host_deliver = (fun ~node:_ _ -> ());
-          on_no_route = (fun ~node:_ _ -> bump nort);
-        }
-      in
-      Netsim.Net.set_monitor net
-        (Some
-           (match Netsim.Net.monitor net with
-           | None -> edge_tap
-           | Some prev ->
-             {
-               Netsim.Net.on_inject =
-                 (fun ~node p -> prev.Netsim.Net.on_inject ~node p);
-               on_host_deliver =
-                 (fun ~node p -> prev.Netsim.Net.on_host_deliver ~node p);
-               on_no_route =
-                 (fun ~node p ->
-                   prev.Netsim.Net.on_no_route ~node p;
-                   edge_tap.Netsim.Net.on_no_route ~node p);
-             })))
+    let counter = counter t in
+    let enq = counter "netsim.pkts_enqueued"
+    and drp = counter "netsim.pkts_dropped"
+    and dlv = counter "netsim.pkts_delivered"
+    and dlv_b = counter "netsim.bytes_delivered"
+    and lost = counter "netsim.pkts_lost_down"
+    and nort = counter "netsim.no_route" in
+    (* Freelist health: recycled/live counts are functions of the
+       deterministic simulation, so they are safe to compare across
+       job counts. *)
+    (match t.metrics with
+    | Some m ->
+      let pool = Netsim.Net.pool net in
+      Metrics.gauge m "netsim.pool.acquired" (fun () ->
+          float_of_int (Packet.Pool.stats pool).Packet.Pool.acquired);
+      Metrics.gauge m "netsim.pool.recycled" (fun () ->
+          float_of_int (Packet.Pool.stats pool).Packet.Pool.recycled);
+      Metrics.gauge m "netsim.pool.live" (fun () ->
+          float_of_int (Packet.Pool.live pool))
+    | None -> ());
+    Netsim.Net.iter_linkqs net (fun ~link ~dir q ->
+        let dir_i = match dir with Netsim.Net.Fwd -> 0 | Rev -> 1 in
+        let track = track_link ~link ~dir:dir_i in
+        (match t.trace with
+        | Some tr ->
+          Trace.name_track tr track
+            (Printf.sprintf "link%d.%s" link
+               (if dir_i = 0 then "fwd" else "rev"))
+        | None -> ());
+        Engine.Tap.subscribe (Netsim.Linkq.tap q) (function
+          | Netsim.Linkq.Enqueued p ->
+            bump enq;
+            rec_trace t Trace.Link_enqueue ~track ~a:p.Packet.id
+              ~b:p.Packet.size ()
+          | Netsim.Linkq.Dropped p ->
+            bump drp;
+            rec_trace t Trace.Link_drop ~track ~a:p.Packet.id
+              ~b:p.Packet.size ()
+          | Netsim.Linkq.Delivered p ->
+            bump dlv;
+            bump ~by:p.Packet.size dlv_b;
+            rec_trace t Trace.Link_dequeue ~track ~a:p.Packet.id
+              ~b:p.Packet.size ()
+          | Netsim.Linkq.Lost_down p ->
+            bump lost;
+            rec_trace t Trace.Link_lost ~track ~a:p.Packet.id
+              ~b:p.Packet.size ()));
+    for node = 0 to Netgraph.Topology.num_nodes (Netsim.Net.topology net) - 1 do
+      Engine.Tap.subscribe (Netsim.Net.no_route_tap net ~node) (fun _ ->
+          bump nort)
+    done
   end
 
 (* --- TCP / MPTCP --- *)
 
 let attach_connection t conn =
   if enabled t then begin
-    let counter name =
-      match t.metrics with
-      | None -> None
-      | Some m -> Some (Metrics.counter m name)
-    in
-    let bump = function None -> () | Some c -> Metrics.incr c in
+    let counter = counter t in
     let sent = counter "tcp.segments_sent"
     and retx = counter "tcp.retransmits"
     and acks = counter "tcp.acks"
@@ -222,8 +180,7 @@ let attach_connection t conn =
           ~b:(if active then 1 else 0)
           ~label:(Printf.sprintf "sf%d" subflow) ()
     in
-    Mptcp.Connection.set_monitor conn
-      (Some (chain (Mptcp.Connection.monitor conn) conn_tap));
+    Engine.Tap.subscribe (Mptcp.Connection.tap conn) conn_tap;
     for i = 0 to Mptcp.Connection.subflow_count conn - 1 do
       let track = track_subflow i in
       let sender = Mptcp.Connection.subflow_sender conn i in
@@ -267,23 +224,19 @@ let attach_connection t conn =
           in
           rec_trace t Trace.Tcp_state ~track ~a:code ~label ()
       in
-      Tcp.Sender.set_monitor sender
-        (Some (chain (Tcp.Sender.monitor sender) sender_tap));
+      Engine.Tap.subscribe (Tcp.Sender.tap sender) sender_tap;
       let receiver_tap (Tcp.Receiver.Delivered { seq; len }) =
         bump rxs;
         rec_trace t Trace.Tcp_rx ~track ~a:seq ~b:len ()
       in
-      Tcp.Receiver.set_monitor receiver
-        (Some (chain (Tcp.Receiver.monitor receiver) receiver_tap))
+      Engine.Tap.subscribe (Tcp.Receiver.tap receiver) receiver_tap
     done
   end
 
 (* --- audit bridge and snapshots --- *)
 
 let violation t ~invariant =
-  (match t.metrics with
-  | Some m -> Metrics.incr (Metrics.counter m "audit.violations")
-  | None -> ());
+  bump (counter t "audit.violations");
   rec_trace t Trace.Audit_violation ~track:track_audit ~label:invariant ()
 
 let snapshot t =

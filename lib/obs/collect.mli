@@ -1,12 +1,11 @@
 (** Wiring layer: subscribes a {!Trace} ring and a {!Metrics} registry
-    to the simulator's monitor hooks.
+    to the simulator's taps ({!Engine.Tap}).
 
-    Every attach function {e chains} onto the hook's current subscriber
-    (read via the layer's [monitor] getter) instead of replacing it, so
-    the collector composes with the audit subsystem: attach the auditor
-    first, then the collector.  With both [trace] and [metrics] off the
-    collector attaches nothing, and every hook stays [None] — disabled
-    runs execute exactly the pre-observability code path.
+    Every attach function appends a subscriber, so the collector is a
+    peer of the audit and the packet captures: each sees every event,
+    whichever attached first.  With both [trace] and [metrics] off the
+    collector subscribes to nothing, so disabled runs pay only the
+    empty-tap test at each emit site.
 
     Trace tracks: 0 = event loop, 1 = MPTCP scheduler, 2 = audit,
     3 = metrics/meta, [10+i] = subflow [i], [100 + 2*link + dir] = one
@@ -40,8 +39,8 @@ val attach_sched : t -> Engine.Sched.t -> unit
 
 val attach_net : t -> Netsim.Net.t -> unit
 (** Per-link-direction enqueue/dequeue/drop/lost trace events and the
-    [netsim.*] packet and byte counters; [netsim.no_route] via the
-    network-edge monitor. *)
+    [netsim.*] packet and byte counters, from every queue's tap;
+    [netsim.no_route] from every node's no-route tap. *)
 
 val attach_connection : t -> Mptcp.Connection.t -> unit
 (** Scheduler-decision trace (track 1), per-subflow TCP trace (tracks
@@ -51,7 +50,7 @@ val attach_connection : t -> Mptcp.Connection.t -> unit
 val violation : t -> invariant:string -> unit
 (** Records an audit violation (track 2, [audit.violations] counter).
     Kept generic so this library does not depend on [Audit]; the
-    scenario layer bridges [Audit.set_monitor] to it. *)
+    scenario layer subscribes it to [Audit.tap]. *)
 
 val snapshot : t -> unit
 (** Samples the metrics registry at the current simulated time and

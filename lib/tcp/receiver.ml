@@ -31,10 +31,10 @@ type t = {
   mutable scratch_s : int array;
   mutable scratch_e : int array;
   mutable scratch_n : int;
-  mutable monitor : (monitor_event -> unit) option;
+  tap : event Engine.Tap.t;
 }
 
-and monitor_event = Delivered of { seq : int; len : int }
+and event = Delivered of { seq : int; len : int }
 
 (* Not-yet-built sentinel for the cached delayed-ACK thunk.  A
    module-level closure has one stable identity; [ignore] does not — it
@@ -52,7 +52,7 @@ let create ~sched ~conn ~subflow ~addr ~peer ~tag ~fresh_id ~transmit ?pool
     ooo = Imap.empty;
     last_sacked = -1; ce_pending = false; segments = 0; duplicates = 0;
     scratch_s = Array.make 16 0; scratch_e = Array.make 16 0; scratch_n = 0;
-    monitor = None }
+    tap = Engine.Tap.create () }
 
 let scratch_push t s e =
   if t.scratch_n = Array.length t.scratch_s then begin
@@ -148,9 +148,8 @@ let rec drain t =
     if seq + len > t.rcv_nxt then begin
       t.on_deliver ~seq ~len ~dss;
       t.rcv_nxt <- seq + len;
-      match t.monitor with
-      | None -> ()
-      | Some f -> f (Delivered { seq; len })
+      if Array.length t.tap.Engine.Tap.subs > 0 then
+        Engine.Tap.emit t.tap (Delivered { seq; len })
     end;
     drain t
   | Some _ | None -> ()
@@ -173,9 +172,8 @@ let handle_data t p =
     if seq = t.rcv_nxt then begin
       t.on_deliver ~seq ~len ~dss:tcp.Packet.dss;
       t.rcv_nxt <- seq + len;
-      (match t.monitor with
-      | None -> ()
-      | Some f -> f (Delivered { seq; len }));
+      if Array.length t.tap.Engine.Tap.subs > 0 then
+        Engine.Tap.emit t.tap (Delivered { seq; len });
       let had_gap = not (Imap.is_empty t.ooo) in
       drain t;
       (* Filling a gap must be acknowledged at once so the sender exits
@@ -196,8 +194,7 @@ let handle_data t p =
 
 let acks_sent t = t.acks_sent
 let rcv_nxt t = t.rcv_nxt
-let set_monitor t m = t.monitor <- m
-let monitor t = t.monitor
+let tap t = t.tap
 let out_of_order t = Imap.cardinal t.ooo
 let segments_received t = t.segments
 let duplicates t = t.duplicates

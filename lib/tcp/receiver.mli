@@ -45,15 +45,12 @@ val out_of_order : t -> int
 val segments_received : t -> int
 val duplicates : t -> int
 
-type monitor_event = Delivered of { seq : int; len : int }
+type event = Delivered of { seq : int; len : int }
     (** a segment was handed to [on_deliver]; by construction
         [seq <= old rcv_nxt < seq + len] and the new [rcv_nxt] is
         [seq + len] *)
 
-val set_monitor : t -> (monitor_event -> unit) option -> unit
-(** Installs (or clears) a delivery tap for the audit subsystem; fires
-    after [rcv_nxt] has been advanced. *)
-
-val monitor : t -> (monitor_event -> unit) option
-(** The currently installed tap, so a second subscriber can chain
-    rather than clobber it. *)
+val tap : t -> event Engine.Tap.t
+(** In-order deliveries for the audit and observability subsystems,
+    emitted after [rcv_nxt] has been advanced.  Without subscribers an
+    emit site pays one length test and builds no event. *)

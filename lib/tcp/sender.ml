@@ -40,7 +40,7 @@ type conn_state = Closed | Syn_sent | Established
 
 type cc_state = Open | Recovery | Loss
 
-type monitor_event =
+type event =
   | Seg_sent of { seq : int; len : int; retx : bool }
   | Ack_advanced of { una : int }
   | Cwnd_changed of { cwnd : float }
@@ -106,11 +106,16 @@ type t = {
       (* RTO expiries since the last forward ACK progress — the liveness
          signal a path manager caps to declare the path dead *)
   mutable on_timeout : (unit -> unit) option;
-      (* explicit liveness callback, separate from [monitor] because the
-         audit overwrites monitors when attached *)
-  mutable monitor : (monitor_event -> unit) option;
+      (* liveness callback, not a [tap] subscriber: it changes the run
+         (failover), and subscribing it would make every ACK build a
+         [Cwnd_changed] event *)
+  tap : event Engine.Tap.t;
   stats : stats;
 }
+
+(* Emit sites test this before building their event: an unobserved
+   sender allocates nothing and calls nothing per segment or ACK. *)
+let[@inline] observed t = Array.length t.tap.Engine.Tap.subs > 0
 
 let cc_exn t =
   match t.cc with
@@ -179,7 +184,7 @@ let create ~sched ~config ~conn ~subflow ~src ~dst ~tag ~fresh_id ~transmit
       ecn_react_until = 0;
       consecutive_timeouts = 0;
       on_timeout = None;
-      monitor = None;
+      tap = Engine.Tap.create ();
       stats =
         { segments_sent = 0; retransmits = 0; timeouts = 0;
           fast_recoveries = 0; bytes_acked = 0 };
@@ -205,9 +210,8 @@ let create ~sched ~config ~conn ~subflow ~src ~dst ~tag ~fresh_id ~transmit
       set_cwnd =
         (fun w ->
           t.cwnd <- Float.max 1.0 w;
-          match t.monitor with
-          | None -> ()
-          | Some f -> f (Cwnd_changed { cwnd = t.cwnd }));
+          if observed t then
+            Engine.Tap.emit t.tap (Cwnd_changed { cwnd = t.cwnd }));
       get_ssthresh = (fun () -> t.ssthresh);
       set_ssthresh = (fun w -> t.ssthresh <- Float.max Cc.min_cwnd w);
       srtt_s = (fun () -> srtt_s t);
@@ -382,9 +386,8 @@ and send_seg t p ~is_retx =
       ~dss:(Scoreboard.dss_at sb p) ~data_ack:0 ()
   in
   t.transmit pkt;
-  (match t.monitor with
-  | None -> ()
-  | Some f -> f (Seg_sent { seq; len; retx = is_retx }));
+  if observed t then
+    Engine.Tap.emit t.tap (Seg_sent { seq; len; retx = is_retx });
   if t.rto_timer = None then arm_rto t
 
 and window_bytes t =
@@ -477,9 +480,8 @@ and on_rto t =
     t.in_recovery <- false;
     t.inflation <- 0.0;
     t.dupacks <- 0;
-    (match t.monitor with
-    | None -> ()
-    | Some f -> f (State_changed { state = Loss }));
+    if observed t then
+      Engine.Tap.emit t.tap (State_changed { state = Loss });
     (* Everything unacknowledged and unSACKed is presumed lost; rewind
        and let the (collapsed) window re-send, skipping SACKed segments
        (RFC 6675 section 5.1). *)
@@ -498,9 +500,8 @@ let retransmit_at t seq =
 
 let enter_recovery t =
   t.in_recovery <- true;
-  (match t.monitor with
-  | None -> ()
-  | Some f -> f (State_changed { state = Recovery }));
+  if observed t then
+    Engine.Tap.emit t.tap (State_changed { state = Recovery });
   t.recover <- t.snd_max;
   t.recovery_epoch <- t.recovery_epoch + 1;
   t.holes_below <- 0;
@@ -587,18 +588,15 @@ let handle_ack t (tcp : Packet.tcp) =
     t.snd_una <- a;
     if t.snd_nxt < a then t.snd_nxt <- a;
     t.consecutive_timeouts <- 0;
-    (match t.monitor with
-    | None -> ()
-    | Some f -> f (Ack_advanced { una = a }));
+    if observed t then Engine.Tap.emit t.tap (Ack_advanced { una = a });
     t.dupacks <- 0;
     if t.in_recovery then begin
       if a >= t.recover then begin
         (* Full ACK: recovery complete; deflate the window. *)
         t.in_recovery <- false;
         t.inflation <- 0.0;
-        match t.monitor with
-        | None -> ()
-        | Some f -> f (State_changed { state = Open })
+        if observed t then
+          Engine.Tap.emit t.tap (State_changed { state = Open })
       end
       else if not t.config.sack then
         (* Partial ACK (RFC 6582): retransmit the next hole, stay in
@@ -648,8 +646,7 @@ let mss t = t.config.mss
 let tag t = t.tag
 let snd_una t = t.snd_una
 let snd_nxt t = t.snd_nxt
-let set_monitor t m = t.monitor <- m
-let monitor t = t.monitor
+let tap t = t.tap
 let set_on_timeout t f = t.on_timeout <- f
 let consecutive_timeouts t = t.consecutive_timeouts
 let forgive_timeouts t = t.consecutive_timeouts <- 0

@@ -147,7 +147,7 @@ type cc_state =
   | Recovery  (** fast recovery after duplicate ACKs / SACK loss *)
   | Loss  (** retransmission timeout; window collapsed, go-back-N *)
 
-type monitor_event =
+type event =
   | Seg_sent of { seq : int; len : int; retx : bool }
       (** a data segment left the sender (fresh or retransmitted) *)
   | Ack_advanced of { una : int }
@@ -157,14 +157,10 @@ type monitor_event =
   | State_changed of { state : cc_state }
       (** the sender crossed a loss-state boundary *)
 
-val set_monitor : t -> (monitor_event -> unit) option -> unit
-(** Installs (or clears) an event tap for the audit and observability
-    subsystems; fires after the sender's own state is updated.  [None]
-    (the default) costs one mutable load per event. *)
-
-val monitor : t -> (monitor_event -> unit) option
-(** The currently installed tap, so a second subscriber can chain
-    rather than clobber it. *)
+val tap : t -> event Engine.Tap.t
+(** Sender events for the audit and observability subsystems, emitted
+    after the sender's own state is updated.  Without subscribers an
+    emit site pays one length test and builds no event. *)
 
 val consecutive_timeouts : t -> int
 (** RTO expiries (data or SYN) since the last forward ACK progress —
@@ -181,9 +177,11 @@ val forgive_timeouts : t -> unit
 
 val set_on_timeout : t -> (unit -> unit) option -> unit
 (** Installs (or clears) a callback fired after each RTO expiry has been
-    processed ({!consecutive_timeouts} already incremented).  Distinct
-    from {!set_monitor} so path-liveness detection keeps working when
-    the audit claims the monitor slot. *)
+    processed ({!consecutive_timeouts} already incremented).  It is not
+    a {!tap} subscriber because it changes the run (the connection
+    fails the subflow over once the expiries reach its cap), whereas
+    taps only observe and cost nothing while empty: a subscriber on the
+    sender's tap would make every ACK build a [Cwnd_changed] event. *)
 
 val sync_group_slot : t -> Cc.group -> int -> unit
 (** [sync_group_slot t g i] refreshes slot [i] of the flat coupled-CC

@@ -598,6 +598,56 @@ let rng_uniform_time () =
     check_bool "in closed range" true (v >= Time.ms 1 && v <= Time.ms 2)
   done
 
+(* --- Tap --- *)
+
+let tap_subscription_order () =
+  let tap = Tap.create () in
+  let log = ref [] in
+  List.iter
+    (fun name -> Tap.subscribe tap (fun ev -> log := (name, ev) :: !log))
+    [ "a"; "b"; "c" ];
+  Tap.emit tap 1;
+  Tap.emit tap 2;
+  Alcotest.(check (list (pair string int)))
+    "each event reaches subscribers in subscription order"
+    [ ("a", 1); ("b", 1); ("c", 1); ("a", 2); ("b", 2); ("c", 2) ]
+    (List.rev !log)
+
+let tap_every_subscriber_sees_every_event () =
+  let tap = Tap.create () in
+  let first = ref [] and second = ref [] in
+  Tap.subscribe tap (fun ev -> first := ev :: !first);
+  Tap.subscribe tap (fun ev -> second := ev :: !second);
+  List.iter (Tap.emit tap) [ 3; 1; 4; 1; 5 ];
+  Alcotest.(check (list int)) "first" [ 3; 1; 4; 1; 5 ] (List.rev !first);
+  Alcotest.(check (list int)) "second" [ 3; 1; 4; 1; 5 ] (List.rev !second)
+
+(* A subscriber added while the scheduler runs (here from inside a
+   dispatch-tap callback, i.e. mid-emit) sees only later dispatches. *)
+let tap_late_subscriber () =
+  let s = Sched.create () in
+  List.iter (fun ms -> ignore (Sched.at s (Time.ms ms) ignore)) [ 1; 2; 3; 4 ];
+  let early = ref [] and late = ref [] in
+  Tap.subscribe (Sched.tap s) (fun at ->
+      early := at :: !early;
+      if at = Time.ms 2 then
+        Tap.subscribe (Sched.tap s) (fun at -> late := at :: !late));
+  Sched.run s;
+  Alcotest.(check (list int)) "first subscriber saw every dispatch"
+    [ Time.ms 1; Time.ms 2; Time.ms 3; Time.ms 4 ] (List.rev !early);
+  Alcotest.(check (list int)) "late subscriber saw only later dispatches"
+    [ Time.ms 3; Time.ms 4 ] (List.rev !late)
+
+let tap_empty_emit () =
+  let empty = Tap.create () and other = Tap.create () in
+  let calls = ref 0 in
+  Tap.subscribe other (fun () -> incr calls);
+  check_int "no subscribers" 0 (Array.length empty.Tap.subs);
+  Tap.emit empty ();
+  check_int "emitting on an empty tap calls nothing" 0 !calls;
+  Tap.emit other ();
+  check_int "a subscribed tap still fires" 1 !calls
+
 let () =
   Alcotest.run "engine"
     [
@@ -663,6 +713,16 @@ let () =
           Alcotest.test_case "lockstep requires empty queue" `Quick
             sched_lockstep_requires_empty;
           QCheck_alcotest.to_alcotest sched_qcheck_cancel_order;
+        ] );
+      ( "tap",
+        [
+          Alcotest.test_case "subscription order" `Quick
+            tap_subscription_order;
+          Alcotest.test_case "every subscriber sees every event" `Quick
+            tap_every_subscriber_sees_every_event;
+          Alcotest.test_case "late subscriber sees only later events" `Quick
+            tap_late_subscriber;
+          Alcotest.test_case "empty tap calls nothing" `Quick tap_empty_emit;
         ] );
       ( "rng",
         [

@@ -110,8 +110,8 @@ let tag_forwarding () =
   Netsim.Net.install_path net ~tag:1 (Netgraph.Path.of_names topo [ "s"; "m1"; "d" ]);
   Netsim.Net.install_path net ~tag:2 (Netgraph.Path.of_names topo [ "s"; "m2"; "d" ]);
   let via1 = ref 0 and via2 = ref 0 in
-  Netsim.Net.add_tap net ~node:m1 (fun _ -> incr via1);
-  Netsim.Net.add_tap net ~node:m2 (fun _ -> incr via2);
+  Engine.Tap.subscribe (Netsim.Net.arrival_tap net ~node:m1) (fun _ -> incr via1);
+  Engine.Tap.subscribe (Netsim.Net.arrival_tap net ~node:m2) (fun _ -> incr via2);
   let delivered = ref 0 in
   Netsim.Net.attach_host net ~node:d (fun _ -> incr delivered);
   Netsim.Net.inject net ~at:s (plain ~src:s ~dst:d ~tag:1 ());

@@ -271,7 +271,25 @@ let test_obs_does_not_perturb () =
       Alcotest.(check int)
         "retransmits identical" a.Core.Scenario.retransmits
         b.Core.Scenario.retransmits)
-    baseline.Core.Scenario.subflows observed.Core.Scenario.subflows
+    baseline.Core.Scenario.subflows observed.Core.Scenario.subflows;
+  (* Observation changes nothing above, but it is not invisible to the
+     scheduler: the metrics snapshot and the audit tick are periodic
+     events, one per sampling tick (100, 200, ..., 600 ms) for each
+     enabled layer, and [events_processed] counts them. *)
+  let audited = Core.Scenario.run (spec ~audit:true ()) in
+  let both = Core.Scenario.run (spec ~obs:(obs_conf ()) ~audit:true ()) in
+  let extra r =
+    r.Core.Scenario.events_processed
+    - baseline.Core.Scenario.events_processed
+  in
+  Alcotest.(check int) "obs adds one event per tick" 6 (extra observed);
+  Alcotest.(check int) "audit adds one event per tick" 6 (extra audited);
+  Alcotest.(check int) "both add two events per tick" 12 (extra both);
+  List.iter
+    (fun (_, s) ->
+      Alcotest.(check int) "one cwnd probe sample per tick" 6
+        (Array.length s.Measure.Series.values))
+    baseline.Core.Scenario.cwnd_series
 
 let test_obs_chains_with_audit () =
   let result = Core.Scenario.run (spec ~obs:(obs_conf ()) ~audit:true ()) in
@@ -286,6 +304,85 @@ let test_obs_chains_with_audit () =
     let tr = Option.get (Obs.Collect.trace o) in
     Alcotest.(check bool) "trace captured alongside audit" true
       (Obs.Trace.recorded tr > 0)
+
+(* --- attach order --- *)
+
+(* The paper net wired by hand rather than through [Core.Scenario], so
+   the test picks the order in which the collector and the audit
+   attach.  Every observer must see every event whichever comes first:
+   the collector alone counts 14466 enqueues, 1054 ACK advances and 1967
+   grants in these 300 ms, and must count the same with the audit
+   attached after it. *)
+type observer = Collector | Auditor
+
+let watched = [ "netsim.pkts_enqueued"; "tcp.acks"; "mptcp.sched_grants" ]
+
+let run_attached order =
+  let sched = Engine.Sched.create () in
+  let rng = Engine.Rng.create 1 in
+  let topo = Core.Paper_net.topology () in
+  let paths = Core.Paper_net.tagged_paths ~default:2 topo in
+  let net =
+    Netsim.Net.create ~sched ~rng ~config:Core.Scenario.default_net_config
+      topo
+  in
+  let first = snd (List.hd paths) in
+  let src = Tcp.Endpoint.create net ~node:(Netgraph.Path.src first) in
+  let dst = Tcp.Endpoint.create net ~node:(Netgraph.Path.dst first) in
+  let conn =
+    Mptcp.Connection.establish ~net ~src ~dst ~conn:1 ~paths
+      ~cc:Mptcp.Algorithm.Cubic ~config:Mptcp.Connection.default_config
+      ~rng:(Engine.Rng.split rng) ()
+  in
+  let collector = ref None and auditor = ref None in
+  List.iter
+    (function
+      | Collector ->
+        let o = Obs.Collect.create ~sched (obs_conf ~trace:false ()) in
+        Obs.Collect.attach_sched o sched;
+        Obs.Collect.attach_net o net;
+        Obs.Collect.attach_connection o conn;
+        collector := Some o
+      | Auditor ->
+        let a = Audit.create ~sched () in
+        Audit.attach_net a net;
+        Audit.attach_connection a ~label:"conn1" conn;
+        auditor := Some a)
+    order;
+  Engine.Sched.run ~until:(Engine.Time.ms 300) sched;
+  let counters =
+    Option.map
+      (fun o ->
+        Obs.Collect.snapshot o;
+        let m = Obs.Collect.final_metrics o in
+        List.map (fun name -> (name, List.assoc name m)) watched)
+      !collector
+  in
+  let report =
+    Option.map
+      (fun a ->
+        Audit.finish a ();
+        Audit.report a)
+      !auditor
+  in
+  (counters, report)
+
+let test_attach_order () =
+  let alone, _ = run_attached [ Collector ] in
+  let _, audit_alone = run_attached [ Auditor ] in
+  let both, audit_both = run_attached [ Collector; Auditor ] in
+  let alone = Option.get alone and both = Option.get both in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool) (name ^ " counted") true (v > 0.0))
+    alone;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "collector attached before the audit still counts everything" alone both;
+  let audit_alone = Option.get audit_alone
+  and audit_both = Option.get audit_both in
+  Alcotest.(check int) "audit runs every check" audit_alone.Audit.checks
+    audit_both.Audit.checks;
+  Alcotest.(check int) "clean run" 0 audit_both.Audit.total_violations
 
 let () =
   Alcotest.run "obs"
@@ -316,5 +413,7 @@ let () =
             test_obs_does_not_perturb;
           Alcotest.test_case "chains with audit" `Quick
             test_obs_chains_with_audit;
+          Alcotest.test_case "attach order does not matter" `Quick
+            test_attach_order;
         ] );
     ]

@@ -798,7 +798,7 @@ let delack_halves_ack_traffic () =
     let flow = Tcp.Flow.start ~src ~dst ~tag:1 ~conn:1 ~delayed_ack () in
     (* Count ACK packets arriving back at the sender. *)
     let acks = ref 0 in
-    Netsim.Net.add_tap net ~node:a1 (fun p ->
+    Engine.Tap.subscribe (Netsim.Net.arrival_tap net ~node:a1) (fun p ->
         match p.Packet.body with
         | Packet.Tcp { kind = Packet.Ack; _ } -> incr acks
         | _ -> ());

@@ -1398,12 +1398,13 @@ let gate_check ~microbench_ns ~alloc ~hybrid =
   | Some wheel_ns, Some heap_ns when heap_ns > 0.0 ->
     floor_check "wheel <= heap push+pop (same run)" wheel_ns heap_ns
   | _ -> ());
-  (* Floor 110: the quick scenario amortises its fixed per-run
-     allocations over fewer packets than the full one (measured 101
-     quick vs 95 full on the current reference box, up from the 84 the
-     heap-era box measured — the counter is deterministic per build
-     environment, not across them). *)
-  floor_check "alloc words_per_packet < 110" alloc.a_words_per_packet 110.0;
+  (* Floor 58, about 1.25x the quick reading: the quick scenario
+     amortises its fixed per-run allocations over fewer packets than the
+     full one (measured 46.3 quick vs 40.3 full after the round-4 hot
+     path, down from 84.3 vs 78.6; the counter is deterministic per
+     build environment, not across them).  It was 110 while the
+     profile read 84-95. *)
+  floor_check "alloc words_per_packet < 58" alloc.a_words_per_packet 58.0;
   (* The failover path may cost no more than twice the plain sim per
      packet (same run, deterministic counts; measured 1.0x).  A
      per-grant cost that grows with the chunk-ownership table reads

@@ -59,7 +59,11 @@ doc_one engine Engine -- \
     "$root/lib/engine/rng.mli" \
     "$root/lib/engine/sched.mli" \
     "$root/lib/engine/tap.mli" \
-    "$root/lib/engine/pool.mli"
+    "$root/lib/engine/pool.mli" \
+    "$root/lib/engine/int_table.mli"
+
+doc_one packet -- \
+    "$root/lib/packet/packet.mli"
 
 doc_one netsim Netsim -- \
     "$root/lib/netsim/linkq.mli" \

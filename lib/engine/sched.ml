@@ -1,5 +1,6 @@
 type t = {
   wheel : timer Wheel.t;
+  popped : Wheel.popped; (* key and tie of the entry being dispatched *)
   mutable clock : Time.t;
   mutable seq : int;
   mutable fired : int;
@@ -20,6 +21,7 @@ and timer = {
 let create () =
   {
     wheel = Wheel.create ();
+    popped = { Wheel.key = 0; tie = 0 };
     clock = Time.zero;
     seq = 0;
     fired = 0;
@@ -135,17 +137,23 @@ let fire t when_ timer =
     timer.action ()
   end
 
-(* min_key_exn + pop_exn instead of [pop]: no option or tuple boxed per
-   event — this is the innermost loop of every simulation. *)
-let step t =
-  if Wheel.is_empty t.wheel then false
+(* What [Wheel.pop_until] returns when nothing is due.  A closure like
+   the anonymous entries, private to this module, so no queued value
+   is ever physically equal to it. *)
+let nothing_due () = ()
+let none = (Obj.magic (nothing_due : unit -> unit) : timer)
+
+(* The one dispatch path of [step] and [run]: a single wheel call pops
+   the minimum if it is due by [until] — no option or tuple boxed per
+   event, this is the innermost loop of every simulation. *)
+let dispatch t ~until =
+  let v = Wheel.pop_until t.wheel ~until t.popped ~none in
+  if v == none then false
   else begin
-    let when_ = Wheel.min_key_exn t.wheel in
-    let tie = Wheel.min_tie_exn t.wheel in
+    let when_ = t.popped.Wheel.key and tie = t.popped.Wheel.tie in
     (match t.shadow with
     | None -> ()
     | Some h -> check_shadow h ~key:when_ ~tie);
-    let v = Wheel.pop_exn t.wheel in
     if tie land 1 = 1 then begin
       t.clock <- when_;
       t.fired <- t.fired + 1;
@@ -156,16 +164,13 @@ let step t =
     true
   end
 
+let step t = dispatch t ~until:max_int
+
 let run ?until t =
   match until with
-  | None -> while step t do () done
+  | None -> while dispatch t ~until:max_int do () done
   | Some horizon ->
-    let continue = ref true in
-    while !continue do
-      if Wheel.is_empty t.wheel || Time.( < ) horizon (Wheel.min_key_exn t.wheel)
-      then continue := false
-      else ignore (step t)
-    done;
+    while dispatch t ~until:horizon do () done;
     if Time.( < ) t.clock horizon then t.clock <- horizon
 
 let queue_length t = Wheel.length t.wheel

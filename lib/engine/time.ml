@@ -12,18 +12,18 @@ let of_float_s x =
   else Float.to_int (Float.round (x *. 1e9))
 
 let to_float_s t = float_of_int t /. 1e9
-let add = ( + )
-let sub a b = a - b
-let diff a b = a - b
+external add : t -> t -> t = "%addint"
+external sub : t -> t -> t = "%subint"
+external diff : t -> t -> t = "%subint"
 let scale t k = Float.to_int (Float.round (float_of_int t *. k))
-let min = Stdlib.min
-let max = Stdlib.max
+external equal : t -> t -> bool = "%eq"
+external ( < ) : t -> t -> bool = "%ltint"
+external ( <= ) : t -> t -> bool = "%leint"
+external ( > ) : t -> t -> bool = "%gtint"
+external ( >= ) : t -> t -> bool = "%geint"
+let min (a : t) b = if a <= b then a else b
+let max (a : t) b = if a >= b then a else b
 let compare = Int.compare
-let equal = Int.equal
-let ( < ) (a : t) b = Stdlib.( < ) a b
-let ( <= ) (a : t) b = Stdlib.( <= ) a b
-let ( > ) (a : t) b = Stdlib.( > ) a b
-let ( >= ) (a : t) b = Stdlib.( >= ) a b
 
 let pp fmt t =
   if t >= s 1 then Format.fprintf fmt "%.6gs" (to_float_s t)

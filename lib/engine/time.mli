@@ -31,24 +31,38 @@ val of_float_s : float -> t
 val to_float_s : t -> float
 (** [to_float_s t] is [t] expressed in seconds. *)
 
-val add : t -> t -> t
-val sub : t -> t -> t
+(** {1 Arithmetic and comparison}
 
-val diff : t -> t -> t
+    [add], [sub], [diff], [equal] and the four comparisons are
+    [external] primitives, not functions.  A library compiled [-opaque]
+    (dune's default dev profile) exports no function bodies, so every
+    cross-module call to an ordinary [let] is an indirect call through
+    [caml_applyN] — a dozen instructions for what is one machine add or
+    compare, paid several times per packet hop.  A primitive is
+    expanded at each call site whatever the build profile, because its
+    definition is the interface itself. *)
+
+external add : t -> t -> t = "%addint"
+external sub : t -> t -> t = "%subint"
+
+external diff : t -> t -> t = "%subint"
 (** [diff a b] is [a - b]; may be negative when [b] is later than [a]. *)
 
 val scale : t -> float -> t
 (** [scale t k] is [t] multiplied by [k], rounded to the nearest
     nanosecond. *)
 
+external equal : t -> t -> bool = "%eq"
+external ( < ) : t -> t -> bool = "%ltint"
+external ( <= ) : t -> t -> bool = "%leint"
+external ( > ) : t -> t -> bool = "%gtint"
+external ( >= ) : t -> t -> bool = "%geint"
+
 val min : t -> t -> t
 val max : t -> t -> t
+(** Integer [min]/[max]: no polymorphic [compare_val]. *)
+
 val compare : t -> t -> int
-val equal : t -> t -> bool
-val ( < ) : t -> t -> bool
-val ( <= ) : t -> t -> bool
-val ( > ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Prints a human-friendly rendering, e.g. ["1.234ms"] or ["2.5s"]. *)

@@ -3,8 +3,9 @@
    Eight levels of 32 slots, over a coarse 2^12 ns level-0 granule,
    cover 2^52 ns (~52 simulated days) of future; a timer at distance d
    lands at the level whose granule just contains d (the highest 5-bit
-   block above the granule in which [key lxor now] differs), so
-   insertion is a shift and a mask, not a sift.  Cells are
+   block above the granule in which [key lxor now] differs, found by
+   comparing [key lxor now] against the level boundaries), so insertion
+   is a few compares, a shift and a mask, not a sift.  Cells are
    intrusive: every timer lives in one slot's doubly-linked list, so
    cancellation unlinks in O(1) — no dead weight left behind, no
    periodic compaction, unlike the binary heap this replaces.
@@ -15,19 +16,19 @@
    steady-state push/cancel/pop allocates nothing.
 
    Ordering is exact, not approximate: [min_key_exn]/[min_tie_exn]/
-   [pop_exn] return the true (key, tie)-lexicographic minimum.  The
-   wheel cascades the lowest occupied slot down a level at a time until
-   level 0 is occupied; the current level-0 slot (at most ~4 us worth
-   of keys) is sorted once when it becomes current and kept sorted by
-   in-position insertion, so pops from it are O(1) head removals.  [now]
-   (the wheel's notion of "no key below this will pop next") only ever
-   advances to a granule start that is <= every key still queued, so
-   cascading on a peek — which [Sched.run ~until] does without popping
-   — can never strand a later, earlier-keyed push: a push below [now]
-   (possible only through that peek path, or through deliberate abuse
-   by the equivalence fuzzer) is placed in sorted position in the
-   *current* level-0 slot, so overdue entries still pop first and in
-   the right order.
+   [pop_exn]/[pop_until] return the true (key, tie)-lexicographic
+   minimum.  The wheel cascades the lowest occupied slot down a level
+   at a time until level 0 is occupied; the current level-0 slot (at
+   most ~4 us worth of keys) is sorted once when it becomes current
+   and kept sorted by in-position insertion, so pops from it are O(1)
+   head removals.  [now] (the wheel's notion of "no key below this
+   will pop next") only ever advances to a granule start that is <=
+   every key still queued, so cascading on a peek — which [Sched.run
+   ~until] does without popping — can never strand a later,
+   earlier-keyed push: a push below [now] (possible only through that
+   peek path, or through deliberate abuse by the equivalence fuzzer)
+   is placed in sorted position in the *current* level-0 slot, so
+   overdue entries still pop first and in the right order.
 
    Entries beyond the span go to an overflow binary heap and
    migrate into the wheel once it drains down to them; cancelling an
@@ -114,19 +115,30 @@ let is_empty t = t.live = 0
 let now t = t.now
 let cascade_count t = t.cascades
 
-(* Index of the highest set bit (0-based); [x] > 0. *)
-let hibit x =
-  let r = ref 0 and x = ref x in
-  if !x lsr 32 <> 0 then begin r := !r + 32; x := !x lsr 32 end;
-  if !x lsr 16 <> 0 then begin r := !r + 16; x := !x lsr 16 end;
-  if !x lsr 8 <> 0 then begin r := !r + 8; x := !x lsr 8 end;
-  if !x lsr 4 <> 0 then begin r := !r + 4; x := !x lsr 4 end;
-  if !x lsr 2 <> 0 then begin r := !r + 2; x := !x lsr 2 end;
-  if !x lsr 1 <> 0 then incr r;
-  !r
+(* Index of the lowest set bit of a slot bitmap or the level mask
+   (both fit in 32 bits); [x] > 0.  [x land -x] isolates the bit, and
+   multiplying by a de Bruijn constant puts a distinct 5-bit pattern in
+   the top bits of the 32-bit product for each of the 32 possible
+   positions, so one multiply and one table load replace a bit loop. *)
+let debruijn = 0x077CB531
 
-(* Index of the lowest set bit; [x] > 0. *)
-let lobit x = hibit (x land -x)
+let lobit_table =
+  let a = Array.make 32 0 in
+  for i = 0 to 31 do
+    a.((((1 lsl i) * debruijn) land 0xFFFF_FFFF) lsr 27) <- i
+  done;
+  a
+
+let lobit x = lobit_table.((((x land -x) * debruijn) land 0xFFFF_FFFF) lsr 27)
+
+(* The level of a key at xor-distance [x = key lxor now] from [now]:
+   the first [l] with [x < 2^(shift + bits * (l + 1))], i.e. [x]
+   compared against the level boundaries 2^17, 2^22, ..., 2^52, in
+   ascending order since nearly every timer the simulator arms lands at
+   level 0 or 1.  [levels] means beyond the span (the overflow heap). *)
+let rec level_from x l =
+  if l = levels || x < 1 lsl (shift + (bits * (l + 1))) then l
+  else level_from x (l + 1)
 
 let grow t =
   let cap = Array.length t.keys in
@@ -160,56 +172,53 @@ let free t c =
   t.nexts.(c) <- t.free_head;
   t.free_head <- c
 
+(* Link cell [c] into level [lvl]'s slot [slot]. *)
+let link t c lvl slot =
+  let key = t.keys.(c) in
+  let sl = (lvl lsl bits) lor slot in
+  if sl = t.sorted_slot then begin
+    (* Insert in (key, tie) position so the current slot stays a
+       sorted list and pops stay O(1) head removals. *)
+    let tie = t.ties.(c) in
+    let prev = ref (-1) and cur = ref t.slots.(sl) in
+    while
+      !cur >= 0
+      && (let ck = t.keys.(!cur) in
+          ck < key || (ck = key && t.ties.(!cur) < tie))
+    do
+      prev := !cur;
+      cur := t.nexts.(!cur)
+    done;
+    t.nexts.(c) <- !cur;
+    t.prevs.(c) <- !prev;
+    if !cur >= 0 then t.prevs.(!cur) <- c;
+    if !prev >= 0 then t.nexts.(!prev) <- c else t.slots.(sl) <- c;
+    t.locs.(c) <- sl
+  end
+  else begin
+    let head = t.slots.(sl) in
+    t.nexts.(c) <- head;
+    t.prevs.(c) <- -1;
+    if head >= 0 then t.prevs.(head) <- c;
+    t.slots.(sl) <- c;
+    t.locs.(c) <- sl;
+    t.bitmaps.(lvl) <- t.bitmaps.(lvl) lor (1 lsl slot);
+    t.levels_mask <- t.levels_mask lor (1 lsl lvl)
+  end
+
 (* Link cell [c] into the slot its key calls for, relative to [t.now].
    Keys at or below [now] (overdue; see the header comment) go into the
    current level-0 slot. *)
 let place t c =
-  let key = t.keys.(c) in
-  let lvl, slot =
-    if key <= t.now then 0, (t.now lsr shift) land slot_mask
-    else begin
-      let d = hibit (key lxor t.now) in
-      let l = if d < shift then 0 else (d - shift) / bits in
-      if l >= levels then -1, 0
-      else l, (key lsr (shift + (bits * l))) land slot_mask
+  let key = t.keys.(c) and now = t.now in
+  if key <= now then link t c 0 ((now lsr shift) land slot_mask)
+  else
+    let lvl = level_from (key lxor now) 0 in
+    if lvl = levels then begin
+      t.locs.(c) <- loc_ovf;
+      Heap.push t.overflow ~key ~tie:t.ties.(c) c
     end
-  in
-  if lvl < 0 then begin
-    t.locs.(c) <- loc_ovf;
-    Heap.push t.overflow ~key ~tie:t.ties.(c) c
-  end
-  else begin
-    let sl = (lvl lsl bits) lor slot in
-    if sl = t.sorted_slot then begin
-      (* Insert in (key, tie) position so the current slot stays a
-         sorted list and pops stay O(1) head removals. *)
-      let tie = t.ties.(c) in
-      let prev = ref (-1) and cur = ref t.slots.(sl) in
-      while
-        !cur >= 0
-        && (let ck = t.keys.(!cur) in
-            ck < key || (ck = key && t.ties.(!cur) < tie))
-      do
-        prev := !cur;
-        cur := t.nexts.(!cur)
-      done;
-      t.nexts.(c) <- !cur;
-      t.prevs.(c) <- !prev;
-      if !cur >= 0 then t.prevs.(!cur) <- c;
-      if !prev >= 0 then t.nexts.(!prev) <- c else t.slots.(sl) <- c;
-      t.locs.(c) <- sl
-    end
-    else begin
-      let head = t.slots.(sl) in
-      t.nexts.(c) <- head;
-      t.prevs.(c) <- -1;
-      if head >= 0 then t.prevs.(head) <- c;
-      t.slots.(sl) <- c;
-      t.locs.(c) <- sl;
-      t.bitmaps.(lvl) <- t.bitmaps.(lvl) lor (1 lsl slot);
-      t.levels_mask <- t.levels_mask lor (1 lsl lvl)
-    end
-  end
+    else link t c lvl ((key lsr (shift + (bits * lvl))) land slot_mask)
 
 let push t ~key ~tie v =
   if key < 0 then invalid_arg "Wheel.push: negative key";
@@ -454,9 +463,8 @@ let min_tie_exn t =
   ensure_hot t;
   t.ties.(t.hot)
 
-let pop_exn t =
-  ensure_hot t;
-  let c = t.hot in
+(* Remove the cached minimum cell [c] and return its value. *)
+let take t c =
   let key = t.keys.(c) and v = t.values.(c) in
   unlink t c t.locs.(c);
   free t c;
@@ -464,3 +472,28 @@ let pop_exn t =
   t.hot <- -1;
   if key > t.now then t.now <- key;
   Obj.obj v
+
+let pop_exn t =
+  ensure_hot t;
+  take t t.hot
+
+type popped = { mutable key : int; mutable tie : int }
+
+(* The scheduler's whole per-event protocol in one call: emptiness
+   test, peek against the horizon, and removal, with the key and tie
+   written to [out] rather than returned in a tuple.  The peek leaves
+   the wheel exactly as [min_key_exn] would when the minimum lies past
+   [until], so a stepped run and a horizon-bounded run cascade alike. *)
+let pop_until t ~until out ~none =
+  if t.live = 0 then none
+  else begin
+    ensure_hot t;
+    let c = t.hot in
+    let key = t.keys.(c) in
+    if key > until then none
+    else begin
+      out.key <- key;
+      out.tie <- t.ties.(c);
+      take t c
+    end
+  end

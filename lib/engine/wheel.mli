@@ -9,6 +9,14 @@
     free-listed parallel arrays, so steady-state operation allocates
     nothing.
 
+    A key's level is chosen by comparing [key lxor now] against the
+    level boundaries 2{^17}, 2{^22}, ..., 2{^52}: the first boundary it
+    falls below names the level (level [l] holds distances under
+    2{^12+5(l+1)}), and a key at or past 2{^52} goes to the overflow
+    heap.  Keys at or below [now] are overdue and join the current
+    level-0 slot.  The lowest occupied slot or level is found by a
+    de Bruijn table lookup, not a bit loop.
+
     Keys must be non-negative (they are {!Time.t} nanosecond stamps in
     the scheduler).  Unlike a search structure, the wheel has a notion
     of current position: it only moves forward, so a key below the
@@ -55,6 +63,18 @@ val min_tie_exn : 'a t -> int
 val pop_exn : 'a t -> 'a
 (** Removes the minimum entry and returns its value alone; raises
     [Invalid_argument] when empty. *)
+
+type popped = { mutable key : int; mutable tie : int }
+(** Where {!pop_until} writes the key and tie of the entry it pops. *)
+
+val pop_until : 'a t -> until:int -> popped -> none:'a -> 'a
+(** [pop_until t ~until out ~none] removes the minimum entry if its key
+    is at most [until], writes its key and tie into [out] and returns
+    its value.  When the wheel is empty, or its minimum lies past
+    [until], it returns [none] (compare with [==]) and leaves the entry
+    queued and [out] untouched.  One call does what
+    {!is_empty}, {!min_key_exn}, {!min_tie_exn} and {!pop_exn} do
+    together, allocating nothing — the scheduler's per-event pop. *)
 
 val cascade_count : 'a t -> int
 (** Total slot redistributions performed (diagnostics: each cascade

@@ -64,7 +64,7 @@ type t = {
 
 (* Chunk ownership is needed both for opportunistic reinjection and to
    find what a freshly-dead subflow was carrying. *)
-let track_owners t = t.config.reinjection || t.config.rto_cap <> None
+let track_owners t = t.config.reinjection || Option.is_some t.config.rto_cap
 
 (* Emit sites test this before building their event: an unobserved
    connection allocates nothing and calls nothing per grant. *)
@@ -77,26 +77,27 @@ let window_space sender =
   let w =
     int_of_float (Tcp.Sender.cwnd sender *. float_of_int (Tcp.Sender.mss sender))
   in
-  max 0 (w - Tcp.Sender.in_flight_bytes sender)
+  Int.max 0 (w - Tcp.Sender.in_flight_bytes sender)
 
-let candidates t =
-  Array.map
-    (fun sf ->
-      let s = sender_exn sf in
-      {
-        Scheduler.index = sf.index;
-        srtt_s =
-          (match Tcp.Sender.srtt s with
-          | Some v -> Engine.Time.to_float_s v
-          | None -> 0.01);
-        (* A subflow that has not joined yet, or whose path is dead,
-           must never attract data. *)
-        window_space =
-          (if sf.joined && Path_manager.Liveness.is_active t.liveness ~tag:sf.tag
-           then window_space s
-           else 0);
-      })
-    t.subflows
+let subflow_is_active t sf =
+  Path_manager.Liveness.is_active t.liveness ~tag:sf.tag
+
+(* The scheduler's view of subflow [i] ([Scheduler.decide]'s
+   accessors).  Before its first RTT sample a subflow counts as 10 ms
+   away, a LAN-scale guess. *)
+let default_srtt = Engine.Time.ms 10
+
+let subflow_srtt_ns t i =
+  match Tcp.Sender.srtt (sender_exn t.subflows.(i)) with
+  | Some v -> v
+  | None -> default_srtt
+
+let subflow_window_space t i =
+  let sf = t.subflows.(i) in
+  (* A subflow that has not joined yet, or whose path is dead, must
+     never attract data. *)
+  if sf.joined && subflow_is_active t sf then window_space (sender_exn sf)
+  else 0
 
 let conn_window_open t =
   match t.config.send_buffer with
@@ -127,9 +128,6 @@ let remaining t ~from =
   | None -> max_int
   | Some total -> total - from
 
-let subflow_is_active t sf =
-  Path_manager.Liveness.is_active t.liveness ~tag:sf.tag
-
 (* Hand [sf] the oldest chunk orphaned by a subflow death, if any.
    These are already-mapped connection-level bytes, so they bypass the
    connection window (re-sending them is what un-blocks it). *)
@@ -144,7 +142,7 @@ let grant_pending t sf ~max_len =
         pop ()
       end
       else begin
-        let granted = min len max_len in
+        let granted = Int.min len max_len in
         t.pending <-
           (if granted < len then (dseq + granted, len - granted, owner) :: rest
            else rest);
@@ -167,7 +165,7 @@ let source t sf ~max_len =
   else
     match t.config.scheduler with
   | Scheduler.Redundant ->
-    let len = min max_len (remaining t ~from:sf.cursor) in
+    let len = Int.min max_len (remaining t ~from:sf.cursor) in
     if len <= 0 then None
     else begin
       let dseq = sf.cursor in
@@ -181,14 +179,15 @@ let source t sf ~max_len =
     (match grant_pending t sf ~max_len with
     | Some _ as g -> g
     | None ->
-    let len = min max_len (remaining t ~from:t.next_dseq) in
+    let len = Int.min max_len (remaining t ~from:t.next_dseq) in
     if len <= 0 then None
     else if not (conn_window_open t) then
       if t.config.reinjection then reinject t sf else None
     else begin
       match
         Scheduler.decide t.config.scheduler ~cursor:t.rr_cursor
-          ~requester:sf.index (candidates t)
+          ~requester:sf.index ~count:(Array.length t.subflows)
+          ~srtt_ns:subflow_srtt_ns ~window_space:subflow_window_space t
       with
       | Scheduler.Grant ->
         let dseq = t.next_dseq in
@@ -327,12 +326,11 @@ let establish ~net ~src ~dst ~conn ~paths ~cc ?(config = default_config)
             | None ->
               (* MPTCP data always carries a mapping. *)
               assert false);
-            match t.total_bytes with
-            | Some total
-              when Reassembly.delivered_bytes t.reassembly >= total
-                   && t.completed_at = None ->
+            match (t.total_bytes, t.completed_at) with
+            | Some total, None
+              when Reassembly.delivered_bytes t.reassembly >= total ->
               t.completed_at <- Some (Engine.Sched.now sched)
-            | Some _ | None -> ())
+            | _ -> ())
           ~data_ack:(fun () -> Reassembly.next_expected t.reassembly)
           ~delayed_ack:config.delayed_ack ()
       in
@@ -365,7 +363,7 @@ let establish ~net ~src ~dst ~conn ~paths ~cc ?(config = default_config)
           if advanced then t.data_ack_rx <- tcp.Packet.data_ack;
           Tcp.Sender.handle_ack sender tcp;
           (* Freed connection-level buffer may unblock other subflows. *)
-          if advanced && t.config.send_buffer <> None then
+          if advanced && Option.is_some t.config.send_buffer then
             Array.iter
               (fun other ->
                 if other.index <> sf.index then
@@ -424,7 +422,7 @@ let tap t = t.tap
    Redundant scheduler maps per-subflow cursors over the same stream, so
    the union of mapped ranges is the largest cursor, not next_dseq. *)
 let mapped_bytes t =
-  Array.fold_left (fun acc sf -> max acc sf.cursor) t.next_dseq t.subflows
+  Array.fold_left (fun acc sf -> Int.max acc sf.cursor) t.next_dseq t.subflows
 
 let total_throughput_bps t ~now =
   let dt = Engine.Time.to_float_s (Engine.Time.diff now t.start_at) in

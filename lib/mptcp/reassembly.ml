@@ -38,7 +38,7 @@ let lower_bound t lo =
 let insert t ~dseq ~len =
   if len <= 0 then invalid_arg "Reassembly.insert: len must be positive";
   if dseq < 0 then invalid_arg "Reassembly.insert: negative dseq";
-  let lo = max dseq t.next and hi = dseq + len in
+  let lo = Int.max dseq t.next and hi = dseq + len in
   if hi > t.next then begin
     (* Overlapping-or-adjacent window: ranges i in [i0, i1) with
        starts.(i) <= hi && ends_.(i) >= lo. *)

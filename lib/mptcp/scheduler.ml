@@ -12,41 +12,41 @@ let policy_of_string s =
   | "redundant" -> Some Redundant
   | _ -> None
 
-type candidate = { index : int; srtt_s : float; window_space : int }
 type decision = Grant | Defer of int option
 
-let decide policy ~cursor ~requester candidates =
+(* Subflows are read through the caller's accessors, not from a
+   snapshot the caller builds: the connection asks on every grant, so
+   a decision must not allocate. *)
+let decide policy ~cursor ~requester ~count ~srtt_ns ~window_space view =
   match policy with
   | Redundant -> Grant
   | Min_rtt ->
-    let best = ref None in
-    Array.iter
-      (fun c ->
-        if c.window_space > 0 then
-          match !best with
-          | Some b when b.srtt_s <= c.srtt_s -> ()
-          | Some _ | None -> best := Some c)
-      candidates;
-    (match !best with
-    | None -> Grant (* requester claims space; trust it *)
-    | Some b -> if b.index = requester then Grant else Defer (Some b.index))
-  | Round_robin ->
-    let n = Array.length candidates in
-    if n = 0 then Grant
-    else begin
-      (* Advance the cursor to the next subflow with window space. *)
-      let rec find i remaining =
-        if remaining = 0 then None
-        else
-          let c = candidates.(i mod n) in
-          if c.window_space > 0 then Some (i mod n) else find (i + 1) (remaining - 1)
-      in
-      match find !cursor n with
-      | None -> Grant
-      | Some chosen ->
-        if chosen = requester then begin
-          cursor := (chosen + 1) mod n;
-          Grant
+    (* The first subflow with window space and the strictly smallest
+       srtt wins. *)
+    let best = ref (-1) and best_srtt = ref 0 in
+    for i = 0 to count - 1 do
+      if window_space view i > 0 then begin
+        let srtt = srtt_ns view i in
+        if !best < 0 || srtt < !best_srtt then begin
+          best := i;
+          best_srtt := srtt
         end
-        else Defer (Some chosen)
+      end
+    done;
+    if !best < 0 || !best = requester then
+      Grant (* nobody has space: the requester claims some; trust it *)
+    else Defer (Some !best)
+  | Round_robin ->
+    (* Advance the cursor to the next subflow with window space. *)
+    let chosen = ref (-1) and k = ref 0 in
+    while !chosen < 0 && !k < count do
+      let i = (!cursor + !k) mod count in
+      if window_space view i > 0 then chosen := i;
+      incr k
+    done;
+    if !chosen < 0 then Grant
+    else if !chosen = requester then begin
+      cursor := (!chosen + 1) mod count;
+      Grant
     end
+    else Defer (Some !chosen)

@@ -18,21 +18,26 @@ type policy =
 val policy_name : policy -> string
 val policy_of_string : string -> policy option
 
-(** A candidate subflow as seen by the scheduler. *)
-type candidate = {
-  index : int;
-  srtt_s : float;
-  window_space : int;  (** bytes of congestion window still unused *)
-}
-
 type decision =
   | Grant
   | Defer of int option
       (** refuse the requester; the payload should go to the given
           subflow instead (kick it), or nobody right now *)
 
-val decide : policy -> cursor:int ref -> requester:int
-  -> candidate array -> decision
-(** [decide] assumes the requester has window space (it is pulling).
-    [cursor] is the rotation state for [Round_robin]; [Redundant] always
-    grants. *)
+val decide :
+  policy -> cursor:int ref -> requester:int -> count:int
+  -> srtt_ns:('a -> int -> int) -> window_space:('a -> int -> int) -> 'a
+  -> decision
+(** [decide policy ~cursor ~requester ~count ~srtt_ns ~window_space v]
+    chooses among subflows [0 .. count - 1], reading subflow [i]'s
+    smoothed RTT in nanoseconds as [srtt_ns v i] and its unused
+    congestion window in bytes as [window_space v i].  Nothing is
+    allocated unless the requester is refused.
+
+    [Min_rtt]: the first subflow with window space and the strictly
+    smallest srtt wins (integer nanoseconds order exactly as float
+    seconds do).  [Round_robin]: the first subflow with window space
+    from [!cursor] on, cyclically; [cursor] moves past the requester
+    when it is granted.  [Redundant] always grants.  [decide] assumes
+    the requester has window space (it is pulling), so it grants when
+    no subflow reports any. *)

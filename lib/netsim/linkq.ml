@@ -30,15 +30,20 @@ type t = {
          the packet back to the owner's freelist *)
   queue : Pktring.t; (* flat ring: packet slots + enqueue timestamps *)
   flight : Pktring.t;
-      (* packets serialized but not yet arrived, oldest first.  Only
-         used when the link has no jitter: propagation is then constant,
-         arrivals are FIFO, and the shared [arrive_done] thunk can pop
-         this ring instead of closing over the packet — one fewer
-         allocation per transmitted packet.  A jittered link can reorder
-         arrivals, so it falls back to a per-packet closure. *)
+      (* packets serialized but not yet arrived, oldest first, each
+         stamped with [cuts] at its transmission.  Only used when the
+         link has no jitter: propagation is then constant, arrivals are
+         FIFO, and the shared [arrive_done] thunk can pop this ring
+         instead of closing over the packet — one fewer allocation per
+         transmitted packet.  A jittered link can reorder arrivals, so
+         it falls back to a per-packet closure capturing [cuts]. *)
   mutable queued_bytes : int;
   mutable busy : bool;
   mutable up : bool;
+  mutable cuts : int;
+      (* times the link has gone down: a packet whose transmission
+         predates the latest cut was on the wire when it happened, and
+         never arrives even if the link is back up by then *)
   mutable last_arrival : Engine.Time.t;
       (* latest scheduled no-jitter arrival: a delay decrease must not
          let a later packet overtake one already in [flight] (the wire
@@ -76,8 +81,8 @@ let[@inline] observed t = Array.length t.tap.Engine.Tap.subs > 0
    serializer would never re-check the share, and its tx events would
    land arbitrarily far out on the wheel). *)
 let effective_rate_bps t =
-  let floor_bps = max 1 (t.rate_bps asr 6) in
-  max floor_bps (t.rate_bps - t.bg_rate_bps)
+  let floor_bps = Int.max 1 (t.rate_bps asr 6) in
+  Int.max floor_bps (t.rate_bps - t.bg_rate_bps)
 
 (* Close the capacity integral over the regime ending now, at the rate
    that regime drained at.  Every change to [rate_bps] or [bg_rate_bps]
@@ -101,11 +106,12 @@ let rec create ~sched ~rng ~rate_bps ~delay ?(jitter = Engine.Time.zero) ~qdisc
       sched; rng; rate_bps; delay; loss = 0.0; jitter; qdisc;
       qstate = Qdisc.make_state qdisc;
       limit_pkts; deliver; release;
-      queue = Pktring.create ~capacity:(min 64 (limit_pkts + 1)) ();
+      queue = Pktring.create ~capacity:(Int.min 64 (limit_pkts + 1)) ();
       flight = Pktring.create ~capacity:16 ();
       queued_bytes = 0;
       busy = false;
       up = true;
+      cuts = 0;
       last_arrival = Engine.Time.zero;
       bg_occupancy = 0.0;
       bg_rate_bps = 0;
@@ -121,12 +127,16 @@ let rec create ~sched ~rng ~rate_bps ~delay ?(jitter = Engine.Time.zero) ~qdisc
     }
   in
   t.tx_done <- (fun () -> start_tx t);
-  t.arrive_done <- (fun () -> arrive t (Pktring.pop t.flight));
+  t.arrive_done <-
+    (fun () ->
+      let cuts = Pktring.head_stamp t.flight in
+      arrive t (Pktring.pop t.flight) ~cuts);
   t
 
-(* A packet in flight when the link goes down never arrives. *)
-and arrive t p =
-  if t.up then begin
+(* A packet in flight when the link goes down never arrives: [cuts] is
+   the link's cut count when the packet started transmission. *)
+and arrive t p ~cuts =
+  if t.up && cuts = t.cuts then begin
     t.stats.delivered <- t.stats.delivered + 1;
     t.stats.bytes_delivered <- t.stats.bytes_delivered + p.Packet.size;
     if observed t then Engine.Tap.emit t.tap (Delivered p);
@@ -171,7 +181,7 @@ and start_tx t =
          frees the serializer before delivering, as the nesting did. *)
       Engine.Sched.after_anon t.sched tx t.tx_done;
       if t.jitter = Engine.Time.zero then begin
-        Pktring.push t.flight p ~stamp:now;
+        Pktring.push t.flight p ~stamp:t.cuts;
         (* [flight] is popped FIFO, so arrivals must be monotone even if
            [set_delay] shrank the delay while packets were in flight. *)
         let at =
@@ -187,8 +197,9 @@ and start_tx t =
           Engine.Time.add t.delay
             (Engine.Rng.uniform_time t.rng ~lo:Engine.Time.zero ~hi:t.jitter)
         in
+        let cuts = t.cuts in
         Engine.Sched.after_anon t.sched (Engine.Time.add tx prop) (fun () ->
-            arrive t p)
+            arrive t p ~cuts)
       end
     end
   end
@@ -293,6 +304,7 @@ let tap t = t.tap
 let set_up t up =
   t.up <- up;
   if not up then begin
+    t.cuts <- t.cuts + 1;
     t.stats.lost_down <- t.stats.lost_down + Pktring.length t.queue;
     if observed t then
       Pktring.iter t.queue (fun p -> Engine.Tap.emit t.tap (Lost_down p));

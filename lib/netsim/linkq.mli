@@ -139,6 +139,9 @@ val set_up : t -> bool -> unit
 (** Fail or restore the link direction.  While down, arriving packets are
     destroyed (counted in [lost_down]), queued packets are flushed, and
     packets already past the serializer never reach the far end —
-    modelling a cable cut. *)
+    modelling a cable cut.  That holds however short the outage: a
+    packet whose transmission started before the link last went down
+    is lost on arrival (as [Lost_down]) even when the link is up again
+    by then, since it was on the cut wire. *)
 
 val is_up : t -> bool

@@ -6,9 +6,9 @@ let default_config =
   { qdisc = Qdisc.Drop_tail; limit_pkts = 40; delay_jitter = Engine.Time.zero }
 
 (* Routing keys are flattened to one immediate int so the per-hop lookup
-   neither allocates a (dst, tag) pair nor runs the polymorphic hash
-   over a block.  20 bits of tag leave 42 for the destination — both far
-   beyond any topology here, and install_route rejects the rest. *)
+   neither allocates a (dst, tag) pair nor hashes a block.  20 bits of
+   tag leave 42 for the destination — both far beyond any topology
+   here, and install_route rejects the rest. *)
 let tag_bits = 20
 let tag_mask = (1 lsl tag_bits) - 1
 
@@ -22,8 +22,12 @@ type t = {
   sched : Engine.Sched.t;
   topo : Netgraph.Topology.t;
   pool : Packet.Pool.t;
-  mutable linkqs : Linkq.t array array; (* link id -> [| fwd; rev |] *)
-  tables : (int, int) Hashtbl.t array; (* node -> route_key -> link *)
+  mutable queues : Linkq.t array;
+      (* one per link direction: [queues.(2 * link + dir_index dir)] *)
+  tables : int Engine.Int_table.t array;
+      (* node -> route key -> index into [queues] of the outgoing link
+         direction, or -1: resolved once at install, so a hop is one
+         lookup and one array read.  [out lsr 1] is the link id. *)
   hosts : (Packet.t -> unit) option array;
   (* node-indexed observation points; the node is implied by which tap
      fires, so the packet itself is the event and emitting allocates
@@ -54,18 +58,16 @@ let rec receive t ~node p =
   else forward t ~node p
 
 and forward t ~node p =
-  match
-    Hashtbl.find_opt t.tables.(node)
+  let out =
+    Engine.Int_table.find t.tables.(node)
       (route_key ~dst:p.Packet.dst ~tag:p.Packet.tag)
-  with
-  | None ->
+  in
+  if out >= 0 then Linkq.enqueue t.queues.(out) p
+  else begin
     t.no_route <- t.no_route + 1;
     Engine.Tap.emit t.no_routes.(node) p;
     release_pkt t p
-  | Some lid ->
-    let l = Netgraph.Topology.link t.topo lid in
-    let d = if l.Netgraph.Topology.u = node then 0 else 1 in
-    Linkq.enqueue t.linkqs.(lid).(d) p
+  end
 
 let create ~sched ~rng ?(config = default_config) topo =
   let n = Netgraph.Topology.num_nodes topo in
@@ -74,8 +76,8 @@ let create ~sched ~rng ?(config = default_config) topo =
       sched;
       topo;
       pool = Packet.Pool.create ();
-      linkqs = [||];
-      tables = Array.init n (fun _ -> Hashtbl.create 8);
+      queues = [||];
+      tables = Array.init n (fun _ -> Engine.Int_table.create ~absent:(-1) ());
       hosts = Array.make n None;
       arrivals = Array.init n (fun _ -> Engine.Tap.create ());
       injects = Array.init n (fun _ -> Engine.Tap.create ());
@@ -94,12 +96,17 @@ let create ~sched ~rng ?(config = default_config) topo =
       ~release:(fun p -> release_pkt t p)
       ()
   in
-  t.linkqs <-
-    Array.map
-      (fun (l : Netgraph.Topology.link) ->
-        [| make_q l ~to_node:l.Netgraph.Topology.v;
-           make_q l ~to_node:l.Netgraph.Topology.u |])
-      (Netgraph.Topology.links topo);
+  (* Per link the reverse direction splits its rng first, the order the
+     queues have always been built in, so seeded runs (loss, jitter)
+     keep their random streams. *)
+  t.queues <-
+    Array.of_list
+      (List.concat_map
+         (fun (l : Netgraph.Topology.link) ->
+           let rev = make_q l ~to_node:l.Netgraph.Topology.u in
+           let fwd = make_q l ~to_node:l.Netgraph.Topology.v in
+           [ fwd; rev ])
+         (Array.to_list (Netgraph.Topology.links topo)));
   t
 
 let sched t = t.sched
@@ -118,7 +125,9 @@ let install_route t ~node ~dst ~tag ~link =
   if l.Netgraph.Topology.u <> node && l.Netgraph.Topology.v <> node then
     invalid_arg "Net.install_route: node is not an endpoint of link";
   check_route_key ~dst ~tag;
-  Hashtbl.replace t.tables.(node) (route_key ~dst ~tag) link
+  let dir = if l.Netgraph.Topology.u = node then 0 else 1 in
+  Engine.Int_table.replace t.tables.(node) (route_key ~dst ~tag)
+    ((2 * link) + dir)
 
 let install_path t ~tag path =
   let nodes = path.Netgraph.Path.nodes and links = path.Netgraph.Path.links in
@@ -130,7 +139,8 @@ let install_path t ~tag path =
     links
 
 let route t ~node ~dst ~tag =
-  Hashtbl.find_opt t.tables.(node) (route_key ~dst ~tag)
+  let out = Engine.Int_table.find t.tables.(node) (route_key ~dst ~tag) in
+  if out >= 0 then Some (out lsr 1) else None
 
 let attach_host t ~node h =
   match t.hosts.(node) with
@@ -148,35 +158,30 @@ let inject t ~at p =
 
 let iter_linkqs t f =
   Array.iteri
-    (fun lid qs ->
-      f ~link:lid ~dir:Fwd qs.(0);
-      f ~link:lid ~dir:Rev qs.(1))
-    t.linkqs
+    (fun i q -> f ~link:(i lsr 1) ~dir:(if i land 1 = 0 then Fwd else Rev) q)
+    t.queues
 
-let linkq t ~link ~dir = t.linkqs.(link).(dir_index dir)
+let linkq t ~link ~dir = t.queues.((2 * link) + dir_index dir)
 
 let set_link_up t ~link up =
-  Linkq.set_up t.linkqs.(link).(0) up;
-  Linkq.set_up t.linkqs.(link).(1) up
+  Linkq.set_up t.queues.(2 * link) up;
+  Linkq.set_up t.queues.((2 * link) + 1) up
 
-let link_is_up t ~link = Linkq.is_up t.linkqs.(link).(0)
+let link_is_up t ~link = Linkq.is_up t.queues.(2 * link)
 
 let set_link_rate t ~link rate_bps =
-  Linkq.set_rate t.linkqs.(link).(0) rate_bps;
-  Linkq.set_rate t.linkqs.(link).(1) rate_bps
+  Linkq.set_rate t.queues.(2 * link) rate_bps;
+  Linkq.set_rate t.queues.((2 * link) + 1) rate_bps
 
 let set_link_delay t ~link delay =
-  Linkq.set_delay t.linkqs.(link).(0) delay;
-  Linkq.set_delay t.linkqs.(link).(1) delay
+  Linkq.set_delay t.queues.(2 * link) delay;
+  Linkq.set_delay t.queues.((2 * link) + 1) delay
 
 let set_link_loss t ~link loss =
-  Linkq.set_loss t.linkqs.(link).(0) loss;
-  Linkq.set_loss t.linkqs.(link).(1) loss
+  Linkq.set_loss t.queues.(2 * link) loss;
+  Linkq.set_loss t.queues.((2 * link) + 1) loss
 
 let no_route_drops t = t.no_route
 
 let total_drops t =
-  Array.fold_left
-    (fun acc qs ->
-      acc + (Linkq.stats qs.(0)).Linkq.dropped + (Linkq.stats qs.(1)).Linkq.dropped)
-    0 t.linkqs
+  Array.fold_left (fun acc q -> acc + (Linkq.stats q).Linkq.dropped) 0 t.queues

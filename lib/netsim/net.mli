@@ -45,13 +45,20 @@ val packets_created : t -> int
 (** Total wire ids handed out so far — the denominator for
     allocations-per-packet accounting. *)
 
-(** {1 Routing} *)
+(** {1 Routing}
+
+    Each node has one route table, an {!Engine.Int_table} keyed by
+    [(dst, tag)] packed into one int.  Its value is resolved when the
+    route is installed: the outgoing link direction's queue, whose
+    index also encodes the link id that {!route} reports.  A hop is
+    therefore one allocation-free lookup and one array read — no
+    polymorphic hash, no option, no topology query. *)
 
 val install_route :
   t -> node:int -> dst:Packet.addr -> tag:Packet.tag -> link:int -> unit
 (** At [node], packets for [dst] carrying [tag] exit via [link].  Raises
     [Invalid_argument] when [node] is not an endpoint of [link].
-    Re-installation overwrites. *)
+    Re-installation overwrites, and the table grows as needed. *)
 
 val install_path : t -> tag:Packet.tag -> Netgraph.Path.t -> unit
 (** Installs forwarding for the path's destination at every node along
@@ -59,7 +66,8 @@ val install_path : t -> tag:Packet.tag -> Netgraph.Path.t -> unit
     tag) so acknowledgements retrace the same links. *)
 
 val route : t -> node:int -> dst:Packet.addr -> tag:Packet.tag -> int option
-(** The installed outgoing link, if any. *)
+(** The installed outgoing link, if any — read from the same table that
+    forwarding uses. *)
 
 (** {1 Hosts and taps} *)
 

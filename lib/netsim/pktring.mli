@@ -1,4 +1,4 @@
-(** Growable flat packet FIFO with per-slot enqueue timestamps.
+(** Growable flat packet FIFO with a per-slot integer stamp.
 
     The link-queue buffer: parallel arrays for packet slots and enqueue
     times replace a [Queue.t] of boxed pairs, so the steady-state
@@ -19,11 +19,13 @@ val capacity : t -> int
 (** Current slot count (for tests; capacity growth is amortised O(1)). *)
 
 val push : t -> Packet.t -> stamp:int -> unit
-(** Appends a packet with its enqueue timestamp (ns). *)
+(** Appends a packet with an integer stamp: its enqueue time (ns) in a
+    link's buffer, the link's cut count at transmission in its flight
+    ring. *)
 
 val head_stamp : t -> int
-(** Enqueue timestamp of the oldest element.  Raises
-    [Invalid_argument] when empty. *)
+(** Stamp of the oldest element.  Raises [Invalid_argument] when
+    empty. *)
 
 val pop : t -> Packet.t
 (** Removes and returns the oldest element; the slot is nulled.  Raises

@@ -129,28 +129,33 @@ module Pool = struct
 
   let live t = t.acquired - t.released
 
-  (* Dummy used to fill empty freelist slots so a popped packet is never
-     reachable from the pool once handed out. *)
-  let dummy () =
+  (* Shared filler for vacated freelist slots, so a popped packet is
+     never reachable from the pool once handed out, and the "freelist
+     empty" answer of [pop].  One record for every pool: filling a slot
+     or reporting an empty list allocates nothing.  Poisoned, so it can
+     never pass for live traffic. *)
+  let filler =
     { id = poison_id; src = -1; dst = -1; tag = -1; size = 1; body = Plain;
       ecn = Not_ect; born = 0 }
 
   let push t p =
     let cap = Array.length t.free in
     if t.free_len = cap then begin
-      let fresh = Array.make (max 64 (2 * cap)) (dummy ()) in
+      let fresh = Array.make (max 64 (2 * cap)) filler in
       Array.blit t.free 0 fresh 0 t.free_len;
       t.free <- fresh
     end;
     t.free.(t.free_len) <- p;
     t.free_len <- t.free_len + 1
 
+  (* The most recently released record, or [filler] when the freelist
+     is empty (compare with [==]). *)
   let pop t =
-    if t.free_len = 0 then None
+    if t.free_len = 0 then filler
     else begin
       let i = t.free_len - 1 in
       let p = t.free.(i) in
-      t.free.(i) <- dummy ();
+      t.free.(i) <- filler;
       t.free_len <- i;
       if t.debug && not (is_poisoned p) then
         failwith
@@ -158,8 +163,19 @@ module Pool = struct
              "Packet.Pool: freelist slot holds a live packet (id %d) - a \
               released packet was resurrected"
              p.id);
-      Some p
+      p
     end
+
+  (* The record an acquire rebuilds in place, or [filler] when the
+     caller passed no pool or the freelist is empty and a fresh record
+     must be built. *)
+  let recycle = function
+    | None -> filler
+    | Some t ->
+      t.acquired <- t.acquired + 1;
+      let p = pop t in
+      if p != filler then t.recycled <- t.recycled + 1;
+      p
 
   let release t p =
     if is_poisoned p then begin
@@ -197,64 +213,54 @@ module Pool = struct
       ~subflow ~kind ~seq ~payload ~ack ~sack ~ece ~dss ~data_ack () =
     validate_tcp ~payload ~sack ~dss;
     let size = header_bytes + payload in
-    let fresh () =
+    let p = recycle pool in
+    if p == filler then
       { id; src; dst; tag; size; ecn; born;
         body =
           Tcp { conn; subflow; kind; seq; payload; ack; sack; ece; dss;
                 data_ack } }
-    in
-    match pool with
-    | None -> fresh ()
-    | Some t -> (
-      t.acquired <- t.acquired + 1;
-      match pop t with
-      | None -> fresh ()
-      | Some p ->
-        t.recycled <- t.recycled + 1;
-        p.id <- id;
-        p.src <- src;
-        p.dst <- dst;
-        p.tag <- tag;
-        p.size <- size;
-        p.ecn <- ecn;
-        p.born <- born;
-        (match p.body with
-        | Tcp tcp ->
-          tcp.conn <- conn;
-          tcp.subflow <- subflow;
-          tcp.kind <- kind;
-          tcp.seq <- seq;
-          tcp.payload <- payload;
-          tcp.ack <- ack;
-          tcp.sack <- sack;
-          tcp.ece <- ece;
-          tcp.dss <- dss;
-          tcp.data_ack <- data_ack
-        | Plain ->
-          p.body <-
-            Tcp { conn; subflow; kind; seq; payload; ack; sack; ece; dss;
-                  data_ack });
-        p)
+    else begin
+      p.id <- id;
+      p.src <- src;
+      p.dst <- dst;
+      p.tag <- tag;
+      p.size <- size;
+      p.ecn <- ecn;
+      p.born <- born;
+      (match p.body with
+      | Tcp tcp ->
+        tcp.conn <- conn;
+        tcp.subflow <- subflow;
+        tcp.kind <- kind;
+        tcp.seq <- seq;
+        tcp.payload <- payload;
+        tcp.ack <- ack;
+        tcp.sack <- sack;
+        tcp.ece <- ece;
+        tcp.dss <- dss;
+        tcp.data_ack <- data_ack
+      | Plain ->
+        p.body <-
+          Tcp { conn; subflow; kind; seq; payload; ack; sack; ece; dss;
+                data_ack });
+      p
+    end
 
   let acquire_plain ?pool ~id ~src ~dst ~tag ~born ~size () =
     if size < 1 then invalid_arg "Packet.make_plain: size must be >= 1";
-    match pool with
-    | None -> make_plain ~id ~src ~dst ~tag ~born ~size
-    | Some t -> (
-      t.acquired <- t.acquired + 1;
-      match pop t with
-      | None -> make_plain ~id ~src ~dst ~tag ~born ~size
-      | Some p ->
-        t.recycled <- t.recycled + 1;
-        p.id <- id;
-        p.src <- src;
-        p.dst <- dst;
-        p.tag <- tag;
-        p.size <- size;
-        p.ecn <- Not_ect;
-        p.born <- born;
-        p.body <- Plain;
-        p)
+    let p = recycle pool in
+    if p == filler then make_plain ~id ~src ~dst ~tag ~born ~size
+    else begin
+      p.id <- id;
+      p.src <- src;
+      p.dst <- dst;
+      p.tag <- tag;
+      p.size <- size;
+      p.ecn <- Not_ect;
+      p.born <- born;
+      p.body <- Plain;
+      p
+    end
 end
 
 let pp_kind fmt = function

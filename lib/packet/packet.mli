@@ -117,6 +117,14 @@ val is_poisoned : t -> bool
     no-route).  Recycling is deterministic (LIFO), so pooled runs stay
     bit-identical across domain counts.
 
+    An acquire served from the freelist allocates nothing: the slot it
+    vacates is refilled with one shared, poisoned filler record (never
+    handed out), so no popped packet stays reachable from the pool and
+    no placeholder is built per pop.  Optional arguments are where
+    garbage can creep back in at the call site: pass the pool as a
+    preallocated option ([?pool:opt]) — [~pool:p] boxes a fresh [Some]
+    on every call — and likewise pass [?ecn] rather than [~ecn].
+
     In debug mode (enabled by audited scenarios) releases scrub the
     record, double releases and resurrected packets raise [Failure],
     and the audit ledger sees poisoned ids as conservation violations. *)
@@ -151,14 +159,18 @@ module Pool : sig
     -> kind:tcp_kind -> seq:int -> payload:int -> ack:int
     -> sack:(int * int) list -> ece:bool -> dss:dss option -> data_ack:int
     -> unit -> packet
-  (** Like {!make_tcp} but recycles a freelist record when [pool] is
-      given and non-empty.  Same validation, zero allocation on the
-      recycle path. *)
+  (** Like {!make_tcp} but rebuilds the most recently released record
+      in place when [pool] is given and its freelist is non-empty — then
+      nothing is allocated (a record last used as a plain packet gets a
+      fresh TCP header).  Otherwise a fresh record is built, as by
+      {!make_tcp}.  Same validation either way; in debug mode a
+      freelist record that is not poisoned (a released packet written
+      to since) raises [Failure]. *)
 
   val acquire_plain :
     ?pool:t -> id:int -> src:addr -> dst:addr -> tag:tag
     -> born:Engine.Time.t -> size:int -> unit -> packet
-  (** Like {!make_plain}, recycling when possible. *)
+  (** Like {!make_plain}, recycling as {!acquire_tcp} does. *)
 
   val release : t -> packet -> unit
   (** Returns a packet to the freelist.  The caller asserts nothing will

@@ -1,7 +1,8 @@
 (* Demux keys are packed to one immediate int — (conn lsl 8) lor subflow —
-   so the per-packet lookup neither allocates a pair nor runs the
-   polymorphic hash over a block.  8 bits of subflow is far beyond the
-   paper's 2–4 subflows; register rejects the rest. *)
+   so the per-packet lookup in an [Engine.Int_table] neither allocates
+   a pair or an option nor runs the polymorphic hash.  8 bits of
+   subflow is far beyond the paper's 2–4 subflows; register rejects the
+   rest. *)
 
 let subflow_bits = 8
 let subflow_mask = (1 lsl subflow_bits) - 1
@@ -17,25 +18,30 @@ let check_demux_key ~conn ~subflow =
 type t = {
   net : Netsim.Net.t;
   node : int;
-  handlers : (int, Packet.t -> unit) Hashtbl.t;
+  handlers : (Packet.t -> unit) Engine.Int_table.t;
   mutable plain : (Packet.t -> unit) option;
   mutable unmatched : int;
 }
 
+(* The handler table's answer for an unregistered key; never
+   registered itself, so [==] tells a miss. *)
+let no_handler (_ : Packet.t) = ()
+
 let create net ~node =
-  let t = { net; node; handlers = Hashtbl.create 8; plain = None;
-            unmatched = 0 } in
+  let t =
+    { net; node; handlers = Engine.Int_table.create ~absent:no_handler ();
+      plain = None; unmatched = 0 }
+  in
   Netsim.Net.attach_host net ~node (fun p ->
       match p.Packet.body with
       | Packet.Plain -> (
         match t.plain with Some f -> f p | None -> ())
-      | Packet.Tcp tcp -> (
-        match
-          Hashtbl.find_opt t.handlers
+      | Packet.Tcp tcp ->
+        let f =
+          Engine.Int_table.find t.handlers
             (demux_key ~conn:tcp.Packet.conn ~subflow:tcp.Packet.subflow)
-        with
-        | Some f -> f p
-        | None -> t.unmatched <- t.unmatched + 1));
+        in
+        if f == no_handler then t.unmatched <- t.unmatched + 1 else f p);
   t
 
 let node t = t.node
@@ -44,12 +50,12 @@ let net t = t.net
 let register t ~conn ~subflow f =
   check_demux_key ~conn ~subflow;
   let key = demux_key ~conn ~subflow in
-  if Hashtbl.mem t.handlers key then
+  if Engine.Int_table.mem t.handlers key then
     invalid_arg "Endpoint.register: already registered";
-  Hashtbl.replace t.handlers key f
+  Engine.Int_table.replace t.handlers key f
 
 let unregister t ~conn ~subflow =
-  Hashtbl.remove t.handlers (demux_key ~conn ~subflow)
+  Engine.Int_table.remove t.handlers (demux_key ~conn ~subflow)
 
 let on_plain t f = t.plain <- Some f
 let unmatched t = t.unmatched

@@ -36,9 +36,9 @@ let base_rto t =
   | None -> t.initial_rto
   | Some srtt ->
     let raw = Engine.Time.add srtt (4 * t.rttvar) in
-    Engine.Time.max t.min_rto raw
+    Int.max t.min_rto raw
 
-let rto t = Engine.Time.min t.max_rto (base_rto t * t.backoff_factor)
+let rto t = Int.min t.max_rto (base_rto t * t.backoff_factor)
 
 let backoff t =
   if Engine.Time.( < ) (rto t) t.max_rto then

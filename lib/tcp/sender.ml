@@ -57,6 +57,9 @@ type t = {
   fresh_id : unit -> int;
   transmit : Packet.t -> unit;
   pool : Packet.Pool.t option;
+  data_ecn : Packet.ecn option;
+      (* the [?ecn] argument of every data segment's acquire, built
+         once: passing [~ecn] would box a fresh [Some] per segment *)
   source : source;
   rtt : Rtt.t;
   mutable cc : Cc.instance option; (* set right after creation *)
@@ -144,7 +147,7 @@ let sync_group_slot t (g : Cc.group) i =
   g.Cc.cwnds.(i) <- t.cwnd;
   g.Cc.srtts.(i) <- srtt_s t;
   g.Cc.loss_intervals.(i) <-
-    float_of_int (max t.interval_cur t.interval_prev);
+    float_of_int (Int.max t.interval_cur t.interval_prev);
   Cc.group_set_established g i t.established
 
 let create ~sched ~config ~conn ~subflow ~src ~dst ~tag ~fresh_id ~transmit
@@ -152,6 +155,7 @@ let create ~sched ~config ~conn ~subflow ~src ~dst ~tag ~fresh_id ~transmit
   let t =
     {
       sched; config; conn; subflow; src; dst; tag; fresh_id; transmit; pool;
+      data_ecn = (if config.ecn then Some Packet.Ect else None);
       source;
       rtt =
         Rtt.create ~initial_rto:config.initial_rto ~min_rto:config.min_rto
@@ -362,7 +366,9 @@ and send_syn t ~is_retx =
 
 and send_seg t p ~is_retx =
   let now = Engine.Sched.now t.sched in
-  if t.first_send = None then t.first_send <- Some now;
+  (match t.first_send with
+  | None -> t.first_send <- Some now
+  | Some _ -> ());
   t.established <- true;
   let sb = t.sb in
   let seq = Scoreboard.seq_at sb p and len = Scoreboard.len_at sb p in
@@ -379,16 +385,14 @@ and send_seg t p ~is_retx =
   t.stats.segments_sent <- t.stats.segments_sent + 1;
   let pkt =
     Packet.Pool.acquire_tcp ?pool:t.pool ~id:(t.fresh_id ()) ~src:t.src
-      ~dst:t.dst ~tag:t.tag ~born:now
-      ~ecn:(if t.config.ecn then Packet.Ect else Packet.Not_ect)
-      ~conn:t.conn ~subflow:t.subflow ~kind:Packet.Data ~seq
-      ~payload:len ~ack:0 ~sack:[] ~ece:false
-      ~dss:(Scoreboard.dss_at sb p) ~data_ack:0 ()
+      ~dst:t.dst ~tag:t.tag ~born:now ?ecn:t.data_ecn ~conn:t.conn
+      ~subflow:t.subflow ~kind:Packet.Data ~seq ~payload:len ~ack:0 ~sack:[]
+      ~ece:false ~dss:(Scoreboard.dss_at sb p) ~data_ack:0 ()
   in
   t.transmit pkt;
   if observed t then
     Engine.Tap.emit t.tap (Seg_sent { seq; len; retx = is_retx });
-  if t.rto_timer = None then arm_rto t
+  match t.rto_timer with None -> arm_rto t | Some _ -> ()
 
 and window_bytes t =
   let w = (t.cwnd +. t.inflation) *. float_of_int t.config.mss in
@@ -450,7 +454,7 @@ and try_send_established t =
           t.pipe_bytes <- t.pipe_bytes + len;
           send_seg t p ~is_retx:false;
           t.snd_nxt <- t.snd_nxt + len;
-          t.snd_max <- max t.snd_max t.snd_nxt
+          t.snd_max <- Int.max t.snd_max t.snd_nxt
       end
     end
   done

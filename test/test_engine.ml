@@ -295,6 +295,62 @@ let wheel_span_boundary () =
     ]
     (List.map (fun (_, _, v) -> v) (wheel_drain w))
 
+let wheel_level_edges_vs_heap () =
+  (* A key's level comes from comparing [key lxor now] with the level
+     boundaries 2^b, b = 17, 22, ..., 52 (2^52: the overflow heap).
+     From an unaligned [now], push keys at distance 2^b - 1, 2^b and
+     2^b + 1 (in the xor sense) around every boundary, pop a few, push
+     the edges again around the moved [now], and drain: every pop must
+     match the reference heap.  [start] has bits b and b - 1 clear for
+     every boundary b, so each first-round key lies above it. *)
+  let boundaries = List.init 8 (fun l -> 17 + (5 * l)) in
+  let start =
+    List.fold_left
+      (fun acc bit -> acc lor (1 lsl bit))
+      0
+      [ 0; 1; 3; 5; 7; 11; 13; 19; 24; 29; 34; 39; 44; 49; 55 ]
+  in
+  let w = Wheel.create () and h = Heap.create () in
+  let tie = ref 0 in
+  let push key =
+    incr tie;
+    ignore (Wheel.push w ~key ~tie:!tie key);
+    Heap.push h ~key ~tie:!tie key
+  in
+  let pop ctx =
+    check_int (ctx ^ ": min key") (Heap.min_key_exn h) (Wheel.min_key_exn w);
+    check_int (ctx ^ ": min tie") (Heap.min_tie_exn h) (Wheel.min_tie_exn w);
+    check_int (ctx ^ ": popped") (Heap.pop_exn h) (Wheel.pop_exn w)
+  in
+  let push_edges round =
+    let now = Wheel.now w in
+    List.iter
+      (fun b ->
+        List.iter
+          (fun x ->
+            let key = now lxor x in
+            if round = 0 then
+              check_bool
+                (Printf.sprintf "edge 2^%d%+d above now" b (x - (1 lsl b)))
+                true (key > now);
+            push key)
+          [ (1 lsl b) - 1; 1 lsl b; (1 lsl b) + 1 ])
+      boundaries
+  in
+  push start;
+  pop "advance";
+  check_int "now at the unaligned start" start (Wheel.now w);
+  for round = 0 to 2 do
+    push_edges round;
+    for i = 1 to 7 do
+      pop (Printf.sprintf "round %d pop %d" round i)
+    done
+  done;
+  while not (Wheel.is_empty w) do
+    pop "drain"
+  done;
+  check_bool "heap drained too" true (Heap.is_empty h)
+
 let wheel_mixed_cancel_vs_heap () =
   (* Satellite conformance pin: a deterministic program that pushes
      across every key regime (near, multi-level, beyond-span), cancels
@@ -648,6 +704,37 @@ let tap_empty_emit () =
   Tap.emit other ();
   check_int "a subscribed tap still fires" 1 !calls
 
+(* --- Int_table --- *)
+
+let int_table_qcheck_vs_hashtbl =
+  (* Random replace/remove programs over a small key range (so keys
+     collide, are removed and come back, leaving tombstones in probe
+     chains) agree with Stdlib.Hashtbl on the touched key after every
+     step and on every key at the end, across several rehashes. *)
+  QCheck.Test.make ~name:"int table agrees with Hashtbl" ~count:300
+    QCheck.(list (triple bool (int_bound 200) small_nat))
+    (fun ops ->
+      let t = Engine.Int_table.create ~absent:(-1) () in
+      let h = Hashtbl.create 8 in
+      let agree k =
+        Engine.Int_table.find t k
+        = Option.value ~default:(-1) (Hashtbl.find_opt h k)
+        && Engine.Int_table.mem t k = Hashtbl.mem h k
+      in
+      List.for_all
+        (fun (add, key, v) ->
+          if add then begin
+            Engine.Int_table.replace t key v;
+            Hashtbl.replace h key v
+          end
+          else begin
+            Engine.Int_table.remove t key;
+            Hashtbl.remove h key
+          end;
+          agree key)
+        ops
+      && List.for_all agree (List.init 201 Fun.id))
+
 let () =
   Alcotest.run "engine"
     [
@@ -689,6 +776,8 @@ let () =
             wheel_span_boundary;
           Alcotest.test_case "mixed wheel/overflow cancel vs heap" `Quick
             wheel_mixed_cancel_vs_heap;
+          Alcotest.test_case "level edges vs heap" `Quick
+            wheel_level_edges_vs_heap;
           QCheck_alcotest.to_alcotest wheel_qcheck_vs_heap;
         ] );
       ( "sched",
@@ -733,4 +822,6 @@ let () =
           Alcotest.test_case "split independence" `Quick rng_split_independent;
           Alcotest.test_case "uniform_time range" `Quick rng_uniform_time;
         ] );
+      ( "table",
+        [ QCheck_alcotest.to_alcotest int_table_qcheck_vs_hashtbl ] );
     ]

@@ -370,46 +370,55 @@ let algorithm_registry () =
 
 (* --- Scheduler decisions --- *)
 
-let cand ~index ~srtt_s ~space =
-  { Mptcp.Scheduler.index; srtt_s; window_space = space }
+type cand = { index : int; srtt_s : float; space : int }
+
+let cand ~index ~srtt_s ~space = { index; srtt_s; space }
+
+(* [Scheduler.decide] reads subflow [i] through accessors; these read
+   position [i] of a candidate array. *)
+let decide policy ~cursor ~requester cands =
+  Mptcp.Scheduler.decide policy ~cursor ~requester ~count:(Array.length cands)
+    ~srtt_ns:(fun c i -> Engine.Time.of_float_s c.(i).srtt_s)
+    ~window_space:(fun c i -> c.(i).space)
+    cands
 
 let scheduler_minrtt () =
   let cursor = ref 0 in
   let cands = [| cand ~index:0 ~srtt_s:0.05 ~space:1000;
                  cand ~index:1 ~srtt_s:0.01 ~space:1000 |] in
-  (match Mptcp.Scheduler.decide Mptcp.Scheduler.Min_rtt ~cursor ~requester:1 cands with
+  (match decide Mptcp.Scheduler.Min_rtt ~cursor ~requester:1 cands with
   | Mptcp.Scheduler.Grant -> ()
   | _ -> Alcotest.fail "lowest RTT requester must be granted");
-  (match Mptcp.Scheduler.decide Mptcp.Scheduler.Min_rtt ~cursor ~requester:0 cands with
+  (match decide Mptcp.Scheduler.Min_rtt ~cursor ~requester:0 cands with
   | Mptcp.Scheduler.Defer (Some 1) -> ()
   | _ -> Alcotest.fail "higher-RTT requester defers to subflow 1");
   (* When the faster path has no window space, the slower one gets it. *)
   let cands2 = [| cand ~index:0 ~srtt_s:0.05 ~space:1000;
                   cand ~index:1 ~srtt_s:0.01 ~space:0 |] in
-  match Mptcp.Scheduler.decide Mptcp.Scheduler.Min_rtt ~cursor ~requester:0 cands2 with
+  match decide Mptcp.Scheduler.Min_rtt ~cursor ~requester:0 cands2 with
   | Mptcp.Scheduler.Grant -> ()
   | _ -> Alcotest.fail "fallback to the only subflow with space"
 
 let scheduler_round_robin () =
   let cursor = ref 0 in
   let cands = Array.init 3 (fun i -> cand ~index:i ~srtt_s:0.01 ~space:1000) in
-  (match Mptcp.Scheduler.decide Mptcp.Scheduler.Round_robin ~cursor ~requester:0 cands with
+  (match decide Mptcp.Scheduler.Round_robin ~cursor ~requester:0 cands with
   | Mptcp.Scheduler.Grant -> ()
   | _ -> Alcotest.fail "cursor 0 grants requester 0");
   Alcotest.(check int) "cursor advanced" 1 !cursor;
-  (match Mptcp.Scheduler.decide Mptcp.Scheduler.Round_robin ~cursor ~requester:0 cands with
+  (match decide Mptcp.Scheduler.Round_robin ~cursor ~requester:0 cands with
   | Mptcp.Scheduler.Defer (Some 1) -> ()
   | _ -> Alcotest.fail "requester 0 must defer to 1");
   (* Skips subflows without space. *)
   cands.(1) <- cand ~index:1 ~srtt_s:0.01 ~space:0;
-  match Mptcp.Scheduler.decide Mptcp.Scheduler.Round_robin ~cursor ~requester:2 cands with
+  match decide Mptcp.Scheduler.Round_robin ~cursor ~requester:2 cands with
   | Mptcp.Scheduler.Grant -> Alcotest.(check int) "cursor wrapped" 0 !cursor
   | _ -> Alcotest.fail "cursor must skip the stalled subflow"
 
 let scheduler_redundant_grants_all () =
   let cursor = ref 0 in
   let cands = [| cand ~index:0 ~srtt_s:0.05 ~space:0 |] in
-  match Mptcp.Scheduler.decide Mptcp.Scheduler.Redundant ~cursor ~requester:0 cands with
+  match decide Mptcp.Scheduler.Redundant ~cursor ~requester:0 cands with
   | Mptcp.Scheduler.Grant -> ()
   | _ -> Alcotest.fail "redundant always grants"
 

@@ -137,6 +137,68 @@ let no_route_counted () =
   Engine.Sched.run sched;
   Alcotest.(check int) "no-route drop counted" 1 (Netsim.Net.no_route_drops net)
 
+let route_table_growth_and_reinstall () =
+  (* A hub with three spokes holds 42 routes — far more than a route
+     table's initial size — then one key moves to another link.  For
+     every key, Net.route and the queue a packet actually enters must
+     agree; an unknown key still counts as a no-route drop. *)
+  let b = Netgraph.Topology.builder () in
+  let hub = Netgraph.Topology.add_node b "hub" in
+  let spokes =
+    Array.init 3 (fun i -> Netgraph.Topology.add_node b (Printf.sprintf "s%d" i))
+  in
+  let links =
+    Array.map
+      (fun v ->
+        Netgraph.Topology.add_link b ~u:hub ~v ~capacity_bps:(mb 100)
+          ~delay:(ms 1))
+      spokes
+  in
+  let topo = Netgraph.Topology.build b in
+  let sched = Engine.Sched.create () in
+  let net = Netsim.Net.create ~sched ~rng:(Engine.Rng.create 1) topo in
+  let installed = ref [] in
+  Array.iteri
+    (fun i dst ->
+      for tag = 1 to 14 do
+        let link = links.((i + tag) mod 3) in
+        Netsim.Net.install_route net ~node:hub ~dst ~tag ~link;
+        installed := ((dst, tag), link) :: !installed
+      done)
+    spokes;
+  let moved = (spokes.(1), 5) in
+  let moved_to = links.((1 + 5 + 1) mod 3) in
+  Netsim.Net.install_route net ~node:hub ~dst:(fst moved) ~tag:(snd moved)
+    ~link:moved_to;
+  installed := (moved, moved_to) :: List.remove_assoc moved !installed;
+  let enqueued link =
+    (Netsim.Linkq.stats (Netsim.Net.linkq net ~link ~dir:Netsim.Net.Fwd))
+      .Netsim.Linkq.enqueued
+  in
+  List.iter
+    (fun ((dst, tag), link) ->
+      let ctx = Printf.sprintf "dst %d tag %d" dst tag in
+      Alcotest.(check (option int)) (ctx ^ ": Net.route") (Some link)
+        (Netsim.Net.route net ~node:hub ~dst ~tag);
+      let before = Array.map enqueued links in
+      Netsim.Net.inject net ~at:hub (plain ~src:hub ~dst ~tag ());
+      let entered =
+        List.filter
+          (fun i -> enqueued links.(i) > before.(i))
+          [ 0; 1; 2 ]
+        |> List.map (fun i -> links.(i))
+      in
+      Alcotest.(check (list int)) (ctx ^ ": forwarded on") [ link ] entered)
+    !installed;
+  Alcotest.(check (option int)) "unknown key has no route" None
+    (Netsim.Net.route net ~node:hub ~dst:spokes.(0) ~tag:99);
+  let total () = Array.fold_left (fun acc l -> acc + enqueued l) 0 links in
+  let before = total () in
+  Netsim.Net.inject net ~at:hub (plain ~src:hub ~dst:spokes.(0) ~tag:99 ());
+  Alcotest.(check int) "unknown key enters no queue" before (total ());
+  Alcotest.(check int) "unknown key counted as no-route" 1
+    (Netsim.Net.no_route_drops net)
+
 let install_route_validation () =
   let _, net, _, s, _, _, _ = triangle () in
   Alcotest.(check bool) "wrong endpoint rejected" true
@@ -227,6 +289,35 @@ let link_down_mid_flight () =
       Netsim.Net.set_link_up net ~link:lid false));
   Engine.Sched.run sched;
   Alcotest.(check int) "lost mid-flight" 0 !delivered
+
+let short_flap_loses_wire_packets () =
+  (* 1500 B at 100 Mbps serializes in 120 us and arrives at 1.12 ms.  A
+     flap from 0.5 ms to 0.6 ms cuts the wire under it: the packet must
+     be lost even though the link is up again when it would arrive —
+     on the jitter-free flight ring and on the jittered closure path. *)
+  List.iter
+    (fun jitter ->
+      let config = { Netsim.Net.default_config with delay_jitter = jitter } in
+      let sched, net, a, z, lid =
+        two_nodes ~capacity:(mb 100) ~delay:(ms 1) ~config ()
+      in
+      Netsim.Net.attach_host net ~node:z (fun _ -> ());
+      Netsim.Net.inject net ~at:a (plain ~src:a ~dst:z ());
+      ignore (Engine.Sched.at sched (us 500) (fun () ->
+          Netsim.Net.set_link_up net ~link:lid false));
+      ignore (Engine.Sched.at sched (us 600) (fun () ->
+          Netsim.Net.set_link_up net ~link:lid true));
+      Engine.Sched.run sched;
+      let st = Netsim.Linkq.stats (Netsim.Net.linkq net ~link:lid ~dir:Netsim.Net.Fwd) in
+      let ctx = Printf.sprintf "jitter %dns: " jitter in
+      Alcotest.(check int) (ctx ^ "delivered") 0 st.Netsim.Linkq.delivered;
+      Alcotest.(check int) (ctx ^ "lost_down") 1 st.Netsim.Linkq.lost_down;
+      (* The restored link carries a packet sent after the flap. *)
+      Netsim.Net.inject net ~at:a (plain ~src:a ~dst:z ());
+      Engine.Sched.run sched;
+      Alcotest.(check int) (ctx ^ "delivered after the flap") 1
+        st.Netsim.Linkq.delivered)
+    [ Engine.Time.zero; us 10 ]
 
 let link_restore () =
   let sched, net, a, z, lid = two_nodes () in
@@ -524,6 +615,8 @@ let () =
           Alcotest.test_case "reverse route installed" `Quick
             reverse_route_installed;
           Alcotest.test_case "missing route counted" `Quick no_route_counted;
+          Alcotest.test_case "route table growth and re-install" `Quick
+            route_table_growth_and_reinstall;
           Alcotest.test_case "install validation" `Quick
             install_route_validation;
           Alcotest.test_case "one host per node" `Quick double_host_rejected;
@@ -535,6 +628,8 @@ let () =
           Alcotest.test_case "mid-flight packets lost" `Quick
             link_down_mid_flight;
           Alcotest.test_case "restore resumes delivery" `Quick link_restore;
+          Alcotest.test_case "short flap loses packets on the wire" `Quick
+            short_flap_loses_wire_packets;
           Alcotest.test_case "queue flushed on cut" `Quick
             link_down_flushes_queue;
         ] );

@@ -121,6 +121,24 @@ let pool_recycles () =
   Alcotest.(check int) "released" 1 s.Packet.Pool.released;
   Alcotest.(check int) "live" 1 (Packet.Pool.live pool)
 
+let pool_cycle_allocates_nothing () =
+  (* The hot path hands its pool over as a preallocated option
+     ([?pool:t.pool]); once the freelist holds a record, an
+     acquire/release cycle must not touch the minor heap.  The empty
+     measurement absorbs what reading the counter itself allocates. *)
+  let pool = Some (Packet.Pool.create ()) in
+  let cycle id = Packet.Pool.release (Option.get pool) (acquire ?pool ~id ()) in
+  let minor_words n =
+    let before = Gc.minor_words () in
+    for id = 1 to n do
+      cycle id
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (minor_words 10 : float);
+  Alcotest.(check (float 0.)) "minor words over 1000 cycles" (minor_words 0)
+    (minor_words 1000)
+
 let pool_without_pool_allocates () =
   let p = acquire ~id:7 () in
   Alcotest.(check int) "plain constructor path" 7 p.Packet.id
@@ -213,6 +231,8 @@ let () =
             pool_recycles;
           Alcotest.test_case "acquire without a pool still works" `Quick
             pool_without_pool_allocates;
+          Alcotest.test_case "acquire/release allocates nothing" `Quick
+            pool_cycle_allocates_nothing;
           Alcotest.test_case "double release counted, freelist safe" `Quick
             pool_double_release_counted;
           Alcotest.test_case "debug mode raises on double release" `Quick

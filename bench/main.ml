@@ -7,7 +7,7 @@
         sweep condensing the paper's prose results;
      3. the ablations DESIGN.md calls out (buffer size, queue discipline,
         scheduler, single-path baselines);
-     4. Bechamel micro-benchmarks of the hot components.
+     4. micro-benchmarks of the hot components (bench/micro.ml).
 
    Independent simulations run on a `--jobs N` domain pool (default:
    `Domain.recommended_domain_count`); every grid is printed from
@@ -83,7 +83,7 @@ let gate_tolerance = 1.25
    (also recorded in the header) and will drift with the hardware. *)
 let jobs, jobs_source =
   match flag_value [ "--jobs"; "-j" ] with
-  | None -> (Core.Runner.default_jobs (), "detected")
+  | None -> (Engine.Pool.default_domains (), "detected")
   | Some v -> (
     match int_of_string_opt v with
     | Some j when j >= 1 -> (j, "flag")
@@ -95,9 +95,6 @@ let bench_json =
   match flag_value [ "--bench-json" ] with
   | Some p -> p
   | None -> "BENCH_results.json"
-
-(* `open Bechamel` below shadows `Measure`; keep a handle on ours. *)
-let write_text_file = Measure.Render.write_file
 
 let write_csv name content =
   match csv_dir with
@@ -278,7 +275,7 @@ let ablation_buffers () =
     List.concat_map (fun limit -> List.map (fun cc -> (limit, cc)) ccs) buffers
   in
   let descs =
-    Core.Runner.map ~jobs
+    Engine.Pool.map ~domains:jobs
       (fun (limit, cc) ->
         let net_config =
           { Netsim.Net.qdisc = Netsim.Qdisc.Drop_tail; limit_pkts = limit;
@@ -314,7 +311,7 @@ let ablation_qdisc () =
     List.concat_map (fun d -> List.map (fun cc -> (d, cc)) ccs) disciplines
   in
   let descs =
-    Core.Runner.map ~jobs
+    Engine.Pool.map ~domains:jobs
       (fun ((_, qdisc, ecn), cc) ->
         let net_config =
           { Netsim.Net.qdisc; limit_pkts = 16;
@@ -345,7 +342,7 @@ let ablation_scheduler () =
   hr "Ablation: subflow scheduler (CUBIC)";
   let policies = Mptcp.Scheduler.[ Min_rtt; Round_robin; Redundant ] in
   let descs =
-    Core.Runner.map ~jobs
+    Engine.Pool.map ~domains:jobs
       (fun scheduler -> describe (run_paper ~scheduler ()))
       policies
   in
@@ -371,8 +368,8 @@ let scaling_experiment () =
   Format.printf "%a@." Core.Scaling.pp_table rows;
   write_csv "scaling.csv" (Core.Scaling.to_csv rows);
   Printf.printf
-    "(capacities 30 + 5(i+j) Mbps per pair; the LP dimension grows as      C(n,2))
-"
+    "(capacities 30 + 5(i+j) Mbps per pair; the LP dimension grows as \
+     C(n,2))\n"
 
 let ablation_delayed_ack () =
   hr "Ablation: delayed ACKs (receiver acks every 2nd segment / 40 ms)";
@@ -383,7 +380,7 @@ let ablation_delayed_ack () =
       [ false; true ]
   in
   let descs =
-    Core.Runner.map ~jobs
+    Engine.Pool.map ~domains:jobs
       (fun (delayed, cc) ->
         let topo = Core.Paper_net.topology () in
         let paths = Core.Paper_net.tagged_paths ~default:2 topo in
@@ -397,13 +394,11 @@ let ablation_delayed_ack () =
   let tagged = List.combine grid descs in
   List.iter
     (fun delayed ->
-      Printf.printf "%s:
-" (if delayed then "delayed" else "per-segment");
+      Printf.printf "%s:\n" (if delayed then "delayed" else "per-segment");
       List.iter
         (fun ((d, cc), desc) ->
           if d = delayed then
-            Printf.printf "  %-6s %s
-" (Mptcp.Algorithm.name cc) desc)
+            Printf.printf "  %-6s %s\n" (Mptcp.Algorithm.name cc) desc)
         tagged)
     [ false; true ]
 
@@ -457,7 +452,7 @@ let ablation_hol_buffer () =
       ("roundrobin + reinject", Mptcp.Scheduler.Round_robin, true) ]
   in
   let outcomes =
-    Core.Runner.map ~jobs (fun (_, policy, r) -> run (policy, r)) cases
+    Engine.Pool.map ~domains:jobs (fun (_, policy, r) -> run (policy, r)) cases
   in
   List.iter2
     (fun (label, _, _) (goodput, reinjected) ->
@@ -466,15 +461,16 @@ let ablation_hol_buffer () =
          else ""))
     cases outcomes;
   Printf.printf
-    "(chunks mapped to the 100 ms path stall the 64 KB data-sequence      window: head-of-line blocking; the default min-RTT scheduler avoids      it)
-"
+    "(chunks mapped to the 100 ms path stall the 64 KB data-sequence \
+     window: head-of-line blocking; the default min-RTT scheduler avoids \
+     it)\n"
 
 let baseline_single_path () =
   hr "Baseline: single-path TCP on each of the three paths (CUBIC)";
   let topo = Core.Paper_net.topology () in
   let paths = Core.Paper_net.paths topo in
   let rates =
-    Core.Runner.map ~jobs
+    Engine.Pool.map ~domains:jobs
       (fun path ->
         let sched = Engine.Sched.create () in
         let rng = Engine.Rng.create 1 in
@@ -534,21 +530,20 @@ let two_connections_fairness () =
       conns
   in
   let ccs = Mptcp.Algorithm.[ Cubic; Lia; Olia ] in
-  let outcomes = Core.Runner.map ~jobs run ccs in
+  let outcomes = Engine.Pool.map ~domains:jobs run ccs in
   List.iter2
     (fun cc rates ->
       match rates with
       | [ c1; c2 ] ->
         Printf.printf
-          "  %-6s conn1 %5.1f + conn2 %5.1f = %5.1f Mbps (jain %.3f)
-"
+          "  %-6s conn1 %5.1f + conn2 %5.1f = %5.1f Mbps (jain %.3f)\n"
           (Mptcp.Algorithm.name cc) c1 c2 (c1 +. c2)
           (Measure.Converge.jain_fairness [| c1; c2 |])
       | _ -> ())
     ccs outcomes;
   Printf.printf
-    "(the LP optimum is still 90 Mbps; fairness between the two      connections is the new question)
-"
+    "(the LP optimum is still 90 Mbps; fairness between the two \
+     connections is the new question)\n"
 
 (* ------------------------------------------------------------------ *)
 (* 3b. Hybrid fluid/packet co-simulation                               *)
@@ -825,319 +820,12 @@ let daemon_phase () =
   r
 
 (* ------------------------------------------------------------------ *)
-(* 4. Bechamel micro-benchmarks                                        *)
+(* 4. Micro-benchmarks (bench/micro.ml)                               *)
 (* ------------------------------------------------------------------ *)
 
-open Bechamel
-open Toolkit
-
-(* Keys are microsecond-spaced, like the simulation's real timers
-   (RTTs are milliseconds, events microseconds apart).  The old
-   [i * 7919 mod 1000] keys packed all 1000 entries into a nanosecond
-   range — a single wheel slot — which benchmarks the degenerate dense
-   case instead of the structure; that case keeps its own entry below. *)
-let bench_heap =
-  Test.make ~name:"heap push+pop 1k"
-    (Staged.stage @@ fun () ->
-     let h = Engine.Heap.create () in
-     for i = 0 to 999 do
-       Engine.Heap.push h ~key:(Engine.Time.us (i * 7919 mod 1000)) ~tie:i i
-     done;
-     while not (Engine.Heap.is_empty h) do
-       ignore (Engine.Heap.pop h)
-     done)
-
-let bench_heap_compact =
-  Test.make ~name:"heap push+compact 1k"
-    (Staged.stage @@ fun () ->
-     let h = Engine.Heap.create () in
-     for i = 0 to 999 do
-       Engine.Heap.push h ~key:(i * 7919 mod 1000) ~tie:i i
-     done;
-     Engine.Heap.compact h ~keep:(fun ~tie:_ v -> v land 7 = 0);
-     while not (Engine.Heap.is_empty h) do
-       ignore (Engine.Heap.pop h)
-     done)
-
-let bench_wheel =
-  (* Mirror of [bench_heap]: same keys, same drain — the structural
-     speedup of the timing wheel read off directly. *)
-  Test.make ~name:"wheel push+pop 1k"
-    (Staged.stage @@ fun () ->
-     let w = Engine.Wheel.create () in
-     for i = 0 to 999 do
-       ignore
-         (Engine.Wheel.push w ~key:(Engine.Time.us (i * 7919 mod 1000)) ~tie:i
-            i)
-     done;
-     while not (Engine.Wheel.is_empty w) do
-       ignore (Engine.Wheel.pop_exn w)
-     done)
-
-let bench_wheel_dense =
-  (* Worst case: every key inside one level-0 granule, so pops lean
-     entirely on the sorted-slot path (heapsort over the full slot).
-     Held to stay within the heap's ballpark, not to beat it. *)
-  Test.make ~name:"wheel push+pop 1k dense slot"
-    (Staged.stage @@ fun () ->
-     let w = Engine.Wheel.create () in
-     for i = 0 to 999 do
-       ignore (Engine.Wheel.push w ~key:(i * 7919 mod 1000) ~tie:i i)
-     done;
-     while not (Engine.Wheel.is_empty w) do
-       ignore (Engine.Wheel.pop_exn w)
-     done)
-
-(* Insert/cancel and expiry cost against a standing population of
-   pending timers (the regime where a heap's log n shows): [n] backdrop
-   timers parked far in the future, then 1k operations per run.
-
-   The backdrop is built lazily on the test's first run and at most one
-   is alive at a time — a 100k-cell wheel held live across the whole
-   suite would tax every allocation-heavy benchmark after it with GC
-   marking work and skew their numbers. *)
-let wheel_fixture : (int * int Engine.Wheel.t) option ref = ref None
-
-let wheel_with_pending n =
-  match !wheel_fixture with
-  | Some (m, w) when m = n -> w
-  | _ ->
-    let w = Engine.Wheel.create () in
-    let far = 1 lsl 41 in
-    for i = 0 to n - 1 do
-      ignore (Engine.Wheel.push w ~key:(far + (i * 104729)) ~tie:i i : int)
-    done;
-    wheel_fixture := Some (n, w);
-    w
-
-let bench_wheel_churn n =
-  Test.make ~name:(Printf.sprintf "wheel insert+cancel 1k @%dk pending" (n / 1000))
-    (Staged.stage @@ fun () ->
-     let w = wheel_with_pending n in
-     let handles = Array.make 1000 (-1) in
-     for i = 0 to 999 do
-       handles.(i) <-
-         Engine.Wheel.push w ~key:(i * 7919 mod 100_000) ~tie:(n + i) i
-     done;
-     for i = 0 to 999 do
-       Engine.Wheel.cancel w handles.(i)
-     done)
-
-let bench_wheel_expire n =
-  Test.make ~name:(Printf.sprintf "wheel expire 1k @%dk pending" (n / 1000))
-    (Staged.stage @@ fun () ->
-     let w = wheel_with_pending n in
-     (* Near-future inserts relative to the wheel's moving position,
-        then drain them past the backdrop — steady-state expiry. *)
-     let base = Engine.Wheel.now w + 1 in
-     for i = 0 to 999 do
-       ignore (Engine.Wheel.push w ~key:(base + (i * 7919 mod 100_000)) ~tie:i i : int)
-     done;
-     for _ = 0 to 999 do
-       ignore (Engine.Wheel.pop_exn w)
-     done)
-
-let bench_scoreboard =
-  (* The SACK hot loop: append a window of segments, SACK-mark every
-     other one (binary search + flag flip), then cumulatively ACK the
-     lot off the front. *)
-  Test.make ~name:"scoreboard mark/ack 1k segs"
-    (Staged.stage @@ fun () ->
-     let sb = Tcp.Scoreboard.create () in
-     let mss = 1448 in
-     for i = 0 to 999 do
-       ignore (Tcp.Scoreboard.append sb ~seq:(i * mss) ~len:mss ~dss:None : int)
-     done;
-     for i = 0 to 499 do
-       let lb = Tcp.Scoreboard.lower_bound sb (((2 * i) + 1) * mss) in
-       ignore (Tcp.Scoreboard.mark_sacked sb (Tcp.Scoreboard.idx sb lb) : bool)
-     done;
-     while not (Tcp.Scoreboard.is_empty sb) do
-       Tcp.Scoreboard.pop_front sb
-     done)
-
-let bench_sched =
-  Test.make ~name:"sched 1k events"
-    (Staged.stage @@ fun () ->
-     let s = Engine.Sched.create () in
-     for i = 1 to 1000 do
-       ignore (Engine.Sched.at s (Engine.Time.us i) (fun () -> ()))
-     done;
-     Engine.Sched.run s)
-
-let bench_sched_cancel =
-  (* The retransmit-timer pattern: almost everything scheduled is
-     cancelled before it fires; compaction keeps the queue at the live
-     population. *)
-  Test.make ~name:"sched 1k events, 90% cancelled"
-    (Staged.stage @@ fun () ->
-     let s = Engine.Sched.create () in
-     let timers =
-       List.init 1000 (fun i ->
-           Engine.Sched.at s (Engine.Time.us (i + 1)) (fun () -> ()))
-     in
-     List.iteri
-       (fun i tm -> if i mod 10 <> 0 then Engine.Sched.cancel tm)
-       timers;
-     Engine.Sched.run s)
-
-let bench_pool =
-  Test.make ~name:"pool map 8 jobs (2 domains)"
-    (Staged.stage @@ fun () ->
-     ignore
-       (Engine.Pool.map ~domains:2
-          (fun i ->
-            let acc = ref 0 in
-            for j = 0 to 9_999 do acc := !acc + ((i + j) land 1023) done;
-            !acc)
-          [ 1; 2; 3; 4; 5; 6; 7; 8 ]))
-
-let bench_simplex =
-  let a = [| [| 1.; 1.; 0. |]; [| 1.; 0.; 1. |]; [| 0.; 1.; 1. |] |] in
-  let b = [| 40.; 60.; 80. |] in
-  let c = [| 1.; 1.; 1. |] in
-  Test.make ~name:"simplex paper LP"
-    (Staged.stage @@ fun () -> ignore (Lp.Simplex.solve ~c ~a ~b))
-
-let bench_cc name factory =
-  Test.make ~name
-    (Staged.stage @@ fun () ->
-     let cwnd = ref 10.0 and ssthresh = ref 1e9 in
-     let now = ref 0.0 in
-     let g = Tcp.Cc.group_create 3 in
-     Array.iteri
-       (fun i w ->
-         g.Tcp.Cc.cwnds.(i) <- w;
-         g.Tcp.Cc.srtts.(i) <- 0.01;
-         g.Tcp.Cc.loss_intervals.(i) <- 100_000.0;
-         Tcp.Cc.group_set_established g i true)
-       [| 10.0; 20.0; 30.0 |];
-     let group () =
-       g.Tcp.Cc.cwnds.(0) <- !cwnd;
-       g
-     in
-     let ctx =
-       {
-         Tcp.Cc.now_s = (fun () -> !now);
-         mss = Packet.default_mss;
-         get_cwnd = (fun () -> !cwnd);
-         set_cwnd = (fun w -> cwnd := w);
-         get_ssthresh = (fun () -> !ssthresh);
-         set_ssthresh = (fun w -> ssthresh := w);
-         srtt_s = (fun () -> 0.01);
-         group;
-         self_index = (fun () -> 0);
-       }
-     in
-     let cc = factory ctx in
-     for i = 1 to 1000 do
-       now := float_of_int i *. 0.001;
-       cc.Tcp.Cc.on_ack ~acked:Packet.default_mss;
-       if i mod 100 = 0 then cc.Tcp.Cc.on_loss ()
-     done)
-
-let bench_reassembly =
-  Test.make ~name:"reassembly 1k shuffled"
-    (Staged.stage @@ fun () ->
-     let r = Mptcp.Reassembly.create () in
-     for i = 0 to 999 do
-       let j = i * 769 mod 1000 in
-       Mptcp.Reassembly.insert r ~dseq:(j * 1448) ~len:1448
-     done)
-
-let bench_paper_sim =
-  Test.make ~name:"paper sim 200ms (CUBIC)"
-    (Staged.stage @@ fun () ->
-     let topo = Core.Paper_net.topology () in
-     let paths = Core.Paper_net.tagged_paths ~default:2 topo in
-     let spec =
-       Core.Scenario.make ~topo ~paths ~cc:Mptcp.Algorithm.Cubic
-         ~duration:(Engine.Time.ms 200) ~sampling:(Engine.Time.ms 100) ()
-     in
-     ignore (Core.Scenario.run spec))
-
-(* The fluid analogue of [bench_paper_sim]: compile the paper topology
-   into the ODE model and solve for the equilibrium, end to end.  The
-   gate holds the CUBIC entry to >= 100x faster than the packet sim
-   measured in the same run. *)
-let bench_fluid name controller =
-  Test.make ~name
-    (Staged.stage @@ fun () ->
-     let topo = Core.Paper_net.topology () in
-     let paths = Core.Paper_net.paths topo in
-     let m = Fluid.Model.compile topo ~paths ~controller () in
-     ignore (Fluid.Equilibrium.solve m ()))
-
-let fluid_key = "fluid equilibrium paper (CUBIC)"
-
 let microbench () =
-  hr "Bechamel micro-benchmarks (ns per run, OLS on the monotonic clock)";
-  let tests =
-    [
-      bench_heap; bench_heap_compact; bench_wheel; bench_wheel_dense;
-      bench_scoreboard;
-      bench_sched; bench_sched_cancel;
-      bench_pool; bench_simplex;
-      bench_cc "cubic 1k acks" Tcp.Cc_cubic.factory;
-      bench_cc "lia 1k acks" Mptcp.Cc_lia.factory;
-      bench_cc "olia 1k acks" Mptcp.Cc_olia.factory;
-      bench_reassembly; bench_paper_sim;
-      bench_fluid fluid_key Fluid.Controller.Cubic;
-      bench_fluid "fluid equilibrium paper (LIA)" Fluid.Controller.Lia;
-      bench_fluid "fluid equilibrium paper (OLIA)" Fluid.Controller.Olia;
-      (* Standing-population wheel benches last: their lazily built
-         backdrop (up to 100k live cells) must not sit on the major heap
-         while the allocation-sensitive benches above run. *)
-      bench_wheel_churn 1_000; bench_wheel_churn 10_000;
-      bench_wheel_churn 100_000; bench_wheel_expire 1_000;
-      bench_wheel_expire 10_000; bench_wheel_expire 100_000;
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true
-      ~predictors:[| Measure.run |]
-  in
-  let instance = Instance.monotonic_clock in
-  (* Quick mode trims the per-bench quota for CI turnaround — except
-     under --gate, where the estimates feed pass/fail floors: the 0.2 s
-     quota's OLS is too noisy to gate on (the wheel push+pop estimate
-     jittered 88-230 us run to run on the 1-core box; at 0.5 s it holds
-     within a few percent). *)
-  let cfg =
-    Benchmark.cfg ~limit:200
-      ~quota:(Time.second (if quick && not gate then 0.2 else 0.5))
-      ~stabilize:false ()
-  in
-  let estimates = ref [] in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg [ instance ] elt in
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some (t :: _) ->
-            estimates := (Test.Elt.name elt, t) :: !estimates;
-            Printf.printf "  %-32s %12.0f ns/run\n" (Test.Elt.name elt) t
-          | Some [] | None ->
-            Printf.printf "  %-32s (no estimate)\n" (Test.Elt.name elt))
-        (Test.elements test))
-    tests;
-  let estimates = List.rev !estimates in
-  (* The fluid engine's reason to exist: equilibria in microseconds
-     where the packet sim takes milliseconds.  Both sides are measured
-     in this same run, so the ratio is machine-independent. *)
-  (match
-     ( List.assoc_opt "paper sim 200ms (CUBIC)" estimates,
-       List.assoc_opt fluid_key estimates )
-   with
-  | Some sim_ns, Some fluid_ns when fluid_ns > 0.0 ->
-    Printf.printf
-      "  fluid speedup: paper equilibrium in %.0f ns vs %.0f ns packet sim \
-       = %.0fx faster\n"
-      fluid_ns sim_ns (sim_ns /. fluid_ns)
-  | _ -> ());
-  estimates
+  hr "micro-benchmarks (ns per run, round-robin min-of-N)";
+  Micro.run ()
 
 (* ------------------------------------------------------------------ *)
 (* 5. Invariant audit sweep (opt-in via --audit)                       *)
@@ -1162,7 +850,7 @@ let audit_sweep () =
           ~sampling:(Engine.Time.ms 100) ~audit:true ())
       grid
   in
-  let results = Core.Runner.scenarios ~jobs specs in
+  let results = Engine.Pool.map ~domains:jobs Core.Scenario.run specs in
   let failures = ref 0 in
   List.iter2
     (fun (cc, default) r ->
@@ -1347,23 +1035,32 @@ let gate_check ~microbench_ns ~alloc ~hybrid =
         (if ratio > gate_tolerance then "  REGRESSION" else "");
       if ratio > gate_tolerance then failures := name :: !failures
   in
-  let sim_key = "paper sim 200ms (CUBIC)" in
-  (match List.assoc_opt sim_key microbench_ns with
-  | Some ns -> check (sim_key ^ " ns/run") ns (json_number base sim_key)
-  | None -> Printf.printf "  %s missing from this run, skipped\n" sim_key);
-  (match List.assoc_opt fluid_key microbench_ns with
-  | Some ns -> check (fluid_key ^ " ns/run") ns (json_number base fluid_key)
-  | None -> Printf.printf "  %s missing from this run, skipped\n" fluid_key);
+  (* A gated row missing from this run fails the gate, once: a renamed
+     or deleted row must not switch its check off.  (A row missing from
+     the baseline file only skips its baseline ratio, above.) *)
+  let row name =
+    match List.assoc_opt name microbench_ns with
+    | Some _ as ns -> ns
+    | None ->
+      if not (List.mem name !failures) then begin
+        Printf.printf "  %-34s missing from this run  REGRESSION\n" name;
+        failures := name :: !failures
+      end;
+      None
+  in
+  List.iter
+    (fun name ->
+      Option.iter
+        (fun ns -> check (name ^ " ns/run") ns (json_number base name))
+        (row name))
+    [ Micro.sim_row; Micro.fluid_row ];
   (* Absolute floor, not a baseline ratio: the fluid solve must stay
      >= 50x faster than the packet sim measured in this same run.  The
      floor was 100x in the heap era; the round-2 wheel/scoreboard work
      sped the packet sim (the denominator) ~1.5x with the solver
-     untouched, so ~80x is the new steady state. *)
-  (match
-     (List.assoc_opt sim_key microbench_ns, List.assoc_opt fluid_key
-        microbench_ns)
-   with
-  | Some sim_ns, Some fluid_ns when fluid_ns > 0.0 ->
+     untouched, and the round-robin min-of-N reads 58-71x. *)
+  (match (row Micro.sim_row, row Micro.fluid_row) with
+  | Some sim_ns, Some fluid_ns ->
     let speedup = sim_ns /. fluid_ns in
     Printf.printf "  %-34s %12.0fx (floor 50x)%s\n" "fluid speedup vs sim"
       speedup
@@ -1390,12 +1087,9 @@ let gate_check ~microbench_ns ~alloc ~hybrid =
   (* Load-immune structural check: heap and wheel run the same keys in
      the same process moments apart, so background noise cancels.  The
      wheel must beat the heap outright on realistic (us-spaced) keys —
-     measured ~2x; 1.0 is the floor, not the target. *)
-  (match
-     ( List.assoc_opt "wheel push+pop 1k" microbench_ns,
-       List.assoc_opt "heap push+pop 1k" microbench_ns )
-   with
-  | Some wheel_ns, Some heap_ns when heap_ns > 0.0 ->
+     measured ~2.5x; 1.0 is the floor, not the target. *)
+  (match (row Micro.wheel_row, row Micro.heap_row) with
+  | Some wheel_ns, Some heap_ns ->
     floor_check "wheel <= heap push+pop (same run)" wheel_ns heap_ns
   | _ -> ());
   (* Floor 58, about 1.25x the quick reading: the quick scenario
@@ -1415,12 +1109,10 @@ let gate_check ~microbench_ns ~alloc ~hybrid =
   (* OLIA's per-ack formula is ~3n float divisions (rate sum, quality
      pass, coupled term) against CUBIC's division-free cubic update, so
      a small constant multiple of CUBIC is the honest steady state;
-     measured 2.2-2.9x after the flat-pass rewrite (down from ~7x). *)
-  (match
-     ( List.assoc_opt "olia 1k acks" microbench_ns,
-       List.assoc_opt "cubic 1k acks" microbench_ns )
-   with
-  | Some olia_ns, Some cubic_ns when cubic_ns > 0.0 ->
+     measured 2.2-2.4x by the round-robin min-of-N (~7x before the
+     flat-pass rewrite). *)
+  (match (row Micro.olia_row, row Micro.cubic_row) with
+  | Some olia_ns, Some cubic_ns ->
     floor_check "olia 1k acks <= 3.5x cubic (same run)" olia_ns
       (3.5 *. cubic_ns)
   | _ -> ());
@@ -1436,7 +1128,7 @@ let gate_check ~microbench_ns ~alloc ~hybrid =
       ((gate_tolerance -. 1.0) *. 100.0)
       baseline_path
   else begin
-    Printf.printf "  GATE FAILED: %s regressed >%.0f%% vs %s\n"
+    Printf.printf "  GATE FAILED: %s (tolerance %.0f%%, baseline %s)\n"
       (String.concat ", " (List.rev !failures))
       ((gate_tolerance -. 1.0) *. 100.0)
       baseline_path;
@@ -1451,12 +1143,12 @@ let write_bench_json ~microbench_ns ~alloc ~hybrid ~daemon ~total_s =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"schema\": 1,\n";
+  add "  \"schema\": 2,\n";
   add "  \"quick\": %b,\n" quick;
   add "  \"jobs\": %d,\n" jobs;
   add "  \"jobs_source\": \"%s\",\n" jobs_source;
   add "  \"cpu_count\": %d,\n" (Domain.recommended_domain_count ());
-  add "  \"recommended_domains\": %d,\n" (Core.Runner.default_jobs ());
+  add "  \"recommended_domains\": %d,\n" (Engine.Pool.default_domains ());
   add "  \"wall_clock_s\": {\n";
   let phases = List.rev !phase_times in
   List.iter
@@ -1537,7 +1229,7 @@ let write_bench_json ~microbench_ns ~alloc ~hybrid ~daemon ~total_s =
   end
   else add "  }\n";
   add "}\n";
-  write_text_file ~path:bench_json (Buffer.contents buf);
+  Measure.Render.write_file ~path:bench_json (Buffer.contents buf);
   Printf.printf "[json] wrote %s\n" bench_json
 
 let () =

@@ -1,142 +1,9 @@
-(* Min-of-N profiler for the wheel/sched/CC hot paths.
-
-   The bechamel harness (bench/main.exe) does OLS over sampled runs,
-   which is the right tool for the committed baseline but wanders
-   +-50% on a loaded 1-core box.  For iterating on an optimisation the
-   minimum over many short repetitions is the robust statistic — the
-   fastest observed run is the one with the least interference — so
-   this binary reports min-of-60 x 20 inner iterations per case.
-   Expect bechamel numbers to read ~1.3-1.5x higher than these.
+(* Prints the micro-benchmark table (bench/micro.ml) on its own, without
+   the figures, sweeps and ablations bench/main.exe runs first: the tight
+   loop for iterating on a hot-path optimisation.
 
    Run with: dune exec bench/scratch.exe *)
 
-let time_min ~reps ~inner f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to inner do f () done;
-    let dt = (Unix.gettimeofday () -. t0) /. float_of_int inner in
-    if dt < !best then best := dt
-  done;
-  !best *. 1e9
-
-let report name ns = Printf.printf "%-40s %10.0f ns\n%!" name ns
-
 let () =
-  let reps = 60 and inner = 20 in
-  report "heap push+pop 1k (us keys)"
-    (time_min ~reps ~inner (fun () ->
-         let h = Engine.Heap.create () in
-         for i = 1 to 1000 do
-           Engine.Heap.push h ~key:(Engine.Time.us i) ~tie:i i
-         done;
-         while not (Engine.Heap.is_empty h) do
-           ignore (Engine.Heap.pop h)
-         done));
-  report "wheel push+pop 1k (us keys)"
-    (time_min ~reps ~inner (fun () ->
-         let w = Engine.Wheel.create () in
-         for i = 1 to 1000 do
-           ignore (Engine.Wheel.push w ~key:(Engine.Time.us i) ~tie:i i : int)
-         done;
-         while not (Engine.Wheel.is_empty w) do
-           ignore (Engine.Wheel.pop_exn w)
-         done));
-  report "wheel push+pop 1k (small keys)"
-    (time_min ~reps ~inner (fun () ->
-         let w = Engine.Wheel.create () in
-         for i = 0 to 999 do
-           ignore (Engine.Wheel.push w ~key:(i * 7919 mod 1000) ~tie:i i : int)
-         done;
-         while not (Engine.Wheel.is_empty w) do
-           ignore (Engine.Wheel.pop_exn w)
-         done));
-  report "wheel push only 1k (us keys)"
-    (time_min ~reps ~inner (fun () ->
-         let w = Engine.Wheel.create () in
-         for i = 1 to 1000 do
-           ignore (Engine.Wheel.push w ~key:(Engine.Time.us i) ~tie:i i : int)
-         done));
-  report "sched 1k events"
-    (time_min ~reps ~inner (fun () ->
-         let s = Engine.Sched.create () in
-         for i = 1 to 1000 do
-           ignore (Engine.Sched.at s (Engine.Time.us i) (fun () -> ()))
-         done;
-         Engine.Sched.run s));
-  report "sched 1k anon events"
-    (time_min ~reps ~inner (fun () ->
-         let s = Engine.Sched.create () in
-         for i = 1 to 1000 do
-           Engine.Sched.at_anon s (Engine.Time.us i) (fun () -> ())
-         done;
-         Engine.Sched.run s));
-  report "sched 1k events, 90% cancelled"
-    (time_min ~reps ~inner (fun () ->
-         let s = Engine.Sched.create () in
-         let timers =
-           List.init 1000 (fun i ->
-               Engine.Sched.at s (Engine.Time.us (i + 1)) (fun () -> ()))
-         in
-         List.iteri
-           (fun i tm -> if i mod 10 <> 0 then Engine.Sched.cancel tm)
-           timers;
-         Engine.Sched.run s));
-  report "sched create only"
-    (time_min ~reps ~inner:200 (fun () ->
-         ignore (Engine.Sched.create ())));
-  let cc_run factory =
-    let cwnd = ref 10.0 and ssthresh = ref 1e9 in
-    let now = ref 0.0 in
-    let g = Tcp.Cc.group_create 3 in
-    Array.iteri
-      (fun i w ->
-        g.Tcp.Cc.cwnds.(i) <- w;
-        g.Tcp.Cc.srtts.(i) <- 0.01;
-        g.Tcp.Cc.loss_intervals.(i) <- 100_000.0;
-        Tcp.Cc.group_set_established g i true)
-      [| 10.0; 20.0; 30.0 |];
-    let group () =
-      g.Tcp.Cc.cwnds.(0) <- !cwnd;
-      g
-    in
-    let ctx =
-      {
-        Tcp.Cc.now_s = (fun () -> !now);
-        mss = Packet.default_mss;
-        get_cwnd = (fun () -> !cwnd);
-        set_cwnd = (fun w -> cwnd := w);
-        get_ssthresh = (fun () -> !ssthresh);
-        set_ssthresh = (fun w -> ssthresh := w);
-        srtt_s = (fun () -> 0.01);
-        group;
-        self_index = (fun () -> 0);
-      }
-    in
-    let cc = factory ctx in
-    for i = 1 to 1000 do
-      now := float_of_int i *. 0.001;
-      cc.Tcp.Cc.on_ack ~acked:Packet.default_mss;
-      if i mod 100 = 0 then cc.Tcp.Cc.on_loss ()
-    done
-  in
-  let cc_bench name factory =
-    let w0 = Gc.minor_words () in
-    cc_run factory;
-    let words = Gc.minor_words () -. w0 in
-    report
-      (Printf.sprintf "%s 1k acks (%.0f w/ack)" name (words /. 1000.0))
-      (time_min ~reps ~inner (fun () -> cc_run factory))
-  in
-  cc_bench "cubic" Tcp.Cc_cubic.factory;
-  cc_bench "lia" Mptcp.Cc_lia.factory;
-  cc_bench "olia" Mptcp.Cc_olia.factory;
-  report "paper sim 200ms (CUBIC)"
-    (time_min ~reps:7 ~inner:1 (fun () ->
-         let topo = Core.Paper_net.topology () in
-         let paths = Core.Paper_net.tagged_paths ~default:2 topo in
-         let spec =
-           Core.Scenario.make ~topo ~paths ~cc:Mptcp.Algorithm.Cubic
-             ~duration:(Engine.Time.ms 200) ~sampling:(Engine.Time.ms 100) ()
-         in
-         ignore (Core.Scenario.run spec)))
+  Engine.Gctune.tune ();
+  ignore (Micro.run () : (string * float) list)

@@ -146,7 +146,7 @@ let run_cmd =
             spec with
             Core.Scenario.audit;
             obs;
-            trace_limit = Option.map (fun _ -> 50_000) ptrace;
+            trace_limit = Option.map (fun _ -> 10_000) ptrace;
           },
           Printf.sprintf "experiment %s (cc=%s, Mbps)"
             (Filename.basename xp_file)
@@ -158,7 +158,7 @@ let run_cmd =
             ~duration:(Engine.Time.of_float_s duration)
             ~sampling:(Engine.Time.of_float_s sampling)
             ~seed ?send_buffer:buffer
-            ?trace_limit:(Option.map (fun _ -> 50_000) ptrace)
+            ?trace_limit:(Option.map (fun _ -> 10_000) ptrace)
             ~audit ?obs (),
           Printf.sprintf "MPTCP-%s on the paper network (Mbps)"
             (String.uppercase_ascii (Mptcp.Algorithm.name cc)) )

@@ -105,8 +105,24 @@ doc_one events Events -- \
     "$root/lib/events/event.mli" \
     "$root/lib/events/parse.mli"
 
+doc_one measure Measure -- \
+    "$root/lib/measure/capture.mli" \
+    "$root/lib/measure/converge.mli" \
+    "$root/lib/measure/probe.mli" \
+    "$root/lib/measure/render.mli" \
+    "$root/lib/measure/sampler.mli" \
+    "$root/lib/measure/series.mli" \
+    "$root/lib/measure/stats.mli" \
+    "$root/lib/measure/trace.mli"
+
 doc_one core Core -- \
-    "$root/lib/core/canon.mli"
+    "$root/lib/core/canon.mli" \
+    "$root/lib/core/expfile.mli" \
+    "$root/lib/core/figures.mli" \
+    "$root/lib/core/paper_net.mli" \
+    "$root/lib/core/scaling.mli" \
+    "$root/lib/core/scenario.mli" \
+    "$root/lib/core/summary.mli"
 
 doc_one serve Serve -- \
     "$root/lib/serve/store.mli" \

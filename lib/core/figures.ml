@@ -166,13 +166,14 @@ let fig2c ?(seed = 1) () =
     { f with chart = f.chart ^ cwnd_chart }
 
 let all ?(seed = 1) ?jobs () =
-  Runner.run_jobs ?jobs
+  Engine.Pool.map ?domains:jobs
+    (fun f -> f ())
     [
-      Runner.job ~label:"fig1" (fun () -> fig1 ());
-      Runner.job ~label:"fig1c" (fun () -> fig1c ());
-      Runner.job ~label:"fig2a" (fun () -> fig2a ~seed ());
-      Runner.job ~label:"fig2b" (fun () -> fig2b ~seed ());
-      Runner.job ~label:"fig2c" (fun () -> fig2c ~seed ());
+      fig1;
+      fig1c;
+      (fun () -> fig2a ~seed ());
+      (fun () -> fig2b ~seed ());
+      (fun () -> fig2c ~seed ());
     ]
 
 let by_id = function

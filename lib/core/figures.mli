@@ -29,7 +29,7 @@ val fig2c : ?seed:int -> unit -> figure
 
 val all : ?seed:int -> ?jobs:int -> unit -> figure list
 (** All five figures, generated as independent jobs on [?jobs] domains
-    (default {!Runner.default_jobs}); output is identical for every
+    (default {!Engine.Pool.default_domains}); output is identical for every
     [?jobs] value. *)
 
 val by_id : string -> (?seed:int -> unit -> figure) option

@@ -32,7 +32,7 @@ let sweep ?(ns = [ 2; 3; 4; 5 ])
     ?(ccs = Mptcp.Algorithm.[ Cubic; Lia; Olia ])
     ?(duration = Engine.Time.s 15) ?(seed = 1) ?jobs () =
   let grid = List.concat_map (fun n -> List.map (fun cc -> (n, cc)) ccs) ns in
-  Runner.map ?jobs (fun (n, cc) -> one ~n ~cc ~duration ~seed) grid
+  Engine.Pool.map ?domains:jobs (fun (n, cc) -> one ~n ~cc ~duration ~seed) grid
 
 let pp_table fmt rows =
   Format.fprintf fmt "@[<v>%-4s %-7s %-10s %-10s %-7s %-8s@," "n" "cc"

@@ -23,8 +23,10 @@ type spec = {
   send_buffer : int option;
   total_bytes : int option;
   trace_limit : int option;
-      (** when set, keep a packet trace of up to this many events at both
-          endpoints (see {!result.trace_text}) *)
+      (** when set, trace connection 1's packets at both endpoints:
+          the first this-many events are kept and the rest only counted
+          (see {!result.trace_text}; the CLI's [--packet-trace] sets
+          10 000) *)
   audit : bool;
       (** run the {!Audit} invariant checker alongside the simulation
           and attach its report to the result (default [false]; the
@@ -115,7 +117,9 @@ type result = {
       (** freelist counters at end of run; [recycled / acquired] is the
           hot path's recycle hit rate *)
   trace_text : string option;
-      (** tcpdump-style rendering of the packet trace, when requested *)
+      (** tcpdump-style rendering of the packet trace, when requested:
+          one line per kept event, then [... (N more events)] when
+          [trace_limit] left N > 0 events out *)
   audit : Audit.report option;
       (** invariant-audit report, when [spec.audit] was set; a clean run
           has [total_violations = 0] *)

@@ -79,7 +79,7 @@ let sweep
       (fun (cc, default_path) -> cell_specs ~cc ~default_path ~seeds ~duration)
       cells
   in
-  let runs = Runner.scenarios ?jobs specs in
+  let runs = Engine.Pool.map ?domains:jobs Scenario.run specs in
   let per_cell = List.length seeds in
   let rec chunk acc runs = function
     | [] -> List.rev acc

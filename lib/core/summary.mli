@@ -32,7 +32,7 @@ val sweep :
 (** Defaults: the paper's three algorithms (plus BALIA, EWTCP and
     wVegas), defaults 1-3, seeds 1-3, 20 s runs, 5% tolerance.  The
     grid's individual (cc, default, seed) runs execute on [?jobs]
-    domains (default {!Runner.default_jobs}); rows are identical for
+    domains (default {!Engine.Pool.default_domains}); rows are identical for
     every [?jobs] value. *)
 
 val pp_table : Format.formatter -> row list -> unit

@@ -542,7 +542,7 @@ let determinism_test ?(count = 20) () =
          be bit-identical to the serial run. *)
       let specs = [ to_spec c1; to_spec c2 ] in
       let fingerprint jobs =
-        Core.Runner.scenarios ~jobs specs
+        Engine.Pool.map ~domains:jobs Core.Scenario.run specs
         |> List.map (fun r ->
                ( r.Core.Scenario.events_processed,
                  r.Core.Scenario.delivered_bytes,
@@ -681,7 +681,7 @@ let events_determinism_test ?(count = 12) () =
     (fun (e1, e2) ->
       let specs = [ to_events_spec e1; to_events_spec e2 ] in
       let fingerprint jobs =
-        Core.Runner.scenarios ~jobs specs
+        Engine.Pool.map ~domains:jobs Core.Scenario.run specs
         |> List.map (fun r ->
                ( r.Core.Scenario.events_processed,
                  r.Core.Scenario.delivered_bytes,
@@ -814,7 +814,7 @@ let hybrid_test ?(count = 40) () =
         QCheck.Test.fail_reportf ("case %s: " ^^ fmt) (hybrid_to_string hc)
       in
       let run jobs =
-        match Core.Runner.scenarios ~jobs [ spec ] with
+        match Engine.Pool.map ~domains:jobs Core.Scenario.run [ spec ] with
         | [ r ] -> r
         | _ -> assert false
       in

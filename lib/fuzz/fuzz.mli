@@ -92,10 +92,9 @@ val chunks_test : ?count:int -> unit -> QCheck.Test.t
 
 val determinism_test : ?count:int -> unit -> QCheck.Test.t
 (** Parallel determinism: [count] (default 20) random audited scenario
-    pairs run through {!Core.Runner.scenarios} with [jobs = 1] and
-    [jobs = 4] must be bit-identical — with the audit's heap shadow
-    lockstep armed, so the timing wheel is cross-checked on every
-    dispatch of both runs. *)
+    pairs run through {!Engine.Pool.map} on 1 and on 4 domains must be
+    bit-identical — with the audit's heap shadow lockstep armed, so the
+    timing wheel is cross-checked on every dispatch of both runs. *)
 
 type events_case = {
   base : case;

@@ -41,16 +41,14 @@ let conn_filter conn p =
   | Packet.Tcp tcp -> tcp.Packet.conn = conn
   | Packet.Plain -> false
 
-let data_filter = Packet.is_data
 let events t = Array.sub t.items 0 t.size
 let count t = t.size
 let dropped t = t.dropped
 
-let to_text ?(max_lines = 10_000) net t =
+let to_text net t =
   let topo = Netsim.Net.topology net in
   let buf = Buffer.create 4096 in
-  let n = min t.size max_lines in
-  for i = 0 to n - 1 do
+  for i = 0 to t.size - 1 do
     let ev = t.items.(i) in
     Buffer.add_string buf
       (Format.asprintf "%.6f %s: %a@."
@@ -58,6 +56,6 @@ let to_text ?(max_lines = 10_000) net t =
          (Netgraph.Topology.node_name topo ev.node)
          Packet.pp ev.packet)
   done;
-  if t.size > n then
-    Buffer.add_string buf (Printf.sprintf "... (%d more events)\n" (t.size - n));
+  if t.dropped > 0 then
+    Buffer.add_string buf (Printf.sprintf "... (%d more events)\n" t.dropped);
   Buffer.contents buf

@@ -2,7 +2,7 @@
 
     Where {!Capture} records just enough for throughput sampling, a trace
     keeps the full packet summaries at chosen observation points, for
-    debugging transports and for the CLI's [--trace] output.  Events can
+    debugging transports and for the CLI's [--packet-trace] output.  Events can
     be filtered at attach time to bound memory. *)
 
 type event = {
@@ -17,20 +17,19 @@ val attach :
   Netsim.Net.t -> nodes:int list -> ?keep:(Packet.t -> bool)
   -> ?limit:int -> unit -> t
 (** Observe every packet arriving at each of [nodes].  [keep] filters
-    (default: keep all); recording stops silently after [limit] events
-    (default 100_000) so a runaway trace cannot exhaust memory. *)
+    (default: keep all); recording stops after [limit] events (default
+    100_000) so a runaway trace cannot exhaust memory, and later events
+    are only counted ({!dropped}). *)
 
 val conn_filter : int -> Packet.t -> bool
 (** Keep only packets of the given MPTCP/TCP connection. *)
-
-val data_filter : Packet.t -> bool
-(** Keep only data-bearing TCP segments. *)
 
 val events : t -> event array
 val count : t -> int
 val dropped : t -> int
 (** Events discarded because [limit] was reached. *)
 
-val to_text : ?max_lines:int -> Netsim.Net.t -> t -> string
-(** tcpdump-flavoured rendering, one event per line:
-    [time node: packet]. *)
+val to_text : Netsim.Net.t -> t -> string
+(** tcpdump-flavoured rendering, one line per recorded event:
+    [time node: packet], then [... (N more events)] when N
+    = {!dropped} > 0. *)

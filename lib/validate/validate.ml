@@ -98,7 +98,9 @@ let against_sim ?config ?tol (spec : Core.Scenario.spec) =
     Ok (report_of ~spec ~m ~diag ~y ~sim:(Some sim))
 
 let sweep ?jobs ?config ?tol specs =
-  Core.Runner.map ?jobs (fun spec -> equilibrium ?config ?tol spec) specs
+  Engine.Pool.map ?domains:jobs
+    (fun spec -> equilibrium ?config ?tol spec)
+    specs
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>fluid %s equilibrium (%a)@,"

@@ -65,7 +65,7 @@ val against_sim :
 val sweep :
   ?jobs:int -> ?config:Fluid.Model.config -> ?tol:float -> Core.Scenario.spec list
   -> (t, string) result list
-(** Batched {!equilibrium} over {!Core.Runner.map} — results are in
+(** Batched {!equilibrium} over {!Engine.Pool.map} — results are in
     input order and bit-identical for every [jobs] value (each job
     compiles its own model, so no scratch state is shared across
     domains). *)

@@ -27,7 +27,7 @@ let required =
     "allocation profile: paper sim (CUBIC)";
     "words per packet";
     "failover words per packet";
-    "Bechamel micro-benchmarks";
+    "micro-benchmarks (ns per run, round-robin min-of-N)";
     "fluid equilibrium paper (CUBIC)";
     "fluid speedup: paper equilibrium";
     "profile: per-phase domain utilisation";
@@ -35,10 +35,43 @@ let required =
     "=== done ===";
   ]
 
-let contains haystack needle =
+(* The rows `bench/main.exe --gate` reads.  Listed here on purpose
+   rather than taken from bench/micro.ml: a row renamed or dropped there
+   must fail this check. *)
+let gated_rows =
+  [
+    "heap push+pop 1k";
+    "wheel push+pop 1k";
+    "cubic 1k acks";
+    "olia 1k acks";
+    "paper sim 200ms (CUBIC)";
+    "fluid equilibrium paper (CUBIC)";
+  ]
+
+let find haystack needle =
   let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  let rec go i =
+    if i + nl > hl then None
+    else if String.sub haystack i nl = needle then Some i
+    else go (i + 1)
+  in
   go 0
+
+let contains haystack needle = find haystack needle <> None
+
+(* The number after ["row": ] inside the "microbench_ns" object. *)
+let microbench_ns json row =
+  match find json "\"microbench_ns\": {" with
+  | None -> None
+  | Some start ->
+    let section =
+      String.sub json start (String.index_from json start '}' - start)
+    in
+    Option.bind
+      (find section (Printf.sprintf "\"%s\": " row))
+      (fun i ->
+        let entry = String.sub section i (String.length section - i) in
+        Scanf.sscanf_opt entry "%S: %f" (fun _ ns -> ns))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -54,8 +87,16 @@ let () =
     let missing = List.filter (fun h -> not (contains text h)) required in
     List.iter (Printf.eprintf "missing section: %S\n") missing;
     let j = read_file json in
+    let bad_rows =
+      List.filter
+        (fun row ->
+          match microbench_ns j row with Some ns -> ns <= 0.0 | None -> true)
+        gated_rows
+    in
+    List.iter (Printf.eprintf "no positive microbench_ns for %S\n") bad_rows;
     let json_ok =
-      contains j "\"microbench_ns\"" && contains j "\"wall_clock_s\""
+      bad_rows = [] && contains j "\"schema\": 2,"
+      && contains j "\"wall_clock_s\""
       && contains j "\"jobs\": 2" && contains j "\"profile\""
       && contains j "\"alloc\"" && contains j "\"words_per_packet\""
       && contains j "\"pool_recycled\""

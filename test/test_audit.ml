@@ -33,7 +33,7 @@ let paper_grid_clean () =
       Mptcp.Algorithm.[ Cubic; Lia; Olia ]
   in
   let specs = List.map (fun (cc, default) -> paper_spec ~cc ~default ()) grid in
-  let results = Core.Runner.scenarios specs in
+  let results = Engine.Pool.map Core.Scenario.run specs in
   List.iter2
     (fun (cc, d) r ->
       let rep = report_exn r in
@@ -113,8 +113,8 @@ let determinism_across_jobs () =
       (fun cc -> paper_spec ~cc ~default:2 ~duration:1 ())
       Mptcp.Algorithm.[ Cubic; Lia; Olia ]
   in
-  let r1 = Core.Runner.scenarios ~jobs:1 specs in
-  let r4 = Core.Runner.scenarios ~jobs:4 specs in
+  let r1 = Engine.Pool.map ~domains:1 Core.Scenario.run specs in
+  let r4 = Engine.Pool.map ~domains:4 Core.Scenario.run specs in
   List.iter2
     (fun a b ->
       Alcotest.(check int) "delivered bytes" a.Core.Scenario.delivered_bytes

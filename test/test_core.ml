@@ -311,7 +311,7 @@ let summary_single_cell () =
       (List.length (String.split_on_char '\n' (String.trim csv)) = 2)
   | _ -> Alcotest.fail "expected exactly one row"
 
-(* --- Runner / parallel determinism --- *)
+(* --- Parallel determinism --- *)
 
 let runner_jobs_deterministic () =
   (* The tentpole guarantee: a sweep split across 4 domains must render
@@ -333,7 +333,7 @@ let runner_jobs_deterministic () =
 let runner_scenarios_deterministic () =
   let specs = List.map (fun seed -> quick_spec ~seed ~duration:1 ()) [ 1; 2; 3; 4 ] in
   let summaries jobs =
-    Core.Runner.scenarios ~jobs specs
+    Engine.Pool.map ~domains:jobs Core.Scenario.run specs
     |> List.map (fun r ->
            ( r.Core.Scenario.events_processed,
              r.Core.Scenario.delivered_bytes,
@@ -350,7 +350,7 @@ let runner_pool_deterministic () =
     List.map (fun seed -> quick_spec ~seed ~duration:1 ()) [ 1; 2; 3 ]
   in
   let fingerprint jobs =
-    Core.Runner.scenarios ~jobs specs
+    Engine.Pool.map ~domains:jobs Core.Scenario.run specs
     |> List.map (fun r ->
            let s = r.Core.Scenario.pool_stats in
            ( r.Core.Scenario.events_processed,
@@ -380,7 +380,7 @@ let runner_propagates_failures () =
   Alcotest.check_raises "spec validation escapes the pool" boom (fun () ->
       let topo = Core.Paper_net.topology () in
       ignore
-        (Core.Runner.map ~jobs:2
+        (Engine.Pool.map ~domains:2
            (fun _ -> Core.Scenario.make ~topo ~paths:[] ~cc:Mptcp.Algorithm.Cubic ())
            [ 1; 2 ]))
 

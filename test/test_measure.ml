@@ -313,7 +313,14 @@ let trace_limit () =
   done;
   Engine.Sched.run sched;
   Alcotest.(check int) "capped" 2 (Measure.Trace.count tr);
-  Alcotest.(check int) "excess counted" 3 (Measure.Trace.dropped tr)
+  Alcotest.(check int) "excess counted" 3 (Measure.Trace.dropped tr);
+  let lines =
+    List.filter (( <> ) "")
+      (String.split_on_char '\n' (Measure.Trace.to_text net tr))
+  in
+  Alcotest.(check (list string)) "kept events, then what the limit left out"
+    [ "... (3 more events)" ]
+    (List.filteri (fun i _ -> i >= 2) lines)
 
 (* --- Probe --- *)
 

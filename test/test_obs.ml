@@ -223,8 +223,8 @@ let test_metrics_deterministic_across_jobs () =
       (fun seed -> spec ~obs:(obs_conf ~trace:false ()) ~seed ())
       [ 1; 2; 3; 4 ]
   in
-  let serial = Core.Runner.scenarios ~jobs:1 specs in
-  let parallel = Core.Runner.scenarios ~jobs:4 specs in
+  let serial = Engine.Pool.map ~domains:1 Core.Scenario.run specs in
+  let parallel = Engine.Pool.map ~domains:4 Core.Scenario.run specs in
   List.iter2
     (fun a b ->
       let ra = metric_rows a and rb = metric_rows b in

@@ -14,6 +14,16 @@
 
 open Cmdliner
 
+(* A value the library checks reject (a bad --default, --sampling,
+   --tick-ms, --background-flows, --horizon or --samples) is a
+   one-line usage error with exit 2, as a malformed batch is for
+   serve, not an uncaught exception. *)
+let or_usage_error f =
+  try f ()
+  with Invalid_argument msg ->
+    Format.eprintf "%s@." msg;
+    exit 2
+
 (* --- shared argument definitions --- *)
 
 let cc_arg =
@@ -138,7 +148,7 @@ let run_cmd =
            the output/audit switches, which stay CLI-controlled. *)
         let _topo, spec =
           try Core.Expfile.load ~topo_file ~xp_file
-          with Events.Sexp.Parse_error msg ->
+          with Events.Sexp.Parse_error msg | Invalid_argument msg ->
             Format.eprintf "%s@." msg;
             exit 2
         in
@@ -153,13 +163,17 @@ let run_cmd =
             (Mptcp.Algorithm.name spec.Core.Scenario.cc) )
       | None, None ->
         let topo = Core.Paper_net.topology () in
-        let paths = Core.Paper_net.tagged_paths ~default topo in
-        ( Core.Scenario.make ~topo ~paths ~cc ~scheduler
-            ~duration:(Engine.Time.of_float_s duration)
-            ~sampling:(Engine.Time.of_float_s sampling)
-            ~seed ?send_buffer:buffer
-            ?trace_limit:(Option.map (fun _ -> 10_000) ptrace)
-            ~audit ?obs (),
+        let spec =
+          or_usage_error (fun () ->
+              let paths = Core.Paper_net.tagged_paths ~default topo in
+              Core.Scenario.make ~topo ~paths ~cc ~scheduler
+                ~duration:(Engine.Time.of_float_s duration)
+                ~sampling:(Engine.Time.of_float_s sampling)
+                ~seed ?send_buffer:buffer
+                ?trace_limit:(Option.map (fun _ -> 10_000) ptrace)
+                ~audit ?obs ())
+        in
+        ( spec,
           Printf.sprintf "MPTCP-%s on the paper network (Mbps)"
             (String.uppercase_ascii (Mptcp.Algorithm.name cc)) )
       | _ ->
@@ -201,9 +215,13 @@ let run_cmd =
                  rtt = Engine.Time.of_float_s (background_rtt_ms /. 1e3) })
             ~at:Engine.Time.zero
         in
-        { spec with
-          Core.Scenario.events = spec.Core.Scenario.events @ [ ev ];
-          hybrid_tick = Engine.Time.of_float_s (tick_ms /. 1e3) }
+        let spec =
+          { spec with
+            Core.Scenario.events = spec.Core.Scenario.events @ [ ev ];
+            hybrid_tick = Engine.Time.of_float_s (tick_ms /. 1e3) }
+        in
+        or_usage_error (fun () -> Core.Scenario.validate spec);
+        spec
       end
     in
     let wall0 = Unix.gettimeofday () in
@@ -427,7 +445,9 @@ let run_cmd =
 let fluid_cmd =
   let exec cc default validate timing csv horizon samples tol =
     let topo = Core.Paper_net.topology () in
-    let paths = Core.Paper_net.tagged_paths ~default topo in
+    let paths =
+      or_usage_error (fun () -> Core.Paper_net.tagged_paths ~default topo)
+    in
     let kinds =
       match String.lowercase_ascii cc with
       | "all" ->
@@ -472,7 +492,7 @@ let fluid_cmd =
           ()
       in
       let samples', _stats =
-        Fluid.Trajectory.run m ~horizon ~samples ()
+        or_usage_error (fun () -> Fluid.Trajectory.run m ~horizon ~samples)
       in
       let buf = Buffer.create 4096 in
       let ppf = Format.formatter_of_buffer buf in

@@ -1,11 +1,13 @@
 #!/bin/sh
 # Documentation gate: type-check and parse the odoc markup in every
-# public .mli of the core libraries with ocamldoc.  The toolchain in CI
-# has no odoc, so `dune build @doc` alone proves nothing; this script is
-# what the `doc` alias actually runs.  ocamldoc hard-fails on malformed
-# markup (unclosed {b ...}, bad {!refs} syntax) while cross-library
-# references it cannot resolve only warn, so the gate catches broken
-# comments without demanding a fully linked doc tree.
+# public .mli of every library under lib/ with ocamldoc, and fail on
+# exported values that nothing outside their own module uses.  The
+# toolchain in CI has no odoc, so `dune build @doc` alone proves
+# nothing; this script is what the `doc` alias actually runs.
+# ocamldoc hard-fails on malformed markup (unclosed {b ...}, bad
+# {!refs} syntax) while cross-library references it cannot resolve
+# only warn, so the gate catches broken comments without demanding a
+# fully linked doc tree.
 #
 # Usage: check_docs.sh <build-root> <out-dir>
 #   <build-root>  the dune context root (contains lib/engine/...)
@@ -18,26 +20,33 @@ mkdir -p "$out"
 
 objs() { echo "$root/lib/$1/.$1.objs/byte"; }
 
-# doc_one <lib> <-open flags...> -- <mli...>: parse + type-check the
-# listed interfaces with every in-repo dependency's compiled interfaces
-# on the include path.  Wrapped multi-module libraries need their alias
-# module opened (Engine, Obs); single-module libraries must not open
-# the very module they define; a wrapped library with a main module of
-# the library's own name (daemon) opens the generated `Lib__` alias
-# instead, since the main module is the thing being checked.
-doc_one() {
+# Capitalise a library name into its module name: engine -> Engine.
+cap() {
+    printf '%s%s' "$(printf '%s' "$1" | cut -c1 | tr '[:lower:]' '[:upper:]')" \
+        "$(printf '%s' "$1" | cut -c2-)"
+}
+
+# Every in-repo library's compiled interfaces go on the include path.
+incs=""
+for dir in "$root"/lib/*/; do
+    dep=$(basename "$dir")
+    [ -d "$(objs "$dep")" ] && incs="$incs -I $(objs "$dep")"
+done
+
+# doc_lib <lib>: parse + type-check every interface of the library.
+# A wrapped multi-module library needs its alias module opened
+# (Engine, Obs); a single-module library must not open the very module
+# it defines; a wrapped library with a main module of the library's
+# own name (daemon) opens the generated `Lib__` alias instead, since
+# the main module is the thing being checked.
+doc_lib() {
     lib=$1
-    shift
-    opens=""
-    while [ "$1" != "--" ]; do
-        opens="$opens -open $1"
-        shift
-    done
-    shift
-    incs=""
-    for dep in engine packet netgraph netsim tcp mptcp measure lp core audit fuzz obs fluid validate events serve daemon; do
-        [ -d "$(objs "$dep")" ] && incs="$incs -I $(objs "$dep")"
-    done
+    set -- "$root/lib/$lib"/*.mli
+    if [ -f "$root/lib/$lib/$lib.mli" ]; then
+        if [ $# -eq 1 ]; then opens=""; else opens="-open $(cap "$lib")__"; fi
+    else
+        opens="-open $(cap "$lib")"
+    fi
     # shellcheck disable=SC2086
     if ! ocamlfind ocamldoc -package fmt,unix,qcheck-core \
         $incs $opens -dump "$out/$lib.odump" "$@" \
@@ -49,90 +58,76 @@ doc_one() {
     # Surface real warnings; unresolvable cross-library {!refs} are
     # expected (no linked doc tree) and filtered out.
     grep -v "^Warning: Element .* not found" "$out/$lib.log" || true
-    echo "doc ok: $lib"
+    echo "doc ok: $lib ($# interfaces)"
 }
 
-doc_one engine Engine -- \
-    "$root/lib/engine/time.mli" \
-    "$root/lib/engine/heap.mli" \
-    "$root/lib/engine/wheel.mli" \
-    "$root/lib/engine/rng.mli" \
-    "$root/lib/engine/sched.mli" \
-    "$root/lib/engine/tap.mli" \
-    "$root/lib/engine/pool.mli" \
-    "$root/lib/engine/int_table.mli"
+for dir in "$root"/lib/*/; do
+    doc_lib "$(basename "$dir")"
+done
 
-doc_one packet -- \
-    "$root/lib/packet/packet.mli"
+# --- dead-export check ---
+# check_exports <tree>: every `val` (at any indentation) in
+# <tree>/lib/*/*.mli must be named, as a word, in some .ml/.mli under
+# lib, bin, bench, examples or test outside its own module's two files.
+# A word match can miss a dead value whose name collides with another
+# identifier, but it never flags a live one.  One pass builds the
+# (file, word) index; awk then resolves every value against it.
+check_exports() {
+    tree=$1
+    dirs=""
+    for d in lib bin bench examples test; do
+        [ -d "$tree/$d" ] && dirs="$dirs $tree/$d"
+    done
+    # shellcheck disable=SC2086
+    find $dirs \( -name '*.ml' -o -name '*.mli' \) | sort >"$out/export-files"
+    grep -H -E "^[[:space:]]*val [a-z_]" "$tree"/lib/*/*.mli \
+        | sed -E "s/^([^:]*):[[:space:]]*val ([a-z_][A-Za-z0-9_']*).*/\1 \2/" \
+        >"$out/export-vals"
+    # shellcheck disable=SC2046
+    grep -o -H -E "[A-Za-z_][A-Za-z0-9_']*" $(cat "$out/export-files") \
+        | sort -u >"$out/export-words"
+    awk '
+        NR == FNR { n++; mli[n] = $1; name[n] = $2; ids[$2] = ids[$2] " " n; next }
+        {
+            i = index($0, ":"); file = substr($0, 1, i - 1); word = substr($0, i + 1)
+            if (!(word in ids)) next
+            k = split(ids[word], e, " ")
+            for (j = 1; j <= k; j++)
+                if (file != mli[e[j]] && file != substr(mli[e[j]], 1, length(mli[e[j]]) - 1))
+                    live[e[j]] = 1
+        }
+        END {
+            bad = 0
+            for (j = 1; j <= n; j++)
+                if (!(j in live)) { print "check_docs: unused export " name[j] " in " mli[j]; bad = 1 }
+            exit bad
+        }' "$out/export-vals" "$out/export-words" >&2
+}
 
-doc_one netsim Netsim -- \
-    "$root/lib/netsim/linkq.mli" \
-    "$root/lib/netsim/net.mli"
+check_exports "$root"
+echo "exports ok: every lib val is used outside its own module"
 
-doc_one tcp Tcp -- \
-    "$root/lib/tcp/sender.mli" \
-    "$root/lib/tcp/receiver.mli"
-
-doc_one mptcp Mptcp -- \
-    "$root/lib/mptcp/chunks.mli" \
-    "$root/lib/mptcp/connection.mli"
-
-doc_one audit -- \
-    "$root/lib/audit/audit.mli"
-
-doc_one fuzz -- \
-    "$root/lib/fuzz/fuzz.mli"
-
-doc_one fluid Fluid -- \
-    "$root/lib/fluid/controller.mli" \
-    "$root/lib/fluid/ode.mli" \
-    "$root/lib/fluid/model.mli" \
-    "$root/lib/fluid/equilibrium.mli" \
-    "$root/lib/fluid/trajectory.mli" \
-    "$root/lib/fluid/background.mli"
-
-doc_one validate -- \
-    "$root/lib/validate/validate.mli"
-
-doc_one obs Obs -- \
-    "$root/lib/obs/ring.mli" \
-    "$root/lib/obs/trace.mli" \
-    "$root/lib/obs/metrics.mli" \
-    "$root/lib/obs/collect.mli"
-
-doc_one events Events -- \
-    "$root/lib/events/sexp.mli" \
-    "$root/lib/events/event.mli" \
-    "$root/lib/events/parse.mli"
-
-doc_one measure Measure -- \
-    "$root/lib/measure/capture.mli" \
-    "$root/lib/measure/converge.mli" \
-    "$root/lib/measure/probe.mli" \
-    "$root/lib/measure/render.mli" \
-    "$root/lib/measure/sampler.mli" \
-    "$root/lib/measure/series.mli" \
-    "$root/lib/measure/stats.mli" \
-    "$root/lib/measure/trace.mli"
-
-doc_one core Core -- \
-    "$root/lib/core/canon.mli" \
-    "$root/lib/core/expfile.mli" \
-    "$root/lib/core/figures.mli" \
-    "$root/lib/core/paper_net.mli" \
-    "$root/lib/core/scaling.mli" \
-    "$root/lib/core/scenario.mli" \
-    "$root/lib/core/summary.mli"
-
-doc_one serve Serve -- \
-    "$root/lib/serve/store.mli" \
-    "$root/lib/serve/trend.mli" \
-    "$root/lib/serve/batch.mli" \
-    "$root/lib/serve/service.mli"
-
-doc_one daemon Daemon__ -- \
-    "$root/lib/daemon/protocol.mli" \
-    "$root/lib/daemon/daemon.mli"
+# Negative self-test: a planted unused value must be flagged, and a
+# value used from another directory must not be.
+plant="$out/exportcheck"
+rm -rf "$plant"
+mkdir -p "$plant/lib/demo" "$plant/bin"
+printf 'val used_elsewhere : int\nval planted_unused_value : int\n' \
+    >"$plant/lib/demo/demo.mli"
+printf 'let used_elsewhere = 1\nlet planted_unused_value = 2\n' \
+    >"$plant/lib/demo/demo.ml"
+printf 'let () = print_int Demo.used_elsewhere\n' >"$plant/bin/main.ml"
+if check_exports "$plant" 2>"$out/exportcheck.log"; then
+    echo "check_docs: export checker failed to flag a planted unused val" >&2
+    exit 1
+fi
+if ! grep -q "planted_unused_value" "$out/exportcheck.log" \
+    || grep -q "used_elsewhere" "$out/exportcheck.log"; then
+    echo "check_docs: export checker flagged the wrong values:" >&2
+    cat "$out/exportcheck.log" >&2
+    exit 1
+fi
+echo "export checker self-test ok"
 
 # --- markdown link check ---
 # Every relative link target written as [text](target) in the user-facing

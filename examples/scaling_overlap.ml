@@ -20,7 +20,7 @@ let () =
   (* And the paper's own instance through the generator. *)
   let topo, paths =
     Netgraph.Generate.pairwise_overlap ~n:3
-      ~cap_bps:Netgraph.Generate.paper_caps ()
+      ~cap_bps:Netgraph.Generate.paper_caps
   in
   let opt = Netgraph.Constraints.optimum topo paths in
   Format.printf

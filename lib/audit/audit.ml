@@ -33,7 +33,6 @@ type conn_watch = {
 
 type t = {
   sched : Engine.Sched.t;
-  max_violations : int;
   mutable violations_rev : violation list;
   mutable n_violations : int;
   mutable checks : int;
@@ -52,12 +51,12 @@ type t = {
   tap : violation Engine.Tap.t;
 }
 
-let create ?(max_violations = 50) ~sched () =
-  if max_violations < 1 then
-    invalid_arg "Audit.create: max_violations must be >= 1";
+(* Violation records kept; the count is always exact. *)
+let max_violations = 50
+
+let create ~sched =
   {
     sched;
-    max_violations;
     violations_rev = [];
     n_violations = 0;
     checks = 0;
@@ -79,7 +78,7 @@ let create ?(max_violations = 50) ~sched () =
 let violate t ~invariant detail =
   t.n_violations <- t.n_violations + 1;
   let v = { at = Engine.Sched.now t.sched; invariant; detail } in
-  if t.n_violations <= t.max_violations then
+  if t.n_violations <= max_violations then
     t.violations_rev <- v :: t.violations_rev;
   Engine.Tap.emit t.tap v
 
@@ -481,10 +480,7 @@ let finish t ?elapsed () =
 
 (* --- reporting --- *)
 
-let ok t = t.n_violations = 0
 let violations t = List.rev t.violations_rev
-let total_violations t = t.n_violations
-let checks t = t.checks
 
 let ledger t =
   let inflight_bytes = Hashtbl.fold (fun _ size acc -> acc + size) t.live 0 in
@@ -530,5 +526,3 @@ let pp_report fmt r =
     Format.fprintf fmt "  ... and %d more@,"
       (r.total_violations - List.length r.violations);
   Format.fprintf fmt "@]"
-
-let report_text t = Format.asprintf "%a" pp_report (report t)

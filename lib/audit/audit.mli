@@ -55,7 +55,7 @@ type ledger = {
 
 type report = {
   violations : violation list;
-      (** in detection order, capped at [max_violations] *)
+      (** in detection order, capped at 50 *)
   total_violations : int;  (** including any beyond the cap *)
   checks : int;            (** invariant evaluations performed *)
   ledger : ledger;
@@ -63,17 +63,14 @@ type report = {
 
 type t
 
-val create : ?max_violations:int -> sched:Engine.Sched.t -> unit -> t
-(** A fresh auditor; at most [max_violations] (default 50) violation
-    records are retained (the total count is always exact). *)
+val create : sched:Engine.Sched.t -> t
+(** A fresh auditor; at most 50 violation records are retained (the
+    total count is always exact). *)
 
 val attach_net : t -> Netsim.Net.t -> unit
 (** Subscribes the packet-conservation and link-sanity checks to the
     network's per-node taps and every queue's tap.  Attach before any
     packet is injected. *)
-
-val attach_sender : t -> label:string -> Tcp.Sender.t -> unit
-val attach_receiver : t -> label:string -> Tcp.Receiver.t -> unit
 
 val attach_connection : t -> label:string -> Mptcp.Connection.t -> unit
 (** Registers the connection for {!tick} checks and subscribes to its
@@ -109,13 +106,7 @@ val tap : t -> violation Engine.Tap.t
     observability collector to put audit violations on the trace
     timeline. *)
 
-val ok : t -> bool
 val violations : t -> violation list
-val total_violations : t -> int
-val checks : t -> int
 val report : t -> report
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit
-
-val report_text : t -> string
-(** Multi-line rendering of {!report} — what [--audit] prints. *)

@@ -7,6 +7,7 @@
    the compiler flag any future spec/config field this module forgets
    to either render or deliberately exclude. *)
 
+(* Bumped on any change to the rendering; see canon.mli. *)
 let version = 2
 
 let f17 = Printf.sprintf "%.17g"

@@ -22,13 +22,10 @@
     100 ms dispatches 61 300 events plain, 6 more with obs, 6 more with
     audit and 12 more with both.
 
-    {!version} is baked into the canonical text: any change to the
-    rendering (new field, different unit, reordering) must bump it,
-    which changes every hash and turns the whole store into clean
-    misses rather than silent mis-hits. *)
-
-val version : int
-(** Version of the canonical encoding, included in {!text}. *)
+    A version number is baked into the canonical text (the leading
+    [(canon N)]): any change to the rendering (new field, different
+    unit, reordering) must bump it, which changes every hash and turns
+    the whole store into clean misses rather than silent mis-hits. *)
 
 val text : Scenario.spec -> string
 (** The canonical rendering.  Deterministic: equal specs (same

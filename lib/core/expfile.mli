@@ -22,9 +22,7 @@
     {!Scenario.make}.  Paths are node-name sequences, tagged 1, 2, ...
     in file order (the first is the default subflow). *)
 
-val spec_of_sexps : topo:Netgraph.Topology.t -> Events.Sexp.t list -> Scenario.spec
-(** Raises {!Events.Sexp.Parse_error} on malformed input and
-    [Invalid_argument] when the event list fails validation. *)
-
 val load : topo_file:string -> xp_file:string -> Netgraph.Topology.t * Scenario.spec
-(** Load both files. *)
+(** Load both files.  Raises {!Events.Sexp.Parse_error} on malformed
+    input and [Invalid_argument] when the event list fails
+    validation. *)

@@ -8,8 +8,8 @@
     - {!fig1}: the topology and path listing (Fig. 1a/1b);
     - {!fig1c}: the throughput constraint system and its LP optimum;
     - {!fig2a}: per-path rates under CUBIC, 100 ms sampling, 4 s;
-    - {!fig2b}: per-path rates under OLIA, 100 ms sampling, 4 s (the
-      run that has not yet found the optimum);
+    - [by_id "2b"]: per-path rates under OLIA, 100 ms sampling, 4 s
+      (the run that has not yet found the optimum);
     - {!fig2c}: the first 0.5 s under CUBIC at 10 ms sampling (the
       slow-start/sawtooth close-up). *)
 
@@ -24,7 +24,6 @@ type figure = {
 val fig1 : unit -> figure
 val fig1c : unit -> figure
 val fig2a : ?seed:int -> unit -> figure
-val fig2b : ?seed:int -> unit -> figure
 val fig2c : ?seed:int -> unit -> figure
 
 val all : ?seed:int -> ?jobs:int -> unit -> figure list

@@ -1,5 +1,5 @@
-let topology_with ?(link_delay = Engine.Time.ms 1)
-    ?(default_capacity_mbps = 100) () =
+let topology () =
+  let link_delay = Engine.Time.ms 1 in
   let b = Netgraph.Topology.builder () in
   let s = Netgraph.Topology.add_node b "s" in
   let v1 = Netgraph.Topology.add_node b "v1" in
@@ -12,7 +12,7 @@ let topology_with ?(link_delay = Engine.Time.ms 1)
       (Netgraph.Topology.add_link b ~u ~v
          ~capacity_bps:(Netgraph.Topology.mbps mbps) ~delay)
   in
-  let dflt = default_capacity_mbps in
+  let dflt = 100 in
   link s v1 40;   (* shared by paths 1 and 2 *)
   link s v2 dflt;
   link v1 v2 dflt;
@@ -25,8 +25,6 @@ let topology_with ?(link_delay = Engine.Time.ms 1)
   link v3 d dflt;
   link v4 d 80;   (* shared by paths 2 and 3 *)
   Netgraph.Topology.build b
-
-let topology () = topology_with ()
 
 let paths topo =
   [

@@ -22,10 +22,6 @@ val topology : unit -> Netgraph.Topology.t
     (except [v1 -- v4], which gets half that so Path 2 is strictly the
     shortest-RTT route, the paper's "default shortest path"). *)
 
-val topology_with :
-  ?link_delay:Engine.Time.t -> ?default_capacity_mbps:int -> unit
-  -> Netgraph.Topology.t
-
 val paths : Netgraph.Topology.t -> Netgraph.Path.t list
 (** [Path 1; Path 2; Path 3] on a topology built by {!topology}. *)
 

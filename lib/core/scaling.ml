@@ -7,14 +7,14 @@ type row = {
   time_to_opt_s : float option;
 }
 
-let one ~n ~cc ~duration ~seed =
+let one ~n ~cc ~duration =
   let topo, paths =
     Netgraph.Generate.pairwise_overlap ~n
-      ~cap_bps:(Netgraph.Generate.spread_caps ~base_mbps:30 ~step_mbps:5) ()
+      ~cap_bps:(Netgraph.Generate.spread_caps ~base_mbps:30 ~step_mbps:5)
   in
   let spec =
     Scenario.make ~topo ~paths:(Mptcp.Path_manager.tag_paths paths) ~cc
-      ~duration ~sampling:(Engine.Time.ms 100) ~seed ()
+      ~duration ~sampling:(Engine.Time.ms 100) ~seed:1 ()
   in
   let r = Scenario.run spec in
   let optimal_mbps = Scenario.optimal_total_mbps r in
@@ -30,9 +30,9 @@ let one ~n ~cc ~duration ~seed =
 
 let sweep ?(ns = [ 2; 3; 4; 5 ])
     ?(ccs = Mptcp.Algorithm.[ Cubic; Lia; Olia ])
-    ?(duration = Engine.Time.s 15) ?(seed = 1) ?jobs () =
+    ?(duration = Engine.Time.s 15) ?jobs () =
   let grid = List.concat_map (fun n -> List.map (fun cc -> (n, cc)) ccs) ns in
-  Engine.Pool.map ?domains:jobs (fun (n, cc) -> one ~n ~cc ~duration ~seed) grid
+  Engine.Pool.map ?domains:jobs (fun (n, cc) -> one ~n ~cc ~duration) grid
 
 let pp_table fmt rows =
   Format.fprintf fmt "@[<v>%-4s %-7s %-10s %-10s %-7s %-8s@," "n" "cc"

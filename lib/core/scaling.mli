@@ -20,7 +20,6 @@ val sweep :
   ?ns:int list ->
   ?ccs:Mptcp.Algorithm.t list ->
   ?duration:Engine.Time.t ->
-  ?seed:int ->
   ?jobs:int ->
   unit -> row list
 (** Defaults: n in 2..5, {CUBIC, LIA, OLIA}, 15 s runs, seed 1.

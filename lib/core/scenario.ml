@@ -31,26 +31,22 @@ let default_net_config =
   { Netsim.Net.qdisc = Netsim.Qdisc.Drop_tail; limit_pkts = 16;
         delay_jitter = Engine.Time.zero }
 
-let make ~topo ~paths ~cc ?(scheduler = Mptcp.Scheduler.Min_rtt)
-    ?(duration = Engine.Time.s 4) ?(sampling = Engine.Time.ms 100) ?(seed = 1)
-    ?(net_config = default_net_config)
-    ?(sender_config = Tcp.Sender.default_config)
-    ?(join_delay = Engine.Time.ms 10) ?(start_jitter = Engine.Time.ms 2)
-    ?(delayed_ack = false) ?send_buffer ?total_bytes ?trace_limit
-    ?(audit = false) ?obs ?(events = []) ?rto_cap
-    ?(hybrid_tick = Engine.Time.ms 1) () =
-  if paths = [] then invalid_arg "Scenario.make: no paths";
+let validate spec =
+  if spec.paths = [] then invalid_arg "Scenario.make: no paths";
   (match
-     Events.Event.validate ~topo ~num_subflows:(List.length paths)
-       ~reserved_tags:(List.map fst paths) events
+     Events.Event.validate ~topo:spec.topo
+       ~num_subflows:(List.length spec.paths)
+       ~reserved_tags:(List.map fst spec.paths) spec.events
    with
   | [] -> ()
   | errs ->
     invalid_arg
       (Printf.sprintf "Scenario.make: invalid events: %s"
          (String.concat "; " errs)));
-  if Engine.Time.( <= ) hybrid_tick Engine.Time.zero then
+  if Engine.Time.( <= ) spec.hybrid_tick Engine.Time.zero then
     invalid_arg "Scenario.make: hybrid tick must be positive";
+  if Engine.Time.( <= ) spec.sampling Engine.Time.zero then
+    invalid_arg "Scenario.make: sampling period must be positive";
   (* Background classes need a fluid window law; reject the algorithms
      without one here rather than mid-run. *)
   List.iter
@@ -62,12 +58,25 @@ let make ~topo ~paths ~cc ?(scheduler = Mptcp.Scheduler.Min_rtt)
           (Printf.sprintf "Scenario.make: %s has no fluid background model"
              (Mptcp.Algorithm.name a))
       | _ -> ())
-    events;
-  {
-    topo; paths; cc; scheduler; duration; sampling; seed; net_config;
-    sender_config; join_delay; start_jitter; delayed_ack; send_buffer;
-    total_bytes; trace_limit; audit; obs; events; rto_cap; hybrid_tick;
-  }
+    spec.events
+
+let make ~topo ~paths ~cc ?(scheduler = Mptcp.Scheduler.Min_rtt)
+    ?(duration = Engine.Time.s 4) ?(sampling = Engine.Time.ms 100) ?(seed = 1)
+    ?(net_config = default_net_config)
+    ?(sender_config = Tcp.Sender.default_config)
+    ?(join_delay = Engine.Time.ms 10) ?(start_jitter = Engine.Time.ms 2)
+    ?(delayed_ack = false) ?send_buffer ?total_bytes ?trace_limit
+    ?(audit = false) ?obs ?(events = []) ?rto_cap
+    ?(hybrid_tick = Engine.Time.ms 1) () =
+  let spec =
+    {
+      topo; paths; cc; scheduler; duration; sampling; seed; net_config;
+      sender_config; join_delay; start_jitter; delayed_ack; send_buffer;
+      total_bytes; trace_limit; audit; obs; events; rto_cap; hybrid_tick;
+    }
+  in
+  validate spec;
+  spec
 
 type subflow_report = {
   tag : Packet.tag;
@@ -126,7 +135,7 @@ let run spec =
     Netsim.Net.create ~sched ~rng ~config:spec.net_config spec.topo
   in
   let auditor =
-    if spec.audit then Some (Audit.create ~sched ()) else None
+    if spec.audit then Some (Audit.create ~sched) else None
   in
   (* Audited runs also arm the freelist's poison checks: a double
      release or a resurrected live packet raises instead of silently
@@ -336,9 +345,6 @@ let run spec =
     obs;
     background = Option.map Fluid.Background.Driver.summary background_driver;
   }
-
-let constraint_system spec =
-  Netgraph.Constraints.extract spec.topo (List.map snd spec.paths)
 
 let optimum_rates spec =
   (Netgraph.Constraints.optimum spec.topo (List.map snd spec.paths))

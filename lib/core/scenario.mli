@@ -72,10 +72,16 @@ val make :
     Fig. 2a/2b setup), seed 1, {!default_net_config}, default sender
     config, 10 ms join delay with up to 2 ms of seeded start jitter,
     unlimited buffer and bulk data, no timed events, no failover cap,
-    1 ms hybrid tick.  Raises [Invalid_argument] when
-    {!Events.Event.validate} rejects the event list, when the tick is
-    not positive, or when a background declaration names a congestion
-    control without a fluid model. *)
+    1 ms hybrid tick.  Raises [Invalid_argument] when {!validate}
+    rejects the spec. *)
+
+val validate : spec -> unit
+(** The checks {!make} applies, for a spec changed by record update
+    after [make] built it.  Raises [Invalid_argument] when there are no
+    paths, when {!Events.Event.validate} rejects the event list, when
+    the hybrid tick or the sampling period is not positive, or when a
+    background declaration names a congestion control without a fluid
+    model. *)
 
 type subflow_report = {
   tag : Packet.tag;
@@ -135,11 +141,6 @@ type result = {
 }
 
 val run : spec -> result
-
-val constraint_system : spec -> Netgraph.Constraints.system
-(** The spec's capacity-constraint system, in [spec.paths] order — the
-    same extraction {!run} solves for [result.optimum] and the audit
-    checks feasibility against. *)
 
 val optimum_rates : spec -> float array
 (** Per-path LP-optimal rates in bits per second, in [spec.paths]

@@ -68,7 +68,8 @@ let sweep
     ?(ccs =
       Mptcp.Algorithm.[ Cubic; Lia; Olia; Balia; Ewtcp; Wvegas ])
     ?(defaults = [ 1; 2; 3 ]) ?(seeds = [ 1; 2; 3 ])
-    ?(duration = Engine.Time.s 20) ?(tolerance = 0.05) ?jobs () =
+    ?(duration = Engine.Time.s 20) ?jobs () =
+  let tolerance = 0.05 in
   let cells =
     List.concat_map
       (fun cc -> List.map (fun default_path -> (cc, default_path)) defaults)

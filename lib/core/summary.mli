@@ -26,7 +26,6 @@ val sweep :
   ?defaults:int list ->
   ?seeds:int list ->
   ?duration:Engine.Time.t ->
-  ?tolerance:float ->
   ?jobs:int ->
   unit -> row list
 (** Defaults: the paper's three algorithms (plus BALIA, EWTCP and

@@ -42,7 +42,6 @@ type t = {
   mutable busy_entries : int;  (** entries admitted and not yet replied *)
   mutable active_conns : int;
   mutable helpers : Thread.t list;
-  metrics : Obs.Metrics.t;
   c_submissions : Obs.Metrics.counter;
   c_entries : Obs.Metrics.counter;
   c_hits : Obs.Metrics.counter;
@@ -51,11 +50,9 @@ type t = {
   c_rejected : Obs.Metrics.counter;
   c_proto_errors : Obs.Metrics.counter;
   c_gc_runs : Obs.Metrics.counter;
-  warm_hit_ms : Obs.Metrics.histogram;
 }
 
 let store t = t.store
-let metrics t = t.metrics
 
 let log t fmt =
   if t.conf.log then
@@ -67,12 +64,6 @@ let draining t =
   let d = t.is_draining in
   Mutex.unlock t.m;
   d
-
-let queue_depth t =
-  Mutex.lock t.m;
-  let n = t.busy_entries in
-  Mutex.unlock t.m;
-  n
 
 let bump ?by t c =
   Mutex.lock t.m;
@@ -95,7 +86,6 @@ let initiate_drain t =
 let request_drain t = Atomic.set t.drain_requested true
 
 let submit_entries t entries =
-  let wall0 = Unix.gettimeofday () in
   let n = List.length entries in
   Mutex.lock t.m;
   if t.is_draining then begin
@@ -140,9 +130,6 @@ let submit_entries t entries =
           Obs.Metrics.incr ~by:fresh t.c_fresh;
           Obs.Metrics.incr ~by:shared t.c_shared;
           Mutex.unlock t.m;
-          if fresh = 0 && shared = 0 then
-            Obs.Metrics.observe t.warm_hit_ms
-              ((Unix.gettimeofday () -. wall0) *. 1000.);
           let outcomes =
             List.map
               (fun ((e : Serve.Batch.entry), outcome) ->
@@ -408,7 +395,6 @@ let start conf =
       busy_entries = 0;
       active_conns = 0;
       helpers = [];
-      metrics;
       c_submissions = Obs.Metrics.counter metrics "daemon.submissions";
       c_entries = Obs.Metrics.counter metrics "daemon.entries";
       c_hits = Obs.Metrics.counter metrics "daemon.hits";
@@ -417,13 +403,8 @@ let start conf =
       c_rejected = Obs.Metrics.counter metrics "daemon.rejected";
       c_proto_errors = Obs.Metrics.counter metrics "daemon.protocol_errors";
       c_gc_runs = Obs.Metrics.counter metrics "daemon.gc_runs";
-      warm_hit_ms = Obs.Metrics.histogram metrics "daemon.warm_hit_ms";
     }
   in
-  Obs.Metrics.gauge metrics "daemon.queue_depth" (fun () ->
-      float_of_int (queue_depth t));
-  Obs.Metrics.gauge metrics "daemon.inflight_singles" (fun () ->
-      float_of_int (Serve.Service.Flights.inflight t.flights));
   let helpers = ref [] in
   (match conf.gc_max_bytes with
   | Some _ -> helpers := Thread.create gc_loop t :: !helpers

@@ -77,23 +77,18 @@ val serve : t -> unit
     shut down. *)
 
 val run : conf -> unit
-(** {!start} + SIGTERM/SIGINT → {!request_drain} wiring + {!serve}:
-    the whole [serve --listen] server mode. *)
+(** {!start} + SIGTERM/SIGINT → drain-request wiring + {!serve}: the
+    whole [serve --listen] server mode.  The signal handlers only flip
+    an atomic flag (OCaml signal handlers run at poll points on
+    whatever thread is current, so a handler that locked the daemon
+    mutex could self-deadlock); the accept loop notices within 0.25 s
+    and runs {!initiate_drain} from ordinary thread context. *)
 
 val initiate_drain : t -> unit
 (** Flip to draining (idempotent): new submissions get typed
     [Draining] errors, the accept loop winds down, {!serve} completes
     once in-flight work lands.  Takes the daemon mutex — never call it
-    from a signal handler; that is what {!request_drain} is for. *)
-
-val request_drain : t -> unit
-(** Async-signal-safe drain request: only flips an atomic flag (OCaml
-    signal handlers run at poll points on whatever thread is current,
-    so a handler that locked the daemon mutex could self-deadlock).
-    The accept loop notices within 0.25 s and runs {!initiate_drain}
-    from ordinary thread context. *)
-
-val draining : t -> bool
+    from a signal handler. *)
 
 (** {1 In-process service access}
 
@@ -106,14 +101,4 @@ val handle : t -> Protocol.request -> Protocol.response
     [Drain] blocks until in-flight submissions land, then answers
     [Drained]. *)
 
-val gc_now : t -> Serve.Store.gc_stats option
-(** One LRU pass at [gc_max_bytes] (what the periodic timer runs);
-    [None] when no byte budget is configured. *)
-
 val store : t -> Serve.Store.t
-
-val metrics : t -> Obs.Metrics.t
-(** The daemon's instrument registry: gauges [daemon.queue_depth] and
-    [daemon.inflight_singles], histogram [daemon.warm_hit_ms] (service
-    latency of all-hit submissions) and the [daemon.*] counters
-    surfaced by the [stats] request. *)

@@ -168,8 +168,5 @@ exception Protocol_error of string
 val connect : string -> Unix.file_descr
 (** Connect to the daemon's socket (raises [Unix.Unix_error]). *)
 
-val call : Unix.file_descr -> request -> response
-(** One request/response exchange on an open connection. *)
-
 val call_once : socket:string -> request -> response
-(** {!connect}, one {!call}, close. *)
+(** {!connect}, one request/response exchange, close. *)

@@ -3,17 +3,13 @@
    eagerly for that shape.  One knob application at startup, plus cheap
    counter snapshots for the allocation accounting in bench and obs. *)
 
-let default_minor_heap_words = 8 * 1024 * 1024 (* 64 MB on 64-bit: segments
-                                                  die young, keep them minor *)
-let default_space_overhead = 200
-
-let tune ?(minor_heap_words = default_minor_heap_words)
-    ?(space_overhead = default_space_overhead) () =
+let tune () =
   let g = Gc.get () in
   Gc.set
     { g with
-      Gc.minor_heap_size = minor_heap_words;
-      space_overhead;
+      (* 64 MB on 64-bit: segments die young, keep them minor *)
+      Gc.minor_heap_size = 8 * 1024 * 1024;
+      space_overhead = 200;
     }
 
 type counters = {

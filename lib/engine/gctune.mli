@@ -5,14 +5,9 @@
     {!counters}/{!diff} bracket a run for the allocations-per-packet
     numbers in the bench JSON and the observability metrics. *)
 
-val default_minor_heap_words : int
-(** 8 Mwords (64 MB on 64-bit). *)
-
-val default_space_overhead : int
-
-val tune : ?minor_heap_words:int -> ?space_overhead:int -> unit -> unit
-(** Applies the simulator-friendly GC settings to this domain.  Values
-    default to {!default_minor_heap_words} / {!default_space_overhead};
+val tune : unit -> unit
+(** Applies the simulator-friendly GC settings to this domain: an
+    8 Mword minor heap (64 MB on 64-bit) and [space_overhead] 200;
     other [Gc.control] fields are left untouched. *)
 
 type counters = {

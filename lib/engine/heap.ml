@@ -182,10 +182,3 @@ let compact h ~keep =
   for i = (!live / 2) - 1 downto 0 do
     sift_down h i
   done
-
-let fold h ~init ~f =
-  let acc = ref init in
-  for i = 0 to h.size - 1 do
-    acc := f !acc ~key:h.keys.(i) (Obj.obj h.values.(i))
-  done;
-  !acc

@@ -56,6 +56,3 @@ val compact : 'a t -> keep:(tie:int -> 'a -> bool) -> unit
     avoid misreading the value.  Surviving entries keep their
     [(key, tie)] pair, so their pop order is unchanged.  The scheduler
     uses this to purge cancelled timers before they reach the root. *)
-
-val fold : 'a t -> init:'b -> f:('b -> key:int -> 'a -> 'b) -> 'b
-(** Folds over live entries in unspecified order (used for diagnostics). *)

@@ -6,12 +6,12 @@
    and every [run_list]/[map] call closes over its own (polymorphic)
    result array.
 
-   Every pool also keeps per-worker accounting (jobs executed, wall
-   seconds spent inside thunks) and feeds a module-level aggregate, so
-   `bench --profile` can print busy/idle and speedup tables without the
-   jobs themselves cooperating.  The accounting costs two
-   [Unix.gettimeofday] calls and one short mutex section per job —
-   noise against jobs that are whole simulations. *)
+   Every worker feeds a module-level accounting aggregate (jobs
+   executed, wall seconds spent inside thunks), so `bench --profile`
+   can print busy/idle and speedup tables without the jobs themselves
+   cooperating.  The accounting costs two [Unix.gettimeofday] calls and
+   one short mutex section per job — noise against jobs that are whole
+   simulations. *)
 
 type job = Run of (unit -> unit) | Quit
 
@@ -23,9 +23,6 @@ type t = {
   jobs : job Queue.t;
   mutable workers : unit Domain.t array;
   mutable live : bool;
-  created_at : float;
-  mutable w_jobs : int array;    (* per worker index, under [mutex] *)
-  mutable w_busy : float array;
 }
 
 let default_domains () = max 1 (Domain.recommended_domain_count ())
@@ -86,10 +83,6 @@ let rec worker pool index =
     let t0 = Unix.gettimeofday () in
     f ();
     let busy = Unix.gettimeofday () -. t0 in
-    Mutex.lock pool.mutex;
-    pool.w_jobs.(index) <- pool.w_jobs.(index) + 1;
-    pool.w_busy.(index) <- pool.w_busy.(index) +. busy;
-    Mutex.unlock pool.mutex;
     acct_job ~worker:index ~busy;
     worker pool index
 
@@ -102,9 +95,6 @@ let create ?(domains = default_domains ()) () =
       jobs = Queue.create ();
       workers = [||];
       live = true;
-      created_at = Unix.gettimeofday ();
-      w_jobs = Array.make domains 0;
-      w_busy = Array.make domains 0.0;
     }
   in
   pool.workers <-
@@ -115,17 +105,6 @@ let create ?(domains = default_domains ()) () =
   pool
 
 let size pool = Array.length pool.workers
-
-let worker_stats pool =
-  Mutex.lock pool.mutex;
-  let stats =
-    Array.init (Array.length pool.w_jobs) (fun i ->
-        { jobs = pool.w_jobs.(i); busy_s = pool.w_busy.(i) })
-  in
-  Mutex.unlock pool.mutex;
-  stats
-
-let wall_s pool = Unix.gettimeofday () -. pool.created_at
 
 let shutdown pool =
   if pool.live then begin

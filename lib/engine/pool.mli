@@ -74,7 +74,7 @@ val shutdown : t -> unit
 
     Each worker records how many jobs it ran and how much wall-clock
     time it spent inside job thunks.  Idle time for a worker is the
-    pool's wall time minus its busy time; dividing total busy time by
+    caller's wall time minus its busy time; dividing total busy time by
     wall time gives the effective speedup.  Accounting costs two
     [Unix.gettimeofday] calls and one short critical section per job —
     negligible against jobs that are whole simulations. *)
@@ -82,13 +82,6 @@ val shutdown : t -> unit
 type worker_stats = { jobs : int; busy_s : float }
 (** Jobs executed and wall-clock seconds spent inside job thunks, for
     one worker domain. *)
-
-val worker_stats : t -> worker_stats array
-(** Per-worker accounting snapshot, indexed by worker; consistent (taken
-    under the pool lock). *)
-
-val wall_s : t -> float
-(** Wall-clock seconds since the pool was created. *)
 
 val global_worker_stats : unit -> worker_stats array
 (** Process-wide accounting aggregated across every pool created since

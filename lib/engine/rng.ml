@@ -30,8 +30,6 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t ~mean =
   if mean <= 0.0 then invalid_arg "Rng.exponential: mean must be positive";
   let u = ref (float t 1.0) in

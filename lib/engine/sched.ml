@@ -143,7 +143,7 @@ let fire t when_ timer =
 let nothing_due () = ()
 let none = (Obj.magic (nothing_due : unit -> unit) : timer)
 
-(* The one dispatch path of [step] and [run]: a single wheel call pops
+(* The one dispatch path of [run]: a single wheel call pops
    the minimum if it is due by [until] — no option or tuple boxed per
    event, this is the innermost loop of every simulation. *)
 let dispatch t ~until =
@@ -163,8 +163,6 @@ let dispatch t ~until =
     else fire t when_ v;
     true
   end
-
-let step t = dispatch t ~until:max_int
 
 let run ?until t =
   match until with

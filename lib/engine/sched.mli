@@ -47,9 +47,6 @@ val run : ?until:Time.t -> t -> unit
     time <= [until] has run and advances the clock to exactly [until];
     without it, runs until the queue drains. *)
 
-val step : t -> bool
-(** Processes exactly one event; [false] when the queue is empty. *)
-
 val queue_length : t -> int
 (** Number of live (not yet fired, not cancelled) queued events. *)
 

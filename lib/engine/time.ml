@@ -1,7 +1,6 @@
 type t = int
 
 let zero = 0
-let ns n = n
 let us n = n * 1_000
 let ms n = n * 1_000_000
 let s n = n * 1_000_000_000
@@ -21,9 +20,6 @@ external ( < ) : t -> t -> bool = "%ltint"
 external ( <= ) : t -> t -> bool = "%leint"
 external ( > ) : t -> t -> bool = "%gtint"
 external ( >= ) : t -> t -> bool = "%geint"
-let min (a : t) b = if a <= b then a else b
-let max (a : t) b = if a >= b then a else b
-let compare = Int.compare
 
 let pp fmt t =
   if t >= s 1 then Format.fprintf fmt "%.6gs" (to_float_s t)

@@ -11,9 +11,6 @@ type t = int
 
 val zero : t
 
-val ns : int -> t
-(** [ns n] is [n] nanoseconds. *)
-
 val us : int -> t
 (** [us n] is [n] microseconds. *)
 
@@ -57,12 +54,6 @@ external ( < ) : t -> t -> bool = "%ltint"
 external ( <= ) : t -> t -> bool = "%leint"
 external ( > ) : t -> t -> bool = "%gtint"
 external ( >= ) : t -> t -> bool = "%geint"
-
-val min : t -> t -> t
-val max : t -> t -> t
-(** Integer [min]/[max]: no polymorphic [compare_val]. *)
-
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints a human-friendly rendering, e.g. ["1.234ms"] or ["2.5s"]. *)

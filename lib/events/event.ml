@@ -203,14 +203,8 @@ let apply ~sched ~net ?conn action =
     match conn with
     | Some c -> Mptcp.Connection.reactivate_subflow c subflow
     | None -> invalid_arg "Event.apply: subflow event without a connection")
-  | Traffic_start _ ->
-    (* Traffic sources are created at arm time (they need route
-       installation before the run); nothing to do at fire time. *)
-    ()
-  | Background_start _ ->
-    (* Fluid background fields are compiled into one ODE driver per run
-       by the scenario layer (Core.Scenario), which owns the coarse-tick
-       coupling; the event is pure declaration here. *)
+  | Traffic_start _ | Background_start _ ->
+    (* Handled by [arm], which never schedules them. *)
     ()
 
 let arm ~sched ~net ?conn events =

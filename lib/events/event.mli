@@ -58,8 +58,8 @@ type action =
           other action this one never fires through the scheduler:
           {!Core.Scenario} compiles all declarations into one hybrid
           fluid field whose coarse-tick driver couples to the shared
-          link queues ({!Fluid.Background.Driver}); {!arm} and {!apply}
-          treat it as a no-op. *)
+          link queues ({!Fluid.Background.Driver}); {!arm} treats it
+          as a no-op. *)
 
 type t = { at : Engine.Time.t; action : action }
 
@@ -77,16 +77,6 @@ val validate :
     the audit), traffic tags disjoint from [reserved_tags].  Returns
     human-readable errors; empty means valid. *)
 
-val apply :
-  sched:Engine.Sched.t ->
-  net:Netsim.Net.t ->
-  ?conn:Mptcp.Connection.t ->
-  action ->
-  unit
-(** Apply one action now.  Subflow actions raise [Invalid_argument]
-    without [conn]; [Traffic_start] is a no-op here (sources are
-    created by {!arm}). *)
-
 val arm :
   sched:Engine.Sched.t ->
   net:Netsim.Net.t ->
@@ -96,7 +86,8 @@ val arm :
 (** Schedule every event.  Traffic sources are created immediately
     (routes installed along the current shortest path, emission starting
     at the event time) and returned so callers can read their counters;
-    every other action fires through the scheduler at its time. *)
+    every other action fires through the scheduler at its time.  A
+    subflow action raises [Invalid_argument] when it fires without
+    [conn]. *)
 
 val pp : Netgraph.Topology.t -> Format.formatter -> t -> unit
-val pp_action : Netgraph.Topology.t -> Format.formatter -> action -> unit

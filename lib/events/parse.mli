@@ -25,11 +25,8 @@
 val topology : Sexp.t list -> Netgraph.Topology.t
 val load_topology : string -> Netgraph.Topology.t
 
-val action : Netgraph.Topology.t -> Sexp.t -> Event.action
-val event : Netgraph.Topology.t -> Sexp.t -> Event.t
-
 val events : Netgraph.Topology.t -> Sexp.t list -> Event.t list
-(** One {!event} per form. *)
+(** One {!Event.t} per form. *)
 
 val rate_exn : Sexp.t -> int
 (** [(mbps X)] or [(bps N)], in bits per second. *)

@@ -16,7 +16,6 @@ val parse_string : string -> t list
 val load : string -> t list
 (** {!parse_string} over a file's contents. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** {1 Accessors}
@@ -31,8 +30,5 @@ val atom_exn : t -> string
 val int_exn : t -> int
 val float_exn : t -> float
 
-val field : string -> t -> t list option
-(** [field name s] is [Some rest] when [s] is [(name rest...)]. *)
-
 val find_field : string -> t list -> t list option
-(** First matching {!field} among the items. *)
+(** [Some rest] for the first item of the form [(name rest...)]. *)

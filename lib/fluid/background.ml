@@ -37,7 +37,6 @@ type channel_spec = { cap_pps : float; limit_pkts : int }
    CUBIC auxiliary pairs ([extra_off, dim)). *)
 type t = {
   config : Model.config;  (* buffer_pkts unused: channels carry their own *)
-  tol : float;
   classes : class_spec array;
   c : int;
   l : int;
@@ -76,7 +75,6 @@ type t = {
   occupancy : float array;
   departure : float array;  (* background bandwidth share, pps *)
   mutable steps : int;
-  mutable rejected : int;
   (* tick-level dormancy: a converged field holds its outputs and skips
      integration until an input moves or a class activates *)
   y_prev : float array;
@@ -86,8 +84,12 @@ type t = {
   mutable dormant_skips : int;
 }
 
+(* Step-doubling error bound for [Ode.integrate]: coarser than the
+   foreground default because class fields are aggregates. *)
+let tol = 1e-4
+
 let compile ~(channels : channel_spec array) ~classes
-    ?(config = Model.default_config) ?(tol = 1e-4) () =
+    ?(config = Model.default_config) () =
   let c = Array.length classes and l = Array.length channels in
   if c = 0 then invalid_arg "Background.compile: no classes";
   Array.iter
@@ -140,7 +142,6 @@ let compile ~(channels : channel_spec array) ~classes
   in
   let t =
     { config;
-      tol;
       classes;
       c;
       l;
@@ -176,7 +177,6 @@ let compile ~(channels : channel_spec array) ~classes
       occupancy = Array.make l 0.0;
       departure = Array.make l 0.0;
       steps = 0;
-      rejected = 0;
       y_prev = Array.make dim 0.0;
       sleep_fg = Array.make l 0.0;
       calm = 0;
@@ -186,10 +186,7 @@ let compile ~(channels : channel_spec array) ~classes
   Array.fill t.y 0 nw config.Model.min_cwnd;
   t
 
-let n_classes t = t.c
-let n_channels t = t.l
 let dim t = t.dim
-let time_s t = t.time_s
 
 (* Quasi-steady state for deeply overloaded channels.  The queue ODE's
    fast mode has rate [arrival * ramp'(q)]: under heavy overload the
@@ -429,12 +426,11 @@ let advance t ~dt_s =
     Array.blit t.y 0 t.y_prev 0 t.dim;
     let stats =
       Ode.integrate (problem t) ~y:t.y ~t0:t.time_s ~t1:(t.time_s +. dt_s)
-        ~dt0:t.last_dt ~tol:t.tol ~dt_max:dt_s ()
+        ~dt0:t.last_dt ~tol ~dt_max:dt_s ()
     in
     t.time_s <- t.time_s +. dt_s;
     t.last_dt <- stats.Ode.last_dt;
     t.steps <- t.steps + stats.Ode.steps;
-    t.rejected <- t.rejected + stats.Ode.rejected;
     while
       t.start_ptr < Array.length t.starts
       && t.starts.(t.start_ptr) <= t.time_s +. 1e-12
@@ -468,7 +464,6 @@ let advance t ~dt_s =
 
 let occupancy_pkts t ~chan = t.occupancy.(chan)
 let departure_pps t ~chan = t.departure.(chan)
-let loss_prob t ~chan = t.chan_loss.(chan)
 
 (* Per-flow rate and path loss of class [i] as of the last refresh.  A
    constant class's are not kept: they follow from [active] and the
@@ -506,8 +501,6 @@ let goodput_pps t =
   !acc
 
 let ode_steps t = t.steps
-let ode_rejected t = t.rejected
-let dormant t = t.dormant
 let dormant_ticks t = t.dormant_skips
 
 (* --- the co-simulation driver --- *)
@@ -566,7 +559,7 @@ module Driver = struct
     d.ticks <- d.ticks + 1
 
   let attach ~sched ~net ~tick:period ~until
-      ?(config = Model.default_config) ?(tol = 1e-4) decls =
+      ?(config = Model.default_config) decls =
     if Array.length decls = 0 then invalid_arg "Background.Driver: no classes";
     let bits_per_pkt = float_of_int (8 * config.Model.mss_bytes) in
     (* Dedup (link, direction) pairs into channels. *)
@@ -620,7 +613,7 @@ module Driver = struct
         qs
     in
     let d =
-      { field = compile ~channels ~classes ~config ~tol ();
+      { field = compile ~channels ~classes ~config ();
         qs;
         tick_s = Engine.Time.to_float_s period;
         bits_per_pkt;

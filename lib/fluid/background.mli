@@ -54,7 +54,7 @@ type t
 
 val compile :
   channels:channel_spec array -> classes:class_spec array
-  -> ?config:Model.config -> ?tol:float -> unit -> t
+  -> ?config:Model.config -> unit -> t
 (** Builds the field: state vector [windows (one per [Windowed] class,
     in class order); queues (one per channel); CUBIC auxiliary pairs
     (per CUBIC class)], windows at the floor, queues empty.  [Constant]
@@ -63,33 +63,26 @@ val compile :
     they activate, later ones add their rate in each derivative
     evaluation, so every channel sums its arrivals in class order
     whatever the mix of laws.  [config] supplies the loss-ramp knee,
-    window floor and MSS exactly as for {!Model.compile}; [tol] (default
-    [1e-4]) is the step-doubling error bound passed to {!Ode.integrate}
-    — coarser than the foreground default because class fields are
+    window floor and MSS exactly as for {!Model.compile}; the
+    step-doubling error bound passed to {!Ode.integrate} is [1e-4],
+    coarser than the foreground default because class fields are
     aggregates.  Raises [Invalid_argument] on empty or inconsistent
     specs (no classes, a class with no flows or channels, a channel
     index out of range, a [Constant] class without a positive rate). *)
-
-val n_classes : t -> int
-val n_channels : t -> int
 
 val dim : t -> int
 (** State dimension: windowed classes + channels + 2 x CUBIC classes.
     Constant classes add nothing. *)
 
-val time_s : t -> float
-
 val set_foreground : t -> chan:int -> pps:float -> unit
 (** Exogenous packet-level arrival rate sharing channel [chan],
     refreshed by the driver each tick (clamped at 0). *)
 
-val set_capacity : t -> chan:int -> cap_pps:float -> unit
-(** Re-rate a channel — tracks {!Netsim.Linkq.set_rate} mid-run.
-    Raises [Invalid_argument] on a non-positive rate. *)
-
 val advance : t -> dt_s:float -> Ode.stats
 (** Integrate the field forward by [dt_s] seconds (one coarse tick) and
-    refresh the per-channel outputs below.  Classes whose [start_s] has
+    refresh its outputs: each channel's standing queue and the
+    bandwidth the background claims there (which {!Driver} applies to
+    the link), and the aggregates below.  Classes whose [start_s] has
     not been reached are held frozen for the whole step.  The field
     reuses per-field work arrays, so a [t] must not be shared across
     domains.  Raises [Invalid_argument] on a non-positive step.
@@ -108,25 +101,10 @@ val advance : t -> dt_s:float -> Ode.stats
     wakes the field.  Both paths are deterministic functions of the
     input sequence. *)
 
-val dormant : t -> bool
-(** Whether the field is currently holding its outputs (see
-    {!advance}). *)
-
 val dormant_ticks : t -> int
 (** Cumulative advances skipped while dormant. *)
 
 (** {1 Outputs} (state after the last {!advance}) *)
-
-val occupancy_pkts : t -> chan:int -> float
-(** Background queue standing on the channel, packets. *)
-
-val departure_pps : t -> chan:int -> float
-(** Bandwidth the background claims on the channel: admitted aggregate
-    arrivals, capped at capacity — what the packet side must surrender
-    from its service rate. *)
-
-val loss_prob : t -> chan:int -> float
-(** The channel's current ramp loss probability. *)
 
 val offered_pps : t -> float
 (** Aggregate pre-loss sending rate over all classes and flows (0
@@ -137,8 +115,7 @@ val goodput_pps : t -> float
     before the first {!advance}). *)
 
 val ode_steps : t -> int
-val ode_rejected : t -> int
-(** Cumulative {!Ode.stats} counters over every {!advance}. *)
+(** Cumulative accepted {!Ode.stats} steps over every {!advance}. *)
 
 (** Couples a field to a live {!Netsim.Net}: translates class
     declarations over topology links into channels, then on every coarse
@@ -171,8 +148,7 @@ module Driver : sig
 
   val attach :
     sched:Engine.Sched.t -> net:Netsim.Net.t -> tick:Engine.Time.t
-    -> until:Engine.Time.t -> ?config:Model.config -> ?tol:float
-    -> decl array -> t
+    -> until:Engine.Time.t -> ?config:Model.config -> decl array -> t
   (** Expands each declaration into its [classes] (resolving its links
       once, and giving a constant declaration's classes one shared
       {!class_spec}, since constant classes ignore RTT), compiles the

@@ -1,7 +1,5 @@
 type kind = Reno | Cubic | Lia | Olia
 
-let all = [ Reno; Cubic; Lia; Olia ]
-
 let name = function
   | Reno -> "reno"
   | Cubic -> "cubic"
@@ -29,8 +27,6 @@ let to_algorithm = function
   | Cubic -> Mptcp.Algorithm.Cubic
   | Lia -> Mptcp.Algorithm.Lia
   | Olia -> Mptcp.Algorithm.Olia
-
-let coupled = function Lia | Olia -> true | Reno | Cubic -> false
 
 let extra_dim = function Cubic -> 2 | Reno | Lia | Olia -> 0
 

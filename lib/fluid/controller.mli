@@ -37,8 +37,6 @@
 
 type kind = Reno | Cubic | Lia | Olia
 
-val all : kind list
-
 val name : kind -> string
 
 val of_string : string -> kind option
@@ -49,8 +47,6 @@ val of_algorithm : Mptcp.Algorithm.t -> kind option
 
 val to_algorithm : kind -> Mptcp.Algorithm.t
 (** The packet-level algorithm a fluid model is validated against. *)
-
-val coupled : kind -> bool
 
 val extra_dim : kind -> int
 (** Number of auxiliary ODE states per subflow (0 except CUBIC's 2). *)

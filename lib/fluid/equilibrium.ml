@@ -307,7 +307,9 @@ let qn_polish p s ~y ~tol ~max_steps =
   done;
   !evals
 
-let solve m ?y0 ?(tol = 1e-4) ?(max_iter = 200_000) () =
+let max_iter = 200_000
+
+let solve m ?y0 ?(tol = 1e-4) () =
   let p = Model.problem m in
   let y =
     match y0 with
@@ -362,7 +364,3 @@ let solve m ?y0 ?(tol = 1e-4) ?(max_iter = 200_000) () =
       iterations = !evals;
       residual = !res;
       dt = !dt } )
-
-let refine m ~y ~horizon ?(tol = 1e-6) () =
-  let p = Model.problem m in
-  Ode.integrate p ~y ~t0:0.0 ~t1:horizon ~tol ()

@@ -35,21 +35,10 @@ type diag = {
 val pp_diag : Format.formatter -> diag -> unit
 
 val solve :
-  Model.t -> ?y0:float array -> ?tol:float -> ?max_iter:int -> unit
-  -> float array * diag
+  Model.t -> ?y0:float array -> ?tol:float -> unit -> float array * diag
 (** [solve m ()] returns an equilibrium state and its diagnostics.
     [y0] seeds the iteration (default {!Model.warm_start}; the array is
-    not mutated), [tol] is the residual target (default [1e-4]),
-    [max_iter] the field-evaluation budget (default [200_000]).  A
-    result with
+    not mutated), [tol] is the residual target (default [1e-4]); the
+    field-evaluation budget is [200_000].  A result with
     [diag.converged = false] is the best point reached; callers decide
     whether to fall back to {!Trajectory} integration. *)
-
-val refine :
-  Model.t -> y:float array -> horizon:float -> ?tol:float -> unit
-  -> Ode.stats
-(** [refine m ~y ~horizon ()] polishes [y] in place by integrating the
-    true dynamics for [horizon] seconds with {!Ode.integrate} — useful
-    when the relaxation stalls near a limit cycle (CUBIC's sawtooth
-    has a genuine one; the damped iteration averages over it, and a
-    short refine exposes how much the orbit actually moves). *)

@@ -104,14 +104,10 @@ let ramp_loss ~q0 ~qmax q =
     r *. r
   end
 
-let topo t = t.topo
 let controller t = t.kind
-let config t = t.config
 let n_flows t = t.n
-let n_links t = t.m
 let link_ids t = Array.copy t.sys.Netgraph.Constraints.link_rows
 let system t = t.sys
-let dim t = t.dim
 
 (* Fill [t.view] and [t.link_loss] from a state vector.  Mid-step RK
    states may sit slightly outside the box, so reads are clamped. *)
@@ -293,19 +289,6 @@ let warm_start t =
 let windows t y = Array.sub y 0 t.n
 
 let queues_pkts t y = Array.sub y t.n t.m
-
-let rtts_s t y =
-  refresh_view t y;
-  Array.copy t.view.Controller.rtt
-
-let path_loss t y =
-  refresh_view t y;
-  Array.copy t.view.Controller.loss
-
-let offered_bps t y =
-  refresh_view t y;
-  let bits_per_pkt = float_of_int (8 * t.config.mss_bytes) in
-  Array.map (fun x -> x *. bits_per_pkt) t.view.Controller.rate
 
 let rates_bps t y =
   refresh_view t y;

@@ -59,19 +59,14 @@ val compile :
 (** Raises [Invalid_argument] on an empty path list (via
     {!Netgraph.Constraints.extract}). *)
 
-val topo : t -> Netgraph.Topology.t
 val controller : t -> Controller.kind
-val config : t -> config
 val n_flows : t -> int
-val n_links : t -> int
 val link_ids : t -> int array
 (** Topology link id per queue row, in {!Netgraph.Constraints.system}
     row order. *)
 
 val system : t -> Netgraph.Constraints.system
 (** The LP constraint system the model was compiled from. *)
-
-val dim : t -> int
 
 val problem : t -> Ode.problem
 (** The vector field plus box projection, ready for {!Ode.integrate}
@@ -95,16 +90,11 @@ val warm_start : t -> float array
 
 val windows : t -> float array -> float array
 val queues_pkts : t -> float array -> float array
-val rtts_s : t -> float array -> float array
-val path_loss : t -> float array -> float array
 
 val rates_bps : t -> float array -> float array
 (** Delivered (post-loss) rate per path, bits per second — the fluid
     counterpart of the wire rate the simulator measures at the
     receiver. *)
-
-val offered_bps : t -> float array -> float array
-(** Pre-loss sending rate per path, bits per second. *)
 
 val total_mbps : t -> float array -> float
 (** Sum of {!rates_bps}, in Mbps. *)

@@ -28,8 +28,9 @@ let rk4_step p ~dt ~y ~out ~k1 ~k2 ~k3 ~k4 ~tmp =
       y.(i) +. (c *. (k1.(i) +. (2.0 *. k2.(i)) +. (2.0 *. k3.(i)) +. k4.(i)))
   done
 
-let integrate p ~y ~t0 ~t1 ?(dt0 = 1e-4) ?(tol = 1e-6) ?(dt_min = 1e-7)
-    ?dt_max () =
+let dt_min = 1e-7
+
+let integrate p ~y ~t0 ~t1 ?(dt0 = 1e-4) ?(tol = 1e-6) ?dt_max () =
   if Array.length y <> p.dim then
     invalid_arg "Ode.integrate: state has the wrong dimension";
   if t1 < t0 then invalid_arg "Ode.integrate: t1 < t0";

@@ -32,11 +32,11 @@ type stats = {
 
 val integrate :
   problem -> y:float array -> t0:float -> t1:float -> ?dt0:float
-  -> ?tol:float -> ?dt_min:float -> ?dt_max:float -> unit -> stats
+  -> ?tol:float -> ?dt_max:float -> unit -> stats
 (** Advance [y] in place from [t0] to [t1].  [tol] (default [1e-6]) is
     the per-step componentwise error bound relative to
     [max 1.0 (abs y.(i))]; [dt0] (default [1e-4] s) seeds the adaptive
-    step, clamped to [[dt_min, dt_max]] (defaults [1e-7] and a quarter
+    step, clamped to [[1e-7, dt_max]] ([dt_max] defaults to a quarter
     of the horizon).  The projection runs after every accepted step, so
     trajectories never leave the feasible box by more than one step's
     worth of drift.  Raises [Invalid_argument] when [t1 < t0] or [y]

@@ -13,14 +13,12 @@ let sample_of m ~t y =
     rates_mbps = Array.map (fun r -> r /. 1e6) (Model.rates_bps m y);
     total_mbps = Model.total_mbps m y }
 
-let run m ?y0 ~horizon ~samples ?(tol = 1e-6) () =
+let run m ~horizon ~samples =
   if samples <= 0 then invalid_arg "Trajectory.run: samples must be positive";
   if not (Float.is_finite horizon) || horizon <= 0.0 then
     invalid_arg "Trajectory.run: horizon must be positive";
   let p = Model.problem m in
-  let y =
-    match y0 with Some y -> Array.copy y | None -> Model.initial m
-  in
+  let y = Model.initial m in
   p.Ode.project y;
   let dt = horizon /. float_of_int samples in
   let acc = ref { Ode.steps = 0; rejected = 0; last_dt = 0.0 } in
@@ -28,7 +26,7 @@ let run m ?y0 ~horizon ~samples ?(tol = 1e-6) () =
   for k = 1 to samples do
     let t0 = dt *. float_of_int (k - 1) in
     let t1 = dt *. float_of_int k in
-    let stats = Ode.integrate p ~y ~t0 ~t1 ~tol () in
+    let stats = Ode.integrate p ~y ~t0 ~t1 () in
     acc := Ode.merge_stats !acc stats;
     out := sample_of m ~t:t1 y :: !out
   done;

@@ -14,12 +14,11 @@ type sample = {
 }
 
 val run :
-  Model.t -> ?y0:float array -> horizon:float -> samples:int -> ?tol:float
-  -> unit -> sample list * Ode.stats
-(** [run m ~horizon ~samples ()] integrates from [y0] (default
-    {!Model.initial}; not mutated) and returns [samples + 1] samples
-    including both endpoints, in time order.  [samples] must be
-    positive.  [tol] is passed to {!Ode.integrate} (default [1e-6]). *)
+  Model.t -> horizon:float -> samples:int -> sample list * Ode.stats
+(** [run m ~horizon ~samples] integrates from {!Model.initial} with
+    {!Ode.integrate}'s default tolerance and returns [samples + 1]
+    samples including both endpoints, in time order.  [samples] must be
+    positive. *)
 
 val write_csv : Model.t -> Format.formatter -> sample list -> unit
 (** Header then one row per sample: time, per-path windows, per-link

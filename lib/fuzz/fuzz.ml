@@ -1,15 +1,15 @@
 type case = {
-  n : int;
-  base_mbps : int;
-  step_mbps : int;
-  cc_idx : int;
-  sched_idx : int;
-  qdisc_idx : int;
-  limit_pkts : int;
-  jitter_us : int;
+  n : int;  (* number of pairwise-overlapping paths (2-4) *)
+  base_mbps : int;  (* bottleneck capacity ramp base (5-25 Mbps) *)
+  step_mbps : int;  (* bottleneck capacity ramp step (1-6 Mbps) *)
+  cc_idx : int;  (* index into [Mptcp.Algorithm.all] *)
+  sched_idx : int;  (* 0 min-RTT, 1 round-robin, 2 redundant *)
+  qdisc_idx : int;  (* 0 drop-tail, 1 RED, 2 RED+ECN, 3 CoDel *)
+  limit_pkts : int;  (* per-link-direction buffer (4-32 packets) *)
+  jitter_us : int;  (* uniform per-packet propagation jitter (0-300) *)
   delayed_ack : bool;
-  buffer_pkts : int;
-  duration_ms : int;
+  buffer_pkts : int;  (* send buffer in MSS units; 0 = unlimited *)
+  duration_ms : int;  (* simulated duration (200-500 ms) *)
   seed : int;
 }
 
@@ -57,7 +57,6 @@ let build_spec ?rto_cap ?(events_of = fun _ -> []) c =
       ~cap_bps:
         (Netgraph.Generate.spread_caps ~base_mbps:c.base_mbps
            ~step_mbps:c.step_mbps)
-      ()
   in
   let tagged = Mptcp.Path_manager.tag_paths paths in
   let net_config =
@@ -559,6 +558,14 @@ let determinism_test ?(count = 20) () =
 
 module E = Events.Event
 
+(* A case plus a random timed-event script: link kills and repairs,
+   capacity cuts and ramps, delay and loss changes, subflow churn and
+   cross-traffic, materialised against the generated topology.  Event
+   times land in the first three quarters of the run, capacity targets
+   never exceed a link's declared rate (the static LP stays a valid
+   bound) and loss stays below 30%.  [rto_sel] 0 means no failover
+   cap, else rto_cap = 1 + rto_sel; [evs] holds 1-6 compact
+   descriptors. *)
 type ev = { kind : int; which : int; t_pct : int; mag : int }
 type events_case = { base : case; rto_sel : int; evs : ev list }
 
@@ -698,15 +705,19 @@ let events_determinism_test ?(count = 12) () =
 
 (* --- hybrid fluid/packet fuzzing --- *)
 
+(* One Background_start declaration riding the generated topology's
+   first path. *)
 type bg_mix = {
-  bg_classes : int;
-  bg_flows : int;
-  bg_cc_sel : int;
-  bg_mbps10 : int;
-  bg_rtt_ms : int;
-  bg_start_pct : int;
+  bg_classes : int;  (* fluid background classes (1-30) *)
+  bg_flows : int;  (* flows aggregated per class (1-8) *)
+  bg_cc_sel : int;  (* 0 CBR, 1 Reno, 2 CUBIC, 3 LIA, 4 OLIA *)
+  bg_mbps10 : int;  (* CBR per-flow rate in tenths of Mbps (0.1-3.0) *)
+  bg_rtt_ms : int;  (* class base RTT (5-60 ms) *)
+  bg_start_pct : int;  (* activation time as % of the run (0-50) *)
 }
 
+(* A case plus 1-3 background mixes: the hybrid fluid/packet
+   co-simulation fuzzed end to end. *)
 type hybrid_case = { hbase : case; mixes : bg_mix list }
 
 let bg_cc m =
@@ -741,7 +752,6 @@ let to_hybrid_spec hc =
       ~cap_bps:
         (Netgraph.Generate.spread_caps ~base_mbps:c.base_mbps
            ~step_mbps:c.step_mbps)
-      ()
   in
   let p0 = List.hd paths in
   let src = Netgraph.Path.src p0 and dst = Netgraph.Path.dst p0 in

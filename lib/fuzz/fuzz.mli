@@ -1,53 +1,22 @@
 (** Model-based scenario fuzzing for the invariant audit.
 
-    A {!case} is a compact, fully-shrinkable description of a random
+    A case is a compact, fully-shrinkable description of a random
     experiment: a pairwise-overlap topology from {!Netgraph.Generate}
     (the paper's Fig. 1 construction generalised to [n] paths), one of
     the registered congestion controllers, a scheduler, a queue
     discipline and buffer size, optional propagation jitter and a finite
-    send buffer.  {!to_spec} turns it into a {!Core.Scenario.spec} with
+    send buffer.  Each case becomes a {!Core.Scenario.spec} with
     [audit = true]; the property under test ({!test}) is simply that the
     resulting {!Audit.report} contains zero violations — every byte
     conserved, queues within bounds, sequence numbers monotone, and the
-    measured rates inside the LP feasible region.
+    measured rates inside the LP feasible region.  The dynamic and
+    hybrid sweeps extend a case with a random timed-event script
+    ({!events_test}) or random fluid background mixes
+    ({!hybrid_test}).
 
     On failure QCheck shrinks toward the minimal failing case (fewest
     paths, smallest capacities and buffers, shortest duration) and the
     counterexample is printed together with the full audit report. *)
-
-type case = {
-  n : int;  (** number of pairwise-overlapping paths (2-4) *)
-  base_mbps : int;  (** bottleneck capacity ramp base (5-25 Mbps) *)
-  step_mbps : int;  (** bottleneck capacity ramp step (1-6 Mbps) *)
-  cc_idx : int;  (** index into {!Mptcp.Algorithm.all} *)
-  sched_idx : int;  (** 0 min-RTT, 1 round-robin, 2 redundant *)
-  qdisc_idx : int;  (** 0 drop-tail, 1 RED, 2 RED+ECN, 3 CoDel *)
-  limit_pkts : int;  (** per-link-direction buffer (4-32 packets) *)
-  jitter_us : int;  (** uniform per-packet propagation jitter (0-300) *)
-  delayed_ack : bool;
-  buffer_pkts : int;  (** send buffer in MSS units; 0 = unlimited *)
-  duration_ms : int;  (** simulated duration (200-500 ms) *)
-  seed : int;
-}
-
-val cc_of : case -> Mptcp.Algorithm.t
-val scheduler_of : case -> Mptcp.Scheduler.policy
-val qdisc_of : case -> Netsim.Qdisc.t
-
-val send_buffer : case -> int option
-(** [buffer_pkts * default MSS] bytes, or [None] when unlimited. *)
-
-val to_string : case -> string
-(** One-line rendering, also used as the QCheck counterexample print. *)
-
-val to_spec : case -> Core.Scenario.spec
-(** Build the audited scenario.  Deterministic in the case. *)
-
-val run_case : case -> Audit.report
-(** Run {!to_spec} and return its audit report (never [None]). *)
-
-val arbitrary : case QCheck.arbitrary
-(** Generator with shrinking toward the smallest failing scenario. *)
 
 val test : ?count:int -> unit -> QCheck.Test.t
 (** The property: [count] (default 120) random audited scenarios all
@@ -96,27 +65,6 @@ val determinism_test : ?count:int -> unit -> QCheck.Test.t
     bit-identical — with the audit's heap shadow lockstep armed, so the
     timing wheel is cross-checked on every dispatch of both runs. *)
 
-type events_case = {
-  base : case;
-  rto_sel : int;  (** 0 = no failover cap, else rto_cap = 1 + rto_sel *)
-  evs : ev list;  (** compact timed-event descriptors (1-6 of them) *)
-}
-(** A {!case} plus a random timed-event script: link kills and repairs,
-    capacity cuts and ramps, delay and loss changes, subflow churn and
-    cross-traffic, all materialised against the generated topology by
-    {!to_events_spec}. *)
-
-and ev = { kind : int; which : int; t_pct : int; mag : int }
-
-val to_events_spec : events_case -> Core.Scenario.spec
-(** Build the audited dynamic scenario.  Event times land in the first
-    three quarters of the run, capacity targets never exceed a link's
-    declared rate (the static LP stays a valid bound) and loss stays
-    below 30%.  Deterministic in the case. *)
-
-val events_to_string : events_case -> string
-val events_arbitrary : events_case QCheck.arbitrary
-
 val events_test : ?count:int -> unit -> QCheck.Test.t
 (** The dynamic property: [count] (default 200) random timed-event
     scripts interleaved with random topologies keep the full audit
@@ -129,30 +77,6 @@ val events_determinism_test : ?count:int -> unit -> QCheck.Test.t
     dynamic-scenario pairs run with [jobs = 1] and [jobs = 4] must
     agree on every counter — event processing, goodput, liveness churn
     and cross-traffic — and on the printed summary. *)
-
-type bg_mix = {
-  bg_classes : int;  (** fluid background classes (1-30) *)
-  bg_flows : int;  (** flows aggregated per class (1-8) *)
-  bg_cc_sel : int;  (** 0 CBR, 1 Reno, 2 CUBIC, 3 LIA, 4 OLIA *)
-  bg_mbps10 : int;  (** CBR per-flow rate in tenths of Mbps (0.1-3.0) *)
-  bg_rtt_ms : int;  (** class base RTT (5-60 ms) *)
-  bg_start_pct : int;  (** activation time as % of the run (0-50) *)
-}
-(** A compact background-mix descriptor: one
-    {!Events.Event.Background_start} declaration riding the generated
-    topology's first path. *)
-
-type hybrid_case = { hbase : case; mixes : bg_mix list }
-(** A {!case} plus 1-3 background mixes: the hybrid fluid/packet
-    co-simulation fuzzed end to end. *)
-
-val to_hybrid_spec : hybrid_case -> Core.Scenario.spec
-(** Build the audited hybrid scenario — foreground subflows at packet
-    fidelity, each mix compiled into the shared fluid field by
-    {!Core.Scenario.run}.  Deterministic in the case. *)
-
-val hybrid_to_string : hybrid_case -> string
-val hybrid_arbitrary : hybrid_case QCheck.arbitrary
 
 val hybrid_test : ?count:int -> unit -> QCheck.Test.t
 (** The hybrid property: [count] (default 40) random topologies crossed

@@ -35,8 +35,8 @@ let validate ~c ~a ~b =
    recomputed from scratch each iteration — O(m n) per pivot, which is the
    robust choice at the problem sizes in this repository. *)
 type tableau = {
-  mutable rows : float array array;
-  mutable basis : int array;
+  rows : float array array;
+  basis : int array;
   nvars : int;
 }
 

@@ -59,7 +59,3 @@ let summarise values =
 let confidence95 s =
   if s.count < 2 then 0.0
   else 1.96 *. s.std /. Float.sqrt (float_of_int s.count)
-
-let pp fmt s =
-  Format.fprintf fmt "n=%d mean=%.3g +/-%.3g (std %.3g, p50 %.3g, p90 %.3g)"
-    s.count s.mean (confidence95 s) s.std s.p50 s.p90

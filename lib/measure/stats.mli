@@ -20,11 +20,6 @@ val percentile : float array -> p:float -> float
 (** Linear-interpolation percentile of an unsorted array, [p] in
     [\[0, 100\]].  Raises on empty input or out-of-range [p]. *)
 
-val mean : float list -> float
-(** [nan] on empty input. *)
-
 val confidence95 : summary -> float
 (** Half-width of a normal-approximation 95% confidence interval for the
     mean: [1.96 * std / sqrt count] (0 when count < 2). *)
-
-val pp : Format.formatter -> summary -> unit

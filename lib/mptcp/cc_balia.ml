@@ -33,8 +33,7 @@ let factory (ctx : Cc.ctx) =
     ctx.Cc.set_cwnd next
   in
   {
-    Cc.name = "balia";
-    on_ack;
+    Cc.on_ack;
     on_loss;
     on_rto = (fun () -> Coupled.collapse_on_rto ctx);
   }

@@ -11,8 +11,7 @@ let factory (ctx : Cc.ctx) =
     end
   in
   {
-    Cc.name = "ewtcp";
-    on_ack;
+    Cc.on_ack;
     on_loss = (fun () -> Coupled.halve_on_loss ctx);
     on_rto = (fun () -> Coupled.collapse_on_rto ctx);
   }

@@ -1,22 +1,22 @@
 open Tcp
 
 type state = {
-  total_alpha : float;
   mutable base_rtt_s : float;    (* running minimum of the smoothed RTT *)
   mutable next_adjust_s : float; (* Vegas acts once per RTT *)
 }
 
 let gamma = 1.0 (* backlog (packets) that ends slow start *)
+let total_alpha = 10.0 (* global backlog budget, packets *)
 
 (* This path's share of the global backlog budget, by rate. *)
-let quota st (ctx : Cc.ctx) =
+let quota (ctx : Cc.ctx) =
   let total_rate = Coupled.rate_sum (ctx.Cc.group ()) in
   let own_rate = ctx.Cc.get_cwnd () /. ctx.Cc.srtt_s () in
   if total_rate <= 0.0 then 2.0
-  else Float.max 2.0 (st.total_alpha *. own_rate /. total_rate)
+  else Float.max 2.0 (total_alpha *. own_rate /. total_rate)
 
-let factory_with ?(total_alpha = 10.0) () (ctx : Cc.ctx) =
-  let st = { total_alpha; base_rtt_s = infinity; next_adjust_s = 0.0 } in
+let factory (ctx : Cc.ctx) =
+  let st = { base_rtt_s = infinity; next_adjust_s = 0.0 } in
   let on_ack ~acked:_ =
     let now = ctx.Cc.now_s () in
     let rtt = ctx.Cc.srtt_s () in
@@ -30,7 +30,7 @@ let factory_with ?(total_alpha = 10.0) () (ctx : Cc.ctx) =
         else ctx.Cc.set_cwnd (Float.min (2.0 *. cwnd) (ctx.Cc.get_ssthresh ()))
       end
       else begin
-        let alpha = quota st ctx in
+        let alpha = quota ctx in
         if diff < alpha then ctx.Cc.set_cwnd (cwnd +. 1.0)
         else if diff > alpha +. 2.0 then
           ctx.Cc.set_cwnd (Float.max Cc.min_cwnd (cwnd -. 1.0))
@@ -43,10 +43,7 @@ let factory_with ?(total_alpha = 10.0) () (ctx : Cc.ctx) =
     st.next_adjust_s <- ctx.Cc.now_s () +. ctx.Cc.srtt_s ()
   in
   {
-    Cc.name = "wvegas";
-    on_ack;
+    Cc.on_ack;
     on_loss;
     on_rto = (fun () -> Coupled.collapse_on_rto ctx);
   }
-
-let factory ctx = factory_with () ctx

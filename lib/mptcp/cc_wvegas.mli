@@ -5,7 +5,7 @@
     Instead of reacting to loss, each subflow measures the backlog it
     keeps in the network, [diff = cwnd * (1 - base_rtt / rtt)] packets,
     and steers it towards a per-path quota [alpha_r].  The coupling is in
-    the quotas: a global budget (default 10 packets) is split between
+    the quotas: a global budget of 10 packets is split between
     paths in proportion to their rates, so faster paths may queue more —
     traffic consequently migrates towards less congested paths without
     inducing losses.
@@ -17,5 +17,3 @@
     measures only loss-based algorithms. *)
 
 val factory : Tcp.Cc.factory
-
-val factory_with : ?total_alpha:float -> unit -> Tcp.Cc.factory

@@ -24,7 +24,6 @@ let default_config =
 type subflow = {
   index : int;
   tag : Packet.tag;
-  path : Netgraph.Path.t;
   mutable sender : Tcp.Sender.t option; (* set during establishment *)
   mutable receiver : Tcp.Receiver.t option;
   mutable joined : bool; (* false until the subflow's start time *)
@@ -41,11 +40,9 @@ type event =
 type t = {
   sched : Engine.Sched.t;
   config : config;
-  algorithm : Algorithm.t;
   subflows : subflow array;
   reassembly : Reassembly.t;
   total_bytes : int option;
-  start_at : Engine.Time.t;
   rr_cursor : int ref;
   mutable next_dseq : int;
   mutable data_ack_rx : int; (* highest DATA_ACK seen by the sender side *)
@@ -264,15 +261,15 @@ let reactivate_subflow t i =
   end
 
 let establish ~net ~src ~dst ~conn ~paths ~cc ?(config = default_config)
-    ?rng ?total_bytes ?(start_at = Engine.Time.zero) () =
+    ?rng ?total_bytes () =
   if paths = [] then invalid_arg "Connection.establish: no paths";
   let sched = Netsim.Net.sched net in
   Path_manager.install net paths;
   let subflows =
     Array.of_list
       (List.mapi
-         (fun index (tag, path) ->
-           { index; tag; path; sender = None; receiver = None; joined = false;
+         (fun index (tag, _) ->
+           { index; tag; sender = None; receiver = None; joined = false;
              rx_bytes = 0; cursor = 0 })
          paths)
   in
@@ -280,11 +277,9 @@ let establish ~net ~src ~dst ~conn ~paths ~cc ?(config = default_config)
     {
       sched;
       config;
-      algorithm = cc;
       subflows;
       reassembly = Reassembly.create ();
       total_bytes;
-      start_at;
       rr_cursor = ref 0;
       next_dseq = 0;
       data_ack_rx = 0;
@@ -370,7 +365,7 @@ let establish ~net ~src ~dst ~conn ~paths ~cc ?(config = default_config)
                   Tcp.Sender.kick (sender_exn other))
               t.subflows))
     subflows;
-  (* Default subflow starts at [start_at]; the rest join later.  The
+  (* Default subflow starts at time zero; the rest join later.  The
      per-subflow jitter desynchronises the slow starts, as scheduling
      noise would on a real host. *)
   let jitter () =
@@ -383,8 +378,7 @@ let establish ~net ~src ~dst ~conn ~paths ~cc ?(config = default_config)
     (fun sf ->
       let when_ =
         Engine.Time.add (jitter ())
-          (if sf.index = 0 then start_at
-           else Engine.Time.add start_at config.join_delay)
+          (if sf.index = 0 then Engine.Time.zero else config.join_delay)
       in
       ignore
         (Engine.Sched.at sched when_ (fun () ->
@@ -400,14 +394,12 @@ let subflow_receiver t i =
   match t.subflows.(i).receiver with Some r -> r | None -> assert false
 
 let subflow_tag t i = t.subflows.(i).tag
-let subflow_path t i = t.subflows.(i).path
 let subflow_rx_bytes t i = t.subflows.(i).rx_bytes
 let delivered_bytes t = Reassembly.delivered_bytes t.reassembly
 let data_ack t = Reassembly.next_expected t.reassembly
 let reassembly_buffered t = Reassembly.buffered_bytes t.reassembly
 let completed_at t = t.completed_at
 let reinjections t = t.reinjections
-let cc t = t.algorithm
 let data_ack_rx t = t.data_ack_rx
 let liveness t = t.liveness
 let subflow_active t i = subflow_is_active t t.subflows.(i)
@@ -425,6 +417,6 @@ let mapped_bytes t =
   Array.fold_left (fun acc sf -> Int.max acc sf.cursor) t.next_dseq t.subflows
 
 let total_throughput_bps t ~now =
-  let dt = Engine.Time.to_float_s (Engine.Time.diff now t.start_at) in
+  let dt = Engine.Time.to_float_s now in
   if dt <= 0.0 then 0.0
   else float_of_int (delivered_bytes t * 8) /. dt

@@ -52,10 +52,9 @@ val establish :
   ?config:config ->
   ?rng:Engine.Rng.t ->
   ?total_bytes:int ->
-  ?start_at:Engine.Time.t ->
   unit -> t
 (** Installs the tagged routes, creates one (sender, receiver) pair per
-    path and starts the transfer.  [conn] must be unique per simulation;
+    path and starts the transfer at time zero.  [conn] must be unique per simulation;
     tags must be unique per (src, dst) pair.  Raises [Invalid_argument]
     on an empty path list. *)
 
@@ -69,7 +68,6 @@ val subflow_receiver : t -> int -> Tcp.Receiver.t
     can tap per-subflow deliveries. *)
 
 val subflow_tag : t -> int -> Packet.tag
-val subflow_path : t -> int -> Netgraph.Path.t
 
 val subflow_rx_bytes : t -> int -> int
 (** In-order subflow-level bytes the receiver got on that subflow. *)
@@ -95,10 +93,8 @@ val reinjections : t -> int
 (** Count of chunks re-sent on a faster subflow to clear head-of-line
     blocking (see [config.reinjection]). *)
 
-val cc : t -> Algorithm.t
-
 val total_throughput_bps : t -> now:Engine.Time.t -> float
-(** Delivered connection-level goodput averaged since [start_at]. *)
+(** Delivered connection-level goodput averaged since time zero. *)
 
 (** {1 Path liveness} *)
 

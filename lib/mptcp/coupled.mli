@@ -10,9 +10,6 @@
     group's unboxed float arrays directly — nothing is filtered,
     copied or boxed per ACK. *)
 
-val use : Tcp.Cc.group -> int -> bool
-(** Whether slot [i] participates in the coupling sums. *)
-
 val active_count : Tcp.Cc.group -> int
 (** Number of participating slots, O(1). *)
 

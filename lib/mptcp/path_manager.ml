@@ -1,7 +1,6 @@
 type t = (Packet.tag * Netgraph.Path.t) list
 
-let tag_paths ?(first_tag = 1) paths =
-  List.mapi (fun i p -> (first_tag + i, p)) paths
+let tag_paths paths = List.mapi (fun i p -> (1 + i, p)) paths
 
 let ndiffports topo ~src ~dst ~subflows ?(weight = Netgraph.Shortest.delay_ns)
     () =
@@ -9,7 +8,8 @@ let ndiffports topo ~src ~dst ~subflows ?(weight = Netgraph.Shortest.delay_ns)
   let paths = Netgraph.Kshortest.yen topo ~src ~dst ~k:subflows ~weight in
   tag_paths paths
 
-let fullmesh topo ~src ~dst ?(weight = Netgraph.Shortest.delay_ns) () =
+let fullmesh topo ~src ~dst =
+  let weight = Netgraph.Shortest.delay_ns in
   if src = dst then invalid_arg "Path_manager.fullmesh: src = dst";
   let src_links = List.map fst (Netgraph.Topology.neighbours topo src) in
   let dst_links = List.map fst (Netgraph.Topology.neighbours topo dst) in
@@ -105,15 +105,3 @@ module Liveness = struct
   let churn t = t.churn
   let set_on_change t f = t.on_change <- f
 end
-
-let pp topo fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iteri
-    (fun i (tag, path) ->
-      Format.fprintf fmt "%ssubflow tag=%d%s: %a@,"
-        (if i = 0 then "" else "")
-        tag
-        (if i = 0 then " (default)" else "")
-        (Netgraph.Path.pp topo) path)
-    t;
-  Format.fprintf fmt "@]"

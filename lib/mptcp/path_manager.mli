@@ -9,8 +9,8 @@
 
 type t = (Packet.tag * Netgraph.Path.t) list
 
-val tag_paths : ?first_tag:int -> Netgraph.Path.t list -> t
-(** Assign consecutive tags (default from 1) in list order. *)
+val tag_paths : Netgraph.Path.t list -> t
+(** Assign consecutive tags from 1 in list order. *)
 
 val ndiffports :
   Netgraph.Topology.t -> src:int -> dst:int -> subflows:int
@@ -20,13 +20,11 @@ val ndiffports :
     tag them.  The shortest path comes first, i.e. is the default —
     matching "Path 2 as default shortest path" in the paper. *)
 
-val fullmesh :
-  Netgraph.Topology.t -> src:int -> dst:int
-  -> ?weight:Netgraph.Shortest.weight -> unit -> t
+val fullmesh : Netgraph.Topology.t -> src:int -> dst:int -> t
 (** The kernel's [fullmesh] path manager for multihomed hosts.  In this
     model a host's "addresses" are its access links, so fullmesh tries
     one subflow per (source access link, destination access link) pair:
-    the shortest path forced to leave [src] through the one link and
+    the shortest (by propagation delay) path forced to leave [src] through the one link and
     enter [dst] through the other.  Pairs with no such route are
     skipped; duplicate paths are kept once; the shortest surviving path
     comes first (the default subflow).  Raises [Invalid_argument] when
@@ -45,10 +43,9 @@ val install : Netsim.Net.t -> t -> unit
     consults when granting data, flipped either by its own RTO-cap
     detector or externally by the event layer. *)
 module Liveness : sig
-  type pm := t
   type t
 
-  val create : pm -> t
+  val create : (Packet.tag * Netgraph.Path.t) list -> t
   (** Every tagged path starts active. *)
 
   val is_active : t -> tag:Packet.tag -> bool
@@ -69,5 +66,3 @@ module Liveness : sig
   val set_on_change : t -> (tag:Packet.tag -> active:bool -> unit) option -> unit
   (** Callback fired once per actual transition, after the flag flips. *)
 end
-
-val pp : Netgraph.Topology.t -> Format.formatter -> t -> unit

@@ -51,8 +51,7 @@ let violations ?(slack_frac = 0.0) ?(slack_abs = 0.0) sys ~x =
   done;
   !out
 
-let feasible ?slack_frac ?slack_abs sys ~x =
-  violations ?slack_frac ?slack_abs sys ~x = []
+let feasible ?slack_frac sys ~x = violations ?slack_frac sys ~x = []
 
 type optimum = {
   total_bps : float;

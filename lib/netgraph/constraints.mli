@@ -33,8 +33,7 @@ val violations :
     means the same thing everywhere.  Raises [Invalid_argument] when
     [x] has the wrong length. *)
 
-val feasible :
-  ?slack_frac:float -> ?slack_abs:float -> system -> x:float array -> bool
+val feasible : ?slack_frac:float -> system -> x:float array -> bool
 (** [violations = []]. *)
 
 type optimum = {

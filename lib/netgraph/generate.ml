@@ -1,5 +1,5 @@
-let pairwise_overlap ~n ~cap_bps ?(connector_bps = 1_000_000_000)
-    ?(link_delay = Engine.Time.ms 1) () =
+let pairwise_overlap ~n ~cap_bps =
+  let link_delay = Engine.Time.ms 1 in
   if n < 2 then invalid_arg "Generate.pairwise_overlap: n must be >= 2";
   let b = Topology.builder () in
   let s = Topology.add_node b "s" in
@@ -21,7 +21,7 @@ let pairwise_overlap ~n ~cap_bps ?(connector_bps = 1_000_000_000)
      through private relay nodes so connectors are never shared. *)
   let connector u v =
     ignore
-      (Topology.add_link b ~u ~v ~capacity_bps:connector_bps ~delay:link_delay)
+      (Topology.add_link b ~u ~v ~capacity_bps:1_000_000_000 ~delay:link_delay)
   in
   let paths_nodes =
     List.init n (fun i ->
@@ -60,8 +60,8 @@ let paper_caps i j =
 let spread_caps ~base_mbps ~step_mbps i j =
   Topology.mbps (base_mbps + (step_mbps * (i + j)))
 
-let dumbbell ~flows ~bottleneck_bps ?(access_bps = 1_000_000_000)
-    ?(delay = Engine.Time.ms 2) () =
+let dumbbell ~flows ~bottleneck_bps =
+  let access_bps = 1_000_000_000 and delay = Engine.Time.ms 2 in
   if flows < 1 then invalid_arg "Generate.dumbbell: flows must be >= 1";
   let b = Topology.builder () in
   let l = Topology.add_node b "l" in
@@ -81,7 +81,8 @@ let dumbbell ~flows ~bottleneck_bps ?(access_bps = 1_000_000_000)
   in
   (topo, paths)
 
-let parking_lot ~hops ~cap_bps ?(delay = Engine.Time.ms 2) () =
+let parking_lot ~hops ~cap_bps =
+  let delay = Engine.Time.ms 2 in
   if hops < 1 then invalid_arg "Generate.parking_lot: hops must be >= 1";
   let b = Topology.builder () in
   let backbone =

@@ -12,19 +12,14 @@
     used by the test-suite and the examples. *)
 
 val pairwise_overlap :
-  n:int ->
-  cap_bps:(int -> int -> int) ->
-  ?connector_bps:int ->
-  ?link_delay:Engine.Time.t ->
-  unit ->
-  Topology.t * Path.t list
-(** [pairwise_overlap ~n ~cap_bps ()] builds the network and its [n]
-    paths (in index order, all from node ["s"] to node ["d"]).
-    [cap_bps i j] (called with [i < j], 0-based) is the bottleneck
-    capacity shared by paths [i] and [j]; connectors (default 1 Gbps) are
-    private to a single path by construction, so the extracted constraint
-    system is exactly [x_i + x_j <= cap i j].  Raises [Invalid_argument]
-    when [n < 2]. *)
+  n:int -> cap_bps:(int -> int -> int) -> Topology.t * Path.t list
+(** [pairwise_overlap ~n ~cap_bps] builds the network and its [n]
+    paths (in index order, all from node ["s"] to node ["d"]), every
+    link with 1 ms propagation delay.  [cap_bps i j] (called with
+    [i < j], 0-based) is the bottleneck capacity shared by paths [i] and
+    [j]; connectors (1 Gbps) are private to a single path by
+    construction, so the extracted constraint system is exactly
+    [x_i + x_j <= cap i j].  Raises [Invalid_argument] when [n < 2]. *)
 
 val paper_caps : int -> int -> int
 (** The paper's capacities for [n = 3]: pairs (0,1) -> 40, (0,2) -> 60,
@@ -35,23 +30,15 @@ val spread_caps : base_mbps:int -> step_mbps:int -> int -> int -> int
     [base + step * (i + j)] Mbps — a deterministic ramp giving every
     pair a distinct bottleneck, used by the scaling benchmark. *)
 
-val dumbbell :
-  flows:int ->
-  bottleneck_bps:int ->
-  ?access_bps:int ->
-  ?delay:Engine.Time.t ->
-  unit ->
-  Topology.t * (Path.t list)
-(** [flows] sender/receiver pairs sharing one bottleneck; returns the
+val dumbbell : flows:int -> bottleneck_bps:int -> Topology.t * Path.t list
+(** [flows] sender/receiver pairs sharing one bottleneck, behind 1 Gbps
+    access links, every link with 2 ms propagation delay; returns the
     per-flow paths [a_i > l > r > z_i]. *)
 
 val parking_lot :
-  hops:int ->
-  cap_bps:int ->
-  ?delay:Engine.Time.t ->
-  unit ->
-  Topology.t * Path.t * Path.t list
-(** A chain of [hops] equal links: returns the end-to-end path and one
+  hops:int -> cap_bps:int -> Topology.t * Path.t * Path.t list
+(** A chain of [hops] equal links, every link with 2 ms propagation
+    delay: returns the end-to-end path and one
     single-hop cross path per link (each with its own endpoints) — the
     classic topology where an end-to-end flow competes with [hops]
     one-hop flows. *)

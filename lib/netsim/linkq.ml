@@ -37,7 +37,6 @@ type t = {
          instead of closing over the packet — one fewer allocation per
          transmitted packet.  A jittered link can reorder arrivals, so
          it falls back to a per-packet closure capturing [cuts]. *)
-  mutable queued_bytes : int;
   mutable busy : bool;
   mutable up : bool;
   mutable cuts : int;
@@ -108,7 +107,6 @@ let rec create ~sched ~rng ~rate_bps ~delay ?(jitter = Engine.Time.zero) ~qdisc
       limit_pkts; deliver; release;
       queue = Pktring.create ~capacity:(Int.min 64 (limit_pkts + 1)) ();
       flight = Pktring.create ~capacity:16 ();
-      queued_bytes = 0;
       busy = false;
       up = true;
       cuts = 0;
@@ -154,7 +152,6 @@ and start_tx t =
     let enqueued_at = Pktring.head_stamp t.queue in
     let p = Pktring.pop t.queue in
     let now = Engine.Sched.now t.sched in
-    t.queued_bytes <- t.queued_bytes - p.Packet.size;
     (* CoDel inspects the head packet's sojourn time and may discard it
        (and keep discarding) before anything is serialized. *)
     if
@@ -224,7 +221,6 @@ let enqueue t p =
     let admit () =
       t.stats.enqueued <- t.stats.enqueued + 1;
       Pktring.push t.queue p ~stamp:(Engine.Sched.now t.sched);
-      t.queued_bytes <- t.queued_bytes + p.Packet.size;
       if observed t then Engine.Tap.emit t.tap (Enqueued p);
       if not t.busy then start_tx t
     in
@@ -247,7 +243,6 @@ let enqueue t p =
   end
 
 let queue_pkts t = Pktring.length t.queue
-let queued_bytes t = t.queued_bytes
 let stats t = t.stats
 let rate_bps t = t.rate_bps
 let limit_pkts t = t.limit_pkts
@@ -277,8 +272,6 @@ let set_background t ~occupancy_pkts ~rate_bps =
   end;
   t.bg_occupancy <- occupancy_pkts
 
-let background_occupancy_pkts t = t.bg_occupancy
-let background_rate_bps t = t.bg_rate_bps
 let min_effective_rate_bps t = t.min_eff_rate_bps
 
 let set_delay t delay =
@@ -291,8 +284,6 @@ let set_loss t loss =
     invalid_arg "Linkq.set_loss: probability outside [0, 1]";
   t.loss <- loss
 
-let loss t = t.loss
-let delay t = t.delay
 
 let capacity_bits t ~now =
   t.cap_bits_before
@@ -309,8 +300,7 @@ let set_up t up =
     if observed t then
       Pktring.iter t.queue (fun p -> Engine.Tap.emit t.tap (Lost_down p));
     Pktring.iter t.queue t.release;
-    Pktring.clear t.queue;
-    t.queued_bytes <- 0
+    Pktring.clear t.queue
   end
 
 let is_up t = t.up

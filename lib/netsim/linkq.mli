@@ -56,7 +56,6 @@ val enqueue : t -> Packet.t -> unit
 val queue_pkts : t -> int
 (** Packets buffered, excluding the one in transmission. *)
 
-val queued_bytes : t -> int
 val stats : t -> stats
 
 val rate_bps : t -> int
@@ -69,15 +68,11 @@ val set_rate : t -> int -> unit
     regime first, so audit bounds stay exact.  Raises [Invalid_argument]
     on a non-positive rate. *)
 
-val delay : t -> Engine.Time.t
-
 val set_delay : t -> Engine.Time.t -> unit
 (** Change the propagation delay for packets starting transmission after
     the call.  A decrease cannot reorder a jitter-free link: arrivals are
     clamped to remain FIFO, as a store-and-forward wire would deliver.
     Raises [Invalid_argument] on a negative delay. *)
-
-val loss : t -> float
 
 val set_loss : t -> float -> unit
 (** Independent per-packet random loss probability applied on enqueue
@@ -100,15 +95,6 @@ val set_background : t -> occupancy_pkts:float -> rate_bps:int -> unit
     integral over the old regime first, so {!capacity_bits} stays an
     exact bound for the audit.  Raises [Invalid_argument] on a negative
     occupancy or rate. *)
-
-val background_occupancy_pkts : t -> float
-val background_rate_bps : t -> int
-(** The most recent {!set_background} values ([0.] and [0] when no
-    field is coupled). *)
-
-val effective_rate_bps : t -> int
-(** The rate packets currently serialize at: the nominal {!rate_bps}
-    minus the background's share, floored at 1/64 of nominal. *)
 
 val min_effective_rate_bps : t -> int
 (** The slowest effective rate any packet may have started serializing

@@ -41,8 +41,8 @@ let cbr ~net ~src ~dst ~tag ~rate_bps ?(pkt_bytes = 1500)
   Engine.Sched.at_anon sched start tick;
   t
 
-let on_off ~net ~rng ~src ~dst ~tag ~rate_bps ~mean_on ~mean_off
-    ?(pkt_bytes = 1500) ?(start = Engine.Time.zero) ?stop_at () =
+let on_off ~net ~rng ~src ~dst ~tag ~rate_bps ~mean_on ~mean_off ?stop_at () =
+  let pkt_bytes = 1500 in
   if rate_bps <= 0 then invalid_arg "Traffic.on_off: rate must be positive";
   let sched = Net.sched net in
   let t = { running = true; packets = 0; bytes = 0 } in
@@ -68,5 +68,5 @@ let on_off ~net ~rng ~src ~dst ~tag ~rate_bps ~mean_on ~mean_off
     if t.running && not (expired ()) then
       burst (Engine.Time.add (Engine.Sched.now sched) (draw mean_on))
   in
-  Engine.Sched.at_anon sched start start_burst;
+  Engine.Sched.at_anon sched Engine.Time.zero start_burst;
   t

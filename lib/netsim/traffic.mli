@@ -22,8 +22,8 @@ val cbr :
 val on_off :
   net:Net.t -> rng:Engine.Rng.t -> src:int -> dst:int -> tag:Packet.tag
   -> rate_bps:int -> mean_on:Engine.Time.t -> mean_off:Engine.Time.t
-  -> ?pkt_bytes:int -> ?start:Engine.Time.t -> ?stop_at:Engine.Time.t
-  -> unit -> t
-(** Exponential on/off source: bursts at [rate_bps] for an
-    exponentially-distributed on-period, then stays silent for an
-    exponentially-distributed off-period. *)
+  -> ?stop_at:Engine.Time.t -> unit -> t
+(** Exponential on/off source of 1500-byte packets, starting at time
+    zero: bursts at [rate_bps] for an exponentially-distributed
+    on-period, then stays silent for an exponentially-distributed
+    off-period. *)

@@ -261,7 +261,7 @@ let wall_metric name =
   in
   at 0
 
-let final_metrics ?(drop_wall = true) t =
+let final_metrics t =
   match t.metrics with
   | None -> []
   | Some m -> (
@@ -269,5 +269,5 @@ let final_metrics ?(drop_wall = true) t =
     | None -> []
     | Some s ->
       List.filter
-        (fun (name, _) -> not (drop_wall && wall_metric name))
+        (fun (name, _) -> not (wall_metric name))
         s.Metrics.values)

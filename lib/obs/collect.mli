@@ -30,9 +30,6 @@ val create : sched:Engine.Sched.t -> conf -> t
 val trace : t -> Trace.t option
 val metrics : t -> Metrics.t option
 
-val enabled : t -> bool
-(** Whether any layer is on. *)
-
 val attach_sched : t -> Engine.Sched.t -> unit
 (** Event-loop dispatch trace (track 0) and the
     [engine.events_dispatched] counter / [engine.heap_depth] gauge. *)
@@ -60,9 +57,8 @@ val set_value : t -> string -> float -> unit
 (** Forwards to {!Metrics.set} when the metrics layer is on — for
     end-of-run facts such as [core.wall_time_s]. *)
 
-val final_metrics : ?drop_wall:bool -> t -> (string * float) list
+val final_metrics : t -> (string * float) list
 (** The last metrics snapshot's values (name-sorted), or [[]] when the
     metrics layer is off or never sampled — the per-run capture the
-    result store persists.  [drop_wall] (default [true]) filters out
-    metrics with "wall" in their name, leaving a fully deterministic
-    list. *)
+    result store persists.  Metrics with "wall" in their name are
+    filtered out, leaving a fully deterministic list. *)

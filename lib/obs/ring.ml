@@ -8,8 +8,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity must be >= 1";
   { data = Array.make capacity None; next = 0; pushed = 0 }
 
-let capacity t = Array.length t.data
-
 let push t x =
   t.data.(t.next) <- Some x;
   t.next <- (t.next + 1) mod Array.length t.data;

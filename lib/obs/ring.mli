@@ -10,8 +10,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** Raises [Invalid_argument] when [capacity < 1]. *)
 
-val capacity : 'a t -> int
-
 val push : 'a t -> 'a -> unit
 (** O(1).  Overwrites the oldest element once the ring is full. *)
 

@@ -19,6 +19,7 @@ type kind =
   | Span_begin
   | Span_end
 
+(* Stable dotted name used in both export formats. *)
 let kind_name = function
   | Loop_dispatch -> "loop.dispatch"
   | Link_enqueue -> "link.enqueue"

@@ -29,9 +29,6 @@ type kind =
   | Span_begin  (** start of a user-defined span (Chrome ["B"]) *)
   | Span_end  (** end of a user-defined span (Chrome ["E"]) *)
 
-val kind_name : kind -> string
-(** Stable dotted name used in both export formats, e.g.
-    ["link.enqueue"], ["tcp.cwnd"], ["mptcp.sched.grant"]. *)
 
 type event = {
   kind : kind;

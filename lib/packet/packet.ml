@@ -65,10 +65,10 @@ let validate_tcp ~payload ~sack ~dss =
     invalid_arg "Packet.make_tcp: DSS length must match payload"
   | Some _ | None -> ()
 
-let make_tcp ~id ~src ~dst ~tag ~born ?(ecn = Not_ect) tcp =
+let make_tcp ~id ~src ~dst ~tag ~born tcp =
   validate_tcp ~payload:tcp.payload ~sack:tcp.sack ~dss:tcp.dss;
   { id; src; dst; tag; size = header_bytes + tcp.payload; body = Tcp tcp;
-    ecn; born }
+    ecn = Not_ect; born }
 
 let make_plain ~id ~src ~dst ~tag ~born ~size =
   if size < 1 then invalid_arg "Packet.make_plain: size must be >= 1";
@@ -121,7 +121,6 @@ module Pool = struct
       released = 0; double_releases = 0 }
 
   let set_debug t on = t.debug <- on
-  let debug t = t.debug
 
   let stats t =
     { acquired = t.acquired; recycled = t.recycled; released = t.released;
@@ -243,22 +242,6 @@ module Pool = struct
         p.body <-
           Tcp { conn; subflow; kind; seq; payload; ack; sack; ece; dss;
                 data_ack });
-      p
-    end
-
-  let acquire_plain ?pool ~id ~src ~dst ~tag ~born ~size () =
-    if size < 1 then invalid_arg "Packet.make_plain: size must be >= 1";
-    let p = recycle pool in
-    if p == filler then make_plain ~id ~src ~dst ~tag ~born ~size
-    else begin
-      p.id <- id;
-      p.src <- src;
-      p.dst <- dst;
-      p.tag <- tag;
-      p.size <- size;
-      p.ecn <- Not_ect;
-      p.born <- born;
-      p.body <- Plain;
       p
     end
 end

@@ -85,10 +85,9 @@ val tcp_exn : t -> tcp
 (** Raises [Invalid_argument] on non-TCP packets. *)
 
 val make_tcp :
-  id:int -> src:addr -> dst:addr -> tag:tag -> born:Engine.Time.t
-  -> ?ecn:ecn -> tcp -> t
-(** Builds a TCP packet, deriving [size] from kind and payload.
-    [ecn] defaults to [Not_ect].  The SACK bound check is O(1). *)
+  id:int -> src:addr -> dst:addr -> tag:tag -> born:Engine.Time.t -> tcp -> t
+(** Builds a [Not_ect] TCP packet, deriving [size] from kind and
+    payload.  The SACK bound check is O(1). *)
 
 val make_plain :
   id:int -> src:addr -> dst:addr -> tag:tag -> born:Engine.Time.t
@@ -139,14 +138,13 @@ module Pool : sig
     released : int;   (** successful releases *)
     double_releases : int;
         (** releases of an already-poisoned packet (0 in a correct run;
-            counted rather than raised unless {!debug} is on) *)
+            counted rather than raised unless debug mode is on) *)
   }
 
   val create : ?debug:bool -> unit -> t
   (** An empty pool; [debug] (default [false]) enables poisoning checks. *)
 
   val set_debug : t -> bool -> unit
-  val debug : t -> bool
 
   val stats : t -> stats
 
@@ -166,11 +164,6 @@ module Pool : sig
       {!make_tcp}.  Same validation either way; in debug mode a
       freelist record that is not poisoned (a released packet written
       to since) raises [Failure]. *)
-
-  val acquire_plain :
-    ?pool:t -> id:int -> src:addr -> dst:addr -> tag:tag
-    -> born:Engine.Time.t -> size:int -> unit -> packet
-  (** Like {!make_plain}, recycling as {!acquire_tcp} does. *)
 
   val release : t -> packet -> unit
   (** Returns a packet to the freelist.  The caller asserts nothing will

@@ -490,16 +490,3 @@ let try_claim ?(stale_after_s = 120.) t ~hash =
         match attempt () with Some c -> `Claimed c | None -> `Busy
       end)
 
-let pp_record fmt r =
-  Format.fprintf fmt "@[<v>%s %s (cc=%s seed=%d, %d paths)@,"
-    (Core.Canon.short r.hash) r.label r.cc r.seed r.paths;
-  Format.fprintf fmt "tail %.1f / optimal %.1f Mbps, delivered %d bytes@,"
-    r.tail_mbps r.opt_mbps r.delivered_bytes;
-  List.iter
-    (fun (tag, v) -> Format.fprintf fmt "  path %d tail: %.1f Mbps@," tag v)
-    r.per_path_mbps;
-  (match r.audit with
-  | None -> ()
-  | Some { violations; checks } ->
-    Format.fprintf fmt "audit: %d violations / %d checks@," violations checks);
-  Format.fprintf fmt "@]"

@@ -164,5 +164,3 @@ val claim_path : t -> hash:string -> string
 val record_path : t -> hash:string -> string
 (** Where the record for [hash] lives — exposed so tests can corrupt,
     truncate and re-version records deliberately. *)
-
-val pp_record : Format.formatter -> record -> unit

@@ -51,7 +51,6 @@ type ctx = {
 }
 
 type instance = {
-  name : string;
   on_ack : acked:int -> unit;
   on_loss : unit -> unit;
   on_rto : unit -> unit;

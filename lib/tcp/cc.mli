@@ -63,7 +63,6 @@ type ctx = {
 }
 
 type instance = {
-  name : string;
   on_ack : acked:int -> unit;
       (** [acked] bytes newly acknowledged by a cumulative ACK *)
   on_loss : unit -> unit;

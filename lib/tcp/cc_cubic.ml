@@ -1,7 +1,5 @@
 (* All-float state record: OCaml stores float-only records flat, so the
-   per-ACK field writes below never allocate a boxed float.  The
-   immutable configuration (c, beta, fast_convergence) lives in the
-   factory closure to keep the record float-only. *)
+   per-ACK field writes below never allocate a boxed float. *)
 type state = {
   mutable w_max : float;        (* window just before the last reduction *)
   mutable epoch_start : float;  (* seconds; < 0 when no epoch is open *)
@@ -11,11 +9,19 @@ type state = {
   mutable acked_in_epoch : float; (* MSS acked since epoch start *)
 }
 
+(* RFC 8312's constants; fast convergence is always on. *)
+let c = 0.4
+let beta = 0.7
+
+(* Reno-equivalent window growth at the standard coupled rate
+   (section 4.2): 3 (1-beta) / (1+beta) MSS per RTT. *)
+let reno_gain = 3.0 *. (1.0 -. beta) /. (1.0 +. beta)
+
 let make () =
   { w_max = 0.0; epoch_start = -1.0; k = 0.0; origin = 0.0; w_est = 0.0;
     acked_in_epoch = 0.0 }
 
-let open_epoch st ~c ~now ~cwnd =
+let open_epoch st ~now ~cwnd =
   st.epoch_start <- now;
   st.acked_in_epoch <- 0.0;
   if cwnd < st.w_max then begin
@@ -28,18 +34,16 @@ let open_epoch st ~c ~now ~cwnd =
   end;
   st.w_est <- cwnd
 
-let congestion_avoidance st ~c ~reno_gain (ctx : Cc.ctx) ~acked_mss =
+let congestion_avoidance st (ctx : Cc.ctx) ~acked_mss =
   let now = ctx.Cc.now_s () in
   let cwnd = ctx.Cc.get_cwnd () in
   let rtt = ctx.Cc.srtt_s () in
-  if st.epoch_start < 0.0 then open_epoch st ~c ~now ~cwnd;
+  if st.epoch_start < 0.0 then open_epoch st ~now ~cwnd;
   st.acked_in_epoch <- st.acked_in_epoch +. acked_mss;
   (* Target window one RTT into the future (RFC 8312 section 4.1). *)
   let t = now -. st.epoch_start +. rtt in
   let dt = t -. st.k in
   let w_cubic = (c *. dt *. dt *. dt) +. st.origin in
-  (* Reno-equivalent window grown at the standard coupled rate
-     (section 4.2): 3 (1-beta) / (1+beta) MSS per RTT. *)
   st.w_est <- st.w_est +. (reno_gain *. acked_mss /. cwnd);
   let target =
     if w_cubic < st.w_est then st.w_est
@@ -51,18 +55,17 @@ let congestion_avoidance st ~c ~reno_gain (ctx : Cc.ctx) ~acked_mss =
     (* Minimal growth to stay responsive near the plateau. *)
     ctx.Cc.set_cwnd (cwnd +. (0.01 *. acked_mss /. cwnd))
 
-let factory_with ?(c = 0.4) ?(beta = 0.7) ?(fast_convergence = true) () ctx =
+let factory ctx =
   let st = make () in
-  let reno_gain = 3.0 *. (1.0 -. beta) /. (1.0 +. beta) in
   let on_ack ~acked =
     let acked_mss = float_of_int acked /. float_of_int ctx.Cc.mss in
     if not (Cc.slow_start_ack ctx ~acked) then
-      congestion_avoidance st ~c ~reno_gain ctx ~acked_mss
+      congestion_avoidance st ctx ~acked_mss
   in
   let reduce () =
     let cwnd = ctx.Cc.get_cwnd () in
     st.epoch_start <- -1.0;
-    if fast_convergence && cwnd < st.w_max then
+    if cwnd < st.w_max then
       (* Release capacity faster when the window is still shrinking. *)
       st.w_max <- cwnd *. (2.0 -. beta) /. 2.0
     else st.w_max <- cwnd;
@@ -78,6 +81,4 @@ let factory_with ?(c = 0.4) ?(beta = 0.7) ?(fast_convergence = true) () ctx =
     ctx.Cc.set_ssthresh w;
     ctx.Cc.set_cwnd 1.0
   in
-  { Cc.name = "cubic"; on_ack; on_loss; on_rto }
-
-let factory ctx = factory_with () ctx
+  { Cc.on_ack; on_loss; on_rto }

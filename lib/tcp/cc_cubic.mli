@@ -8,7 +8,3 @@
     TCP-friendly (Reno-equivalent) floor of RFC 8312 section 4.2. *)
 
 val factory : Cc.factory
-
-val factory_with :
-  ?c:float -> ?beta:float -> ?fast_convergence:bool -> unit -> Cc.factory
-(** Parameterised variant for the ablation benchmarks. *)

@@ -16,4 +16,4 @@ let factory (ctx : Cc.ctx) =
     ctx.Cc.set_ssthresh half;
     ctx.Cc.set_cwnd 1.0
   in
-  { Cc.name = "reno"; on_ack; on_loss; on_rto }
+  { Cc.on_ack; on_loss; on_rto }

@@ -19,7 +19,6 @@ type t = {
   net : Netsim.Net.t;
   node : int;
   handlers : (Packet.t -> unit) Engine.Int_table.t;
-  mutable plain : (Packet.t -> unit) option;
   mutable unmatched : int;
 }
 
@@ -30,12 +29,11 @@ let no_handler (_ : Packet.t) = ()
 let create net ~node =
   let t =
     { net; node; handlers = Engine.Int_table.create ~absent:no_handler ();
-      plain = None; unmatched = 0 }
+      unmatched = 0 }
   in
   Netsim.Net.attach_host net ~node (fun p ->
       match p.Packet.body with
-      | Packet.Plain -> (
-        match t.plain with Some f -> f p | None -> ())
+      | Packet.Plain -> ()
       | Packet.Tcp tcp ->
         let f =
           Engine.Int_table.find t.handlers
@@ -53,9 +51,4 @@ let register t ~conn ~subflow f =
   if Engine.Int_table.mem t.handlers key then
     invalid_arg "Endpoint.register: already registered";
   Engine.Int_table.replace t.handlers key f
-
-let unregister t ~conn ~subflow =
-  Engine.Int_table.remove t.handlers (demux_key ~conn ~subflow)
-
-let on_plain t f = t.plain <- Some f
 let unmatched t = t.unmatched

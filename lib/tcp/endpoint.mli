@@ -2,7 +2,8 @@
 
     One endpoint owns a node's host attachment in {!Netsim.Net} and
     dispatches arriving TCP packets to registered (connection, subflow)
-    handlers — the role of the kernel's socket lookup. *)
+    handlers — the role of the kernel's socket lookup.  Non-TCP
+    (cross-traffic) packets are dropped on arrival. *)
 
 type t
 
@@ -15,11 +16,6 @@ val net : t -> Netsim.Net.t
 val register :
   t -> conn:int -> subflow:int -> (Packet.t -> unit) -> unit
 (** Raises [Invalid_argument] on duplicate registration. *)
-
-val unregister : t -> conn:int -> subflow:int -> unit
-
-val on_plain : t -> (Packet.t -> unit) -> unit
-(** Handler for non-TCP (cross-traffic) packets; default drops them. *)
 
 val unmatched : t -> int
 (** TCP packets that found no registered handler. *)

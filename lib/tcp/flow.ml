@@ -3,13 +3,10 @@ type t = {
   mutable delivered : int;
   mutable completed_at : Engine.Time.t option;
   total_bytes : int option;
-  started_at : Engine.Time.t;
-  sched : Engine.Sched.t;
 }
 
 let start ~src ~dst ~tag ~conn ?(config = Sender.default_config)
-    ?(cc = Cc_cubic.factory) ?(delayed_ack = false) ?total_bytes
-    ?(start_at = Engine.Time.zero) () =
+    ?(cc = Cc_cubic.factory) ?(delayed_ack = false) ?total_bytes () =
   let net = Endpoint.net src in
   let sched = Netsim.Net.sched net in
   let fresh_id () = Netsim.Net.fresh_packet_id net in
@@ -36,8 +33,6 @@ let start ~src ~dst ~tag ~conn ?(config = Sender.default_config)
       delivered = 0;
       completed_at = None;
       total_bytes;
-      started_at = start_at;
-      sched;
     }
   in
   let receiver =
@@ -59,7 +54,7 @@ let start ~src ~dst ~tag ~conn ?(config = Sender.default_config)
       Receiver.handle_data receiver p);
   Endpoint.register src ~conn ~subflow:0 (fun p ->
       Sender.handle_ack t.sender (Packet.tcp_exn p));
-  Engine.Sched.at_anon sched start_at (fun () -> Sender.kick t.sender);
+  Engine.Sched.at_anon sched Engine.Time.zero (fun () -> Sender.kick t.sender);
   t
 
 let sender t = t.sender
@@ -67,5 +62,5 @@ let bytes_delivered t = t.delivered
 let completed_at t = t.completed_at
 
 let goodput_bps t ~now =
-  let dt = Engine.Time.to_float_s (Engine.Time.diff now t.started_at) in
+  let dt = Engine.Time.to_float_s now in
   if dt <= 0.0 then 0.0 else float_of_int (t.delivered * 8) /. dt

@@ -16,10 +16,9 @@ val start :
   ?cc:Cc.factory ->
   ?delayed_ack:bool ->
   ?total_bytes:int ->
-  ?start_at:Engine.Time.t ->
   unit -> t
-(** The route [tag] must already be installed in the network (see
-    {!Netsim.Net.install_path}).  [cc] defaults to {!Cc_cubic.factory};
+(** Starts the transfer at time zero.  The route [tag] must already be
+    installed in the network (see {!Netsim.Net.install_path}).  [cc] defaults to {!Cc_cubic.factory};
     omitting [total_bytes] gives an unbounded bulk transfer. *)
 
 val sender : t -> Sender.t

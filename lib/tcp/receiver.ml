@@ -13,7 +13,6 @@ type t = {
   on_deliver : seq:int -> len:int -> dss:Packet.dss option -> unit;
   data_ack : unit -> int;
   delayed_ack : bool;
-  ack_delay : Engine.Time.t;
   mutable pending_segs : int; (* in-order segments not yet acknowledged *)
   mutable ack_timer : Engine.Sched.timer option;
   mutable ack_thunk : unit -> unit;
@@ -24,7 +23,6 @@ type t = {
   mutable ooo : (int * Packet.dss option) Imap.t; (* seq -> len, dss *)
   mutable last_sacked : int; (* start of the block holding the newest arrival *)
   mutable ce_pending : bool; (* echo Congestion Experienced on the next ACK *)
-  mutable segments : int;
   mutable duplicates : int;
   (* scratch for sack_blocks: merged ranges as parallel arrays, reused
      across calls so range merging allocates nothing *)
@@ -43,14 +41,16 @@ and event = Delivered of { seq : int; len : int }
    the timer would fire the sentinel no-op forever. *)
 let unarmed () = ()
 
+(* Delayed-ACK timeout, the Linux quick-ack ballpark. *)
+let ack_delay = Engine.Time.ms 40
+
 let create ~sched ~conn ~subflow ~addr ~peer ~tag ~fresh_id ~transmit ?pool
-    ~on_deliver ~data_ack ?(delayed_ack = false)
-    ?(ack_delay = Engine.Time.ms 40) () =
+    ~on_deliver ~data_ack ?(delayed_ack = false) () =
   { sched; conn; subflow; addr; peer; tag; fresh_id; transmit; pool;
-    on_deliver; data_ack; delayed_ack; ack_delay; pending_segs = 0;
+    on_deliver; data_ack; delayed_ack; pending_segs = 0;
     ack_timer = None; ack_thunk = unarmed; acks_sent = 0; rcv_nxt = 0;
     ooo = Imap.empty;
-    last_sacked = -1; ce_pending = false; segments = 0; duplicates = 0;
+    last_sacked = -1; ce_pending = false; duplicates = 0;
     scratch_s = Array.make 16 0; scratch_e = Array.make 16 0; scratch_n = 0;
     tap = Engine.Tap.create () }
 
@@ -137,7 +137,7 @@ let ack_for_in_order t =
           (fun () ->
             t.ack_timer <- None;
             if t.pending_segs > 0 then send_ack_now t);
-      t.ack_timer <- Some (Engine.Sched.after t.sched t.ack_delay t.ack_thunk)
+      t.ack_timer <- Some (Engine.Sched.after t.sched ack_delay t.ack_thunk)
     end
   end
 
@@ -166,7 +166,6 @@ let handle_data t p =
   if p.Packet.ecn = Packet.Ce then t.ce_pending <- true;
   if tcp.Packet.kind = Packet.Syn then send_syn_ack t
   else begin
-  t.segments <- t.segments + 1;
   let seq = tcp.Packet.seq and len = tcp.Packet.payload in
   if len > 0 then
     if seq = t.rcv_nxt then begin
@@ -196,5 +195,4 @@ let acks_sent t = t.acks_sent
 let rcv_nxt t = t.rcv_nxt
 let tap t = t.tap
 let out_of_order t = Imap.cardinal t.ooo
-let segments_received t = t.segments
 let duplicates t = t.duplicates

@@ -21,7 +21,6 @@ val create :
   on_deliver:(seq:int -> len:int -> dss:Packet.dss option -> unit) ->
   data_ack:(unit -> int) ->
   ?delayed_ack:bool ->
-  ?ack_delay:Engine.Time.t ->
   unit -> t
 (** [on_deliver] fires once per segment, in subflow-sequence order;
     [data_ack ()] supplies the connection-level cumulative ACK stamped on
@@ -29,8 +28,8 @@ val create :
 
     With [delayed_ack] (default [false]: one ACK per segment, the
     simulator's calibrated behaviour), in-order segments are acknowledged
-    every second segment or after [ack_delay] (default 40 ms, the Linux
-    quick-ack ballpark), whichever comes first; out-of-order and
+    every second segment or after 40 ms (the Linux quick-ack
+    ballpark), whichever comes first; out-of-order and
     duplicate segments are always acknowledged immediately, as fast
     retransmit requires (RFC 5681 section 4.2). *)
 
@@ -42,7 +41,6 @@ val rcv_nxt : t -> int
 val out_of_order : t -> int
 (** Segments currently buffered out of order. *)
 
-val segments_received : t -> int
 val duplicates : t -> int
 
 type event = Delivered of { seq : int; len : int }

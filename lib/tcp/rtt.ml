@@ -5,13 +5,12 @@ type t = {
   mutable srtt : Engine.Time.t option;
   mutable rttvar : Engine.Time.t;
   mutable backoff_factor : int;
-  mutable samples : int;
 }
 
 let create ?(initial_rto = Engine.Time.s 1) ?(min_rto = Engine.Time.ms 200)
     ?(max_rto = Engine.Time.s 60) () =
   { min_rto; max_rto; initial_rto; srtt = None; rttvar = Engine.Time.zero;
-    backoff_factor = 1; samples = 0 }
+    backoff_factor = 1 }
 
 let sample t r =
   if Engine.Time.( < ) r Engine.Time.zero then
@@ -25,8 +24,7 @@ let sample t r =
     (* rttvar := 3/4 rttvar + 1/4 |err|;  srtt := 7/8 srtt + 1/8 r *)
     t.rttvar <- ((3 * t.rttvar) + err) / 4;
     t.srtt <- Some (((7 * srtt) + r) / 8));
-  t.backoff_factor <- 1;
-  t.samples <- t.samples + 1
+  t.backoff_factor <- 1
 
 let srtt t = t.srtt
 let rttvar t = t.rttvar
@@ -43,5 +41,3 @@ let rto t = Int.min t.max_rto (base_rto t * t.backoff_factor)
 let backoff t =
   if Engine.Time.( < ) (rto t) t.max_rto then
     t.backoff_factor <- t.backoff_factor * 2
-
-let samples t = t.samples

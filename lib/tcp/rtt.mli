@@ -26,5 +26,3 @@ val rto : t -> Engine.Time.t
 
 val backoff : t -> unit
 (** Doubles the RTO (up to [max_rto]); called when the timer fires. *)
-
-val samples : t -> int

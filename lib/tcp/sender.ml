@@ -641,13 +641,10 @@ let ssthresh t = t.ssthresh
 let in_recovery t = t.in_recovery
 let in_flight_bytes t = t.snd_nxt - t.snd_una
 let srtt t = Rtt.srtt t.rtt
-let rto t = Rtt.rto t.rtt
 let stats t = t.stats
-let cc_name t = (cc_exn t).Cc.name
 let is_established t = t.conn_state = Established
 let syn_retransmits t = t.syn_retx
 let mss t = t.config.mss
-let tag t = t.tag
 let snd_una t = t.snd_una
 let snd_nxt t = t.snd_nxt
 let tap t = t.tap

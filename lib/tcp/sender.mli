@@ -130,11 +130,8 @@ val scoreboard_consistent : t -> bool
     recovery entry. *)
 
 val srtt : t -> Engine.Time.t option
-val rto : t -> Engine.Time.t
 val stats : t -> stats
-val cc_name : t -> string
 val mss : t -> int
-val tag : t -> Packet.tag
 
 val snd_una : t -> int
 (** Lowest unacknowledged sequence number. *)

@@ -17,7 +17,7 @@ type t = {
   lp_feasible : bool;
 }
 
-let model_of_spec ?config (spec : Core.Scenario.spec) =
+let model_of_spec (spec : Core.Scenario.spec) =
   match Fluid.Controller.of_algorithm spec.Core.Scenario.cc with
   | None ->
     Error
@@ -25,12 +25,9 @@ let model_of_spec ?config (spec : Core.Scenario.spec) =
          (Mptcp.Algorithm.name spec.Core.Scenario.cc))
   | Some kind ->
     let config =
-      match config with
-      | Some c -> c
-      | None ->
-        { Fluid.Model.default_config with
-          mss_bytes = spec.Core.Scenario.sender_config.Tcp.Sender.mss;
-          buffer_pkts = spec.Core.Scenario.net_config.Netsim.Net.limit_pkts }
+      { Fluid.Model.default_config with
+        mss_bytes = spec.Core.Scenario.sender_config.Tcp.Sender.mss;
+        buffer_pkts = spec.Core.Scenario.net_config.Netsim.Net.limit_pkts }
     in
     let paths = List.map snd spec.Core.Scenario.paths in
     Ok
@@ -81,15 +78,15 @@ let report_of ~spec ~m ~diag ~y ~sim =
       Netgraph.Constraints.feasible ~slack_frac:0.01 (Fluid.Model.system m)
         ~x:fluid_bps }
 
-let equilibrium ?config ?tol (spec : Core.Scenario.spec) =
-  match model_of_spec ?config spec with
+let equilibrium ?tol (spec : Core.Scenario.spec) =
+  match model_of_spec spec with
   | Error _ as e -> e
   | Ok m ->
     let y, diag = Fluid.Equilibrium.solve m ?tol () in
     Ok (report_of ~spec ~m ~diag ~y ~sim:None)
 
-let against_sim ?config ?tol (spec : Core.Scenario.spec) =
-  match model_of_spec ?config spec with
+let against_sim ?tol (spec : Core.Scenario.spec) =
+  match model_of_spec spec with
   | Error _ as e -> e
   | Ok m ->
     let y, diag = Fluid.Equilibrium.solve m ?tol () in
@@ -97,10 +94,7 @@ let against_sim ?config ?tol (spec : Core.Scenario.spec) =
     let sim = Core.Scenario.per_path_tail_mbps result in
     Ok (report_of ~spec ~m ~diag ~y ~sim:(Some sim))
 
-let sweep ?jobs ?config ?tol specs =
-  Engine.Pool.map ?domains:jobs
-    (fun spec -> equilibrium ?config ?tol spec)
-    specs
+let sweep ?jobs specs = Engine.Pool.map ?domains:jobs equilibrium specs
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>fluid %s equilibrium (%a)@,"

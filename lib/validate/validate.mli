@@ -43,29 +43,22 @@ type t = {
       (** fluid goodputs satisfy every capacity constraint (1% slack) *)
 }
 
-val model_of_spec :
-  ?config:Fluid.Model.config -> Core.Scenario.spec -> (Fluid.Model.t, string) result
+val model_of_spec : Core.Scenario.spec -> (Fluid.Model.t, string) result
 (** Compiles the spec's topology, paths and controller.  [Error] names
     the algorithm when it has no fluid counterpart (BALIA, EWTCP,
-    wVegas).  The default [config] takes the MSS from
-    [spec.sender_config], the buffer from [spec.net_config] and
-    {!Fluid.Model.default_config} for the rest. *)
+    wVegas).  The model takes the MSS from [spec.sender_config], the
+    buffer from [spec.net_config] and {!Fluid.Model.default_config} for
+    the rest. *)
 
-val equilibrium :
-  ?config:Fluid.Model.config -> ?tol:float -> Core.Scenario.spec
-  -> (t, string) result
+val equilibrium : ?tol:float -> Core.Scenario.spec -> (t, string) result
 (** Fluid-vs-LP only ([sim_mbps = None] everywhere); microseconds. *)
 
-val against_sim :
-  ?config:Fluid.Model.config -> ?tol:float -> Core.Scenario.spec
-  -> (t, string) result
+val against_sim : ?tol:float -> Core.Scenario.spec -> (t, string) result
 (** {!equilibrium} plus a full packet-level {!Core.Scenario.run} of the
     same spec, with per-path deviations filled in.  Costs a simulation. *)
 
-val sweep :
-  ?jobs:int -> ?config:Fluid.Model.config -> ?tol:float -> Core.Scenario.spec list
-  -> (t, string) result list
-(** Batched {!equilibrium} over {!Engine.Pool.map} — results are in
+val sweep : ?jobs:int -> Core.Scenario.spec list -> (t, string) result list
+(** Batched {!equilibrium} (default tolerance) over {!Engine.Pool.map} — results are in
     input order and bit-identical for every [jobs] value (each job
     compiles its own model, so no scratch state is shared across
     domains). *)

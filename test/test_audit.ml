@@ -88,7 +88,7 @@ let duplicate_inject_caught () =
   let topo = Netgraph.Topology.build b in
   let sched = Engine.Sched.create () in
   let net = Netsim.Net.create ~sched ~rng:(Engine.Rng.create 1) topo in
-  let audit = Audit.create ~sched () in
+  let audit = Audit.create ~sched in
   Audit.attach_net audit net;
   Netsim.Net.install_route net ~node:a ~dst:z ~tag:1 ~link:lid;
   let p =

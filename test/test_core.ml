@@ -384,6 +384,15 @@ let runner_propagates_failures () =
            (fun _ -> Core.Scenario.make ~topo ~paths:[] ~cc:Mptcp.Algorithm.Cubic ())
            [ 1; 2 ]))
 
+let make_rejects_zero_sampling () =
+  let topo = Core.Paper_net.topology () in
+  Alcotest.check_raises "sampling 0 rejected before the run"
+    (Invalid_argument "Scenario.make: sampling period must be positive")
+    (fun () ->
+      ignore
+        (Core.Scenario.make ~topo ~paths:(Core.Paper_net.tagged_paths topo)
+           ~cc:Mptcp.Algorithm.Cubic ~sampling:Engine.Time.zero ()))
+
 let figures_parallel_match () =
   let strip (f : Core.Figures.figure) = (f.Core.Figures.id, f.Core.Figures.chart, f.Core.Figures.csv) in
   Alcotest.(check bool) "charts identical across jobs" true
@@ -414,6 +423,8 @@ let () =
           Alcotest.test_case "rates respect bottlenecks" `Quick
             scenario_feasibility;
           Alcotest.test_case "packet trace on demand" `Quick scenario_trace;
+          Alcotest.test_case "make rejects sampling 0" `Quick
+            make_rejects_zero_sampling;
         ] );
       ( "figures",
         [

@@ -453,7 +453,7 @@ let path_manager_fullmesh () =
   link wifi server (ms 5);
   link lte server (ms 5);
   let topo = Netgraph.Topology.build b in
-  let mesh = Mptcp.Path_manager.fullmesh topo ~src:phone ~dst:server () in
+  let mesh = Mptcp.Path_manager.fullmesh topo ~src:phone ~dst:server in
   Alcotest.(check int) "two subflows" 2 (List.length mesh);
   (match mesh with
   | (_, first) :: _ ->

@@ -392,7 +392,6 @@ let qcheck_maxflow_bounds_lp =
       let topo, paths =
         Generate.pairwise_overlap ~n
           ~cap_bps:(Generate.spread_caps ~base_mbps ~step_mbps)
-          ()
       in
       let opt = Constraints.optimum topo paths in
       let p0 = List.hd paths in
@@ -422,7 +421,7 @@ let qcheck_flow_bounded =
 
 let generate_paper_equivalent () =
   let topo, paths =
-    Generate.pairwise_overlap ~n:3 ~cap_bps:Generate.paper_caps ()
+    Generate.pairwise_overlap ~n:3 ~cap_bps:Generate.paper_caps
   in
   let opt = Constraints.optimum topo paths in
   Alcotest.(check (float 1e-3)) "same optimum as Fig. 1c" 90e6
@@ -439,7 +438,7 @@ let qcheck_generate_pairwise =
     (fun n ->
       let topo, paths =
         Generate.pairwise_overlap ~n
-          ~cap_bps:(Generate.spread_caps ~base_mbps:20 ~step_mbps:7) ()
+          ~cap_bps:(Generate.spread_caps ~base_mbps:20 ~step_mbps:7)
       in
       ignore topo;
       let arr = Array.of_list paths in
@@ -460,7 +459,7 @@ let qcheck_generate_lp_structure =
     (fun n ->
       let topo, paths =
         Generate.pairwise_overlap ~n
-          ~cap_bps:(Generate.spread_caps ~base_mbps:20 ~step_mbps:7) ()
+          ~cap_bps:(Generate.spread_caps ~base_mbps:20 ~step_mbps:7)
       in
       let opt = Constraints.optimum topo paths in
       let x = opt.Constraints.per_path_bps in
@@ -474,7 +473,7 @@ let qcheck_generate_lp_structure =
       !ok)
 
 let generate_dumbbell () =
-  let topo, paths = Generate.dumbbell ~flows:3 ~bottleneck_bps:(mb 10) () in
+  let topo, paths = Generate.dumbbell ~flows:3 ~bottleneck_bps:(mb 10) in
   Alcotest.(check int) "three paths" 3 (List.length paths);
   List.iter
     (fun p ->
@@ -489,7 +488,7 @@ let generate_dumbbell () =
   | _ -> Alcotest.fail "expected three paths"
 
 let generate_parking_lot () =
-  let topo, e2e, crosses = Generate.parking_lot ~hops:4 ~cap_bps:(mb 10) () in
+  let topo, e2e, crosses = Generate.parking_lot ~hops:4 ~cap_bps:(mb 10) in
   Alcotest.(check int) "end-to-end spans the chain" 4 (Path.hop_count e2e);
   Alcotest.(check int) "one cross per hop" 4 (List.length crosses);
   List.iter
@@ -505,7 +504,7 @@ let generate_parking_lot () =
 
 let generate_validation () =
   Alcotest.(check bool) "n < 2 rejected" true
-    (try ignore (Generate.pairwise_overlap ~n:1 ~cap_bps:Generate.paper_caps ()); false
+    (try ignore (Generate.pairwise_overlap ~n:1 ~cap_bps:Generate.paper_caps); false
      with Invalid_argument _ -> true)
 
 (* --- Constraints (Fig. 1c) --- *)

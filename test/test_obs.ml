@@ -344,7 +344,7 @@ let run_attached order =
         Obs.Collect.attach_connection o conn;
         collector := Some o
       | Auditor ->
-        let a = Audit.create ~sched () in
+        let a = Audit.create ~sched in
         Audit.attach_net a net;
         Audit.attach_connection a ~label:"conn1" conn;
         auditor := Some a)

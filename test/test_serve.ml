@@ -104,6 +104,14 @@ let batch_rejects () =
   bad {|(preset (cc warpdrive))|};
   bad {|(experiment (label x))|}
 
+let batch_rejects_zero_sampling () =
+  match
+    batch_of
+      {|(preset (label z) (cc cubic) (seed 1) (duration-s 0.1) (sampling-ms 0))|}
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "accepted a zero sampling period"
+
 (* --- store integrity --- *)
 
 let sample_record hash =
@@ -543,6 +551,8 @@ let () =
         [
           Alcotest.test_case "grid expansion" `Quick grid_expansion;
           Alcotest.test_case "rejects malformed" `Quick batch_rejects;
+          Alcotest.test_case "rejects sampling 0" `Quick
+            batch_rejects_zero_sampling;
         ] );
       ( "store",
         [

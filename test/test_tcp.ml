@@ -817,6 +817,31 @@ let delack_halves_ack_traffic () =
     true
     (float_of_int bytes_del > 0.7 *. float_of_int bytes_per_seg)
 
+let endpoint_counts_unmatched () =
+  (* A TCP packet whose (conn, subflow) has no registered handler is a
+     demux fault: counted, and handed to no handler. *)
+  let topo, a1, _, z1, _ = dumbbell () in
+  let sched = Engine.Sched.create () in
+  let net = Netsim.Net.create ~sched ~rng:(Engine.Rng.create 2) topo in
+  Netsim.Net.install_path net ~tag:1
+    (Netgraph.Path.of_names topo [ "a1"; "l"; "r"; "z1" ]);
+  let dst = Tcp.Endpoint.create net ~node:z1 in
+  let handled = ref 0 in
+  Tcp.Endpoint.register dst ~conn:1 ~subflow:0 (fun _ -> incr handled);
+  let send ~id ~conn ~subflow =
+    Netsim.Net.inject net ~at:a1
+      (Packet.make_tcp ~id ~src:a1 ~dst:z1 ~tag:1 ~born:0
+         { Packet.conn; subflow; kind = Packet.Data; seq = 0; payload = 100;
+           ack = 0; sack = []; ece = false; dss = None; data_ack = 0 })
+  in
+  send ~id:1 ~conn:1 ~subflow:0;
+  send ~id:2 ~conn:1 ~subflow:1;
+  send ~id:3 ~conn:2 ~subflow:0;
+  Engine.Sched.run sched;
+  Alcotest.(check int) "registered pair handled once" 1 !handled;
+  Alcotest.(check int) "unregistered pairs counted" 2
+    (Tcp.Endpoint.unmatched dst)
+
 let handshake_end_to_end () =
   let topo, a1, _, z1, _ = dumbbell () in
   let sched = Engine.Sched.create () in
@@ -1150,6 +1175,11 @@ let () =
             handshake_syn_retransmission;
           Alcotest.test_case "end to end over the simulator" `Quick
             handshake_end_to_end;
+        ] );
+      ( "endpoint",
+        [
+          Alcotest.test_case "unregistered pair counted, not handled" `Quick
+            endpoint_counts_unmatched;
         ] );
       ( "receiver",
         [

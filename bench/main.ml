@@ -20,10 +20,6 @@
 
 let quick = Array.exists (fun a -> a = "--quick" || a = "-q") Sys.argv
 
-(* `--audit` adds an invariant-audit phase: the paper-figure grid re-run
-   with the runtime checker enabled (see lib/audit and doc/AUDIT.md). *)
-let audit = Array.exists (fun a -> a = "--audit") Sys.argv
-
 (* `--profile` prints a per-phase domain-utilisation table (per-domain
    busy/idle wall time, effective speedup) from the pool's worker
    accounting, and adds a "profile" section to BENCH_results.json.  Off
@@ -41,10 +37,6 @@ let flag_value names =
     else find (i + 1)
   in
   find 1
-
-(* `--csv-dir DIR` writes each regenerated dataset as CSV next to the
-   terminal output, for external plotting. *)
-let csv_dir = flag_value [ "--csv-dir" ]
 
 (* `--gate` turns the run into a perf-regression check: after writing
    the JSON summary, the paper-sim and fluid microbenches and the
@@ -95,14 +87,6 @@ let bench_json =
   match flag_value [ "--bench-json" ] with
   | Some p -> p
   | None -> "BENCH_results.json"
-
-let write_csv name content =
-  match csv_dir with
-  | None -> ()
-  | Some dir ->
-    let path = Filename.concat dir name in
-    Measure.Render.write_file ~path content;
-    Printf.printf "[csv] wrote %s\n" path
 
 let hr title =
   Printf.printf "\n%s\n=== %s ===\n" (String.make 72 '=') title
@@ -192,12 +176,7 @@ let show_figure (f : Core.Figures.figure) =
 
 let figures () =
   let figs = Core.Figures.all ~seed:1 ~jobs () in
-  List.iter
-    (fun (f : Core.Figures.figure) ->
-      show_figure f;
-      if f.Core.Figures.csv <> "" then
-        write_csv ("fig" ^ f.Core.Figures.id ^ ".csv") f.Core.Figures.csv)
-    figs;
+  List.iter show_figure figs;
   hr "paper vs measured (figure summary)";
   Printf.printf
     "Fig 1c | LP optimum          | paper: 90 Mbps at (10,30,50) | \
@@ -236,7 +215,6 @@ let table1 () =
   let duration = Engine.Time.s (if quick then 8 else 20) in
   let rows = Core.Summary.sweep ~seeds ~duration ~jobs () in
   Format.printf "%a@." Core.Summary.pp_table rows;
-  write_csv "table1_sweep.csv" (Core.Summary.to_csv rows);
   Printf.printf
     "(optimum 90 Mbps; greedy fill from the default path reaches 80)\n";
   Printf.printf
@@ -247,16 +225,13 @@ let table1 () =
 (* 3. Ablations                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_paper ?(cc = Mptcp.Algorithm.Cubic) ?(default = 2) ?net_config
-    ?sender_config ?scheduler ?(duration = 12) ?(seed = 1) () =
+(* The paper scenario every ablation varies: default path 2, 12 s at
+   100 ms sampling, seed 1. *)
+let paper_spec cc =
   let topo = Core.Paper_net.topology () in
-  let paths = Core.Paper_net.tagged_paths ~default topo in
-  let spec =
-    Core.Scenario.make ~topo ~paths ~cc ?scheduler ?net_config ?sender_config
-      ~duration:(Engine.Time.s duration) ~sampling:(Engine.Time.ms 100) ~seed
-      ()
-  in
-  Core.Scenario.run spec
+  let paths = Core.Paper_net.tagged_paths ~default:2 topo in
+  Core.Scenario.make ~topo ~paths ~cc ~duration:(Engine.Time.s 12)
+    ~sampling:(Engine.Time.ms 100) ()
 
 let describe r =
   Printf.sprintf "tail %5.1f Mbps, t_opt %s, residency %.2f"
@@ -267,72 +242,54 @@ let describe r =
     (Measure.Converge.fraction_above r.Core.Scenario.total ~target:90.0
        ~tolerance:0.05 ~from_s:2.0 ())
 
-let ablation_buffers () =
-  hr "Ablation: buffer size (drop-tail, packets per link direction)";
-  let buffers = if quick then [ 16; 40 ] else [ 8; 16; 24; 40 ] in
+(* The cc x setting grid behind every ablation table: each setting is a
+   heading and a change to the paper spec.  All cells run on the pool;
+   the table prints one block per setting, in order. *)
+let ablation_grid settings =
   let ccs = Mptcp.Algorithm.[ Cubic; Lia; Olia ] in
-  let grid =
-    List.concat_map (fun limit -> List.map (fun cc -> (limit, cc)) ccs) buffers
+  let cells =
+    List.concat_map
+      (fun (heading, vary) -> List.map (fun cc -> (heading, cc, vary)) ccs)
+      settings
   in
   let descs =
     Engine.Pool.map ~domains:jobs
-      (fun (limit, cc) ->
-        let net_config =
-          { Netsim.Net.qdisc = Netsim.Qdisc.Drop_tail; limit_pkts = limit;
-      delay_jitter = Engine.Time.zero }
-        in
-        describe (run_paper ~cc ~net_config ()))
-      grid
+      (fun (_, cc, vary) -> describe (Core.Scenario.run (vary (paper_spec cc))))
+      cells
   in
-  let tagged = List.combine grid descs in
-  List.iter
-    (fun limit ->
-      Printf.printf "buffer %2d pkts:\n" limit;
-      List.iter
-        (fun ((l, cc), desc) ->
-          if l = limit then
-            Printf.printf "  %-6s %s\n" (Mptcp.Algorithm.name cc) desc)
-        tagged)
-    buffers;
+  List.iter2
+    (fun (heading, cc, _) desc ->
+      if cc = List.hd ccs then Printf.printf "%s:\n" heading;
+      Printf.printf "  %-6s %s\n" (Mptcp.Algorithm.name cc) desc)
+    cells descs
+
+let ablation_buffers () =
+  hr "Ablation: buffer size (drop-tail, packets per link direction)";
+  ablation_grid
+    (List.map
+       (fun limit_pkts ->
+         ( Printf.sprintf "buffer %2d pkts" limit_pkts,
+           fun (s : Core.Scenario.spec) ->
+             { s with net_config = { s.net_config with limit_pkts } } ))
+       (if quick then [ 16; 40 ] else [ 8; 16; 24; 40 ]));
   Printf.printf
     "(the paper's qualitative picture needs shallow buffers; at 40 pkts \
      ~ 1.5 BDP every algorithm converges)\n"
 
 let ablation_qdisc () =
   hr "Ablation: queue discipline (16-packet buffers)";
-  let disciplines =
-    [ ("drop-tail", Netsim.Qdisc.Drop_tail, false);
-      ("RED", Netsim.Qdisc.Red Netsim.Qdisc.default_red, false);
-      ("RED + ECN", Netsim.Qdisc.Red Netsim.Qdisc.default_red_ecn, true);
-      ("CoDel", Netsim.Qdisc.Codel Netsim.Qdisc.default_codel, false) ]
-  in
-  let ccs = Mptcp.Algorithm.[ Cubic; Lia; Olia ] in
-  let grid =
-    List.concat_map (fun d -> List.map (fun cc -> (d, cc)) ccs) disciplines
-  in
-  let descs =
-    Engine.Pool.map ~domains:jobs
-      (fun ((_, qdisc, ecn), cc) ->
-        let net_config =
-          { Netsim.Net.qdisc; limit_pkts = 16;
-            delay_jitter = Engine.Time.zero }
-        in
-        let sender_config =
-          { Tcp.Sender.default_config with Tcp.Sender.ecn }
-        in
-        describe (run_paper ~cc ~net_config ~sender_config ()))
-      grid
-  in
-  let tagged = List.combine grid descs in
-  List.iter
-    (fun (name, _, _) ->
-      Printf.printf "%s:\n" name;
-      List.iter
-        (fun (((n, _, _), cc), desc) ->
-          if n = name then
-            Printf.printf "  %-6s %s\n" (Mptcp.Algorithm.name cc) desc)
-        tagged)
-    disciplines;
+  ablation_grid
+    (List.map
+       (fun (name, qdisc, ecn) ->
+         ( name,
+           fun (s : Core.Scenario.spec) ->
+             { s with
+               net_config = { s.net_config with qdisc };
+               sender_config = { s.sender_config with ecn } } ))
+       [ ("drop-tail", Netsim.Qdisc.Drop_tail, false);
+         ("RED", Netsim.Qdisc.Red Netsim.Qdisc.default_red, false);
+         ("RED + ECN", Netsim.Qdisc.Red Netsim.Qdisc.default_red_ecn, true);
+         ("CoDel", Netsim.Qdisc.Codel Netsim.Qdisc.default_codel, false) ]);
   Printf.printf
     "(16-packet buffers drain in under CoDel's 5 ms target, so CoDel \
      never fires here and matches drop-tail; its effect shows on deep \
@@ -343,7 +300,10 @@ let ablation_scheduler () =
   let policies = Mptcp.Scheduler.[ Min_rtt; Round_robin; Redundant ] in
   let descs =
     Engine.Pool.map ~domains:jobs
-      (fun scheduler -> describe (run_paper ~scheduler ()))
+      (fun scheduler ->
+        describe
+          (Core.Scenario.run
+             { (paper_spec Mptcp.Algorithm.Cubic) with scheduler }))
       policies
   in
   List.iter2
@@ -366,41 +326,18 @@ let scaling_experiment () =
       ~jobs ()
   in
   Format.printf "%a@." Core.Scaling.pp_table rows;
-  write_csv "scaling.csv" (Core.Scaling.to_csv rows);
   Printf.printf
     "(capacities 30 + 5(i+j) Mbps per pair; the LP dimension grows as \
      C(n,2))\n"
 
 let ablation_delayed_ack () =
   hr "Ablation: delayed ACKs (receiver acks every 2nd segment / 40 ms)";
-  let ccs = Mptcp.Algorithm.[ Cubic; Lia; Olia ] in
-  let grid =
-    List.concat_map
-      (fun delayed -> List.map (fun cc -> (delayed, cc)) ccs)
-      [ false; true ]
-  in
-  let descs =
-    Engine.Pool.map ~domains:jobs
-      (fun (delayed, cc) ->
-        let topo = Core.Paper_net.topology () in
-        let paths = Core.Paper_net.tagged_paths ~default:2 topo in
-        let spec =
-          Core.Scenario.make ~topo ~paths ~cc ~delayed_ack:delayed
-            ~duration:(Engine.Time.s 12) ~sampling:(Engine.Time.ms 100) ()
-        in
-        describe (Core.Scenario.run spec))
-      grid
-  in
-  let tagged = List.combine grid descs in
-  List.iter
-    (fun delayed ->
-      Printf.printf "%s:\n" (if delayed then "delayed" else "per-segment");
-      List.iter
-        (fun ((d, cc), desc) ->
-          if d = delayed then
-            Printf.printf "  %-6s %s\n" (Mptcp.Algorithm.name cc) desc)
-        tagged)
-    [ false; true ]
+  ablation_grid
+    (List.map
+       (fun delayed_ack ->
+         ( (if delayed_ack then "delayed" else "per-segment"),
+           fun (s : Core.Scenario.spec) -> { s with delayed_ack } ))
+       [ false; true ])
 
 let ablation_hol_buffer () =
   hr "Ablation: scheduler under a 64 KB send buffer, asymmetric RTTs";
@@ -828,50 +765,7 @@ let microbench () =
   Micro.run ()
 
 (* ------------------------------------------------------------------ *)
-(* 5. Invariant audit sweep (opt-in via --audit)                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The paper-figure grid (congestion control x default path) re-run
-   with the runtime invariant checker attached.  Not part of the default
-   output so the golden CLI expectations stay byte-identical. *)
-let audit_sweep () =
-  hr "invariant audit: cc x default path with the checker enabled";
-  let ccs = Mptcp.Algorithm.[ Cubic; Lia; Olia ] in
-  let grid =
-    List.concat_map (fun cc -> List.map (fun d -> (cc, d)) [ 1; 2; 3 ]) ccs
-  in
-  let duration = Engine.Time.s (if quick then 2 else 4) in
-  let specs =
-    List.map
-      (fun (cc, default) ->
-        let topo = Core.Paper_net.topology () in
-        let paths = Core.Paper_net.tagged_paths ~default topo in
-        Core.Scenario.make ~topo ~paths ~cc ~duration
-          ~sampling:(Engine.Time.ms 100) ~audit:true ())
-      grid
-  in
-  let results = Engine.Pool.map ~domains:jobs Core.Scenario.run specs in
-  let failures = ref 0 in
-  List.iter2
-    (fun (cc, default) r ->
-      match r.Core.Scenario.audit with
-      | None -> assert false
-      | Some rep ->
-        Printf.printf "  %-6s default=%d: %d violations over %d checks\n"
-          (Mptcp.Algorithm.name cc) default rep.Audit.total_violations
-          rep.Audit.checks;
-        if rep.Audit.total_violations > 0 then begin
-          incr failures;
-          print_string (Format.asprintf "%a@." Audit.pp_report rep)
-        end)
-    grid results;
-  if !failures = 0 then
-    Printf.printf "all %d audited runs clean\n" (List.length grid)
-  else Printf.printf "AUDIT FAILURES in %d of %d runs\n" !failures
-      (List.length grid)
-
-(* ------------------------------------------------------------------ *)
-(* 6. Allocation profile and regression gate                           *)
+(* 5. Allocation profile and regression gate                           *)
 (* ------------------------------------------------------------------ *)
 
 type alloc_profile = {
@@ -1136,7 +1030,7 @@ let gate_check ~microbench_ns ~alloc ~hybrid =
   end
 
 (* ------------------------------------------------------------------ *)
-(* 7. Machine-readable results                                         *)
+(* 6. Machine-readable results                                         *)
 (* ------------------------------------------------------------------ *)
 
 let write_bench_json ~microbench_ns ~alloc ~hybrid ~daemon ~total_s =
@@ -1259,7 +1153,6 @@ let () =
   timed "two_connections" two_connections_fairness;
   let hybrid = timed "hybrid" hybrid_phase in
   let daemon = timed "daemon" daemon_phase in
-  if audit then timed "audit_sweep" audit_sweep;
   let alloc = timed "alloc_profile" alloc_profile in
   let microbench_ns = timed "microbench" microbench in
   if profile then print_profile ();

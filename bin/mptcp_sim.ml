@@ -637,7 +637,7 @@ let serve_cmd =
         in
         Format.printf "=== batch %s ===@." (Filename.basename batch_file);
         List.iter
-          (fun ((_ : Serve.Batch.entry), outcome) ->
+          (fun ((e : Serve.Batch.entry), outcome) ->
             let kind, (r : Serve.Store.record) =
               match outcome with
               | Serve.Service.Hit r -> ("hit  ", r)
@@ -646,7 +646,8 @@ let serve_cmd =
             in
             Format.printf "%s %s %-24s tail %.1f / opt %.1f Mbps%s@." kind
               (Core.Canon.short r.Serve.Store.hash)
-              r.Serve.Store.label r.Serve.Store.tail_mbps
+              (Serve.Store.sanitize_atom e.Serve.Batch.label)
+              r.Serve.Store.tail_mbps
               r.Serve.Store.opt_mbps
               (if perf then Printf.sprintf "  (%.3f s)" r.Serve.Store.wall_s
                else ""))
@@ -748,6 +749,12 @@ let serve_cmd =
       $ jobs_t $ listen_t $ watch_t $ max_queue_t $ gc_max_bytes_t
       $ gc_interval_t)
 
+(* The outcome of one LRU pass, from `cache --gc` and `submit --gc`. *)
+let print_gc ~budget (g : Serve.Store.gc_stats) =
+  Format.printf
+    "gc: evicted %d of %d records (%dB), kept %d (%dB <= %dB budget)@."
+    g.evicted g.examined g.evicted_bytes g.kept g.kept_bytes budget
+
 (* --- submit: client side of the resident daemon --- *)
 
 let submit_cmd =
@@ -823,12 +830,7 @@ let submit_cmd =
     | None -> ()
     | Some budget -> (
       match rpc (Daemon.Protocol.Gc budget) with
-      | Daemon.Protocol.Gc_done g ->
-        Format.printf
-          "gc: evicted %d of %d records (%dB), kept %d (%dB <= %dB budget)@."
-          g.Daemon.Protocol.evicted g.Daemon.Protocol.examined
-          g.Daemon.Protocol.evicted_bytes g.Daemon.Protocol.kept
-          g.Daemon.Protocol.kept_bytes budget
+      | Daemon.Protocol.Gc_done g -> print_gc ~budget g
       | Daemon.Protocol.Error (kind, msg) -> fail_reply kind msg
       | _ ->
         Format.eprintf "submit: unexpected reply to gc@.";
@@ -961,13 +963,7 @@ let cache_cmd =
       | None ->
         Format.eprintf "cache --gc requires --max-bytes@.";
         exit 2
-      | Some budget ->
-        let s = Serve.Store.gc st ~max_bytes:budget in
-        Format.printf
-          "gc: evicted %d of %d records (%dB), kept %d (%dB <= %dB budget)@."
-          s.Serve.Store.evicted s.Serve.Store.examined
-          s.Serve.Store.evicted_bytes s.Serve.Store.kept
-          s.Serve.Store.kept_bytes budget
+      | Some budget -> print_gc ~budget (Serve.Store.gc st ~max_bytes:budget)
     end
     else begin
       let entries, skipped = Serve.Trend.load ~dir:store in

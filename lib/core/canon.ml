@@ -10,8 +10,6 @@
 (* Bumped on any change to the rendering; see canon.mli. *)
 let version = 2
 
-let f17 = Printf.sprintf "%.17g"
-
 let time_ns (t : Engine.Time.t) = string_of_int t
 
 let opt_int = function None -> "none" | Some v -> string_of_int v
@@ -21,8 +19,8 @@ let add_qdisc buf (q : Netsim.Qdisc.t) =
   | Netsim.Qdisc.Drop_tail -> Buffer.add_string buf "drop-tail"
   | Netsim.Qdisc.Red { min_th; max_th; max_p; weight; ecn } ->
     Buffer.add_string buf
-      (Printf.sprintf "(red %d %d %s %s %b)" min_th max_th (f17 max_p)
-         (f17 weight) ecn)
+      (Printf.sprintf "(red %d %d %s %s %b)" min_th max_th
+         (Events.Sexp.f17 max_p) (Events.Sexp.f17 weight) ecn)
   | Netsim.Qdisc.Codel { target; interval } ->
     Buffer.add_string buf
       (Printf.sprintf "(codel %s %s)" (time_ns target) (time_ns interval))
@@ -41,7 +39,7 @@ let add_action buf (a : Events.Event.action) =
   | Events.Event.Delay_set { link; delay } ->
     p "(delay-set %d %s)" link (time_ns delay)
   | Events.Event.Loss_set { link; loss } ->
-    p "(loss-set %d %s)" link (f17 loss)
+    p "(loss-set %d %s)" link (Events.Sexp.f17 loss)
   | Events.Event.Subflow_close { subflow } -> p "(subflow-close %d)" subflow
   | Events.Event.Subflow_add { subflow } -> p "(subflow-add %d)" subflow
   | Events.Event.Traffic_start { src; dst; tag; rate_bps; stop_at } ->
@@ -131,8 +129,11 @@ let text (spec : Scenario.spec) =
     " (sender-config (dupack-threshold %d) (ecn %b) (handshake %b) \
      (initial-cwnd %s) (initial-rto-ns %s) (initial-ssthresh %s) \
      (max-rto-ns %s) (min-rto-ns %s) (mss %d) (sack %b))"
-    dupack_threshold ecn handshake (f17 initial_cwnd) (time_ns initial_rto)
-    (f17 initial_ssthresh) (time_ns max_rto) (time_ns min_rto) mss sack;
+    dupack_threshold ecn handshake
+    (Events.Sexp.f17 initial_cwnd)
+    (time_ns initial_rto)
+    (Events.Sexp.f17 initial_ssthresh)
+    (time_ns max_rto) (time_ns min_rto) mss sack;
   p " (start-jitter-ns %s)" (time_ns start_jitter);
   (* Topology: nodes in id order (names included: forwarding ignores
      them, but a renamed node is a different scenario to the operator

@@ -30,14 +30,8 @@ let spec_of_sexps ~topo sexps =
     | [ List (Atom "experiment" :: body) ] -> body
     | _ -> fail "expected a single (experiment ...) form"
   in
-  let one name conv = Option.map conv (find_field name body) in
-  let scalar name conv =
-    one name (function
-      | [ x ] -> conv x
-      | _ -> fail "(%s ...) takes exactly one value" name)
-  in
   let cc =
-    match scalar "cc" atom_exn with
+    match scalar_opt "cc" atom_exn body with
     | None -> Mptcp.Algorithm.Lia
     | Some name -> (
       match Mptcp.Algorithm.of_string name with
@@ -45,42 +39,25 @@ let spec_of_sexps ~topo sexps =
       | None -> fail "unknown congestion control %s" name)
   in
   let scheduler =
-    match scalar "scheduler" atom_exn with
-    | None -> Mptcp.Scheduler.Min_rtt
-    | Some name -> (
-      (* the DSL spells multi-word atoms with dashes; policy_of_string
-         expects underscores *)
-      let canon = String.map (function '-' -> '_' | c -> c) name in
-      match Mptcp.Scheduler.policy_of_string canon with
-      | Some p -> p
-      | None -> fail "unknown scheduler %s" name)
+    scalar_opt "scheduler"
+      (fun s ->
+        let name = atom_exn s in
+        match Mptcp.Scheduler.policy_of_string name with
+        | Some p -> p
+        | None -> fail "unknown scheduler %s" name)
+      body
   in
-  let duration =
-    match scalar "duration-s" float_exn with
-    | Some s -> Events.Parse.time_of_s s
-    | None -> Engine.Time.s 4
-  in
-  let sampling =
-    match scalar "sampling-ms" float_exn with
-    | Some ms -> Events.Parse.time_of_s (ms /. 1e3)
-    | None -> Engine.Time.ms 100
-  in
-  let seed = Option.value (scalar "seed" int_exn) ~default:1 in
+  let time_of_ms s = Events.Parse.time_of_s (float_exn s /. 1e3) in
   let total_bytes =
-    match (scalar "total-mb" float_exn, scalar "total-bytes" int_exn) with
+    match
+      (scalar_opt "total-mb" float_exn body, scalar_opt "total-bytes" int_exn body)
+    with
     | Some mb, _ -> Some (int_of_float (mb *. 1e6))
     | None, (Some _ as b) -> b
     | None, None -> None
   in
-  let rto_cap = scalar "rto-cap" int_exn in
-  let hybrid_tick =
-    Option.map
-      (fun ms -> Events.Parse.time_of_s (ms /. 1e3))
-      (scalar "tick-ms" float_exn)
-  in
-  let send_buffer = scalar "send-buffer-bytes" int_exn in
   let net_config =
-    match scalar "limit-pkts" int_exn with
+    match scalar_opt "limit-pkts" int_exn body with
     | Some limit_pkts ->
       { Scenario.default_net_config with Netsim.Net.limit_pkts }
     | None -> Scenario.default_net_config
@@ -96,8 +73,19 @@ let spec_of_sexps ~topo sexps =
     | Some forms -> Events.Parse.events topo forms
     | None -> []
   in
-  Scenario.make ~topo ~paths ~cc ~scheduler ~duration ~sampling ~seed
-    ~net_config ?send_buffer ?total_bytes ~events ?rto_cap ?hybrid_tick ()
+  Scenario.make ~topo ~paths ~cc ?scheduler
+    ?duration:
+      (scalar_opt "duration-s"
+         (fun s -> Events.Parse.time_of_s (float_exn s))
+         body)
+    ?sampling:(scalar_opt "sampling-ms" time_of_ms body)
+    ?seed:(scalar_opt "seed" int_exn body)
+    ~net_config
+    ?send_buffer:(scalar_opt "send-buffer-bytes" int_exn body)
+    ?total_bytes ~events
+    ?rto_cap:(scalar_opt "rto-cap" int_exn body)
+    ?hybrid_tick:(scalar_opt "tick-ms" time_of_ms body)
+    ()
 
 let load ~topo_file ~xp_file =
   let topo = Events.Parse.load_topology topo_file in

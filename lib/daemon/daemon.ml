@@ -154,17 +154,6 @@ let submit_entries t entries =
               fresh_sim_events })
   end
 
-let gc_now t =
-  match t.conf.gc_max_bytes with
-  | None -> None
-  | Some budget ->
-    let g = Serve.Store.gc t.store ~max_bytes:budget in
-    bump t t.c_gc_runs;
-    if g.Serve.Store.evicted > 0 then
-      log t "gc: evicted %d records (%d bytes), %d kept"
-        g.Serve.Store.evicted g.Serve.Store.evicted_bytes g.Serve.Store.kept;
-    Some g
-
 let handle t (req : Protocol.request) =
   match req with
   | Protocol.Submit forms -> (
@@ -215,14 +204,7 @@ let handle t (req : Protocol.request) =
     match Serve.Store.gc t.store ~max_bytes:budget with
     | g ->
       bump t t.c_gc_runs;
-      Protocol.Gc_done
-        {
-          Protocol.examined = g.Serve.Store.examined;
-          evicted = g.Serve.Store.evicted;
-          evicted_bytes = g.Serve.Store.evicted_bytes;
-          kept = g.Serve.Store.kept;
-          kept_bytes = g.Serve.Store.kept_bytes;
-        }
+      Protocol.Gc_done g
     | exception Invalid_argument msg -> Protocol.Error (Protocol.Failed, msg))
   | Protocol.Drain ->
     initiate_drain t;
@@ -243,10 +225,17 @@ let sleep_interruptible t seconds =
   in
   go seconds
 
-let gc_loop t =
+(* The periodic pass is a [Gc] request the daemon sends itself. *)
+let gc_loop t budget =
   while not (draining t) do
     sleep_interruptible t t.conf.gc_interval_s;
-    if not (draining t) then ignore (gc_now t)
+    if not (draining t) then
+      match handle t (Protocol.Gc budget) with
+      | Protocol.Gc_done g when g.Serve.Store.evicted > 0 ->
+        log t "gc: evicted %d records (%d bytes), %d kept" g.evicted
+          g.evicted_bytes g.kept
+      | Protocol.Error (_, msg) -> log t "gc: %s" msg
+      | _ -> ()
   done
 
 let watch_loop t dir =
@@ -407,7 +396,7 @@ let start conf =
   in
   let helpers = ref [] in
   (match conf.gc_max_bytes with
-  | Some _ -> helpers := Thread.create gc_loop t :: !helpers
+  | Some budget -> helpers := Thread.create (gc_loop t) budget :: !helpers
   | None -> ());
   (match conf.watch_dir with
   | Some dir -> helpers := Thread.create (watch_loop t) dir :: !helpers

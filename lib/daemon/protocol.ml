@@ -61,20 +61,12 @@ type stats_reply = {
   trend_entries : int;
 }
 
-type gc_reply = {
-  examined : int;
-  evicted : int;
-  evicted_bytes : int;
-  kept : int;
-  kept_bytes : int;
-}
-
 type response =
   | Batch of batch_reply
   | Status_reply of status_reply
   | Stats_reply of stats_reply
   | Invalidated of int
-  | Gc_done of gc_reply
+  | Gc_done of Serve.Store.gc_stats
   | Drained
   | Error of error_kind * string
 
@@ -107,8 +99,6 @@ let outcome_kind_of_name = function
   | _ -> None
 
 (* --- sexp codecs --- *)
-
-let f17 = Printf.sprintf "%.17g"
 
 (* The sexp reader has no quoting, so any free text persisted on the
    wire (error messages) is split into delimiter-free word atoms and
@@ -182,7 +172,9 @@ let render_response r =
           (outcome_kind_name o.kind)
           o.hash
           (sanitize_word o.label)
-          (f17 o.tail_mbps) (f17 o.opt_mbps) o.sim_events)
+          (Events.Sexp.f17 o.tail_mbps)
+          (Events.Sexp.f17 o.opt_mbps)
+          o.sim_events)
       b.outcomes;
     p "))"
   | Status_reply s ->
@@ -203,7 +195,7 @@ let render_response r =
     p
       "(gc-done (examined %d) (evicted %d) (evicted-bytes %d) (kept %d) \
        (kept-bytes %d))"
-      g.examined g.evicted g.evicted_bytes g.kept g.kept_bytes
+      g.Serve.Store.examined g.evicted g.evicted_bytes g.kept g.kept_bytes
   | Drained -> p "(drained)"
   | Error (kind, msg) ->
     p "(error %s" (error_kind_name kind);
@@ -213,12 +205,6 @@ let render_response r =
 
 let parse_response s =
   let open Events.Sexp in
-  let get name fields =
-    match find_field name fields with
-    | Some [ v ] -> v
-    | _ -> fail "response: missing or malformed (%s ...)" name
-  in
-  let geti name fields = int_exn (get name fields) in
   let bool_exn s =
     match atom_exn s with
     | "true" -> true
@@ -228,71 +214,68 @@ let parse_response s =
   match unwrap s with
   | [ List (Atom "batch" :: fields) ] ->
     let outcomes =
-      match find_field "outcomes" fields with
-      | None -> fail "batch reply: missing (outcomes ...)"
-      | Some os ->
-        List.map
-          (function
-            | List [ Atom "o"; k; h; l; tail; opt; ev ] ->
-              let kind =
-                match outcome_kind_of_name (atom_exn k) with
-                | Some k -> k
-                | None -> fail "unknown outcome kind %s" (atom_exn k)
-              in
-              {
-                kind;
-                hash = atom_exn h;
-                label = atom_exn l;
-                tail_mbps = float_exn tail;
-                opt_mbps = float_exn opt;
-                sim_events = int_exn ev;
-              }
-            | o -> fail "bad outcome %s" (to_string o))
-          os
+      List.map
+        (function
+          | List [ Atom "o"; k; h; l; tail; opt; ev ] ->
+            let kind =
+              match outcome_kind_of_name (atom_exn k) with
+              | Some k -> k
+              | None -> fail "unknown outcome kind %s" (atom_exn k)
+            in
+            {
+              kind;
+              hash = atom_exn h;
+              label = atom_exn l;
+              tail_mbps = float_exn tail;
+              opt_mbps = float_exn opt;
+              sim_events = int_exn ev;
+            }
+          | o -> fail "bad outcome %s" (to_string o))
+        (field "outcomes" fields)
     in
     Batch
       {
         outcomes;
-        entries = geti "entries" fields;
-        hits = geti "hits" fields;
-        fresh = geti "fresh" fields;
-        shared = geti "shared" fields;
-        fresh_sim_events = geti "fresh-sim-events" fields;
+        entries = scalar "entries" int_exn fields;
+        hits = scalar "hits" int_exn fields;
+        fresh = scalar "fresh" int_exn fields;
+        shared = scalar "shared" int_exn fields;
+        fresh_sim_events = scalar "fresh-sim-events" int_exn fields;
       }
   | [ List (Atom "status" :: fields) ] ->
     Status_reply
       {
-        pid = geti "pid" fields;
-        draining = bool_exn (get "draining" fields);
-        queue_depth = geti "queue-depth" fields;
-        inflight = geti "inflight" fields;
-        pool_domains = geti "pool-domains" fields;
-        store_records = geti "store-records" fields;
+        pid = scalar "pid" int_exn fields;
+        draining = scalar "draining" bool_exn fields;
+        queue_depth = scalar "queue-depth" int_exn fields;
+        inflight = scalar "inflight" int_exn fields;
+        pool_domains = scalar "pool-domains" int_exn fields;
+        store_records = scalar "store-records" int_exn fields;
       }
   | [ List (Atom "stats" :: fields) ] ->
     Stats_reply
       {
-        submissions = geti "submissions" fields;
-        served_entries = geti "served-entries" fields;
-        s_hits = geti "hits" fields;
-        s_fresh = geti "fresh" fields;
-        s_shared = geti "shared" fields;
-        rejected = geti "rejected" fields;
-        protocol_errors = geti "protocol-errors" fields;
-        gc_runs = geti "gc-runs" fields;
-        store_records = geti "store-records" fields;
-        store_bytes = geti "store-bytes" fields;
-        trend_entries = geti "trend-entries" fields;
+        submissions = scalar "submissions" int_exn fields;
+        served_entries = scalar "served-entries" int_exn fields;
+        s_hits = scalar "hits" int_exn fields;
+        s_fresh = scalar "fresh" int_exn fields;
+        s_shared = scalar "shared" int_exn fields;
+        rejected = scalar "rejected" int_exn fields;
+        protocol_errors = scalar "protocol-errors" int_exn fields;
+        gc_runs = scalar "gc-runs" int_exn fields;
+        store_records = scalar "store-records" int_exn fields;
+        store_bytes = scalar "store-bytes" int_exn fields;
+        trend_entries = scalar "trend-entries" int_exn fields;
       }
   | [ List [ Atom "invalidated"; n ] ] -> Invalidated (int_exn n)
   | [ List (Atom "gc-done" :: fields) ] ->
     Gc_done
       {
-        examined = geti "examined" fields;
-        evicted = geti "evicted" fields;
-        evicted_bytes = geti "evicted-bytes" fields;
-        kept = geti "kept" fields;
-        kept_bytes = geti "kept-bytes" fields;
+        Serve.Store.examined = scalar "examined" int_exn fields;
+        evicted = scalar "evicted" int_exn fields;
+        evicted_bytes = scalar "evicted-bytes" int_exn fields;
+        kept = scalar "kept" int_exn fields;
+        kept_bytes = scalar "kept-bytes" int_exn fields;
       }
   | [ List [ Atom "drained" ] ] -> Drained
   | [ List (Atom "error" :: Atom kind :: words) ] ->

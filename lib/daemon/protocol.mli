@@ -99,20 +99,13 @@ type stats_reply = {
   trend_entries : int;
 }
 
-type gc_reply = {
-  examined : int;
-  evicted : int;
-  evicted_bytes : int;
-  kept : int;
-  kept_bytes : int;
-}
-
 type response =
   | Batch of batch_reply
   | Status_reply of status_reply
   | Stats_reply of stats_reply
   | Invalidated of int
-  | Gc_done of gc_reply
+  | Gc_done of Serve.Store.gc_stats
+      (** the store's own account of the LRU pass *)
   | Drained  (** sent after every in-flight run has completed *)
   | Error of error_kind * string
 

@@ -1,26 +1,22 @@
 (* Open addressing with linear probing over two parallel arrays.  Keys
-   are non-negative, so two negative markers tag the other slot states:
-   [empty] ends a probe, [removed] (a tombstone left by [remove]) does
-   not, so keys placed past it stay reachable.  Tombstones are cleared
-   when the table rehashes, which it does before live keys plus
-   tombstones would fill half the slots. *)
+   are non-negative, so the negative [empty] marker tags a free slot,
+   which ends a probe.  Keys are never removed, so a probe chain only
+   grows; the table rehashes before its keys would fill half the
+   slots. *)
 
 type 'a t = {
   mutable keys : int array;
   mutable values : 'a array;
   mutable live : int;
-  mutable used : int; (* live keys plus tombstones *)
   absent : 'a;
 }
 
 let empty = -1
-let removed = -2
 
 let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (2 * c)
 
 let create ~absent () =
-  { keys = Array.make 8 empty; values = Array.make 8 absent; live = 0;
-    used = 0; absent }
+  { keys = Array.make 8 empty; values = Array.make 8 absent; live = 0; absent }
 
 (* Fibonacci hashing: multiply by an odd constant near 2^62 / golden
    ratio and index by bits from the upper half of the product, so keys
@@ -40,7 +36,7 @@ let slot keys key =
   done;
   !i
 
-(* A negative key can only meet a marker, whose value is [absent]. *)
+(* A negative key can only meet an empty slot, whose value is [absent]. *)
 let find t key =
   let i = slot t.keys key in
   if t.keys.(i) = key then t.values.(i) else t.absent
@@ -52,7 +48,6 @@ let rehash t =
   let cap = pow2_at_least (4 * (t.live + 1)) (Array.length old_keys) in
   t.keys <- Array.make cap empty;
   t.values <- Array.make cap t.absent;
-  t.used <- t.live;
   Array.iteri
     (fun j k ->
       if k >= 0 then begin
@@ -66,23 +61,12 @@ let rec replace t key v =
   if key < 0 then invalid_arg "Int_table.replace: negative key";
   let i = slot t.keys key in
   if t.keys.(i) = key then t.values.(i) <- v
-  else if 2 * (t.used + 1) > Array.length t.keys then begin
+  else if 2 * (t.live + 1) > Array.length t.keys then begin
     rehash t;
     replace t key v
   end
   else begin
     t.keys.(i) <- key;
     t.values.(i) <- v;
-    t.live <- t.live + 1;
-    t.used <- t.used + 1
-  end
-
-let remove t key =
-  if key >= 0 then begin
-    let i = slot t.keys key in
-    if t.keys.(i) = key then begin
-      t.keys.(i) <- removed;
-      t.values.(i) <- t.absent;
-      t.live <- t.live - 1
-    end
+    t.live <- t.live + 1
   end

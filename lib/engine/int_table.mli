@@ -21,6 +21,3 @@ val mem : 'a t -> int -> bool
 val replace : 'a t -> int -> 'a -> unit
 (** Binds the key, overwriting any earlier binding.  Raises
     [Invalid_argument] on a negative key. *)
-
-val remove : 'a t -> int -> unit
-(** Unbinds the key; a no-op when it is not bound. *)

@@ -1,10 +1,9 @@
 (* Fixed-size worker pool on OCaml 5 domains.
 
-   One mutex guards both the job queue and each map call's completion
-   state; workers block on [nonempty] and callers on a per-call
-   condition.  Jobs are plain thunks, so the pool itself is monomorphic
-   and every [run_list]/[map] call closes over its own (polymorphic)
-   result array.
+   One mutex guards the job queue; workers block on [nonempty].  Jobs
+   are plain thunks, so the pool itself is monomorphic: [submit] wraps
+   each one to fill its own (polymorphic) ticket, and [map] is [submit]
+   and [await] over a list.
 
    Every worker feeds a module-level accounting aggregate (jobs
    executed, wall seconds spent inside thunks), so `bench --profile`
@@ -116,54 +115,6 @@ let shutdown pool =
     Array.iter Domain.join pool.workers
   end
 
-let run_list pool thunks =
-  if not pool.live then invalid_arg "Pool.run_list: pool is shut down";
-  match thunks with
-  | [] -> []
-  | [ f ] -> [ f () ]
-  | _ ->
-    let thunks = Array.of_list thunks in
-    let n = Array.length thunks in
-    let results = Array.make n None in
-    (* Lowest input index wins when several jobs raise, so the propagated
-       exception does not depend on worker timing. *)
-    let error = ref None in
-    let remaining = ref n in
-    let finished = Condition.create () in
-    Mutex.lock pool.mutex;
-    for i = 0 to n - 1 do
-      let work () =
-        let outcome =
-          match thunks.(i) () with
-          | v -> Ok v
-          | exception e -> Error (e, Printexc.get_raw_backtrace ())
-        in
-        Mutex.lock pool.mutex;
-        (match outcome with
-        | Ok v -> results.(i) <- Some v
-        | Error err -> (
-          match !error with
-          | Some (j, _) when j < i -> ()
-          | Some _ | None -> error := Some (i, err)));
-        decr remaining;
-        if !remaining = 0 then Condition.broadcast finished;
-        Mutex.unlock pool.mutex
-      in
-      Queue.add (Run work) pool.jobs
-    done;
-    Condition.broadcast pool.nonempty;
-    while !remaining > 0 do
-      Condition.wait finished pool.mutex
-    done;
-    Mutex.unlock pool.mutex;
-    (match !error with
-    | Some (_, (e, bt)) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.to_list
-      (Array.map
-         (function Some v -> v | None -> assert false (* all jobs ran *))
-         results)
-
 (* --- incremental submission (the serve daemon's entry point) --- *)
 
 type 'a outcome =
@@ -212,8 +163,6 @@ let await ticket =
   | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
   | Pending -> assert false
 
-let map_pool pool f xs = run_list pool (List.map (fun x -> fun () -> f x) xs)
-
 let map ?domains f xs =
   let domains =
     match domains with Some d -> d | None -> default_domains ()
@@ -227,4 +176,20 @@ let map ?domains f xs =
     let pool = create ~domains:(min domains (List.length xs)) () in
     Fun.protect
       ~finally:(fun () -> shutdown pool)
-      (fun () -> map_pool pool f xs)
+      (fun () ->
+        let tickets = List.map (fun x -> submit pool (fun () -> f x)) xs in
+        (* Every job settles before anything is raised, and the
+           lowest-index failure wins, whatever the timing. *)
+        let outcomes =
+          List.map
+            (fun t ->
+              match await t with
+              | v -> Ok v
+              | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+            tickets
+        in
+        List.map
+          (function
+            | Ok v -> v
+            | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+          outcomes)

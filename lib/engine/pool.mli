@@ -12,7 +12,7 @@
     long as [f] touches no shared mutable state — which makes parallel
     sweeps bit-identical to serial ones.
 
-    Do not call [map]/[run_list] from inside a pool job: workers would
+    Do not call [map] or {!await} from inside a pool job: workers would
     wait on themselves. *)
 
 type t
@@ -28,25 +28,19 @@ val create : ?domains:int -> unit -> t
 val size : t -> int
 (** Number of worker domains. *)
 
-val run_list : t -> (unit -> 'a) list -> 'a list
-(** Runs every thunk on the pool, blocking until all finish.  Results
-    are in input order.  If any thunk raises, the exception of the
-    lowest-index failing thunk is re-raised (with its backtrace) after
-    all jobs have settled. *)
-
-val map_pool : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_pool pool f xs] is [run_list pool] over [fun () -> f x]. *)
-
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** One-shot convenience: spawn a pool, map, shut it down.
+(** Spawns a pool, {!submit}s [f x] for every element, {!await}s them
+    in order and shuts the pool down.  Results are in input order.  If
+    any job raises, the exception of the lowest-index failing job is
+    re-raised (with its backtrace) after every job has settled.
     [~domains:1] (and lists of length <= 1) short-circuits to
     [List.map] with no domain spawned, so [--jobs 1] is exactly the
     serial code path. *)
 
 (** {1 Incremental submission}
 
-    [run_list]/[map] are all-or-nothing: the caller blocks until the
-    whole batch settles.  A long-running service (the scenario cache's
+    [map] is all-or-nothing: the caller blocks until the whole list
+    settles.  A long-running service (the scenario cache's
     [serve] loop) instead discovers work incrementally — cache hits
     return immediately, misses trickle in as batches arrive — so it
     needs to enqueue jobs one at a time and collect each result when it

@@ -101,8 +101,33 @@ let float_exn s =
   | Some v -> v
   | None -> fail "expected a number, got %s" (to_string s)
 
-let field name = function
-  | List (Atom head :: rest) when head = name -> Some rest
-  | Atom _ | List _ -> None
+let find_field name items =
+  List.find_map
+    (function
+      | List (Atom head :: rest) when head = name -> Some rest
+      | Atom _ | List _ -> None)
+    items
 
-let find_field name items = List.find_map (field name) items
+(* --- field readers shared by every format --- *)
+
+let field name items =
+  match find_field name items with
+  | Some values -> values
+  | None -> fail "missing (%s ...)" name
+
+let one name conv = function
+  | [ v ] -> conv v
+  | _ -> fail "(%s ...) takes exactly one value" name
+
+let scalar name conv items = one name conv (field name items)
+
+let scalar_opt name conv items =
+  Option.map (one name conv) (find_field name items)
+
+let values_opt name conv items =
+  match find_field name items with
+  | Some (_ :: _ as vs) -> Some (List.map conv vs)
+  | Some [] -> fail "(%s ...) needs at least one value" name
+  | None -> None
+
+let f17 = Printf.sprintf "%.17g"

@@ -32,3 +32,29 @@ val float_exn : t -> float
 
 val find_field : string -> t list -> t list option
 (** [Some rest] for the first item of the form [(name rest...)]. *)
+
+(** {1 Field readers}
+
+    The one reader of [(name value ...)] fields for every format built
+    on this grammar: scenario files, batch files, store records, trend
+    lines and daemon frames.  A field is found with {!find_field}, and
+    a missing field or a wrong number of values raises {!Parse_error}
+    naming the field. *)
+
+val field : string -> t list -> t list
+(** The values of a field that must be present. *)
+
+val scalar : string -> (t -> 'a) -> t list -> 'a
+(** [scalar name conv items] is [conv v] for the required field
+    [(name v)]. *)
+
+val scalar_opt : string -> (t -> 'a) -> t list -> 'a option
+(** As {!scalar}, but [None] when the field is absent. *)
+
+val values_opt : string -> (t -> 'a) -> t list -> 'a list option
+(** [conv] over every value of an optional field that, when present,
+    holds at least one value. *)
+
+val f17 : float -> string
+(** [%.17g], the rendering under which every persisted float reads
+    back bit-identical. *)

@@ -5,8 +5,9 @@ let policy_name = function
   | Round_robin -> "roundrobin"
   | Redundant -> "redundant"
 
+(* Files and flags spell multi-word names with dashes or underscores. *)
 let policy_of_string s =
-  match String.lowercase_ascii s with
+  match String.map (function '-' -> '_' | c -> Char.lowercase_ascii c) s with
   | "minrtt" | "min_rtt" | "default" -> Some Min_rtt
   | "roundrobin" | "round_robin" | "rr" -> Some Round_robin
   | "redundant" -> Some Redundant

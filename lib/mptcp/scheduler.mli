@@ -16,7 +16,10 @@ type policy =
           latency-via-redundancy, the paper's reference [5]) *)
 
 val policy_name : policy -> string
+
 val policy_of_string : string -> policy option
+(** Case-insensitive, with [-] and [_] interchangeable: [min-rtt],
+    [min_rtt] and [minrtt] all read as [Min_rtt]. *)
 
 type decision =
   | Grant

@@ -2,36 +2,31 @@ open Events.Sexp
 
 type entry = { label : string; spec : Core.Scenario.spec }
 
-let cc_of_atom s =
-  match Mptcp.Algorithm.of_string s with
+(* Value readers for the fields below. *)
+let cc_of s =
+  let name = atom_exn s in
+  match Mptcp.Algorithm.of_string name with
   | Some cc -> cc
-  | None -> fail "batch: unknown congestion control %s" s
+  | None -> fail "batch: unknown congestion control %s" name
 
-let scheduler_of_atom s =
-  let canon = String.map (function '-' -> '_' | c -> c) s in
-  match Mptcp.Scheduler.policy_of_string canon with
+let scheduler_of s =
+  let name = atom_exn s in
+  match Mptcp.Scheduler.policy_of_string name with
   | Some p -> p
-  | None -> fail "batch: unknown scheduler %s" s
+  | None -> fail "batch: unknown scheduler %s" name
 
-let scalar name fields conv =
-  match find_field name fields with
-  | Some [ x ] -> Some (conv x)
-  | Some _ -> fail "batch: (%s ...) takes exactly one value" name
-  | None -> None
+let duration_of s = Events.Parse.time_of_s (float_exn s)
 
-let multi name fields conv =
-  match find_field name fields with
-  | Some (_ :: _ as xs) -> Some (List.map conv xs)
-  | Some [] -> fail "batch: (%s ...) needs at least one value" name
-  | None -> None
+let sampling_of s = Events.Parse.time_of_s (float_exn s /. 1e3)
 
-(* One paper-network cell; shared by preset and grid. *)
-let paper_cell ?label ~cc ~default ~seed ~duration ~sampling ~scheduler
-    ~total_bytes () =
+(* One paper-network cell; shared by preset and grid.  A field the form
+   leaves out ([None]) takes {!Core.Scenario.make}'s default. *)
+let paper_cell ?label ~duration ~sampling ~scheduler ~total_bytes ~cc ~default
+    ~seed () =
   let topo = Core.Paper_net.topology () in
   let paths = Core.Paper_net.tagged_paths ~default topo in
   let spec =
-    Core.Scenario.make ~topo ~paths ~cc ~scheduler ~duration ~sampling ~seed
+    Core.Scenario.make ~topo ~paths ~cc ?scheduler ?duration ?sampling ~seed
       ?total_bytes ()
   in
   let label =
@@ -42,67 +37,49 @@ let paper_cell ?label ~cc ~default ~seed ~duration ~sampling ~scheduler
   in
   { label; spec }
 
-let times_of fields =
-  let duration =
-    match scalar "duration-s" fields float_exn with
-    | Some s -> Events.Parse.time_of_s s
-    | None -> Engine.Time.s 4
-  in
-  let sampling =
-    match scalar "sampling-ms" fields float_exn with
-    | Some ms -> Events.Parse.time_of_s (ms /. 1e3)
-    | None -> Engine.Time.ms 100
-  in
-  (duration, sampling)
-
 let preset fields =
   let cc =
-    Option.value ~default:Mptcp.Algorithm.Cubic
-      (scalar "cc" fields (fun s -> cc_of_atom (atom_exn s)))
+    Option.value ~default:Mptcp.Algorithm.Cubic (scalar_opt "cc" cc_of fields)
   in
-  let default = Option.value ~default:2 (scalar "default" fields int_exn) in
-  let seed = Option.value ~default:1 (scalar "seed" fields int_exn) in
-  let duration, sampling = times_of fields in
-  let scheduler =
-    Option.value ~default:Mptcp.Scheduler.Min_rtt
-      (scalar "scheduler" fields (fun s -> scheduler_of_atom (atom_exn s)))
-  in
-  let total_bytes =
-    Option.map
-      (fun mb -> int_of_float (mb *. 1e6))
-      (scalar "total-mb" fields float_exn)
-  in
-  let label = scalar "label" fields atom_exn in
-  [ paper_cell ?label ~cc ~default ~seed ~duration ~sampling ~scheduler
-      ~total_bytes () ]
+  let default = Option.value ~default:2 (scalar_opt "default" int_exn fields) in
+  let seed = Option.value ~default:1 (scalar_opt "seed" int_exn fields) in
+  [ paper_cell
+      ?label:(scalar_opt "label" atom_exn fields)
+      ~duration:(scalar_opt "duration-s" duration_of fields)
+      ~sampling:(scalar_opt "sampling-ms" sampling_of fields)
+      ~scheduler:(scalar_opt "scheduler" scheduler_of fields)
+      ~total_bytes:
+        (scalar_opt "total-mb" (fun s -> int_of_float (float_exn s *. 1e6)) fields)
+      ~cc ~default ~seed () ]
 
 let grid fields =
   let ccs =
     Option.value
       ~default:[ Mptcp.Algorithm.Cubic; Mptcp.Algorithm.Lia;
                  Mptcp.Algorithm.Olia ]
-      (multi "ccs" fields (fun s -> cc_of_atom (atom_exn s)))
+      (values_opt "ccs" cc_of fields)
   in
   let defaults =
-    Option.value ~default:[ 1; 2; 3 ] (multi "defaults" fields int_exn)
+    Option.value ~default:[ 1; 2; 3 ] (values_opt "defaults" int_exn fields)
   in
-  let seeds = Option.value ~default:[ 1 ] (multi "seeds" fields int_exn) in
-  let duration, sampling = times_of fields in
+  let seeds = Option.value ~default:[ 1 ] (values_opt "seeds" int_exn fields) in
+  let duration = scalar_opt "duration-s" duration_of fields in
+  let sampling = scalar_opt "sampling-ms" sampling_of fields in
   List.concat_map
     (fun cc ->
       List.concat_map
         (fun default ->
           List.map
             (fun seed ->
-              paper_cell ~cc ~default ~seed ~duration ~sampling
-                ~scheduler:Mptcp.Scheduler.Min_rtt ~total_bytes:None ())
+              paper_cell ~duration ~sampling ~scheduler:None ~total_bytes:None
+                ~cc ~default ~seed ())
             seeds)
         defaults)
     ccs
 
 let experiment ~base_dir fields =
   let file name =
-    match scalar name fields atom_exn with
+    match scalar_opt name atom_exn fields with
     | Some f ->
       if Filename.is_relative f then Filename.concat base_dir f else f
     | None -> fail "batch: (experiment ...) needs (%s FILE)" name
@@ -110,7 +87,7 @@ let experiment ~base_dir fields =
   let topo_file = file "topology" and xp_file = file "experiment" in
   let _topo, spec = Core.Expfile.load ~topo_file ~xp_file in
   let label =
-    match scalar "label" fields atom_exn with
+    match scalar_opt "label" atom_exn fields with
     | Some l -> l
     | None -> Filename.remove_extension (Filename.basename xp_file)
   in

@@ -261,14 +261,19 @@ let run_batch ?jobs ?pool ?flights ?(cache = true) ~store entries =
   in
   let at_unix = Unix.gettimeofday () in
   List.iter
-    (fun (_, outcome) ->
+    (fun ((e : Batch.entry), outcome) ->
       let cached, r =
         match outcome with
         | Fresh r -> (false, r)
         | Hit r | Shared r -> (true, r)
       in
+      (* A hit or a shared run carries the record of whichever entry
+         simulated it first; the history files it under this one. *)
       Trend.append ~dir:(Store.dir store)
-        (Trend.entry_of_record ~at_unix ~cached r))
+        {
+          (Trend.entry_of_record ~at_unix ~cached r) with
+          Trend.label = Store.sanitize_atom e.Batch.label;
+        })
     outcomes;
   let count p = List.length (List.filter (fun (_, o) -> p o) outcomes) in
   let stats =

@@ -9,8 +9,9 @@
     advisory claim ({!simulate_entry}), serially or through
     {!Engine.Pool.submit}/[await], inserts the record and publishes it
     to every follower.  Each outcome — [Hit], [Fresh] or [Shared] — is
-    appended to the {!Trend} log, so the history records every
-    submission.
+    appended to the {!Trend} log under the label it was submitted with
+    (a hit's record keeps the label of the run that produced it), so
+    the history records every submission.
 
     Determinism: fresh runs execute the spec with the metrics layer
     attached (observation does not perturb results — see

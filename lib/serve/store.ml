@@ -39,8 +39,6 @@ type record = {
   created_unix : float;
 }
 
-let f17 = Printf.sprintf "%.17g"
-
 (* The sexp reader has no quoting, so anything persisted as an atom
    must contain no delimiters.  Labels come from user batch files;
    metric names are already dotted identifiers. *)
@@ -99,6 +97,7 @@ let same_results a b =
 (* --- record text --- *)
 
 let body_of_record r =
+  let open Events.Sexp in
   let buf = Buffer.create 512 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   p "(record";
@@ -145,56 +144,43 @@ let record_of_body body =
     | [ List (Atom "record" :: fields) ] -> fields
     | _ -> fail "record: expected a single (record ...) form"
   in
-  let get name =
-    match find_field name fields with
-    | Some v -> v
-    | None -> fail "record: missing (%s ...)" name
-  in
-  let scalar name conv =
-    match get name with
-    | [ x ] -> conv x
-    | _ -> fail "record: (%s ...) takes one value" name
-  in
-  let pairs name kconv vconv =
-    List.map
-      (function
-        | List [ k; v ] -> (kconv k, vconv v)
-        | s -> fail "record: bad pair %s in (%s ...)" (to_string s) name)
-      (get name)
+  let pair kconv vconv = function
+    | List [ k; v ] -> (kconv k, vconv v)
+    | s -> fail "record: bad pair %s" (to_string s)
   in
   {
-    hash = scalar "hash" atom_exn;
-    label = scalar "label" atom_exn;
-    cc = scalar "cc" atom_exn;
-    seed = scalar "seed" int_exn;
-    paths = scalar "paths" int_exn;
-    tail_mbps = scalar "tail-mbps" float_exn;
-    per_path_mbps = pairs "per-path" int_exn float_exn;
-    opt_mbps = scalar "opt-mbps" float_exn;
-    delivered_bytes = scalar "delivered-bytes" int_exn;
+    hash = scalar "hash" atom_exn fields;
+    label = scalar "label" atom_exn fields;
+    cc = scalar "cc" atom_exn fields;
+    seed = scalar "seed" int_exn fields;
+    paths = scalar "paths" int_exn fields;
+    tail_mbps = scalar "tail-mbps" float_exn fields;
+    per_path_mbps =
+      List.map (pair int_exn float_exn) (field "per-path" fields);
+    opt_mbps = scalar "opt-mbps" float_exn fields;
+    delivered_bytes = scalar "delivered-bytes" int_exn fields;
     completed_at_s =
-      scalar "completed-at-s" (function
-        | Atom "none" -> None
-        | s -> Some (float_exn s));
-    subflow_churn = scalar "subflow-churn" int_exn;
-    cross_traffic_bytes = scalar "cross-traffic-bytes" int_exn;
-    queue_drops = scalar "queue-drops" int_exn;
-    sim_events = scalar "sim-events" int_exn;
-    packets_created = scalar "packets-created" int_exn;
+      scalar "completed-at-s"
+        (function Atom "none" -> None | s -> Some (float_exn s))
+        fields;
+    subflow_churn = scalar "subflow-churn" int_exn fields;
+    cross_traffic_bytes = scalar "cross-traffic-bytes" int_exn fields;
+    queue_drops = scalar "queue-drops" int_exn fields;
+    sim_events = scalar "sim-events" int_exn fields;
+    packets_created = scalar "packets-created" int_exn fields;
     audit =
-      (match get "audit" with
+      (match field "audit" fields with
       | [ Atom "none" ] -> None
       | forms ->
-        let sub name =
-          match find_field name forms with
-          | Some [ x ] -> int_exn x
-          | _ -> fail "record: bad (audit ...) form"
-        in
-        Some { violations = sub "violations"; checks = sub "checks" });
-    metrics = pairs "metrics" atom_exn float_exn;
-    wall_s = scalar "wall-s" float_exn;
-    alloc_words = scalar "alloc-words" float_exn;
-    created_unix = scalar "created-unix" float_exn;
+        Some
+          {
+            violations = scalar "violations" int_exn forms;
+            checks = scalar "checks" int_exn forms;
+          });
+    metrics = List.map (pair atom_exn float_exn) (field "metrics" fields);
+    wall_s = scalar "wall-s" float_exn fields;
+    alloc_words = scalar "alloc-words" float_exn fields;
+    created_unix = scalar "created-unix" float_exn fields;
   }
 
 (* --- the store --- *)
@@ -257,54 +243,36 @@ let record_path t ~hash =
   let shard = if String.length hash >= 2 then String.sub hash 0 2 else "xx" in
   Filename.concat (Filename.concat (objects_dir t.dir) shard) hash
 
-(* Split a record file into (header-version, body, checksum), or None
-   when the shape is wrong (truncated files land here). *)
+(* Split a record file into (header version, body, checksum), or None
+   when the shape is wrong (truncated files land here).  The header is
+   the first line, the checksum line is the last one that starts
+   "checksum ", and the body is the one or more lines between them. *)
 let split_file content =
-  match String.index_opt content '\n' with
-  | None -> None
-  | Some nl -> (
-    let header = String.sub content 0 nl in
-    match String.rindex_opt content '\n' with
-    | None -> None
-    | Some _ ->
-      (* body is between the first newline and the "\nchecksum " tail *)
-      let tail_key = "\nchecksum " in
-      let rec find_last from acc =
-        match String.index_from_opt content from '\n' with
-        | None -> acc
-        | Some i ->
-          let acc =
-            if
-              i + String.length tail_key <= String.length content
-              && String.sub content i (String.length tail_key) = tail_key
-            then Some i
-            else acc
-          in
-          find_last (i + 1) acc
-      in
-      (match (find_last 0 None, String.length header) with
-      | None, _ -> None
-      | Some tail_at, _ ->
-        let version =
-          let prefix = "mptcp-sim-record " in
-          if String.length header > String.length prefix
-             && String.sub header 0 (String.length prefix) = prefix
-          then
-            int_of_string_opt
-              (String.sub header (String.length prefix)
-                 (String.length header - String.length prefix))
-          else None
-        in
-        let body = String.sub content (nl + 1) (tail_at - nl - 1) in
-        let csum_line_start = tail_at + String.length tail_key in
-        let csum =
-          String.trim
-            (String.sub content csum_line_start
-               (String.length content - csum_line_start))
-        in
-        (match version with
-        | None -> None
-        | Some v -> Some (v, body, csum))))
+  let header_key = "mptcp-sim-record " and csum_key = "checksum " in
+  let drop key s =
+    String.sub s (String.length key) (String.length s - String.length key)
+  in
+  (* [lines] runs from the last line back; [after] collects, in file
+     order, the lines that follow the checksum line. *)
+  let rec split_last after lines =
+    match lines with
+    | line :: before when String.starts_with ~prefix:csum_key line ->
+      Some (List.rev before, line, after)
+    | line :: before -> split_last (line :: after) before
+    | [] -> None
+  in
+  match String.split_on_char '\n' content with
+  | header :: rest when String.starts_with ~prefix:header_key header -> (
+    match
+      (int_of_string_opt (drop header_key header), split_last [] (List.rev rest))
+    with
+    | Some v, Some ((_ :: _ as body), csum, after) ->
+      Some
+        ( v,
+          String.concat "\n" body,
+          String.trim (String.concat "\n" (drop csum_key csum :: after)) )
+    | _ -> None)
+  | _ -> None
 
 type read_outcome = Ok_record of record | Stale | Corrupt | Missing
 

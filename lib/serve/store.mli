@@ -60,6 +60,10 @@ val of_result :
 (** Condenses a scenario result (tail means, counters, audit totals,
     {!Obs.Collect.final_metrics}) into a record. *)
 
+val sanitize_atom : string -> string
+(** A label as records and trend lines store it: every character
+    outside [A-Za-z0-9._-] becomes [_], and an empty label is [_]. *)
+
 val same_results : record -> record -> bool
 (** Equality on every deterministic field — everything except the
     [wall_s] / [alloc_words] / [created_unix] perf metadata.  A cached

@@ -32,9 +32,8 @@ let entry_of_record ~at_unix ~cached (r : Store.record) =
     sim_events = r.Store.sim_events;
   }
 
-let f17 = Printf.sprintf "%.17g"
-
 let line_of_entry e =
+  let open Events.Sexp in
   Printf.sprintf
     "(run %d (at %s) (label %s) (hash %s) (cc %s) (cached %b) (tail-mbps %s) \
      (opt-mbps %s) (wall-s %s) (delivered %d) (sim-events %d))\n"
@@ -60,23 +59,18 @@ let entry_of_line line =
   match parse_string line with
   | [ List (Atom "run" :: Atom v :: fields) ]
     when int_of_string_opt v = Some line_version ->
-    let scalar name conv =
-      match find_field name fields with
-      | Some [ x ] -> conv x
-      | _ -> fail "trend: missing (%s ...)" name
-    in
     Some
       {
-        at_unix = scalar "at" float_exn;
-        label = scalar "label" atom_exn;
-        hash = scalar "hash" atom_exn;
-        cc = scalar "cc" atom_exn;
-        cached = scalar "cached" (fun s -> atom_exn s = "true");
-        tail_mbps = scalar "tail-mbps" float_exn;
-        opt_mbps = scalar "opt-mbps" float_exn;
-        wall_s = scalar "wall-s" float_exn;
-        delivered_bytes = scalar "delivered" int_exn;
-        sim_events = scalar "sim-events" int_exn;
+        at_unix = scalar "at" float_exn fields;
+        label = scalar "label" atom_exn fields;
+        hash = scalar "hash" atom_exn fields;
+        cc = scalar "cc" atom_exn fields;
+        cached = scalar "cached" (fun s -> atom_exn s = "true") fields;
+        tail_mbps = scalar "tail-mbps" float_exn fields;
+        opt_mbps = scalar "opt-mbps" float_exn fields;
+        wall_s = scalar "wall-s" float_exn fields;
+        delivered_bytes = scalar "delivered" int_exn fields;
+        sim_events = scalar "sim-events" int_exn fields;
       }
   | _ -> None
 

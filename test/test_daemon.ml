@@ -116,7 +116,7 @@ let response_roundtrip () =
       P.Invalidated 19;
       P.Gc_done
         {
-          P.examined = 19;
+          Serve.Store.examined = 19;
           evicted = 11;
           evicted_bytes = 14_000;
           kept = 8;
@@ -124,6 +124,52 @@ let response_roundtrip () =
         };
       P.Drained;
     ]
+
+(* The exact bytes of a batch reply and a gc reply: a change to either
+   frame must show here, not only in a round trip through the same
+   code. *)
+let frame_bytes () =
+  let batch =
+    P.Batch
+      {
+        P.outcomes =
+          [
+            {
+              P.kind = P.Shared;
+              hash = String.make 32 'f';
+              label = "golden-cubic";
+              tail_mbps = 88.4;
+              opt_mbps = 90.;
+              sim_events = 51_204;
+            };
+          ];
+        entries = 1;
+        hits = 0;
+        fresh = 0;
+        shared = 1;
+        fresh_sim_events = 0;
+      }
+  in
+  Alcotest.(check string)
+    "batch frame"
+    "(mptcp-daemon 1 (batch (entries 1) (hits 0) (fresh 0) (shared 1) \
+     (fresh-sim-events 0) (outcomes (o shared \
+     ffffffffffffffffffffffffffffffff golden-cubic 88.400000000000006 90 \
+     51204))))"
+    (P.render_response batch);
+  Alcotest.(check string)
+    "gc frame"
+    "(mptcp-daemon 1 (gc-done (examined 19) (evicted 11) (evicted-bytes 14000) \
+     (kept 8) (kept-bytes 11000)))"
+    (P.render_response
+       (P.Gc_done
+          {
+            examined = 19;
+            evicted = 11;
+            evicted_bytes = 14_000;
+            kept = 8;
+            kept_bytes = 11_000;
+          }))
 
 let error_roundtrip () =
   List.iter
@@ -518,6 +564,7 @@ let () =
           Alcotest.test_case "request roundtrip" `Quick request_roundtrip;
           Alcotest.test_case "response roundtrip" `Quick response_roundtrip;
           Alcotest.test_case "error roundtrip" `Quick error_roundtrip;
+          Alcotest.test_case "frame bytes" `Quick frame_bytes;
           Alcotest.test_case "float precision" `Quick float_precision;
         ] );
       ( "framing",

@@ -707,12 +707,11 @@ let tap_empty_emit () =
 (* --- Int_table --- *)
 
 let int_table_qcheck_vs_hashtbl =
-  (* Random replace/remove programs over a small key range (so keys
-     collide, are removed and come back, leaving tombstones in probe
-     chains) agree with Stdlib.Hashtbl on the touched key after every
-     step and on every key at the end, across several rehashes. *)
+  (* Random replace programs over a small key range (so keys collide
+     and are rebound) agree with Stdlib.Hashtbl on the touched key after
+     every step and on every key at the end, across several rehashes. *)
   QCheck.Test.make ~name:"int table agrees with Hashtbl" ~count:300
-    QCheck.(list (triple bool (int_bound 200) small_nat))
+    QCheck.(list (pair (int_bound 200) small_nat))
     (fun ops ->
       let t = Engine.Int_table.create ~absent:(-1) () in
       let h = Hashtbl.create 8 in
@@ -722,15 +721,9 @@ let int_table_qcheck_vs_hashtbl =
         && Engine.Int_table.mem t k = Hashtbl.mem h k
       in
       List.for_all
-        (fun (add, key, v) ->
-          if add then begin
-            Engine.Int_table.replace t key v;
-            Hashtbl.replace h key v
-          end
-          else begin
-            Engine.Int_table.remove t key;
-            Hashtbl.remove h key
-          end;
+        (fun (key, v) ->
+          Engine.Int_table.replace t key v;
+          Hashtbl.replace h key v;
           agree key)
         ops
       && List.for_all agree (List.init 201 Fun.id))

@@ -422,6 +422,29 @@ let scheduler_redundant_grants_all () =
   | Mptcp.Scheduler.Grant -> ()
   | _ -> Alcotest.fail "redundant always grants"
 
+(* Every spelling a flag or a file may use names the same policy, and
+   the canonical name (which canonical spec hashes embed) round-trips. *)
+let scheduler_names () =
+  let check name expected =
+    Alcotest.(check (option string))
+      name (Some expected)
+      (Option.map Mptcp.Scheduler.policy_name
+         (Mptcp.Scheduler.policy_of_string name))
+  in
+  List.iter
+    (fun (name, expected) -> check name expected)
+    [ ("min-rtt", "minrtt"); ("min_rtt", "minrtt"); ("MinRTT", "minrtt");
+      ("round-robin", "roundrobin"); ("round_robin", "roundrobin");
+      ("rr", "roundrobin"); ("redundant", "redundant") ];
+  List.iter
+    (fun p ->
+      let name = Mptcp.Scheduler.policy_name p in
+      check name name)
+    Mptcp.Scheduler.[ Min_rtt; Round_robin; Redundant ];
+  Alcotest.(check bool)
+    "unknown name" true
+    (Mptcp.Scheduler.policy_of_string "min-rtt-ish" = None)
+
 (* --- Path manager --- *)
 
 let path_manager_tags () =
@@ -1019,6 +1042,8 @@ let () =
           Alcotest.test_case "min-RTT" `Quick scheduler_minrtt;
           Alcotest.test_case "round robin" `Quick scheduler_round_robin;
           Alcotest.test_case "redundant" `Quick scheduler_redundant_grants_all;
+          Alcotest.test_case "dashed and underscored names" `Quick
+            scheduler_names;
         ] );
       ( "path-manager",
         [

@@ -58,8 +58,11 @@ let exception_lowest_index_wins () =
 let pool_reuse () =
   let pool = Pool.create ~domains:2 () in
   Alcotest.(check int) "two workers" 2 (Pool.size pool);
-  let a = Pool.map_pool pool succ [ 1; 2; 3 ] in
-  let b = Pool.run_list pool [ (fun () -> "x"); (fun () -> "y") ] in
+  let batch f xs =
+    List.map Pool.await (List.map (fun x -> Pool.submit pool (fun () -> f x)) xs)
+  in
+  let a = batch succ [ 1; 2; 3 ] in
+  let b = batch (fun s -> s) [ "x"; "y" ] in
   Pool.shutdown pool;
   Pool.shutdown pool;
   (* idempotent *)

@@ -138,6 +138,17 @@ let sample_record hash =
     created_unix = 1.75e9;
   }
 
+let read_all path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_all path content =
+  let oc = open_out_bin path in
+  output_string oc content;
+  close_out oc
+
 let store_roundtrip () =
   let store = fresh_store () in
   let hash = String.make 32 'a' in
@@ -164,21 +175,12 @@ let store_version_bump () =
   let hash = String.make 32 'b' in
   Serve.Store.insert store (sample_record hash);
   let path = Serve.Store.record_path store ~hash in
-  let content =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let content = read_all path in
   let nl = String.index content '\n' in
-  let bumped =
-    Printf.sprintf "mptcp-sim-record %d%s"
-      (Serve.Store.format_version + 1)
-      (String.sub content nl (String.length content - nl))
-  in
-  let oc = open_out_bin path in
-  output_string oc bumped;
-  close_out oc;
+  write_all path
+    (Printf.sprintf "mptcp-sim-record %d%s"
+       (Serve.Store.format_version + 1)
+       (String.sub content nl (String.length content - nl)));
   Alcotest.(check bool)
     "future-version record is a miss" true
     (Serve.Store.lookup store ~hash = None);
@@ -190,15 +192,7 @@ let store_corruption () =
   let damage hash mangle =
     Serve.Store.insert store (sample_record hash);
     let path = Serve.Store.record_path store ~hash in
-    let content =
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let oc = open_out_bin path in
-    output_string oc (mangle content);
-    close_out oc;
+    write_all path (mangle (read_all path));
     Alcotest.(check bool)
       "damaged record is a miss, not a mis-read" true
       (Serve.Store.lookup store ~hash = None)
@@ -228,6 +222,64 @@ let store_unreadable () =
   Alcotest.(check bool)
     "unreadable record is a miss" true
     (Serve.Store.lookup store ~hash = None)
+
+(* The exact bytes of a record file: a change to the record text must
+   show here, not only in a round trip through the same code. *)
+let store_record_bytes () =
+  let store = fresh_store () in
+  let hash = String.make 32 'a' in
+  Serve.Store.insert store (sample_record hash);
+  Alcotest.(check string)
+    "record file"
+    ("mptcp-sim-record 1\n(record (hash aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa) \
+      (label sample) (cc olia) (seed 7) (paths 3) (tail-mbps 88.125) \
+      (per-path (0 30.5) (1 29.25) (2 28.375)) (opt-mbps 90) \
+      (delivered-bytes 5500000) (completed-at-s 3.25) (subflow-churn 2) \
+      (cross-traffic-bytes 123456) (queue-drops 17) (sim-events 42000) \
+      (packets-created 9000) (audit (violations 0) (checks 1234)) \
+      (metrics (engine.events_total 42000) (net.drops 17)) (wall-s 0.25) \
+      (alloc-words 1000000) (created-unix 1750000000))\n\
+      checksum 429378e7883c253e221881341012f297\n")
+    (read_all (Serve.Store.record_path store ~hash))
+
+(* A write cut short leaves a prefix of the record file.  Every proper
+   prefix reads as a miss or, when only trailing whitespace is gone, as
+   the identical record; none reads as another record or raises. *)
+let store_prefixes () =
+  let store = fresh_store () in
+  let hash = String.make 32 'p' in
+  let r = sample_record hash in
+  Serve.Store.insert store r;
+  let path = Serve.Store.record_path store ~hash in
+  let full = read_all path in
+  let len = String.length full in
+  for k = 0 to len - 1 do
+    write_all path (String.sub full 0 k);
+    match Serve.Store.lookup store ~hash with
+    | None -> ()
+    | Some r' ->
+      if r' <> r then Alcotest.failf "prefix of %d bytes read as another record" k
+    | exception e ->
+      Alcotest.failf "prefix of %d bytes raised %s" k (Printexc.to_string e)
+  done;
+  write_all path (String.sub full 0 (len - 1));
+  Alcotest.(check bool)
+    "dropping the final newline still reads the record" true
+    (Serve.Store.lookup store ~hash = Some r)
+
+(* A header followed directly by its checksum line has no body: a miss
+   counted corrupt, not an exception out of the lookup. *)
+let store_bodyless () =
+  let store = fresh_store () in
+  let hash = String.make 32 'q' in
+  Serve.Store.insert store (sample_record hash);
+  write_all
+    (Serve.Store.record_path store ~hash)
+    "mptcp-sim-record 1\nchecksum d41d8cd98f00b204e9800998ecf8427e\n";
+  Alcotest.(check bool)
+    "body-less record is a miss" true
+    (Serve.Store.lookup store ~hash = None);
+  Alcotest.(check int) "counted corrupt" 1 (Serve.Store.corrupt_seen store)
 
 (* GC evicts oldest-mtime first until the survivors fit the budget;
    the sweep's byte accounting is exact and the per-store eviction
@@ -329,6 +381,16 @@ let trend_roundtrip () =
   Alcotest.(check bool) "empty store message" true
     (contains (Buffer.contents buf2) "empty")
 
+let trend_line_bytes () =
+  let dir = Serve.Store.dir (fresh_store ()) in
+  Serve.Trend.append ~dir (trend_entry 3 true);
+  Alcotest.(check string)
+    "trend line"
+    "(run 1 (at 1700000003) (label odd) (hash ffffffffffffffffffffffffffffffff) \
+     (cc cubic) (cached true) (tail-mbps 83) (opt-mbps 90) \
+     (wall-s 0.10000000000000001) (delivered 4000000) (sim-events 10000))\n"
+    (read_all (Filename.concat dir "trend.log"))
+
 (* --- the service: cache correctness end to end --- *)
 
 let find_record outcomes label =
@@ -409,6 +471,21 @@ let duplicate_entries_simulate_once () =
   Alcotest.(check (list bool))
     "trend cached flags" [ false; true ]
     (List.map (fun e -> e.Serve.Trend.cached) trend)
+
+(* A hit, or a repeat that rides an earlier run, carries the record of
+   whichever entry simulated first; the history files each submission
+   under its own label. *)
+let trend_keeps_submitted_labels () =
+  let store = fresh_store () in
+  let run batch = ignore (Serve.Service.run_batch ~jobs:1 ~store batch) in
+  run [ tiny ~label:"first" () ];
+  run [ tiny ~label:"renamed" (); tiny ~seed:2 ~label:"one" ();
+        tiny ~seed:2 ~label:"two" () ];
+  let trend, _ = Serve.Trend.load ~dir:(Serve.Store.dir store) in
+  Alcotest.(check (list (pair string bool)))
+    "labels and cached flags"
+    [ ("first", false); ("renamed", true); ("one", false); ("two", true) ]
+    (List.map (fun e -> (e.Serve.Trend.label, e.Serve.Trend.cached)) trend)
 
 let jobs_do_not_change_results () =
   let batch =
@@ -561,10 +638,17 @@ let () =
           Alcotest.test_case "corruption rejected" `Quick store_corruption;
           Alcotest.test_case "unreadable record is a miss" `Quick
             store_unreadable;
+          Alcotest.test_case "record file bytes" `Quick store_record_bytes;
+          Alcotest.test_case "every prefix is a miss or the record" `Quick
+            store_prefixes;
+          Alcotest.test_case "body-less record is a miss" `Quick store_bodyless;
           Alcotest.test_case "gc evicts oldest first" `Quick store_gc;
         ] );
       ( "trend",
-        [ Alcotest.test_case "append, load, report" `Quick trend_roundtrip ] );
+        [
+          Alcotest.test_case "append, load, report" `Quick trend_roundtrip;
+          Alcotest.test_case "line bytes" `Quick trend_line_bytes;
+        ] );
       ( "claims",
         [
           Alcotest.test_case "mutual exclusion across handles" `Quick
@@ -582,6 +666,8 @@ let () =
             second_submission_is_free;
           Alcotest.test_case "duplicates simulate once" `Slow
             duplicate_entries_simulate_once;
+          Alcotest.test_case "trend keeps submitted labels" `Slow
+            trend_keeps_submitted_labels;
           Alcotest.test_case "jobs determinism" `Slow jobs_do_not_change_results;
         ] );
     ]

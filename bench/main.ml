@@ -18,25 +18,53 @@
 
    `dune exec bench/main.exe -- --quick` trims the sweeps for CI use. *)
 
-let quick = Array.exists (fun a -> a = "--quick" || a = "-q") Sys.argv
+(* The eight flags, each under its names and with the name of its value
+   if it takes one.  argv is checked against them once, up front: an
+   argument none of them names (say, a flag an older harness had)
+   prints the usage and exits 2 rather than being ignored. *)
+let flags =
+  [ ([ "--quick"; "-q" ], None); ([ "--jobs"; "-j" ], Some "N");
+    ([ "--bench-json" ], Some "PATH"); ([ "--profile" ], None);
+    ([ "--gate" ], None); ([ "--baseline" ], Some "PATH");
+    ([ "--alloc-only" ], None); ([ "--perf" ], None) ]
+
+let usage =
+  let flag (names, value) =
+    Printf.sprintf "[%s%s]" (String.concat "|" names)
+      (Option.fold ~none:"" ~some:(( ^ ) " ") value)
+  in
+  "usage: main.exe " ^ String.concat " " (List.map flag flags) ^ "\n"
+
+(* Each flag given, under its first name, with its value. *)
+let args =
+  let argv = Sys.argv in
+  let n = Array.length argv in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else
+      match List.find_opt (fun (names, _) -> List.mem argv.(i) names) flags with
+      | None ->
+        Printf.eprintf "bench: unknown argument %S\n%s" argv.(i) usage;
+        exit 2
+      | Some (names, None) -> go (i + 1) ((List.hd names, None) :: acc)
+      | Some (names, Some _) ->
+        if i = n - 1 then (
+          Printf.eprintf "bench: %s expects a value\n" argv.(i);
+          exit 2)
+        else go (i + 2) ((List.hd names, Some argv.(i + 1)) :: acc)
+  in
+  go 1 []
+
+let has name = List.mem_assoc name args
+let flag_value name = Option.join (List.assoc_opt name args)
+
+let quick = has "--quick"
 
 (* `--profile` prints a per-phase domain-utilisation table (per-domain
    busy/idle wall time, effective speedup) from the pool's worker
    accounting, and adds a "profile" section to BENCH_results.json.  Off
    by default so the default output and JSON stay byte-identical. *)
-let profile = Array.exists (fun a -> a = "--profile") Sys.argv
-
-let flag_value names =
-  let rec find i =
-    if i >= Array.length Sys.argv then None
-    else if List.mem Sys.argv.(i) names then
-      if i = Array.length Sys.argv - 1 then (
-        Printf.eprintf "bench: %s expects a value\n" Sys.argv.(i);
-        exit 2)
-      else Some Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
+let profile = has "--profile"
 
 (* `--gate` turns the run into a perf-regression check: after writing
    the JSON summary, the paper-sim and fluid microbenches and the
@@ -44,22 +72,20 @@ let flag_value names =
    baseline (`--baseline PATH`, default BENCH_results.json), plus the
    same-run structural floors in [gate_check]; the process exits
    non-zero on any failure. *)
-let gate = Array.exists (fun a -> a = "--gate") Sys.argv
+let gate = has "--gate"
 
 (* `--alloc-only` runs just the GC-bracketed allocation profile and
    exits: the tight loop for iterating on hot-path allocation work
    without paying for the full figure/sweep suite. *)
-let alloc_only = Array.exists (fun a -> a = "--alloc-only") Sys.argv
+let alloc_only = has "--alloc-only"
 
 (* `--perf` (also `dune build @perf` in bench/) runs just the hybrid
    fluid/packet phase with the full 10^3-10^6 class scaling sweep and
    exits — the tight loop for the co-simulation's scaling work. *)
-let perf_only = Array.exists (fun a -> a = "--perf") Sys.argv
+let perf_only = has "--perf"
 
 let baseline_path =
-  match flag_value [ "--baseline" ] with
-  | Some p -> p
-  | None -> "BENCH_results.json"
+  Option.value (flag_value "--baseline") ~default:"BENCH_results.json"
 
 (* Baseline-ratio tolerance.  The reference box is a single loaded
    core: the microsecond-scale microbenches (fluid solve especially)
@@ -74,7 +100,7 @@ let gate_tolerance = 1.25
    operator pinned it, "detected" means it tracked the box's cpu count
    (also recorded in the header) and will drift with the hardware. *)
 let jobs, jobs_source =
-  match flag_value [ "--jobs"; "-j" ] with
+  match flag_value "--jobs" with
   | None -> (Engine.Pool.default_domains (), "detected")
   | Some v -> (
     match int_of_string_opt v with
@@ -84,9 +110,7 @@ let jobs, jobs_source =
       exit 2)
 
 let bench_json =
-  match flag_value [ "--bench-json" ] with
-  | Some p -> p
-  | None -> "BENCH_results.json"
+  Option.value (flag_value "--bench-json") ~default:"BENCH_results.json"
 
 let hr title =
   Printf.printf "\n%s\n=== %s ===\n" (String.make 72 '=') title

@@ -101,15 +101,19 @@ let backdrop n =
   done;
   w
 
-let insert_cancel n w =
+(* The handle array is built once per row, not per run: at 1 000 slots
+   it is above [Max_young_wosize], so each run would otherwise allocate
+   it straight into the major heap. *)
+let insert_cancel n =
   let handles = Array.make 1000 (-1) in
-  for i = 0 to 999 do
-    handles.(i) <-
-      Engine.Wheel.push w ~key:(i * 7919 mod 100_000) ~tie:(n + i) i
-  done;
-  for i = 0 to 999 do
-    Engine.Wheel.cancel w handles.(i)
-  done
+  fun w ->
+    for i = 0 to 999 do
+      handles.(i) <-
+        Engine.Wheel.push w ~key:(i * 7919 mod 100_000) ~tie:(n + i) i
+    done;
+    for i = 0 to 999 do
+      Engine.Wheel.cancel w handles.(i)
+    done
 
 (* Near-future inserts relative to the wheel's moving position, then
    drain them past the backdrop: steady-state expiry. *)

@@ -22,10 +22,10 @@ let create ~absent () =
    ratio and index by bits from the upper half of the product, so keys
    that differ only in their high bits (a route key's destination)
    still spread over the slots. *)
-let hash key = (key * 0x278D_DE6E_5FD2_9E01) lsr 30
+let[@inline] hash key = (key * 0x278D_DE6E_5FD2_9E01) lsr 30
 
 (* The slot holding [key], or the empty slot that ends its probe. *)
-let slot keys key =
+let[@inline] slot keys key =
   let mask = Array.length keys - 1 in
   let i = ref (hash key land mask) in
   while
@@ -37,7 +37,7 @@ let slot keys key =
   !i
 
 (* A negative key can only meet an empty slot, whose value is [absent]. *)
-let find t key =
+let[@inline] find t key =
   let i = slot t.keys key in
   if t.keys.(i) = key then t.values.(i) else t.absent
 

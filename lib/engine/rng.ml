@@ -2,7 +2,7 @@ type t = { mutable state : int64 }
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
@@ -11,7 +11,7 @@ let mix z =
 
 let create seed = { state = Int64.of_int seed }
 
-let bits64 t =
+let[@inline] bits64 t =
   t.state <- Int64.add t.state golden;
   mix t.state
 

@@ -30,7 +30,7 @@ let create () =
     shadow = None;
   }
 
-let now t = t.clock
+let[@inline] now t = t.clock
 
 (* The wheel holds two kinds of entry, told apart by the tie's low bit:
    cancellable timers (a [timer] record, bit 0) and anonymous timers
@@ -41,17 +41,17 @@ let now t = t.clock
    confined to this module and guarded by the tie bit: a closure is
    only ever read back as a closure. *)
 
-let fresh_tie t anon =
+let[@inline] fresh_tie t anon =
   t.seq <- t.seq + 1;
   (t.seq lsl 1) lor (if anon then 1 else 0)
 
-let check_future t when_ =
+let[@inline] check_future t when_ =
   if Time.( < ) when_ t.clock then
     invalid_arg
       (Format.asprintf "Sched.at: %a is before now (%a)" Time.pp when_
          Time.pp t.clock)
 
-let mirror t ~key ~tie v =
+let[@inline] mirror t ~key ~tie v =
   match t.shadow with
   | None -> ()
   | Some h -> Heap.push h ~key ~tie v
@@ -68,14 +68,14 @@ let after t delay f =
   if Time.( < ) delay Time.zero then invalid_arg "Sched.after: negative delay";
   at t (Time.add t.clock delay) f
 
-let at_anon t when_ f =
+let[@inline] at_anon t when_ f =
   check_future t when_;
   let tie = fresh_tie t true in
   let v = (Obj.magic (f : unit -> unit) : timer) in
   ignore (Wheel.push t.wheel ~key:when_ ~tie v : int);
   mirror t ~key:when_ ~tie v
 
-let after_anon t delay f =
+let[@inline] after_anon t delay f =
   if Time.( < ) delay Time.zero then invalid_arg "Sched.after: negative delay";
   at_anon t (Time.add t.clock delay) f
 

@@ -29,7 +29,7 @@ let pp fmt t =
 
 let to_string t = Format.asprintf "%a" pp t
 
-let tx_time ~bits ~rate_bps =
+let[@inline] tx_time ~bits ~rate_bps =
   if rate_bps <= 0 then invalid_arg "Time.tx_time: rate must be positive";
   if bits < 0 then invalid_arg "Time.tx_time: negative size";
   (* ceil (bits * 1e9 / rate); [bits] stays below ~2^17 for any packet, so

@@ -129,7 +129,7 @@ let lobit_table =
   done;
   a
 
-let lobit x = lobit_table.((((x land -x) * debruijn) land 0xFFFF_FFFF) lsr 27)
+let[@inline] lobit x = lobit_table.((((x land -x) * debruijn) land 0xFFFF_FFFF) lsr 27)
 
 (* The level of a key at xor-distance [x = key lxor now] from [now]:
    the first [l] with [x < 2^(shift + bits * (l + 1))], i.e. [x]
@@ -159,13 +159,13 @@ let grow t =
   done;
   t.free_head <- cap
 
-let alloc t =
+let[@inline] alloc t =
   if t.free_head < 0 then grow t;
   let c = t.free_head in
   t.free_head <- t.nexts.(c);
   c
 
-let free t c =
+let[@inline] free t c =
   t.locs.(c) <- loc_free;
   t.values.(c) <- nil;
   t.prevs.(c) <- -1;
@@ -173,7 +173,7 @@ let free t c =
   t.free_head <- c
 
 (* Link cell [c] into level [lvl]'s slot [slot]. *)
-let link t c lvl slot =
+let[@inline] link t c lvl slot =
   let key = t.keys.(c) in
   let sl = (lvl lsl bits) lor slot in
   if sl = t.sorted_slot then begin
@@ -209,7 +209,7 @@ let link t c lvl slot =
 (* Link cell [c] into the slot its key calls for, relative to [t.now].
    Keys at or below [now] (overdue; see the header comment) go into the
    current level-0 slot. *)
-let place t c =
+let[@inline] place t c =
   let key = t.keys.(c) and now = t.now in
   if key <= now then link t c 0 ((now lsr shift) land slot_mask)
   else
@@ -236,7 +236,7 @@ let push t ~key ~tie v =
      if key < hk || (key = hk && tie < t.ties.(t.hot)) then t.hot <- -1);
   c
 
-let unlink t c sl =
+let[@inline] unlink t c sl =
   let p = t.prevs.(c) and n = t.nexts.(c) in
   if p >= 0 then t.nexts.(p) <- n else t.slots.(sl) <- n;
   if n >= 0 then t.prevs.(n) <- p;
@@ -362,7 +362,7 @@ let migrate_overflow t =
    allocated on every [sort_slot] call — and with the simulation's
    sparse timers this runs roughly once per event, so those few words
    were visible in the words-per-packet budget. *)
-let cell_before keys ties a b =
+let[@inline] cell_before keys ties a b =
   let ka : int = keys.(a) and kb : int = keys.(b) in
   ka < kb || (ka = kb && ties.(a) < ties.(b))
 
@@ -464,7 +464,7 @@ let min_tie_exn t =
   t.ties.(t.hot)
 
 (* Remove the cached minimum cell [c] and return its value. *)
-let take t c =
+let[@inline] take t c =
   let key = t.keys.(c) and v = t.values.(c) in
   unlink t c t.locs.(c);
   free t c;

@@ -4,11 +4,16 @@ let time_of_s x =
   if x < 0.0 || not (Float.is_finite x) then fail "bad time %g s" x
   else Engine.Time.of_float_s x
 
+let mbps_of v = int_of_float (float_exn v *. 1e6)
+let s_of v = time_of_s (float_exn v)
+let ms_of v = time_of_s (float_exn v /. 1e3)
+let us_of v = time_of_s (float_exn v /. 1e6)
+
 (* A rate is written [(mbps X)] (decimal megabits) or [(bps N)]. *)
 let rate_exn s =
   let r =
     match s with
-    | List [ Atom "mbps"; v ] -> int_of_float (float_exn v *. 1e6)
+    | List [ Atom "mbps"; v ] -> mbps_of v
     | List [ Atom "bps"; v ] -> int_exn v
     | _ -> fail "expected (mbps X) or (bps N), got %s" (to_string s)
   in
@@ -18,10 +23,25 @@ let rate_exn s =
 (* A duration is written [(ms X)], [(us X)] or [(s X)]. *)
 let duration_exn s =
   match s with
-  | List [ Atom "ms"; v ] -> time_of_s (float_exn v /. 1e3)
-  | List [ Atom "us"; v ] -> time_of_s (float_exn v /. 1e6)
-  | List [ Atom "s"; v ] -> time_of_s (float_exn v)
+  | List [ Atom "ms"; v ] -> ms_of v
+  | List [ Atom "us"; v ] -> us_of v
+  | List [ Atom "s"; v ] -> s_of v
   | _ -> fail "expected (ms X), (us X) or (s X), got %s" (to_string s)
+
+(* The one-value field [a], or else [b]; [b] is read only when [a] is
+   absent. *)
+let either (a, conv_a) (b, conv_b) items =
+  match scalar_opt a conv_a items with
+  | Some v -> v
+  | None -> (
+    match scalar_opt b conv_b items with
+    | Some v -> v
+    | None -> fail "missing (%s X) or (%s X)" a b)
+
+(* Re-raise a form's parse error with the form in front, so a message
+   from a shared field reader names the link or event it came from. *)
+let within form f =
+  try f () with Parse_error msg -> fail "%s: %s" (to_string form) msg
 
 (* --- topology files ---
 
@@ -39,51 +59,30 @@ let topology sexps =
   in
   let b = Netgraph.Topology.builder () in
   let ids = Hashtbl.create 16 in
-  (match find_field "nodes" body with
-  | Some nodes ->
-    List.iter
-      (fun n ->
-        let name = atom_exn n in
-        Hashtbl.replace ids name (Netgraph.Topology.add_node b name))
-      nodes
-  | None -> fail "topology: missing (nodes ...)");
+  List.iter
+    (fun n ->
+      let name = atom_exn n in
+      Hashtbl.replace ids name (Netgraph.Topology.add_node b name))
+    (field "nodes" body);
   let node name =
     match Hashtbl.find_opt ids name with
     | Some id -> id
     | None -> fail "topology: unknown node %s" name
   in
-  (match find_field "links" body with
-  | Some links ->
-    List.iter
-      (fun l ->
-        match l with
-        | List (u :: v :: attrs) ->
-          let capacity_bps =
-            match find_field "mbps" attrs with
-            | Some [ x ] -> int_of_float (float_exn x *. 1e6)
-            | Some _ | None -> (
-              match find_field "bps" attrs with
-              | Some [ x ] -> int_exn x
-              | Some _ | None ->
-                fail "link %s-%s: missing (mbps X) or (bps N)" (atom_exn u)
-                  (atom_exn v))
-          in
-          let delay =
-            match find_field "delay-ms" attrs with
-            | Some [ x ] -> time_of_s (float_exn x /. 1e3)
-            | Some _ | None -> (
-              match find_field "delay-us" attrs with
-              | Some [ x ] -> time_of_s (float_exn x /. 1e6)
-              | Some _ | None ->
-                fail "link %s-%s: missing (delay-ms X) or (delay-us X)"
-                  (atom_exn u) (atom_exn v))
-          in
-          ignore
-            (Netgraph.Topology.add_link b ~u:(node (atom_exn u))
-               ~v:(node (atom_exn v)) ~capacity_bps ~delay)
-        | _ -> fail "topology: malformed link %s" (to_string l))
-      links
-  | None -> fail "topology: missing (links ...)");
+  List.iter
+    (fun l ->
+      within l (fun () ->
+          match l with
+          | List (u :: v :: attrs) ->
+            let capacity_bps =
+              either ("mbps", mbps_of) ("bps", int_exn) attrs
+            in
+            let delay = either ("delay-ms", ms_of) ("delay-us", us_of) attrs in
+            ignore
+              (Netgraph.Topology.add_link b ~u:(node (atom_exn u))
+                 ~v:(node (atom_exn v)) ~capacity_bps ~delay)
+          | _ -> fail "topology: malformed link"))
+    (field "links" body);
   Netgraph.Topology.build b
 
 let load_topology path = topology (Sexp.load path)
@@ -94,122 +93,72 @@ let load_topology path = topology (Sexp.load path)
    (at-s 2 (capacity-ramp a p2 (mbps 40) (over-s 2) (steps 8)))
    (at-s 1 (traffic-start n1 z (tag 9) (mbps 20) (stop-s 8)))  *)
 
+let node_id topo n =
+  let name = atom_exn n in
+  try Netgraph.Topology.node_id topo name
+  with Not_found -> fail "unknown node %s" name
+
 let link_ref topo u v =
-  let id name =
-    try Netgraph.Topology.node_id topo name
-    with Not_found -> fail "unknown node %s" name
-  in
-  match Netgraph.Topology.find_link topo ~u:(id u) ~v:(id v) with
+  match
+    Netgraph.Topology.find_link topo ~u:(node_id topo u) ~v:(node_id topo v)
+  with
   | Some l -> l.Netgraph.Topology.id
-  | None -> fail "no link between %s and %s" u v
+  | None -> fail "no link between %s and %s" (atom_exn u) (atom_exn v)
 
 let action topo s =
+  let node = node_id topo and link = link_ref topo in
   match s with
-  | List [ Atom "link-down"; u; v ] ->
-    Event.Link_down { link = link_ref topo (atom_exn u) (atom_exn v) }
-  | List [ Atom "link-up"; u; v ] ->
-    Event.Link_up { link = link_ref topo (atom_exn u) (atom_exn v) }
+  | List [ Atom "link-down"; u; v ] -> Event.Link_down { link = link u v }
+  | List [ Atom "link-up"; u; v ] -> Event.Link_up { link = link u v }
   | List [ Atom "capacity-set"; u; v; rate ] ->
-    Event.Capacity_set
-      { link = link_ref topo (atom_exn u) (atom_exn v);
-        rate_bps = rate_exn rate }
+    Event.Capacity_set { link = link u v; rate_bps = rate_exn rate }
   | List (Atom "capacity-ramp" :: u :: v :: rate :: attrs) ->
-    let over =
-      match find_field "over-s" attrs with
-      | Some [ x ] -> time_of_s (float_exn x)
-      | Some _ | None -> fail "capacity-ramp: missing (over-s X)"
-    in
-    let steps =
-      match find_field "steps" attrs with
-      | Some [ x ] -> int_exn x
-      | Some _ | None -> 8
-    in
     Event.Capacity_ramp
-      { link = link_ref topo (atom_exn u) (atom_exn v);
-        to_bps = rate_exn rate; over; steps }
+      { link = link u v; to_bps = rate_exn rate;
+        over = scalar "over-s" s_of attrs;
+        steps = Option.value (scalar_opt "steps" int_exn attrs) ~default:8 }
   | List [ Atom "delay-set"; u; v; d ] ->
-    Event.Delay_set
-      { link = link_ref topo (atom_exn u) (atom_exn v);
-        delay = duration_exn d }
+    Event.Delay_set { link = link u v; delay = duration_exn d }
   | List [ Atom "loss-set"; u; v; p ] ->
-    Event.Loss_set
-      { link = link_ref topo (atom_exn u) (atom_exn v); loss = float_exn p }
+    Event.Loss_set { link = link u v; loss = float_exn p }
   | List [ Atom "subflow-close"; i ] ->
     Event.Subflow_close { subflow = int_exn i }
   | List [ Atom "subflow-add"; i ] -> Event.Subflow_add { subflow = int_exn i }
   | List (Atom "traffic-start" :: src :: dst :: attrs) ->
-    let node name =
-      try Netgraph.Topology.node_id topo name
-      with Not_found -> fail "unknown node %s" name
-    in
-    let tag =
-      match find_field "tag" attrs with
-      | Some [ x ] -> int_exn x
-      | Some _ | None -> fail "traffic-start: missing (tag N)"
-    in
-    let rate_bps =
-      match find_field "mbps" attrs with
-      | Some [ x ] -> int_of_float (float_exn x *. 1e6)
-      | Some _ | None -> fail "traffic-start: missing (mbps X)"
-    in
-    let stop_at =
-      match find_field "stop-s" attrs with
-      | Some [ x ] -> Some (time_of_s (float_exn x))
-      | Some _ | None -> None
-    in
     Event.Traffic_start
-      { src = node (atom_exn src); dst = node (atom_exn dst); tag; rate_bps;
-        stop_at }
+      { src = node src; dst = node dst;
+        tag = scalar "tag" int_exn attrs;
+        rate_bps = scalar "mbps" mbps_of attrs;
+        stop_at = scalar_opt "stop-s" s_of attrs }
   | List (Atom "background" :: src :: dst :: attrs) ->
     (* (background n1 z (count 100) (flows 10) (cc reno) (rtt-ms 20))
        (background n1 z (count 50) (mbps 1.2) (rtt-ms 30))   ; CBR *)
-    let node name =
-      try Netgraph.Topology.node_id topo name
-      with Not_found -> fail "unknown node %s" name
+    let cc_of x =
+      match atom_exn x with
+      | "cbr" -> None
+      | name -> (
+        match Mptcp.Algorithm.of_string name with
+        | Some a -> Some a
+        | None -> fail "unknown congestion control %s" name)
     in
-    let classes =
-      match find_field "count" attrs with
-      | Some [ x ] -> int_exn x
-      | Some _ | None -> fail "background: missing (count N)"
-    in
-    let flows =
-      match find_field "flows" attrs with
-      | Some [ x ] -> int_exn x
-      | Some _ | None -> 1
-    in
-    let cc =
-      match find_field "cc" attrs with
-      | Some [ x ] -> (
-        match atom_exn x with
-        | "cbr" -> None
-        | name -> (
-          match Mptcp.Algorithm.of_string name with
-          | Some a -> Some a
-          | None -> fail "background: unknown congestion control %s" name))
-      | Some _ -> fail "background: (cc ...) takes one atom"
-      | None -> None
-    in
+    let cc = Option.join (scalar_opt "cc" cc_of attrs) in
     let rate_bps =
-      match find_field "mbps" attrs with
-      | Some [ x ] -> int_of_float (float_exn x *. 1e6)
-      | Some _ -> fail "background: (mbps ...) takes one value"
-      | None ->
-        if cc = None then fail "background: CBR classes need (mbps X)" else 0
-    in
-    let rtt =
-      match find_field "rtt-ms" attrs with
-      | Some [ x ] -> time_of_s (float_exn x /. 1e3)
-      | Some _ | None -> fail "background: missing (rtt-ms X)"
+      match scalar_opt "mbps" mbps_of attrs with
+      | Some r -> r
+      | None -> if cc = None then fail "CBR classes need (mbps X)" else 0
     in
     Event.Background_start
-      { src = node (atom_exn src); dst = node (atom_exn dst); classes; flows;
-        cc; rate_bps; rtt }
-  | _ -> fail "unknown event action %s" (to_string s)
+      { src = node src; dst = node dst;
+        classes = scalar "count" int_exn attrs;
+        flows = Option.value (scalar_opt "flows" int_exn attrs) ~default:1;
+        cc; rate_bps;
+        rtt = scalar "rtt-ms" ms_of attrs }
+  | _ -> fail "unknown event action"
 
 let event topo s =
   match s with
   | List [ Atom "at-s"; when_; act ] ->
-    { Event.at = time_of_s (float_exn when_); action = action topo act }
+    { Event.at = s_of when_; action = within act (fun () -> action topo act) }
   | _ -> fail "expected (at-s T (action ...)), got %s" (to_string s)
 
 let events topo sexps = List.map (event topo) sexps

@@ -78,14 +78,14 @@ let member x top =
     let lo = (1.0 -. olia_band) *. top in
     if x <= lo then 0.0
     else begin
-      let u = Float.min 1.0 ((x -. lo) /. (olia_band *. top)) in
+      let u = Minmax.min 1.0 ((x -. lo) /. (olia_band *. top)) in
       (* C1 smoothstep: no derivative kink at either edge. *)
       u *. u *. (3.0 -. (2.0 *. u))
     end
   end
 
 let olia_quality v k =
-  let l = 1.0 /. Float.max v.loss.(k) 1e-12 in
+  let l = 1.0 /. Minmax.max v.loss.(k) 1e-12 in
   l *. l /. v.rtt.(k)
 
 let dwindows kind v ~extras ~dextras ~out =
@@ -103,7 +103,7 @@ let dwindows kind v ~extras ~dextras ~out =
     in
     for i = 0 to n - 1 do
       let w = v.w.(i) and x = v.rate.(i) and p = v.loss.(i) in
-      let inc = Float.min coupled (1.0 /. w) in
+      let inc = Minmax.min coupled (1.0 /. w) in
       out.(i) <- (x *. (1.0 -. p) *. inc) -. (x *. p *. w *. 0.5)
     done
   | Olia ->
@@ -132,7 +132,7 @@ let dwindows kind v ~extras ~dextras ~out =
        carry the largest windows). *)
     let scale =
       if !c_sum <= eps then 0.0
-      else Float.min 1.0 !c_sum /. float_of_int n
+      else Minmax.min 1.0 !c_sum /. float_of_int n
     in
     for i = 0 to n - 1 do
       let w = v.w.(i) and x = v.rate.(i) and p = v.loss.(i) in
@@ -142,11 +142,11 @@ let dwindows kind v ~extras ~dextras ~out =
           let mu_b = member (olia_quality v i) !best_q in
           let mu_m = member w !max_w in
           let c = mu_b *. (1.0 -. mu_m) in
-          scale *. ((c /. !c_sum) -. (mu_m /. Float.max !m_sum eps))
+          scale *. ((c /. !c_sum) -. (mu_m /. Minmax.max !m_sum eps))
         end
       in
       let coupled = w /. (v.rtt.(i) *. v.rtt.(i)) *. inv_denom2 in
-      let inc = Float.min (coupled +. (alpha /. w)) (1.0 /. w) in
+      let inc = Minmax.min (coupled +. (alpha /. w)) (1.0 /. w) in
       out.(i) <- (x *. (1.0 -. p) *. inc) -. (x *. p *. w *. 0.5)
     done
   | Cubic ->
@@ -156,7 +156,7 @@ let dwindows kind v ~extras ~dextras ~out =
       let loss_rate = x *. p in
       let s = extras.(2 * i) and w_max = extras.((2 * i) + 1) in
       let k =
-        Float.cbrt (Float.max 0.0 (w_max *. (1.0 -. cubic_beta)) /. cubic_c)
+        Float.cbrt (Minmax.max 0.0 (w_max *. (1.0 -. cubic_beta)) /. cubic_c)
       in
       let ds = s -. k in
       let growth_cubic = 3.0 *. cubic_c *. ds *. ds in
@@ -164,7 +164,7 @@ let dwindows kind v ~extras ~dextras ~out =
       (* The packet law clamps the one-RTT target at 1.5 cwnd. *)
       let growth_cap = 0.5 *. w /. v.rtt.(i) in
       let growth =
-        Float.min (Float.max growth_cubic growth_reno) growth_cap
+        Minmax.min (Minmax.max growth_cubic growth_reno) growth_cap
       in
       dextras.(2 * i) <- 1.0 -. (loss_rate *. s);
       dextras.((2 * i) + 1) <- loss_rate *. (w -. w_max);
@@ -204,14 +204,14 @@ let dwindows_single kind ~idx ~w ~rtt ~rate ~loss ~extras ~extras_off ~dextras
       let s = Array.unsafe_get extras (extras_off + (2 * j))
       and w_max = Array.unsafe_get extras (extras_off + (2 * j) + 1) in
       let k =
-        Float.cbrt (Float.max 0.0 (w_max *. (1.0 -. cubic_beta)) /. cubic_c)
+        Float.cbrt (Minmax.max 0.0 (w_max *. (1.0 -. cubic_beta)) /. cubic_c)
       in
       let ds = s -. k in
       let growth_cubic = 3.0 *. cubic_c *. ds *. ds in
       let growth_reno = ack_rate *. reno_gain /. wi in
       let growth_cap = 0.5 *. wi /. Array.unsafe_get rtt i in
       let growth =
-        Float.min (Float.max growth_cubic growth_reno) growth_cap
+        Minmax.min (Minmax.max growth_cubic growth_reno) growth_cap
       in
       Array.unsafe_set dextras (extras_off + (2 * j))
         (1.0 -. (loss_rate *. s));

@@ -16,7 +16,7 @@ let dt_max = 1e-2
 let residual dim y dy =
   let r = ref 0.0 in
   for i = 0 to dim - 1 do
-    let s = Float.max 1.0 (Float.abs y.(i)) in
+    let s = Minmax.max 1.0 (Float.abs y.(i)) in
     let e = Float.abs dy.(i) /. s in
     if e > !r then r := e
   done;
@@ -225,7 +225,7 @@ let qn_polish p s ~y ~tol ~max_steps =
         (* Forward-difference Jacobian straight into the row-major LU
            scratch, then factor (the corrections list restarts). *)
         for j = 0 to dim - 1 do
-          let h = 1e-6 *. Float.max 1.0 (Float.abs y.(j)) in
+          let h = 1e-6 *. Minmax.max 1.0 (Float.abs y.(j)) in
           let saved = y.(j) in
           y.(j) <- saved +. h;
           f y s.f1;
@@ -341,8 +341,8 @@ let solve m ?y0 ?(tol = 1e-4) () =
       incr steps;
       check ();
       if not (converged ()) then begin
-        if !res > !prev *. 1.2 then dt := Float.max dt_min (!dt *. 0.5)
-        else dt := Float.min dt_max (!dt *. 1.05);
+        if !res > !prev *. 1.2 then dt := Minmax.max dt_min (!dt *. 0.5)
+        else dt := Minmax.min dt_max (!dt *. 1.05);
         prev := !res;
         for i = 0 to dim - 1 do
           y.(i) <- y.(i) +. (!dt *. dy.(i))

@@ -97,10 +97,10 @@ let boundary_tau = 2e-3
    and the per-class background fields in {!Background}, so both
    engines agree on what a given queue level means. *)
 let ramp_loss ~q0 ~qmax q =
-  let q = Float.min qmax (Float.max 0.0 q) in
+  let q = Minmax.min qmax (Minmax.max 0.0 q) in
   if q <= q0 then 0.0
   else begin
-    let r = Float.min 1.0 ((q -. q0) /. (qmax -. q0)) in
+    let r = Minmax.min 1.0 ((q -. q0) /. (qmax -. q0)) in
     r *. r
   end
 
@@ -114,14 +114,14 @@ let system t = t.sys
 let refresh_view t y =
   let v = t.view in
   for l = 0 to t.m - 1 do
-    let q = Float.min t.qmax (Float.max 0.0 (Array.unsafe_get y (t.n + l))) in
+    let q = Minmax.min t.qmax (Minmax.max 0.0 (Array.unsafe_get y (t.n + l))) in
     let p = ramp_loss ~q0:t.q0 ~qmax:t.qmax q in
     Array.unsafe_set t.link_loss l p;
     Array.unsafe_set t.link_surv l (1.0 -. p);
     Array.unsafe_set t.link_qdelay l (q /. Array.unsafe_get t.cap_pps l)
   done;
   for i = 0 to t.n - 1 do
-    let w = Float.max t.config.min_cwnd (Array.unsafe_get y i) in
+    let w = Minmax.max t.config.min_cwnd (Array.unsafe_get y i) in
     let rtt = ref (Array.unsafe_get t.base_rtt i) in
     let surv = ref 1.0 in
     let links = Array.unsafe_get t.flow_links i in
@@ -159,10 +159,10 @@ let deriv t y dy =
      sit, breaking both the step-doubling error estimate and the
      Newton polish of {!Equilibrium}. *)
   for l = 0 to t.m - 1 do
-    let q = Float.max 0.0 y.(t.n + l) in
+    let q = Minmax.max 0.0 y.(t.n + l) in
     let d = (t.link_arrival.(l) *. (1.0 -. t.link_loss.(l))) -. t.cap_pps.(l) in
-    let d = Float.max d (-.q /. boundary_tau) in
-    let d = Float.min d ((t.qmax -. q) /. boundary_tau) in
+    let d = Minmax.max d (-.q /. boundary_tau) in
+    let d = Minmax.min d ((t.qmax -. q) /. boundary_tau) in
     dy.(t.n + l) <- d
   done;
   (* Windows and controller extras; the same boundary layer keeps the
@@ -172,7 +172,7 @@ let deriv t y dy =
   Controller.dwindows t.kind v ~extras:t.extras ~dextras:t.dextras ~out:dy;
   for i = 0 to t.n - 1 do
     let slack = (y.(i) -. t.config.min_cwnd) /. boundary_tau in
-    dy.(i) <- Float.max dy.(i) (-.Float.max 0.0 slack)
+    dy.(i) <- Minmax.max dy.(i) (-.Minmax.max 0.0 slack)
   done;
   if extra > 0 then Array.blit t.dextras 0 dy t.extra_off extra
 
@@ -241,7 +241,7 @@ let warm_start t =
         n_binding.(i) <- n_binding.(i) + 1
       end
     done;
-    w_rough.(i) <- Float.max t.config.min_cwnd (rates.(i) *. !rtt)
+    w_rough.(i) <- Minmax.max t.config.min_cwnd (rates.(i) *. !rtt)
   done;
   for l = 0 to t.m - 1 do
     if binding.(l) then begin
@@ -262,7 +262,7 @@ let warm_start t =
       done;
       let p = if !cnt = 0 then 0.0 else !acc /. float_of_int !cnt in
       (* Invert the quadratic ramp, keeping a floor inside it. *)
-      let r = Float.min 0.9 (Float.max 0.02 (sqrt p)) in
+      let r = Minmax.min 0.9 (Minmax.max 0.02 (sqrt p)) in
       y.(t.n + l) <- t.q0 +. (r *. (t.qmax -. t.q0))
     end
   done;
@@ -275,7 +275,7 @@ let warm_start t =
       let l = links.(j) in
       rtt := !rtt +. (y.(t.n + l) /. t.cap_pps.(l))
     done;
-    y.(i) <- Float.max t.config.min_cwnd (rates.(i) *. !rtt)
+    y.(i) <- Minmax.max t.config.min_cwnd (rates.(i) *. !rtt)
   done;
   let w = Array.sub y 0 t.n in
   refresh_view t y;

@@ -36,7 +36,7 @@ let integrate p ~y ~t0 ~t1 ?(dt0 = 1e-4) ?(tol = 1e-6) ?dt_max () =
   if t1 < t0 then invalid_arg "Ode.integrate: t1 < t0";
   let horizon = t1 -. t0 in
   let dt_max =
-    match dt_max with Some d -> d | None -> Float.max dt_min (horizon /. 4.0)
+    match dt_max with Some d -> d | None -> Minmax.max dt_min (horizon /. 4.0)
   in
   let n = p.dim in
   let k1 = Array.make n 0.0 and k2 = Array.make n 0.0 in
@@ -47,10 +47,10 @@ let integrate p ~y ~t0 ~t1 ?(dt0 = 1e-4) ?(tol = 1e-6) ?dt_max () =
   let half = Array.make n 0.0 in
   let steps = ref 0 and rejected = ref 0 in
   let t = ref t0 in
-  let dt = ref (Float.min (Float.max dt0 dt_min) dt_max) in
+  let dt = ref (Minmax.min (Minmax.max dt0 dt_min) dt_max) in
   p.project y;
   while t1 -. !t > 1e-12 do
-    let dt_now = Float.min !dt (t1 -. !t) in
+    let dt_now = Minmax.min !dt (t1 -. !t) in
     (* One full step ... *)
     rk4_step p ~dt:dt_now ~y ~out:full ~k1 ~k2 ~k3 ~k4 ~tmp;
     (* ... versus two half steps. *)
@@ -62,7 +62,7 @@ let integrate p ~y ~t0 ~t1 ?(dt0 = 1e-4) ?(tol = 1e-6) ?dt_max () =
     rk4_step p ~dt:h ~y:tmp ~out:half ~k1 ~k2 ~k3 ~k4 ~tmp:tmp2;
     let err = ref 0.0 in
     for i = 0 to n - 1 do
-      let scale = Float.max 1.0 (Float.abs half.(i)) in
+      let scale = Minmax.max 1.0 (Float.abs half.(i)) in
       let e = Float.abs (full.(i) -. half.(i)) /. scale in
       if e > !err then err := e
     done;
@@ -77,13 +77,14 @@ let integrate p ~y ~t0 ~t1 ?(dt0 = 1e-4) ?(tol = 1e-6) ?dt_max () =
       (* Standard fifth-order growth rule, kept conservative. *)
       let grow =
         if !err <= 0.0 then 2.0
-        else Float.min 2.0 (0.9 *. ((tol /. !err) ** 0.2))
+        else Minmax.min 2.0 (0.9 *. ((tol /. !err) ** 0.2))
       in
-      dt := Float.min dt_max (Float.max dt_min (dt_now *. Float.max 0.5 grow))
+      dt :=
+        Minmax.min dt_max (Minmax.max dt_min (dt_now *. Minmax.max 0.5 grow))
     end
     else begin
       incr rejected;
-      dt := Float.max dt_min (dt_now *. 0.5)
+      dt := Minmax.max dt_min (dt_now *. 0.5)
     end
   done;
   { steps = !steps; rejected = !rejected; last_dt = !dt }

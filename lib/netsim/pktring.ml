@@ -46,7 +46,7 @@ let grow t =
   t.stamps <- stamps;
   t.head <- 0
 
-let push t p ~stamp =
+let[@inline] push t p ~stamp =
   let cap = Array.length t.pkts in
   if t.len = cap then grow t;
   let cap = Array.length t.pkts in
@@ -56,11 +56,11 @@ let push t p ~stamp =
   t.stamps.(i) <- stamp;
   t.len <- t.len + 1
 
-let head_stamp t =
+let[@inline] head_stamp t =
   if t.len = 0 then invalid_arg "Pktring.head_stamp: empty";
   t.stamps.(t.head)
 
-let pop t =
+let[@inline] pop t =
   if t.len = 0 then invalid_arg "Pktring.pop: empty";
   let i = t.head in
   let p = t.pkts.(i) in

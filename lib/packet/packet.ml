@@ -38,14 +38,14 @@ type t = {
 let max_sack_blocks = 3
 let header_bytes = 52
 let default_mss = 1448
-let wire_bits p = p.size * 8
+let[@inline] wire_bits p = p.size * 8
 
-let is_data p =
+let[@inline] is_data p =
   match p.body with
   | Tcp { kind = Data; payload; _ } -> payload > 0
   | Tcp _ | Plain -> false
 
-let tcp_exn p =
+let[@inline] tcp_exn p =
   match p.body with
   | Tcp tcp -> tcp
   | Plain -> invalid_arg "Packet.tcp_exn: not a TCP packet"

@@ -117,11 +117,35 @@ let parse_actions () =
     in
     Alcotest.(check int) "link id" expect link
   | _ -> Alcotest.fail "first action not link-down");
+  let rejects what src =
+    match Events.Parse.events topo (parse src) with
+    | exception Events.Sexp.Parse_error _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  rejects "unknown node" "(at-s 1 (link-down a nowhere))";
+  (* Attributes are read by the shared field readers: a field with the
+     wrong number of values is an error, never a silent default. *)
+  (match
+     Events.Parse.events topo
+       (parse "(at-s 1 (capacity-ramp a p2 (mbps 5) (over-s 0.1) (steps 4)))")
+   with
+  | [ { Events.Event.action = Events.Event.Capacity_ramp { steps; _ }; _ } ] ->
+    Alcotest.(check int) "(steps 4)" 4 steps
+  | _ -> Alcotest.fail "capacity-ramp with (steps 4) did not parse");
+  rejects "(steps 1 2)"
+    "(at-s 1 (capacity-ramp a p2 (mbps 5) (over-s 0.1) (steps 1 2)))";
+  rejects "(over-s) without a value"
+    "(at-s 1 (capacity-ramp a p2 (mbps 5) (over-s)))";
+  rejects "(stop-s 1 2)"
+    "(at-s 1 (traffic-start a z (tag 9) (mbps 20) (stop-s 1 2)))";
+  rejects "(flows 1 2)"
+    "(at-s 1 (background a z (count 2) (flows 1 2) (mbps 1) (rtt-ms 20)))";
   match
-    Events.Parse.events topo (parse "(at-s 1 (link-down a nowhere))")
+    Events.Parse.topology
+      (parse "(topology (nodes a z) (links (a z (mbps 10 20) (delay-ms 5))))")
   with
   | exception Events.Sexp.Parse_error _ -> ()
-  | _ -> Alcotest.fail "unknown node accepted"
+  | _ -> Alcotest.fail "link (mbps 10 20) accepted"
 
 let validate_rejects () =
   let topo = failover_topo () in

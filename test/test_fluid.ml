@@ -15,6 +15,31 @@ let paper_model controller =
   let paths = Core.Paper_net.paths topo in
   Fluid.Model.compile topo ~paths ~controller ()
 
+(* --- float clamps --- *)
+
+let minmax_matches_stdlib () =
+  (* Every ordered pair of special and ordinary values, NaN and both
+     zeros included: the fast path must return Stdlib's bits. *)
+  let xs =
+    [ Float.nan; -.Float.nan; 0.0; -0.0; 1.0; -1.0; 2.5; -2.5;
+      Float.infinity; Float.neg_infinity; Float.min_float; -.Float.min_float;
+      Float.max_float; -.Float.max_float; 1e-300; 0.5 ]
+  in
+  let same what f g x y =
+    Alcotest.(check int64)
+      (Printf.sprintf "%s %h %h" what x y)
+      (Int64.bits_of_float (g x y))
+      (Int64.bits_of_float (f x y))
+  in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          same "min" Fluid.Minmax.min Float.min x y;
+          same "max" Fluid.Minmax.max Float.max x y)
+        xs)
+    xs
+
 (* --- integrator --- *)
 
 let rk4_exponential_decay () =
@@ -193,6 +218,9 @@ let sweep_jobs_deterministic () =
 let () =
   Alcotest.run "fluid"
     [
+      ( "minmax",
+        [ Alcotest.test_case "matches Stdlib bit for bit" `Quick
+            minmax_matches_stdlib ] );
       ( "ode",
         [
           Alcotest.test_case "rk4 exponential decay" `Quick

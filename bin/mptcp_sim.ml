@@ -66,7 +66,10 @@ let csv_t =
   Arg.(
     value
     & opt (some string) None
-    & info [ "csv" ] ~docv:"PATH" ~doc:"Also write the time series as CSV.")
+    & info [ "csv" ] ~docv:"PATH"
+        ~doc:
+          "Also write the command's data as CSV: the time series for run \
+           and fluid, the summary table for sweep and scaling.")
 
 let jobs_t =
   Arg.(

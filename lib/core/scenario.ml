@@ -183,9 +183,7 @@ let run spec =
   in
   Option.iter
     (fun o ->
-      Obs.Collect.attach_sched o sched;
-      Obs.Collect.attach_net o net;
-      Obs.Collect.attach_connection o conn;
+      Obs.Collect.attach o net conn;
       Option.iter
         (fun a ->
           Engine.Tap.subscribe (Audit.tap a) (fun v ->

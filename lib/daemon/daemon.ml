@@ -42,14 +42,15 @@ type t = {
   mutable busy_entries : int;  (** entries admitted and not yet replied *)
   mutable active_conns : int;
   mutable helpers : Thread.t list;
-  c_submissions : Obs.Metrics.counter;
-  c_entries : Obs.Metrics.counter;
-  c_hits : Obs.Metrics.counter;
-  c_fresh : Obs.Metrics.counter;
-  c_shared : Obs.Metrics.counter;
-  c_rejected : Obs.Metrics.counter;
-  c_proto_errors : Obs.Metrics.counter;
-  c_gc_runs : Obs.Metrics.counter;
+  (* service counts for the [stats] reply, all under [m] *)
+  mutable submissions : int;
+  mutable entries : int;
+  mutable hits : int;
+  mutable fresh : int;
+  mutable shared : int;
+  mutable rejected : int;
+  mutable proto_errors : int;
+  mutable gc_runs : int;
 }
 
 let store t = t.store
@@ -65,9 +66,9 @@ let draining t =
   Mutex.unlock t.m;
   d
 
-let bump ?by t c =
+let protocol_error t =
   Mutex.lock t.m;
-  Obs.Metrics.incr ?by c;
+  t.proto_errors <- t.proto_errors + 1;
   Mutex.unlock t.m
 
 let initiate_drain t =
@@ -89,12 +90,12 @@ let submit_entries t entries =
   let n = List.length entries in
   Mutex.lock t.m;
   if t.is_draining then begin
-    Obs.Metrics.incr t.c_rejected;
+    t.rejected <- t.rejected + 1;
     Mutex.unlock t.m;
     Protocol.Error (Protocol.Draining, "daemon is draining; no new work")
   end
   else if t.busy_entries + n > t.conf.max_queue then begin
-    Obs.Metrics.incr t.c_rejected;
+    t.rejected <- t.rejected + 1;
     let depth = t.busy_entries in
     Mutex.unlock t.m;
     Protocol.Error
@@ -105,8 +106,8 @@ let submit_entries t entries =
   end
   else begin
     t.busy_entries <- t.busy_entries + n;
-    Obs.Metrics.incr t.c_submissions;
-    Obs.Metrics.incr ~by:n t.c_entries;
+    t.submissions <- t.submissions + 1;
+    t.entries <- t.entries + n;
     Mutex.unlock t.m;
     Fun.protect
       ~finally:(fun () ->
@@ -126,9 +127,9 @@ let submit_entries t entries =
             stats
           in
           Mutex.lock t.m;
-          Obs.Metrics.incr ~by:hits t.c_hits;
-          Obs.Metrics.incr ~by:fresh t.c_fresh;
-          Obs.Metrics.incr ~by:shared t.c_shared;
+          t.hits <- t.hits + hits;
+          t.fresh <- t.fresh + fresh;
+          t.shared <- t.shared + shared;
           Mutex.unlock t.m;
           let outcomes =
             List.map
@@ -161,7 +162,7 @@ let handle t (req : Protocol.request) =
     | [] -> Protocol.Error (Protocol.Failed, "empty batch")
     | entries -> submit_entries t entries
     | exception Events.Sexp.Parse_error msg ->
-      bump t t.c_proto_errors;
+      protocol_error t;
       Protocol.Error (Protocol.Parse, msg)
     | exception Invalid_argument msg ->
       Protocol.Error (Protocol.Failed, msg))
@@ -180,30 +181,37 @@ let handle t (req : Protocol.request) =
         store_records = Serve.Store.count t.store;
       }
   | Protocol.Stats ->
-    let v = Obs.Metrics.value in
     let trend_entries =
       List.length (fst (Serve.Trend.load ~dir:(Serve.Store.dir t.store)))
     in
-    Protocol.Stats_reply
+    let store_records = Serve.Store.count t.store
+    and store_bytes = Serve.Store.bytes t.store in
+    Mutex.lock t.m;
+    let reply =
       {
-        Protocol.submissions = v t.c_submissions;
-        served_entries = v t.c_entries;
-        s_hits = v t.c_hits;
-        s_fresh = v t.c_fresh;
-        s_shared = v t.c_shared;
-        rejected = v t.c_rejected;
-        protocol_errors = v t.c_proto_errors;
-        gc_runs = v t.c_gc_runs;
-        store_records = Serve.Store.count t.store;
-        store_bytes = Serve.Store.bytes t.store;
+        Protocol.submissions = t.submissions;
+        served_entries = t.entries;
+        s_hits = t.hits;
+        s_fresh = t.fresh;
+        s_shared = t.shared;
+        rejected = t.rejected;
+        protocol_errors = t.proto_errors;
+        gc_runs = t.gc_runs;
+        store_records;
+        store_bytes;
         trend_entries;
       }
+    in
+    Mutex.unlock t.m;
+    Protocol.Stats_reply reply
   | Protocol.Invalidate ->
     Protocol.Invalidated (Serve.Store.invalidate t.store)
   | Protocol.Gc budget -> (
     match Serve.Store.gc t.store ~max_bytes:budget with
     | g ->
-      bump t t.c_gc_runs;
+      Mutex.lock t.m;
+      t.gc_runs <- t.gc_runs + 1;
+      Mutex.unlock t.m;
       Protocol.Gc_done g
     | exception Invalid_argument msg -> Protocol.Error (Protocol.Failed, msg))
   | Protocol.Drain ->
@@ -307,9 +315,9 @@ let handle_conn t fd =
         | Protocol.Eof | Protocol.Idle_stop -> ()
         | Protocol.Truncated ->
           (* stream died mid-frame: nothing sensible to answer *)
-          bump t t.c_proto_errors
+          protocol_error t
         | Protocol.Too_large n ->
-          bump t t.c_proto_errors;
+          protocol_error t;
           (* answer, then drop the connection: the stream cannot be
              resynchronised without trusting the bogus length *)
           ignore
@@ -327,10 +335,10 @@ let handle_conn t fd =
               with ex ->
                 Protocol.Error (Protocol.Failed, Printexc.to_string ex))
             | exception Events.Sexp.Parse_error msg ->
-              bump t t.c_proto_errors;
+              protocol_error t;
               Protocol.Error (Protocol.Parse, msg)
             | exception Protocol.Wrong_version v ->
-              bump t t.c_proto_errors;
+              protocol_error t;
               Protocol.Error
                 ( Protocol.Version,
                   Printf.sprintf
@@ -369,7 +377,6 @@ let start conf =
     | None -> Engine.Pool.default_domains ()
   in
   let pool = Engine.Pool.create ~domains () in
-  let metrics = Obs.Metrics.create () in
   let t =
     {
       conf;
@@ -384,14 +391,14 @@ let start conf =
       busy_entries = 0;
       active_conns = 0;
       helpers = [];
-      c_submissions = Obs.Metrics.counter metrics "daemon.submissions";
-      c_entries = Obs.Metrics.counter metrics "daemon.entries";
-      c_hits = Obs.Metrics.counter metrics "daemon.hits";
-      c_fresh = Obs.Metrics.counter metrics "daemon.fresh";
-      c_shared = Obs.Metrics.counter metrics "daemon.shared";
-      c_rejected = Obs.Metrics.counter metrics "daemon.rejected";
-      c_proto_errors = Obs.Metrics.counter metrics "daemon.protocol_errors";
-      c_gc_runs = Obs.Metrics.counter metrics "daemon.gc_runs";
+      submissions = 0;
+      entries = 0;
+      hits = 0;
+      fresh = 0;
+      shared = 0;
+      rejected = 0;
+      proto_errors = 0;
+      gc_runs = 0;
     }
   in
   let helpers = ref [] in

@@ -79,8 +79,9 @@ val tap : t -> Time.t Tap.t
 (** Event-dispatch observation point: emits once per live event, with
     the event's timestamp, after the clock has advanced but before the
     event's own callback runs.  Without subscribers a dispatch pays one
-    length test.  The observability layer ([Obs.Collect]) subscribes to
-    count and trace event-loop dispatches. *)
+    length test.  The observability trace ([Obs.Collect]) subscribes to
+    record event-loop dispatches; its metrics read
+    {!events_processed}. *)
 
 val periodic : t -> period:Time.t -> until:Time.t -> (unit -> unit) -> unit
 (** [periodic t ~period ~until f] fires [f] at [now + period],

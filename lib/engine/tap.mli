@@ -3,7 +3,7 @@
     A tap is an append-only array of subscribers.  {!emit} calls each
     one with the event, in subscription order; every subscriber sees
     every event emitted after it subscribed.  Any number of observers
-    (the invariant audit, the metrics/trace collector, packet captures)
+    (the invariant audit, the trace collector, packet captures)
     can subscribe to the same tap in any order without knowing about
     each other.
 

@@ -55,6 +55,8 @@ type t = {
       (* (dseq, len, dead owner) chunks orphaned by a deactivation,
          ascending by dseq; drained by live subflows before new data *)
   mutable reinjections : int;
+  mutable sched_grants : int;
+  mutable sched_defers : int;
   mutable completed_at : Engine.Time.t option;
   tap : event Engine.Tap.t;
 }
@@ -167,6 +169,7 @@ let source t sf ~max_len =
     else begin
       let dseq = sf.cursor in
       sf.cursor <- dseq + len;
+      t.sched_grants <- t.sched_grants + 1;
       if observed t then
         Engine.Tap.emit t.tap
           (Sched_grant { subflow = sf.index; dseq; len });
@@ -193,11 +196,13 @@ let source t sf ~max_len =
           Chunks.trim_below t.chunks t.data_ack_rx;
           Chunks.append t.chunks ~dseq ~len ~owner:sf.index
         end;
+        t.sched_grants <- t.sched_grants + 1;
         if observed t then
           Engine.Tap.emit t.tap
             (Sched_grant { subflow = sf.index; dseq; len });
         Some { Tcp.Sender.dss = Some { Packet.dseq; dlen = len }; len }
       | Scheduler.Defer preferred ->
+        t.sched_defers <- t.sched_defers + 1;
         if observed t then
           Engine.Tap.emit t.tap
             (Sched_defer { subflow = sf.index; preferred });
@@ -287,6 +292,8 @@ let establish ~net ~src ~dst ~conn ~paths ~cc ?(config = default_config)
       liveness = Path_manager.Liveness.create paths;
       pending = [];
       reinjections = 0;
+      sched_grants = 0;
+      sched_defers = 0;
       completed_at = None;
       tap = Engine.Tap.create ();
     }
@@ -400,6 +407,8 @@ let data_ack t = Reassembly.next_expected t.reassembly
 let reassembly_buffered t = Reassembly.buffered_bytes t.reassembly
 let completed_at t = t.completed_at
 let reinjections t = t.reinjections
+let sched_grants t = t.sched_grants
+let sched_defers t = t.sched_defers
 let data_ack_rx t = t.data_ack_rx
 let liveness t = t.liveness
 let subflow_active t i = subflow_is_active t t.subflows.(i)

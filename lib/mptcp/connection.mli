@@ -90,8 +90,15 @@ val mapped_bytes : t -> int
 val completed_at : t -> Engine.Time.t option
 
 val reinjections : t -> int
-(** Count of chunks re-sent on a faster subflow to clear head-of-line
-    blocking (see [config.reinjection]). *)
+(** Chunks re-sent on another subflow so far, to clear head-of-line
+    blocking (see [config.reinjection]) or rescued from a dead subflow;
+    one per [Reinjected] {!tap} event. *)
+
+val sched_grants : t -> int
+(** Scheduler grants so far, one per [Sched_grant] {!tap} event. *)
+
+val sched_defers : t -> int
+(** Scheduler defers so far, one per [Sched_defer] {!tap} event. *)
 
 val total_throughput_bps : t -> now:Engine.Time.t -> float
 (** Delivered connection-level goodput averaged since time zero. *)

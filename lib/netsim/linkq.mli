@@ -115,8 +115,8 @@ val tap : t -> event Engine.Tap.t
 (** Per-packet fate transitions, emitted after the queue's own state and
     counters are updated, exactly once per transition.  Without
     subscribers an emit site pays one length test and builds no event.
-    The audit builds its conservation ledger on it; [Obs.Collect] counts
-    and traces the same events. *)
+    The audit builds its conservation ledger on it; [Obs.Collect] traces
+    the same events, and its metrics read {!stats}. *)
 
 val utilisation : t -> now:Engine.Time.t -> float
 (** Fraction of wall time the serializer has been busy so far. *)

@@ -1,11 +1,16 @@
-(** Wiring layer: subscribes a {!Trace} ring and a {!Metrics} registry
-    to the simulator's taps ({!Engine.Tap}).
+(** Wiring layer: a {!Metrics} registry of gauges over the counters
+    each layer keeps, and a {!Trace} ring fed by the simulator's taps
+    ({!Engine.Tap}).
 
-    Every attach function appends a subscriber, so the collector is a
-    peer of the audit and the packet captures: each sees every event,
-    whichever attached first.  With both [trace] and [metrics] off the
-    collector subscribes to nothing, so disabled runs pay only the
-    empty-tap test at each emit site.
+    Every count the registry reports is one a layer keeps anyway
+    ({!Engine.Sched.events_processed}, {!Netsim.Linkq.stats},
+    {!Tcp.Sender.stats}, {!Mptcp.Connection.reinjections}, ...), read
+    at each {!snapshot}: the metrics layer adds no work per event and
+    subscribes to no tap, and its counts run from the layer's creation.
+    Only the trace subscribes, appending one subscriber per tap, so it
+    is a peer of the audit and the packet captures: each sees every
+    event, whichever attached first.  A collector with the trace off
+    therefore costs the run only its snapshots.
 
     Trace tracks: 0 = event loop, 1 = MPTCP scheduler, 2 = audit,
     3 = metrics/meta, [10+i] = subflow [i], [100 + 2*link + dir] = one
@@ -30,24 +35,20 @@ val create : sched:Engine.Sched.t -> conf -> t
 val trace : t -> Trace.t option
 val metrics : t -> Metrics.t option
 
-val attach_sched : t -> Engine.Sched.t -> unit
-(** Event-loop dispatch trace (track 0) and the
-    [engine.events_dispatched] counter / [engine.heap_depth] gauge. *)
-
-val attach_net : t -> Netsim.Net.t -> unit
-(** Per-link-direction enqueue/dequeue/drop/lost trace events and the
-    [netsim.*] packet and byte counters, from every queue's tap;
-    [netsim.no_route] from every node's no-route tap. *)
-
-val attach_connection : t -> Mptcp.Connection.t -> unit
-(** Scheduler-decision trace (track 1), per-subflow TCP trace (tracks
-    [10+i]) and the [tcp.*] / [mptcp.*] counters and gauges, including
-    per-subflow [tcp.cwnd.<i>] and [mptcp.subflow.<i>.goodput_bps]. *)
+val attach : t -> Netsim.Net.t -> Mptcp.Connection.t -> unit
+(** Registers the [engine.*], [gc.wall.*], [netsim.*], [tcp.*] and
+    [mptcp.*] gauges over the run's scheduler, network and connection,
+    including per-subflow [tcp.cwnd.<i>] and
+    [mptcp.subflow.<i>.goodput_bps]; and, with the trace on, subscribes
+    the event-loop (track 0), per-link-direction, scheduler-decision
+    (track 1) and per-subflow TCP (tracks [10+i]) trace events to their
+    taps.  Call once, before the run starts. *)
 
 val violation : t -> invariant:string -> unit
-(** Records an audit violation (track 2, [audit.violations] counter).
-    Kept generic so this library does not depend on [Audit]; the
-    scenario layer subscribes it to [Audit.tap]. *)
+(** Records an audit violation (track 2) and sets the
+    [audit.violations] value, registered at the first violation, to the
+    count so far.  Kept generic so this library does not depend on
+    [Audit]; the scenario layer subscribes it to [Audit.tap]. *)
 
 val snapshot : t -> unit
 (** Samples the metrics registry at the current simulated time and

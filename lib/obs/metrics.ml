@@ -1,5 +1,3 @@
-type counter = { mutable count : int }
-
 type histogram = {
   mutable n : int;
   mutable sum : float;
@@ -8,7 +6,6 @@ type histogram = {
 }
 
 type instrument =
-  | Counter of counter
   | Gauge of (unit -> float)
   | Histogram of histogram
   | Value of float ref
@@ -23,7 +20,6 @@ type t = {
 let create () = { instruments = Hashtbl.create 32; snaps_rev = [] }
 
 let kind_name = function
-  | Counter _ -> "counter"
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
   | Value _ -> "value"
@@ -32,18 +28,6 @@ let clash name existing wanted =
   invalid_arg
     (Printf.sprintf "Metrics: %s is a %s, not a %s" name (kind_name existing)
        wanted)
-
-let counter t name =
-  match Hashtbl.find_opt t.instruments name with
-  | Some (Counter c) -> c
-  | Some other -> clash name other "counter"
-  | None ->
-    let c = { count = 0 } in
-    Hashtbl.replace t.instruments name (Counter c);
-    c
-
-let incr ?(by = 1) c = c.count <- c.count + by
-let value c = c.count
 
 let gauge t name f =
   match Hashtbl.find_opt t.instruments name with
@@ -72,7 +56,6 @@ let set t name x =
   | None -> Hashtbl.replace t.instruments name (Value (ref x))
 
 let sample name = function
-  | Counter c -> [ (name, float_of_int c.count) ]
   | Gauge f -> [ (name, f ()) ]
   | Value r -> [ (name, !r) ]
   | Histogram h ->

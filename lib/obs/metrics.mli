@@ -1,5 +1,8 @@
-(** Metrics registry: named counters, gauges and histograms, sampled
+(** Metrics registry: named gauges, values and histograms, sampled
     into timestamped snapshots and dumped as CSV.
+
+    A count is a gauge over the counter its layer keeps (see
+    {!Collect}), so the registry holds no per-event instrument.
 
     Names are dotted and layer-prefixed ([engine.events_dispatched],
     [netsim.pkts_dropped], [tcp.retransmits], [mptcp.delivered_bytes],
@@ -10,26 +13,16 @@
 
 type t
 
-type counter
-(** Monotone integer count; one mutable increment on the hot path. *)
-
 type histogram
 (** Streaming aggregate (count/sum/min/max); no per-sample storage. *)
 
 val create : unit -> t
 
-val counter : t -> string -> counter
-(** Registers (or retrieves) the counter [name].  Raises
-    [Invalid_argument] when [name] is already registered as a different
-    instrument kind. *)
-
-val incr : ?by:int -> counter -> unit
-
-val value : counter -> int
-
 val gauge : t -> string -> (unit -> float) -> unit
 (** Registers a callback gauge: sampled lazily at each {!snapshot}.
-    Re-registration replaces the callback. *)
+    Re-registration replaces the callback.  Raises [Invalid_argument]
+    when [name] is already registered as a different instrument kind,
+    as {!histogram} and {!set} do. *)
 
 val histogram : t -> string -> histogram
 (** Registers (or retrieves) the histogram [name]; snapshots expand it
@@ -39,7 +32,8 @@ val observe : histogram -> float -> unit
 
 val set : t -> string -> float -> unit
 (** Sets the plain value [name] (registering it on first use) — for
-    one-off end-of-run facts such as [core.wall_time_s]. *)
+    facts set rather than sampled, such as [core.wall_time_s] or
+    [audit.violations]. *)
 
 type snapshot = {
   sim_ns : int;

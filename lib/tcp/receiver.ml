@@ -24,6 +24,7 @@ type t = {
   mutable last_sacked : int; (* start of the block holding the newest arrival *)
   mutable ce_pending : bool; (* echo Congestion Experienced on the next ACK *)
   mutable duplicates : int;
+  mutable delivered : int; (* segments handed to [on_deliver] *)
   (* scratch for sack_blocks: merged ranges as parallel arrays, reused
      across calls so range merging allocates nothing *)
   mutable scratch_s : int array;
@@ -50,7 +51,7 @@ let create ~sched ~conn ~subflow ~addr ~peer ~tag ~fresh_id ~transmit ?pool
     on_deliver; data_ack; delayed_ack; pending_segs = 0;
     ack_timer = None; ack_thunk = unarmed; acks_sent = 0; rcv_nxt = 0;
     ooo = Imap.empty;
-    last_sacked = -1; ce_pending = false; duplicates = 0;
+    last_sacked = -1; ce_pending = false; duplicates = 0; delivered = 0;
     scratch_s = Array.make 16 0; scratch_e = Array.make 16 0; scratch_n = 0;
     tap = Engine.Tap.create () }
 
@@ -148,6 +149,7 @@ let rec drain t =
     if seq + len > t.rcv_nxt then begin
       t.on_deliver ~seq ~len ~dss;
       t.rcv_nxt <- seq + len;
+      t.delivered <- t.delivered + 1;
       if Array.length t.tap.Engine.Tap.subs > 0 then
         Engine.Tap.emit t.tap (Delivered { seq; len })
     end;
@@ -171,6 +173,7 @@ let handle_data t p =
     if seq = t.rcv_nxt then begin
       t.on_deliver ~seq ~len ~dss:tcp.Packet.dss;
       t.rcv_nxt <- seq + len;
+      t.delivered <- t.delivered + 1;
       if Array.length t.tap.Engine.Tap.subs > 0 then
         Engine.Tap.emit t.tap (Delivered { seq; len });
       let had_gap = not (Imap.is_empty t.ooo) in
@@ -196,3 +199,4 @@ let rcv_nxt t = t.rcv_nxt
 let tap t = t.tap
 let out_of_order t = Imap.cardinal t.ooo
 let duplicates t = t.duplicates
+let delivered t = t.delivered

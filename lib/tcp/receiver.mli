@@ -43,6 +43,9 @@ val out_of_order : t -> int
 
 val duplicates : t -> int
 
+val delivered : t -> int
+(** Segments handed to [on_deliver] so far, one per {!tap} event. *)
+
 type event = Delivered of { seq : int; len : int }
     (** a segment was handed to [on_deliver]; by construction
         [seq <= old rcv_nxt < seq + len] and the new [rcv_nxt] is

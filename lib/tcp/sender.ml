@@ -34,6 +34,7 @@ type stats = {
   mutable timeouts : int;
   mutable fast_recoveries : int;
   mutable bytes_acked : int;
+  mutable acks : int;
 }
 
 type conn_state = Closed | Syn_sent | Established
@@ -191,7 +192,7 @@ let create ~sched ~config ~conn ~subflow ~src ~dst ~tag ~fresh_id ~transmit
       tap = Engine.Tap.create ();
       stats =
         { segments_sent = 0; retransmits = 0; timeouts = 0;
-          fast_recoveries = 0; bytes_acked = 0 };
+          fast_recoveries = 0; bytes_acked = 0; acks = 0 };
     }
   in
   let group =
@@ -592,6 +593,7 @@ let handle_ack t (tcp : Packet.tcp) =
     t.snd_una <- a;
     if t.snd_nxt < a then t.snd_nxt <- a;
     t.consecutive_timeouts <- 0;
+    t.stats.acks <- t.stats.acks + 1;
     if observed t then Engine.Tap.emit t.tap (Ack_advanced { una = a });
     t.dupacks <- 0;
     if t.in_recovery then begin

@@ -62,6 +62,7 @@ type stats = {
   mutable timeouts : int;
   mutable fast_recoveries : int;
   mutable bytes_acked : int;
+  mutable acks : int;  (** cumulative ACKs that advanced [snd_una] *)
 }
 
 type t

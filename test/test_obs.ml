@@ -168,10 +168,6 @@ let test_trace_ring_bounded () =
 
 let test_metrics_registry () =
   let m = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter m "tcp.retransmits" in
-  Obs.Metrics.incr c;
-  Obs.Metrics.incr ~by:3 c;
-  Alcotest.(check int) "counter value" 4 (Obs.Metrics.value c);
   Obs.Metrics.gauge m "engine.heap_depth" (fun () -> 42.0);
   let h = Obs.Metrics.histogram m "core.rtt_s" in
   Obs.Metrics.observe h 1.0;
@@ -187,7 +183,7 @@ let test_metrics_registry () =
       [
         "core.rtt_s.count"; "core.rtt_s.max"; "core.rtt_s.mean";
         "core.rtt_s.min"; "core.rtt_s.sum"; "core.wall_time_s";
-        "engine.heap_depth"; "tcp.retransmits";
+        "engine.heap_depth";
       ]
       names;
     Alcotest.(check (float 1e-9))
@@ -195,8 +191,24 @@ let test_metrics_registry () =
       (List.assoc "core.rtt_s.mean" snap.Obs.Metrics.values)
   | snaps -> Alcotest.failf "expected 1 snapshot, got %d" (List.length snaps));
   Alcotest.check_raises "kind clash rejected"
-    (Invalid_argument "Metrics: tcp.retransmits is a counter, not a gauge")
-    (fun () -> Obs.Metrics.gauge m "tcp.retransmits" (fun () -> 0.0))
+    (Invalid_argument "Metrics: core.wall_time_s is a value, not a gauge")
+    (fun () -> Obs.Metrics.gauge m "core.wall_time_s" (fun () -> 0.0))
+
+(* [audit.violations] is registered at the first violation, so a clean
+   run's snapshot does not list it, and then holds the count so far. *)
+let test_audit_violations_value () =
+  let o =
+    Obs.Collect.create ~sched:(Engine.Sched.create ())
+      (obs_conf ~trace:false ())
+  in
+  let count () =
+    Obs.Collect.snapshot o;
+    List.assoc_opt "audit.violations" (Obs.Collect.final_metrics o)
+  in
+  Alcotest.(check (option (float 0.0))) "absent while clean" None (count ());
+  Obs.Collect.violation o ~invariant:"a";
+  Obs.Collect.violation o ~invariant:"b";
+  Alcotest.(check (option (float 0.0))) "count so far" (Some 2.0) (count ())
 
 let is_wall (name, _) =
   substr_idx name "wall" <> None
@@ -339,9 +351,7 @@ let run_attached order =
     (function
       | Collector ->
         let o = Obs.Collect.create ~sched (obs_conf ~trace:false ()) in
-        Obs.Collect.attach_sched o sched;
-        Obs.Collect.attach_net o net;
-        Obs.Collect.attach_connection o conn;
+        Obs.Collect.attach o net conn;
         collector := Some o
       | Auditor ->
         let a = Audit.create ~sched in
@@ -384,6 +394,106 @@ let test_attach_order () =
     audit_both.Audit.checks;
   Alcotest.(check int) "clean run" 0 audit_both.Audit.total_violations
 
+(* --- pinned end-of-run metrics --- *)
+
+(* One audited paper-net run with the metrics layer on and the trace
+   off: 16-packet buffers drop, the min-RTT scheduler defers, and a
+   flap of the v2-v3 link loses packets on the wire, declares subflows
+   dead and reinjects their chunks.  Its final snapshot is pinned name
+   by name at %.17g, so a change to how any metric is counted shows
+   here. *)
+let pinned_script = {|(at-s 0.3 (link-down v2 v3)) (at-s 0.6 (link-up v2 v3))|}
+
+let pinned_run () =
+  let topo = Core.Paper_net.topology () in
+  Core.Scenario.run
+    (Core.Scenario.make ~topo
+       ~paths:(Core.Paper_net.tagged_paths ~default:2 topo)
+       ~cc:Mptcp.Algorithm.Cubic ~duration:(Engine.Time.ms 1500) ~audit:true
+       ~obs:(obs_conf ~trace:false ())
+       ~events:
+         (Events.Parse.events topo (Events.Sexp.parse_string pinned_script))
+       ~rto_cap:2 ())
+
+let pinned_metrics =
+  [
+    "engine.events_dispatched 80896";
+    "engine.heap_depth 31";
+    "mptcp.delivered_bytes 8417224";
+    "mptcp.reassembly_buffered 2896";
+    "mptcp.reinjections 31";
+    "mptcp.reinjections_total 31";
+    "mptcp.sched_defers 4";
+    "mptcp.sched_grants 5844";
+    "mptcp.subflow.0.goodput_bps 24768332.884010542";
+    "mptcp.subflow.1.goodput_bps 10931166.43681833";
+    "mptcp.subflow.2.goodput_bps 9492893.7431096248";
+    "netsim.bytes_delivered 31452168";
+    "netsim.no_route 0";
+    "netsim.pkts_delivered 40380";
+    "netsim.pkts_dropped 87";
+    "netsim.pkts_enqueued 40447";
+    "netsim.pkts_lost_down 60";
+    "netsim.pool.acquired 11851";
+    "netsim.pool.live 41";
+    "netsim.pool.recycled 11756";
+    "tcp.acks 4724";
+    "tcp.cwnd.0 8.7629196420170246";
+    "tcp.cwnd.1 32.033468819585096";
+    "tcp.cwnd.2 5.9171218432404178";
+    "tcp.retransmits 125";
+    "tcp.segments_delivered 5846";
+    "tcp.segments_sent 5875";
+  ]
+
+let test_pinned_metrics () =
+  let r = pinned_run () in
+  (match r.Core.Scenario.audit with
+  | Some rep -> Alcotest.(check int) "clean run" 0 rep.Audit.total_violations
+  | None -> Alcotest.fail "audit report missing");
+  let final =
+    match r.Core.Scenario.obs with
+    | Some o -> Obs.Collect.final_metrics o
+    | None -> Alcotest.fail "obs missing"
+  in
+  List.iter
+    (fun name ->
+      if List.assoc name final = 0.0 then Alcotest.failf "%s is 0" name)
+    [ "netsim.pkts_dropped"; "netsim.pkts_lost_down"; "tcp.retransmits";
+      "mptcp.sched_defers"; "mptcp.reinjections" ];
+  Alcotest.(check (list string))
+    "final metrics" pinned_metrics
+    (List.map (fun (name, v) -> Printf.sprintf "%s %.17g" name v) final)
+
+(* --- cost of the metrics layer --- *)
+
+(* The metrics layer samples counters the layers keep anyway, so a run
+   with it on allocates about what a plain run does: words per packet
+   of a 4 s CUBIC paper run (default path 2), each bracketed after a
+   warm-up run as test_events' failover allocation test does, stay
+   within 1.1x of the plain run's. *)
+let words_per_packet ?obs () =
+  let run () =
+    let topo = Core.Paper_net.topology () in
+    Core.Scenario.run
+      (Core.Scenario.make ~topo
+         ~paths:(Core.Paper_net.tagged_paths ~default:2 topo)
+         ~cc:Mptcp.Algorithm.Cubic ?obs ())
+  in
+  ignore (run ());
+  let c0 = Engine.Gctune.counters () in
+  let r = run () in
+  let d = Engine.Gctune.diff c0 (Engine.Gctune.counters ()) in
+  Engine.Gctune.allocated_words d
+  /. float_of_int r.Core.Scenario.packets_created
+
+let test_metrics_alloc () =
+  let plain = words_per_packet () in
+  let metered = words_per_packet ~obs:(obs_conf ~trace:false ()) () in
+  if metered > 1.1 *. plain then
+    Alcotest.failf "metrics on %.1f words/packet > 1.1x plain %.1f" metered
+      plain
+
 let () =
   Alcotest.run "obs"
     [
@@ -406,6 +516,8 @@ let () =
           Alcotest.test_case "registry" `Quick test_metrics_registry;
           Alcotest.test_case "deterministic across jobs" `Quick
             test_metrics_deterministic_across_jobs;
+          Alcotest.test_case "audit violations value" `Quick
+            test_audit_violations_value;
         ] );
       ( "integration",
         [
@@ -415,5 +527,9 @@ let () =
             test_obs_chains_with_audit;
           Alcotest.test_case "attach order does not matter" `Quick
             test_attach_order;
+          Alcotest.test_case "pinned final metrics" `Quick
+            test_pinned_metrics;
+          Alcotest.test_case "metrics words/packet <= 1.1x plain" `Quick
+            test_metrics_alloc;
         ] );
     ]

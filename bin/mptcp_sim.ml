@@ -136,12 +136,7 @@ let run_cmd =
     let want_trace = trace_json <> None || trace_csv <> None in
     let obs =
       if want_trace || metrics_path <> None then
-        Some
-          {
-            Obs.Collect.default_conf with
-            trace = want_trace;
-            metrics = metrics_path <> None;
-          }
+        Some { Obs.Collect.trace = want_trace; metrics = metrics_path <> None }
       else None
     in
     let spec, title =

@@ -63,21 +63,7 @@ let text (spec : Scenario.spec) =
     sampling;
     seed;
     net_config = { Netsim.Net.qdisc; limit_pkts; delay_jitter };
-    sender_config =
-      {
-        Tcp.Sender.mss;
-        initial_cwnd;
-        initial_ssthresh;
-        dupack_threshold;
-        sack;
-        handshake;
-        ecn;
-        initial_rto;
-        min_rto;
-        max_rto;
-      };
-    join_delay;
-    start_jitter;
+    sender_config = { Tcp.Sender.mss; ecn; initial_rto; min_rto; max_rto };
     delayed_ack;
     send_buffer;
     total_bytes;
@@ -105,7 +91,7 @@ let text (spec : Scenario.spec) =
     events;
   p ")";
   p " (hybrid-tick-ns %s)" (time_ns hybrid_tick);
-  p " (join-delay-ns %s)" (time_ns join_delay);
+  p " (join-delay-ns %s)" (time_ns Mptcp.Connection.join_delay);
   p " (net-config (delay-jitter-ns %s) (limit-pkts %d) (qdisc "
     (time_ns delay_jitter) limit_pkts;
   add_qdisc buf qdisc;
@@ -125,16 +111,24 @@ let text (spec : Scenario.spec) =
   p " (scheduler %s)" (Mptcp.Scheduler.policy_name scheduler);
   p " (seed %d)" seed;
   p " (send-buffer %s)" (opt_int send_buffer);
+  (* The join delay, start jitter, initial window, initial ssthresh
+     and dup-ACK threshold were once settable, and the sender once had
+     two switches: one for a NewReno recovery mode, one for modelling
+     the SYN exchange.  All are rendered still, at the one value each
+     now has (the two switches as the literals of SACK recovery and of
+     subflows that start established): a new rendering would need a
+     version bump, and that would turn every stored record into a
+     miss. *)
   p
-    " (sender-config (dupack-threshold %d) (ecn %b) (handshake %b) \
+    " (sender-config (dupack-threshold %d) (ecn %b) (handshake false) \
      (initial-cwnd %s) (initial-rto-ns %s) (initial-ssthresh %s) \
-     (max-rto-ns %s) (min-rto-ns %s) (mss %d) (sack %b))"
-    dupack_threshold ecn handshake
-    (Events.Sexp.f17 initial_cwnd)
+     (max-rto-ns %s) (min-rto-ns %s) (mss %d) (sack true))"
+    Tcp.Sender.dupack_threshold ecn
+    (Events.Sexp.f17 Tcp.Sender.initial_cwnd)
     (time_ns initial_rto)
-    (Events.Sexp.f17 initial_ssthresh)
-    (time_ns max_rto) (time_ns min_rto) mss sack;
-  p " (start-jitter-ns %s)" (time_ns start_jitter);
+    (Events.Sexp.f17 Tcp.Sender.initial_ssthresh)
+    (time_ns max_rto) (time_ns min_rto) mss;
+  p " (start-jitter-ns %s)" (time_ns Scenario.start_jitter);
   (* Topology: nodes in id order (names included: forwarding ignores
      them, but a renamed node is a different scenario to the operator
      and to path specs), links in id order. *)

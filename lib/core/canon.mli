@@ -10,6 +10,13 @@
     in integer nanoseconds, floats at full [%.17g] precision) and
     {!hash} digests it.
 
+    Seven values that were once fields of the spec's sender config or
+    of the spec itself — the initial window and ssthresh, the dup-ACK
+    threshold, the SACK and SYN-exchange switches, the join delay and
+    the start jitter — are constants now, and are rendered still, at
+    the value each has: records stored while they were fields keep
+    their keys.
+
     Excluded from the canonical form — and so from the hash — are the
     observation-only switches [trace_limit], [audit] and [obs]: they
     change no simulated outcome (the audit and obs layers only read),

@@ -8,8 +8,6 @@ type spec = {
   seed : int;
   net_config : Netsim.Net.config;
   sender_config : Tcp.Sender.config;
-  join_delay : Engine.Time.t;
-  start_jitter : Engine.Time.t;
   delayed_ack : bool;
   send_buffer : int option;
   total_bytes : int option;
@@ -30,6 +28,8 @@ type spec = {
 let default_net_config =
   { Netsim.Net.qdisc = Netsim.Qdisc.Drop_tail; limit_pkts = 16;
         delay_jitter = Engine.Time.zero }
+
+let start_jitter = Engine.Time.ms 2
 
 let validate spec =
   if spec.paths = [] then invalid_arg "Scenario.make: no paths";
@@ -63,16 +63,14 @@ let validate spec =
 let make ~topo ~paths ~cc ?(scheduler = Mptcp.Scheduler.Min_rtt)
     ?(duration = Engine.Time.s 4) ?(sampling = Engine.Time.ms 100) ?(seed = 1)
     ?(net_config = default_net_config)
-    ?(sender_config = Tcp.Sender.default_config)
-    ?(join_delay = Engine.Time.ms 10) ?(start_jitter = Engine.Time.ms 2)
-    ?(delayed_ack = false) ?send_buffer ?total_bytes ?trace_limit
-    ?(audit = false) ?obs ?(events = []) ?rto_cap
-    ?(hybrid_tick = Engine.Time.ms 1) () =
+    ?(sender_config = Tcp.Sender.default_config) ?(delayed_ack = false)
+    ?send_buffer ?total_bytes ?trace_limit ?(audit = false) ?obs
+    ?(events = []) ?rto_cap ?(hybrid_tick = Engine.Time.ms 1) () =
   let spec =
     {
       topo; paths; cc; scheduler; duration; sampling; seed; net_config;
-      sender_config; join_delay; start_jitter; delayed_ack; send_buffer;
-      total_bytes; trace_limit; audit; obs; events; rto_cap; hybrid_tick;
+      sender_config; delayed_ack; send_buffer; total_bytes; trace_limit;
+      audit; obs; events; rto_cap; hybrid_tick;
     }
   in
   validate spec;
@@ -158,8 +156,7 @@ let run spec =
       Mptcp.Connection.sender = spec.sender_config;
       scheduler = spec.scheduler;
       send_buffer = spec.send_buffer;
-      join_delay = spec.join_delay;
-      start_jitter = spec.start_jitter;
+      start_jitter;
       delayed_ack = spec.delayed_ack;
       reinjection = false;
       rto_cap = spec.rto_cap;
@@ -243,8 +240,7 @@ let run spec =
     | [] -> None
     | decls ->
       let config =
-        { Fluid.Model.default_config with
-          mss_bytes = spec.sender_config.Tcp.Sender.mss;
+        { Fluid.Model.mss_bytes = spec.sender_config.Tcp.Sender.mss;
           buffer_pkts = spec.net_config.Netsim.Net.limit_pkts }
       in
       Some

@@ -17,8 +17,6 @@ type spec = {
   seed : int;
   net_config : Netsim.Net.config;
   sender_config : Tcp.Sender.config;
-  join_delay : Engine.Time.t;
-  start_jitter : Engine.Time.t;
   delayed_ack : bool;
   send_buffer : int option;
   total_bytes : int option;
@@ -58,21 +56,24 @@ val default_net_config : Netsim.Net.config
     the paper's Mininet links.  (The generic {!Netsim.Net.default_config}
     keeps 40-packet buffers.) *)
 
+val start_jitter : Engine.Time.t
+(** 2 ms: each subflow's start is delayed by a seeded uniform draw from
+    [\[0, start_jitter\]] ({!Mptcp.Connection.config.start_jitter}), on
+    top of the {!Mptcp.Connection.join_delay} of the non-default ones. *)
+
 val make :
   topo:Netgraph.Topology.t -> paths:Mptcp.Path_manager.t
   -> cc:Mptcp.Algorithm.t -> ?scheduler:Mptcp.Scheduler.policy
   -> ?duration:Engine.Time.t -> ?sampling:Engine.Time.t -> ?seed:int
   -> ?net_config:Netsim.Net.config -> ?sender_config:Tcp.Sender.config
-  -> ?join_delay:Engine.Time.t -> ?start_jitter:Engine.Time.t
   -> ?delayed_ack:bool -> ?send_buffer:int -> ?total_bytes:int
   -> ?trace_limit:int -> ?audit:bool -> ?obs:Obs.Collect.conf
   -> ?events:Events.Event.t list -> ?rto_cap:int
   -> ?hybrid_tick:Engine.Time.t -> unit -> spec
 (** Defaults: min-RTT scheduler, 4 s at 100 ms sampling (the paper's
     Fig. 2a/2b setup), seed 1, {!default_net_config}, default sender
-    config, 10 ms join delay with up to 2 ms of seeded start jitter,
-    unlimited buffer and bulk data, no timed events, no failover cap,
-    1 ms hybrid tick.  Raises [Invalid_argument] when {!validate}
+    config, unlimited buffer and bulk data, no timed events, no failover
+    cap, 1 ms hybrid tick.  Raises [Invalid_argument] when {!validate}
     rejects the spec. *)
 
 val validate : spec -> unit

@@ -9,7 +9,6 @@ type conf = {
   gc_max_bytes : int option;
   gc_interval_s : float;
   watch_dir : string option;
-  watch_poll_s : float;
   log : bool;
 }
 
@@ -23,9 +22,11 @@ let default_conf ~socket_path ~store_dir =
     gc_max_bytes = None;
     gc_interval_s = 5.;
     watch_dir = None;
-    watch_poll_s = 0.5;
     log = true;
   }
+
+(* Seconds between two scans of the watch directory. *)
+let watch_poll_s = 0.5
 
 type t = {
   conf : conf;
@@ -292,7 +293,7 @@ let watch_loop t dir =
               | _ -> ())
           end)
         names);
-    sleep_interruptible t t.conf.watch_poll_s
+    sleep_interruptible t watch_poll_s
   done
 
 let handle_conn t fd =

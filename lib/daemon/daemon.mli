@@ -52,15 +52,15 @@ type conf = {
           bytes (the [cache --gc --max-bytes] policy, resident) *)
   gc_interval_s : float;  (** period of that pass *)
   watch_dir : string option;
-      (** when set, a poller submits every [*.sexp] batch file dropped
-          here and renames it [.done] (or [.err]) once served *)
-  watch_poll_s : float;
+      (** when set, a poller scans it every 0.5 s, submits every
+          [*.sexp] batch file dropped there and renames it [.done] (or
+          [.err]) once served *)
   log : bool;  (** lifecycle lines on stderr *)
 }
 
 val default_conf : socket_path:string -> store_dir:string -> conf
 (** [base_dir "."], recommended domains, [max_queue 64], no GC, no
-    watch dir, 5 s GC interval, 0.5 s watch poll, logging on. *)
+    watch dir, 5 s GC interval, logging on. *)
 
 type t
 

@@ -36,7 +36,6 @@ type channel_spec = { cap_pps : float; limit_pkts : int }
    (positions [0, nw)), then the channel queues ([nw, nw + l)), then the
    CUBIC auxiliary pairs ([extra_off, dim)). *)
 type t = {
-  config : Model.config;  (* buffer_pkts unused: channels carry their own *)
   classes : class_spec array;
   c : int;
   l : int;
@@ -88,8 +87,7 @@ type t = {
    foreground default because class fields are aggregates. *)
 let tol = 1e-4
 
-let compile ~(channels : channel_spec array) ~classes
-    ?(config = Model.default_config) () =
+let compile ~(channels : channel_spec array) ~classes () =
   let c = Array.length classes and l = Array.length channels in
   if c = 0 then invalid_arg "Background.compile: no classes";
   Array.iter
@@ -141,8 +139,7 @@ let compile ~(channels : channel_spec array) ~classes
     a
   in
   let t =
-    { config;
-      classes;
+    { classes;
       c;
       l;
       nw;
@@ -156,7 +153,7 @@ let compile ~(channels : channel_spec array) ~classes
       cubic_pos;
       cap_pps = Array.map (fun (ch : channel_spec) -> ch.cap_pps) channels;
       qmax;
-      q0 = Array.map (fun q -> config.Model.loss_start *. q) qmax;
+      q0 = Array.map (fun q -> Model.loss_start *. q) qmax;
       y = Array.make dim 0.0;
       time_s = 0.0;
       last_dt = 1e-4;
@@ -183,7 +180,7 @@ let compile ~(channels : channel_spec array) ~classes
       dormant = false;
       dormant_skips = 0 }
   in
-  Array.fill t.y 0 nw config.Model.min_cwnd;
+  Array.fill t.y 0 nw Tcp.Cc.min_cwnd;
   t
 
 let dim t = t.dim
@@ -309,7 +306,7 @@ let refresh t y =
         t.loss.(k) <- 1.0 -. !surv;
         let x =
           if not (Array.unsafe_get t.active i) then 0.0
-          else Float.max t.config.Model.min_cwnd (Array.unsafe_get y k) /. !rtt
+          else Float.max Tcp.Cc.min_cwnd (Array.unsafe_get y k) /. !rtt
         in
         t.rate.(k) <- x;
         x *. float_of_int cl.flows
@@ -366,13 +363,13 @@ let deriv t y dy =
       end
     end
     else begin
-      let slack = (y.(k) -. t.config.Model.min_cwnd) /. Model.boundary_tau in
+      let slack = (y.(k) -. Tcp.Cc.min_cwnd) /. Model.boundary_tau in
       dy.(k) <- Float.max dy.(k) (-.Float.max 0.0 slack)
     end
   done
 
 let project t y =
-  let floor = t.config.Model.min_cwnd in
+  let floor = Tcp.Cc.min_cwnd in
   for k = 0 to t.nw - 1 do
     if y.(k) < floor then y.(k) <- floor
   done;
@@ -613,7 +610,7 @@ module Driver = struct
         qs
     in
     let d =
-      { field = compile ~channels ~classes ~config ();
+      { field = compile ~channels ~classes ();
         qs;
         tick_s = Engine.Time.to_float_s period;
         bits_per_pkt;

@@ -53,8 +53,7 @@ type channel_spec = {
 type t
 
 val compile :
-  channels:channel_spec array -> classes:class_spec array
-  -> ?config:Model.config -> unit -> t
+  channels:channel_spec array -> classes:class_spec array -> unit -> t
 (** Builds the field: state vector [windows (one per [Windowed] class,
     in class order); queues (one per channel); CUBIC auxiliary pairs
     (per CUBIC class)], windows at the floor, queues empty.  [Constant]
@@ -62,9 +61,9 @@ val compile :
     first windowed class fold into a per-channel open-loop rate when
     they activate, later ones add their rate in each derivative
     evaluation, so every channel sums its arrivals in class order
-    whatever the mix of laws.  [config] supplies the loss-ramp knee,
-    window floor and MSS exactly as for {!Model.compile}; the
-    step-doubling error bound passed to {!Ode.integrate} is [1e-4],
+    whatever the mix of laws.  The loss-ramp knee ({!Model.loss_start})
+    and the window floor ({!Tcp.Cc.min_cwnd}) are {!Model.compile}'s;
+    the step-doubling error bound passed to {!Ode.integrate} is [1e-4],
     coarser than the foreground default because class fields are
     aggregates.  Raises [Invalid_argument] on empty or inconsistent
     specs (no classes, a class with no flows or channels, a channel

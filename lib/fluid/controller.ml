@@ -46,7 +46,7 @@ let reno_gain = 3.0 *. (1.0 -. cubic_beta) /. (1.0 +. cubic_beta)
 let eps = 1e-9
 
 (* Sum of w_k / rtt_k over every subflow — Coupled.rate_sum with all
-   subflows established (the fluid model has no three-way handshake). *)
+   subflows established, as every subflow is from the start. *)
 let rate_sum v =
   let acc = ref 0.0 in
   for k = 0 to v.n - 1 do acc := !acc +. v.rate.(k) done;

@@ -1,15 +1,7 @@
-type config = {
-  mss_bytes : int;
-  buffer_pkts : int;
-  loss_start : float;
-  min_cwnd : float;
-}
+type config = { mss_bytes : int; buffer_pkts : int }
 
-let default_config =
-  { mss_bytes = Packet.default_mss;
-    buffer_pkts = 16;
-    loss_start = 0.5;
-    min_cwnd = 2.0 }
+let default_config = { mss_bytes = Packet.default_mss; buffer_pkts = 16 }
+let loss_start = 0.5
 
 type t = {
   topo : Netgraph.Topology.t;
@@ -74,7 +66,7 @@ let compile topo ~paths ~controller ?(config = default_config) () =
     flow_links;
     base_rtt;
     qmax;
-    q0 = config.loss_start *. qmax;
+    q0 = loss_start *. qmax;
     view =
       { Controller.n;
         w = Array.make n 0.0;
@@ -121,7 +113,7 @@ let refresh_view t y =
     Array.unsafe_set t.link_qdelay l (q /. Array.unsafe_get t.cap_pps l)
   done;
   for i = 0 to t.n - 1 do
-    let w = Minmax.max t.config.min_cwnd (Array.unsafe_get y i) in
+    let w = Minmax.max Tcp.Cc.min_cwnd (Array.unsafe_get y i) in
     let rtt = ref (Array.unsafe_get t.base_rtt i) in
     let surv = ref 1.0 in
     let links = Array.unsafe_get t.flow_links i in
@@ -171,14 +163,14 @@ let deriv t y dy =
   if extra > 0 then Array.blit y t.extra_off t.extras 0 extra;
   Controller.dwindows t.kind v ~extras:t.extras ~dextras:t.dextras ~out:dy;
   for i = 0 to t.n - 1 do
-    let slack = (y.(i) -. t.config.min_cwnd) /. boundary_tau in
+    let slack = (y.(i) -. Tcp.Cc.min_cwnd) /. boundary_tau in
     dy.(i) <- Minmax.max dy.(i) (-.Minmax.max 0.0 slack)
   done;
   if extra > 0 then Array.blit t.dextras 0 dy t.extra_off extra
 
 let project t y =
   for i = 0 to t.n - 1 do
-    if y.(i) < t.config.min_cwnd then y.(i) <- t.config.min_cwnd
+    if y.(i) < Tcp.Cc.min_cwnd then y.(i) <- Tcp.Cc.min_cwnd
   done;
   for l = 0 to t.m - 1 do
     let q = y.(t.n + l) in
@@ -195,7 +187,7 @@ let problem t =
 
 let initial t =
   let y = Array.make t.dim 0.0 in
-  for i = 0 to t.n - 1 do y.(i) <- t.config.min_cwnd done;
+  for i = 0 to t.n - 1 do y.(i) <- Tcp.Cc.min_cwnd done;
   let e = Controller.init_extras t.kind ~n:t.n in
   Array.blit e 0 y t.extra_off (Array.length e);
   y
@@ -241,7 +233,7 @@ let warm_start t =
         n_binding.(i) <- n_binding.(i) + 1
       end
     done;
-    w_rough.(i) <- Minmax.max t.config.min_cwnd (rates.(i) *. !rtt)
+    w_rough.(i) <- Minmax.max Tcp.Cc.min_cwnd (rates.(i) *. !rtt)
   done;
   for l = 0 to t.m - 1 do
     if binding.(l) then begin
@@ -275,7 +267,7 @@ let warm_start t =
       let l = links.(j) in
       rtt := !rtt +. (y.(t.n + l) /. t.cap_pps.(l))
     done;
-    y.(i) <- Minmax.max t.config.min_cwnd (rates.(i) *. !rtt)
+    y.(i) <- Minmax.max Tcp.Cc.min_cwnd (rates.(i) *. !rtt)
   done;
   let w = Array.sub y 0 t.n in
   refresh_view t y;

@@ -29,14 +29,15 @@
 type config = {
   mss_bytes : int;       (** packet size for bps/pps conversions *)
   buffer_pkts : int;     (** per-link queue limit, as in {!Netsim.Net.config} *)
-  loss_start : float;    (** ramp knee as a fraction of the buffer *)
-  min_cwnd : float;      (** window floor, MSS ({!Tcp.Cc.min_cwnd}) *)
 }
 
 val default_config : config
-(** [Packet.default_mss], 16-packet buffers (the paper scenario's
-    {!Core.Scenario.default_net_config}), knee at half the buffer,
-    2-MSS floor. *)
+(** [Packet.default_mss] and 16-packet buffers (the paper scenario's
+    {!Core.Scenario.default_net_config}). *)
+
+val loss_start : float
+(** 0.5: the loss ramp's knee as a fraction of the buffer.  Windows are
+    floored at {!Tcp.Cc.min_cwnd} (2 MSS), the packet senders' floor. *)
 
 val boundary_tau : float
 (** Width (pseudo-time seconds) of the Lipschitz boundary layer that

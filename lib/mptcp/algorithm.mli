@@ -4,7 +4,7 @@
 
 type t =
   | Cubic  (** uncoupled, per-subflow CUBIC — Linux's default *)
-  | Reno   (** uncoupled, per-subflow NewReno *)
+  | Reno   (** uncoupled, per-subflow Reno AIMD *)
   | Lia
   | Olia
   | Balia

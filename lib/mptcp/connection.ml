@@ -2,7 +2,6 @@ type config = {
   sender : Tcp.Sender.config;
   scheduler : Scheduler.policy;
   send_buffer : int option;
-  join_delay : Engine.Time.t;
   start_jitter : Engine.Time.t;
   delayed_ack : bool;
   reinjection : bool;
@@ -14,12 +13,13 @@ let default_config =
     sender = Tcp.Sender.default_config;
     scheduler = Scheduler.Min_rtt;
     send_buffer = None;
-    join_delay = Engine.Time.ms 10;
     start_jitter = Engine.Time.zero;
     delayed_ack = false;
     reinjection = false;
     rto_cap = None;
   }
+
+let join_delay = Engine.Time.ms 10
 
 type subflow = {
   index : int;
@@ -385,7 +385,7 @@ let establish ~net ~src ~dst ~conn ~paths ~cc ?(config = default_config)
     (fun sf ->
       let when_ =
         Engine.Time.add (jitter ())
-          (if sf.index = 0 then Engine.Time.zero else config.join_delay)
+          (if sf.index = 0 then Engine.Time.zero else join_delay)
       in
       ignore
         (Engine.Sched.at sched when_ (fun () ->

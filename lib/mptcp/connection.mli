@@ -5,7 +5,7 @@
     from [s] to [d] over three overlapping paths, with the chosen
     congestion-control algorithm deciding how the stream spreads across
     the paths.  The first path is the default subflow; the others join
-    [join_delay] later, as the kernel's path manager would create them
+    {!join_delay} later, as the kernel's path manager would create them
     after connection establishment. *)
 
 type config = {
@@ -14,8 +14,6 @@ type config = {
   send_buffer : int option;
       (** connection-level in-flight cap in bytes; [None] (default)
           models iperf's effectively unlimited buffer *)
-  join_delay : Engine.Time.t;
-      (** when the non-default subflows start (default 10 ms) *)
   start_jitter : Engine.Time.t;
       (** each subflow's start is delayed by an extra uniform draw from
           [\[0, start_jitter\]] (default 0, i.e. fully deterministic);
@@ -39,6 +37,9 @@ type config = {
 }
 
 val default_config : config
+
+val join_delay : Engine.Time.t
+(** 10 ms: when the non-default subflows start. *)
 
 type t
 

@@ -1,6 +1,6 @@
-type conf = { trace : bool; metrics : bool; trace_capacity : int }
+type conf = { trace : bool; metrics : bool }
 
-let default_conf = { trace = true; metrics = true; trace_capacity = 65536 }
+let default_conf = { trace = true; metrics = true }
 
 type t = {
   sched : Engine.Sched.t;
@@ -13,8 +13,7 @@ let create ~sched (conf : conf) =
   {
     sched;
     trace =
-      (if conf.trace then Some (Trace.create ~capacity:conf.trace_capacity ())
-       else None);
+      (if conf.trace then Some (Trace.create ()) else None);
     metrics = (if conf.metrics then Some (Metrics.create ()) else None);
     violations = 0;
   }

@@ -16,15 +16,10 @@
     3 = metrics/meta, [10+i] = subflow [i], [100 + 2*link + dir] = one
     link direction ([dir] 0 forward, 1 reverse). *)
 
-type conf = {
-  trace : bool;
-  metrics : bool;
-  trace_capacity : int;  (** ring size in events *)
-}
+type conf = { trace : bool; metrics : bool }
 
 val default_conf : conf
-(** Both layers on, 65536-event ring — what [--trace]/[--metrics]
-    request. *)
+(** Both layers on — what [--trace] and [--metrics] together request. *)
 
 type t
 

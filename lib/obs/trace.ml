@@ -16,8 +16,6 @@ type kind =
   | Subflow_state
   | Audit_violation
   | Metrics_snapshot
-  | Span_begin
-  | Span_end
 
 (* Stable dotted name used in both export formats. *)
 let kind_name = function
@@ -38,8 +36,6 @@ let kind_name = function
   | Subflow_state -> "mptcp.subflow.state"
   | Audit_violation -> "audit.violation"
   | Metrics_snapshot -> "metrics.snapshot"
-  | Span_begin -> "span"
-  | Span_end -> "span"
 
 type event = {
   kind : kind;
@@ -57,7 +53,9 @@ type t = {
   track_names : (int, string) Hashtbl.t;
 }
 
-let create ?(capacity = 65536) () =
+let capacity = 65536
+
+let create () =
   {
     ring = Ring.create ~capacity;
     wall0 = Unix.gettimeofday ();
@@ -109,27 +107,14 @@ let write_chrome t oc =
               track (json_escape name)));
   Ring.iter
     (fun e ->
-      let name =
-        match e.kind with
-        | (Span_begin | Span_end) when e.label <> "" -> e.label
-        | _ -> kind_name e.kind
-      in
       let ts_us = float_of_int e.sim_ns /. 1e3 in
-      let common =
-        Printf.sprintf
-          {|"name":"%s","pid":0,"tid":%d,"ts":%.3f,"args":{"a":%d,"b":%d,"wall_ns":%d%s}|}
-          (json_escape name) e.track ts_us e.a e.b e.wall_ns
-          (if e.label <> "" && name <> e.label then
-             Printf.sprintf {|,"label":"%s"|} (json_escape e.label)
-           else "")
-      in
-      let line =
-        match e.kind with
-        | Span_begin -> Printf.sprintf {|{"ph":"B",%s}|} common
-        | Span_end -> Printf.sprintf {|{"ph":"E",%s}|} common
-        | _ -> Printf.sprintf {|{"ph":"i","s":"t",%s}|} common
-      in
-      emit line)
+      emit
+        (Printf.sprintf
+           {|{"ph":"i","s":"t","name":"%s","pid":0,"tid":%d,"ts":%.3f,"args":{"a":%d,"b":%d,"wall_ns":%d%s}}|}
+           (kind_name e.kind) e.track ts_us e.a e.b e.wall_ns
+           (if e.label <> "" then
+              Printf.sprintf {|,"label":"%s"|} (json_escape e.label)
+            else "")))
     t.ring;
   output_string oc "\n]\n"
 

@@ -5,7 +5,7 @@
     Events live on integer {e tracks} (Chrome "thread" ids) so that
     related events render as one timeline lane: the event loop, each
     MPTCP subflow, each link direction.  The ring keeps the most recent
-    [capacity] events (see {!Ring}); {!recorded}/{!dropped} say how much
+    65536 events (see {!Ring}); {!recorded}/{!dropped} say how much
     of the run the export covers. *)
 
 type kind =
@@ -26,9 +26,6 @@ type kind =
   | Subflow_state  (** a subflow was declared dead or usable again *)
   | Audit_violation  (** the invariant auditor flagged a violation *)
   | Metrics_snapshot  (** the metrics registry was sampled *)
-  | Span_begin  (** start of a user-defined span (Chrome ["B"]) *)
-  | Span_end  (** end of a user-defined span (Chrome ["E"]) *)
-
 
 type event = {
   kind : kind;
@@ -42,8 +39,8 @@ type event = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** A fresh trace ring; default capacity 65536 events. *)
+val create : unit -> t
+(** A fresh trace ring of 65536 events. *)
 
 val record :
   t -> kind -> sim_ns:int -> track:int -> ?a:int -> ?b:int -> ?label:string
@@ -68,7 +65,7 @@ val dropped : t -> int
 val write_chrome : t -> out_channel -> unit
 (** Chrome trace-event JSON: a single array, one event object per line.
     [ts] is simulated time in microseconds, [pid] is 0, [tid] the track;
-    instants use [ph:"i"], spans ["B"]/["E"].  Kind payloads and the
+    every event is an instant ([ph:"i"]).  Kind payloads and the
     wall-clock stamp ride in [args].  Loads directly in
     [about://tracing] and {{:https://ui.perfetto.dev}Perfetto}. *)
 

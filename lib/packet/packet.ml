@@ -1,7 +1,7 @@
 type addr = int
 type tag = int
 type dss = { dseq : int; dlen : int }
-type tcp_kind = Syn | Syn_ack | Data | Ack | Fin
+type tcp_kind = Data | Ack
 
 (* Every field is mutable so the freelist (below) can rebuild a recycled
    record in place instead of allocating a fresh one per segment.  Code
@@ -247,11 +247,8 @@ module Pool = struct
 end
 
 let pp_kind fmt = function
-  | Syn -> Format.pp_print_string fmt "SYN"
-  | Syn_ack -> Format.pp_print_string fmt "SYN-ACK"
   | Data -> Format.pp_print_string fmt "DATA"
   | Ack -> Format.pp_print_string fmt "ACK"
-  | Fin -> Format.pp_print_string fmt "FIN"
 
 let pp fmt p =
   if is_poisoned p then

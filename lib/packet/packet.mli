@@ -22,11 +22,8 @@ type tag = int
 type dss = { dseq : int; dlen : int }
 
 type tcp_kind =
-  | Syn
-  | Syn_ack
   | Data
   | Ack
-  | Fin
 
 type tcp = {
   mutable conn : int;       (** connection id, unique per simulation *)
@@ -54,7 +51,7 @@ type body =
     transport needs: data packets advertise ECN capability and may be
     marked by a queue; ACKs echo the mark until the sender reacts. *)
 type ecn =
-  | Not_ect   (** not ECN-capable (cross traffic, handshakes) *)
+  | Not_ect   (** not ECN-capable (cross traffic, ACKs) *)
   | Ect       (** ECN-capable transport, unmarked *)
   | Ce        (** congestion experienced: marked by a router *)
 

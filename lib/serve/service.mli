@@ -75,7 +75,7 @@ val simulate_entry :
     until then.  The split between [enter] (non-blocking) and [wait]
     lets a submission dispatch all its misses to the pool before
     awaiting any of them, and lets tests drive the leader/follower
-    handshake deterministically. *)
+    exchange deterministically. *)
 module Flights : sig
   type payload = Store.record * sim_kind
   (** What a flight lands with: the record, and whether this process

@@ -1,4 +1,4 @@
-(** TCP NewReno congestion avoidance (RFC 5681).
+(** TCP Reno congestion control (RFC 5681).
 
     The uncoupled single-path baseline: +1 MSS per RTT in congestion
     avoidance, halve on loss.  Also the substrate whose "asynchronous

@@ -156,18 +156,9 @@ let rec drain t =
     drain t
   | Some _ | None -> ()
 
-let send_syn_ack t =
-  t.transmit
-    (Packet.Pool.acquire_tcp ?pool:t.pool ~id:(t.fresh_id ()) ~src:t.addr
-       ~dst:t.peer ~tag:t.tag ~born:(Engine.Sched.now t.sched) ~conn:t.conn
-       ~subflow:t.subflow ~kind:Packet.Syn_ack ~seq:0 ~payload:0 ~ack:0
-       ~sack:[] ~ece:false ~dss:None ~data_ack:0 ())
-
 let handle_data t p =
   let tcp = Packet.tcp_exn p in
   if p.Packet.ecn = Packet.Ce then t.ce_pending <- true;
-  if tcp.Packet.kind = Packet.Syn then send_syn_ack t
-  else begin
   let seq = tcp.Packet.seq and len = tcp.Packet.payload in
   if len > 0 then
     if seq = t.rcv_nxt then begin
@@ -192,7 +183,6 @@ let handle_data t p =
       send_ack_now t
     end
   else send_ack_now t
-  end
 
 let acks_sent t = t.acks_sent
 let rcv_nxt t = t.rcv_nxt

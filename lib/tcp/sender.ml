@@ -3,11 +3,6 @@ type source = max_len:int -> chunk option
 
 type config = {
   mss : int;
-  initial_cwnd : float;
-  initial_ssthresh : float;
-  dupack_threshold : int;
-  sack : bool;
-  handshake : bool;
   ecn : bool;
   initial_rto : Engine.Time.t;
   min_rto : Engine.Time.t;
@@ -17,11 +12,6 @@ type config = {
 let default_config =
   {
     mss = Packet.default_mss;
-    initial_cwnd = 10.0;
-    initial_ssthresh = 1e9;
-    dupack_threshold = 3;
-    sack = true;
-    handshake = false;
     ecn = false;
     initial_rto = Engine.Time.s 1;
     min_rto = Engine.Time.ms 200;
@@ -37,7 +27,9 @@ type stats = {
   mutable acks : int;
 }
 
-type conn_state = Closed | Syn_sent | Established
+let initial_cwnd = 10.0
+let initial_ssthresh = 1e9
+let dupack_threshold = 3
 
 type cc_state = Open | Recovery | Loss
 
@@ -80,7 +72,6 @@ type t = {
   mutable dupacks : int;
   mutable in_recovery : bool;
   mutable recover : int;
-  mutable inflation : float; (* MSS; dup-ACK inflation (non-SACK mode) *)
   mutable recovery_epoch : int;
   mutable highest_sacked : int; (* end of the highest SACKed range seen *)
   mutable holes_below : int;
@@ -97,9 +88,6 @@ type t = {
          rearmed on every ACK, so a fresh closure per arm is
          steady-state allocation *)
   mutable established : bool;
-  mutable conn_state : conn_state;
-  mutable syn_sent_at : Engine.Time.t;
-  mutable syn_retx : int;
   mutable first_send : Engine.Time.t option;
   (* OLIA loss intervals: bytes acked since the last loss event, and in
      the previous inter-loss interval. *)
@@ -162,8 +150,8 @@ let create ~sched ~config ~conn ~subflow ~src ~dst ~tag ~fresh_id ~transmit
         Rtt.create ~initial_rto:config.initial_rto ~min_rto:config.min_rto
           ~max_rto:config.max_rto ();
       cc = None;
-      cwnd = config.initial_cwnd;
-      ssthresh = config.initial_ssthresh;
+      cwnd = initial_cwnd;
+      ssthresh = initial_ssthresh;
       sb = Scoreboard.create ();
       pipe_bytes = 0;
       snd_una = 0;
@@ -172,7 +160,6 @@ let create ~sched ~config ~conn ~subflow ~src ~dst ~tag ~fresh_id ~transmit
       dupacks = 0;
       in_recovery = false;
       recover = 0;
-      inflation = 0.0;
       recovery_epoch = 0;
       highest_sacked = 0;
       holes_below = 0;
@@ -180,9 +167,6 @@ let create ~sched ~config ~conn ~subflow ~src ~dst ~tag ~fresh_id ~transmit
       rto_timer = None;
       rto_thunk = unarmed;
       established = false;
-      conn_state = (if config.handshake then Closed else Established);
-      syn_sent_at = Engine.Time.zero;
-      syn_retx = 0;
       first_send = None;
       interval_cur = 0;
       interval_prev = 0;
@@ -345,23 +329,11 @@ let cancel_rto t =
 
 let rec arm_rto t =
   cancel_rto t;
-  if t.conn_state = Syn_sent || not (Scoreboard.is_empty t.sb) then begin
+  if not (Scoreboard.is_empty t.sb) then begin
     if t.rto_thunk == unarmed then t.rto_thunk <- (fun () -> on_rto t);
     t.rto_timer <-
       Some (Engine.Sched.after t.sched (Rtt.rto t.rtt) t.rto_thunk)
   end
-
-and send_syn t ~is_retx =
-  let now = Engine.Sched.now t.sched in
-  t.conn_state <- Syn_sent;
-  t.syn_sent_at <- now;
-  if is_retx then t.syn_retx <- t.syn_retx + 1;
-  t.transmit
-    (Packet.Pool.acquire_tcp ?pool:t.pool ~id:(t.fresh_id ()) ~src:t.src
-       ~dst:t.dst ~tag:t.tag ~born:now ~conn:t.conn ~subflow:t.subflow
-       ~kind:Packet.Syn ~seq:0 ~payload:0 ~ack:0 ~sack:[] ~ece:false
-       ~dss:None ~data_ack:0 ());
-  arm_rto t
 
 (* --- transmission --- *)
 
@@ -395,31 +367,17 @@ and send_seg t p ~is_retx =
     Engine.Tap.emit t.tap (Seg_sent { seq; len; retx = is_retx });
   match t.rto_timer with None -> arm_rto t | Some _ -> ()
 
-and window_bytes t =
-  let w = (t.cwnd +. t.inflation) *. float_of_int t.config.mss in
-  int_of_float w
-
-and in_flight t = if t.config.sack then pipe t else t.snd_nxt - t.snd_una
+and window_bytes t = int_of_float (t.cwnd *. float_of_int t.config.mss)
 
 and try_send t =
-  (* With handshake modelling on, no data moves before the SYN exchange
-     completes. *)
-  if t.conn_state <> Established then begin
-    if t.conn_state = Closed then send_syn t ~is_retx:false
-  end
-  else try_send_established t
-
-and try_send_established t =
   let budget = ref 1000 in
   let continue = ref true in
   while !continue && !budget > 0 do
     decr budget;
-    if in_flight t >= window_bytes t then continue := false
+    if pipe t >= window_bytes t then continue := false
     else begin
       (* Highest priority: SACK hole retransmission during recovery. *)
-      let hole =
-        if t.config.sack && t.in_recovery then next_hole t else -1
-      in
+      let hole = if t.in_recovery then next_hole t else -1 in
       if hole >= 0 then begin
         Scoreboard.set_epoch t.sb hole t.recovery_epoch;
         send_seg t hole ~is_retx:true
@@ -468,22 +426,13 @@ and loss_event t =
 
 and on_rto t =
   t.rto_timer <- None;
-  if t.conn_state = Syn_sent then begin
-    (* Lost SYN or SYN-ACK: back off and retry. *)
-    t.stats.timeouts <- t.stats.timeouts + 1;
-    t.consecutive_timeouts <- t.consecutive_timeouts + 1;
-    Rtt.backoff t.rtt;
-    send_syn t ~is_retx:true;
-    match t.on_timeout with None -> () | Some f -> f ()
-  end
-  else if not (Scoreboard.is_empty t.sb) then begin
+  if not (Scoreboard.is_empty t.sb) then begin
     t.stats.timeouts <- t.stats.timeouts + 1;
     t.consecutive_timeouts <- t.consecutive_timeouts + 1;
     loss_event t;
     (cc_exn t).Cc.on_rto ();
     Rtt.backoff t.rtt;
     t.in_recovery <- false;
-    t.inflation <- 0.0;
     t.dupacks <- 0;
     if observed t then
       Engine.Tap.emit t.tap (State_changed { state = Loss });
@@ -499,10 +448,6 @@ and on_rto t =
     match t.on_timeout with None -> () | Some f -> f ()
   end
 
-let retransmit_at t seq =
-  let p = Scoreboard.find t.sb seq in
-  if p >= 0 then send_seg t p ~is_retx:true
-
 let enter_recovery t =
   t.in_recovery <- true;
   if observed t then
@@ -514,23 +459,17 @@ let enter_recovery t =
   t.stats.fast_recoveries <- t.stats.fast_recoveries + 1;
   loss_event t;
   (cc_exn t).Cc.on_loss ();
-  if t.config.sack then begin
-    mark_lost_holes t;
-    (* The segment at snd_una is the surest hole: the duplicate ACKs
-       prove data above it arrived. *)
-    if not (Scoreboard.is_empty t.sb) then begin
-      let p = Scoreboard.idx t.sb 0 in
-      if not (Scoreboard.sacked_at t.sb p) then mark_lost t p
-    end;
-    let hole = next_hole t in
-    if hole >= 0 then begin
-      Scoreboard.set_epoch t.sb hole t.recovery_epoch;
-      send_seg t hole ~is_retx:true
-    end
-  end
-  else begin
-    t.inflation <- float_of_int t.config.dupack_threshold;
-    retransmit_at t t.snd_una
+  mark_lost_holes t;
+  (* The segment at snd_una is the surest hole: the duplicate ACKs prove
+     data above it arrived. *)
+  if not (Scoreboard.is_empty t.sb) then begin
+    let p = Scoreboard.idx t.sb 0 in
+    if not (Scoreboard.sacked_at t.sb p) then mark_lost t p
+  end;
+  let hole = next_hole t in
+  if hole >= 0 then begin
+    Scoreboard.set_epoch t.sb hole t.recovery_epoch;
+    send_seg t hole ~is_retx:true
   end;
   arm_rto t
 
@@ -550,22 +489,8 @@ let react_to_ece t (tcp : Packet.tcp) =
 
 let handle_ack t (tcp : Packet.tcp) =
   react_to_ece t tcp;
-  if tcp.Packet.kind = Packet.Syn_ack then begin
-    if t.conn_state = Syn_sent then begin
-      if t.syn_retx = 0 then
-        Rtt.sample t.rtt
-          (Engine.Time.diff (Engine.Sched.now t.sched) t.syn_sent_at);
-      t.conn_state <- Established;
-      t.consecutive_timeouts <- 0;
-      cancel_rto t;
-      try_send t
-    end
-  end
-  else begin
-  if t.config.sack then begin
-    process_sack t tcp.Packet.sack;
-    if t.in_recovery then mark_lost_holes t
-  end;
+  process_sack t tcp.Packet.sack;
+  if t.in_recovery then mark_lost_holes t;
   let a = tcp.Packet.ack in
   if a > t.snd_una then begin
     let newly = a - t.snd_una in
@@ -596,39 +521,28 @@ let handle_ack t (tcp : Packet.tcp) =
     t.stats.acks <- t.stats.acks + 1;
     if observed t then Engine.Tap.emit t.tap (Ack_advanced { una = a });
     t.dupacks <- 0;
-    if t.in_recovery then begin
-      if a >= t.recover then begin
-        (* Full ACK: recovery complete; deflate the window. *)
-        t.in_recovery <- false;
-        t.inflation <- 0.0;
-        if observed t then
-          Engine.Tap.emit t.tap (State_changed { state = Open })
-      end
-      else if not t.config.sack then
-        (* Partial ACK (RFC 6582): retransmit the next hole, stay in
-           recovery.  Under SACK the hole logic in try_send covers it. *)
-        retransmit_at t a
-    end
-    else (cc_exn t).Cc.on_ack ~acked:newly;
+    if not t.in_recovery then (cc_exn t).Cc.on_ack ~acked:newly
+    else if a >= t.recover then begin
+      (* Full ACK: recovery complete.  A partial ACK stays in recovery,
+         and the hole logic in [try_send] retransmits what remains. *)
+      t.in_recovery <- false;
+      if observed t then Engine.Tap.emit t.tap (State_changed { state = Open })
+    end;
     if Scoreboard.is_empty t.sb then cancel_rto t else arm_rto t;
     try_send t
   end
   else if not (Scoreboard.is_empty t.sb) then begin
     (* Duplicate ACK. *)
     t.dupacks <- t.dupacks + 1;
-    if t.in_recovery then begin
-      if not t.config.sack then t.inflation <- t.inflation +. 1.0;
-      try_send t
-    end
+    (* Recovery starts at three duplicate ACKs, or as soon as three
+       segments above [snd_una] are SACKed (RFC 6675's DupThresh). *)
+    if t.in_recovery then try_send t
     else if
-      t.dupacks = t.config.dupack_threshold
-      || (t.config.sack && sacked_segments t >= t.config.dupack_threshold
-          && t.dupacks >= 1)
+      t.dupacks = dupack_threshold || sacked_segments t >= dupack_threshold
     then begin
       enter_recovery t;
       try_send t
     end
-  end
   end
 
 let kick t = try_send t
@@ -644,8 +558,6 @@ let in_recovery t = t.in_recovery
 let in_flight_bytes t = t.snd_nxt - t.snd_una
 let srtt t = Rtt.srtt t.rtt
 let stats t = t.stats
-let is_established t = t.conn_state = Established
-let syn_retransmits t = t.syn_retx
 let mss t = t.config.mss
 let snd_una t = t.snd_una
 let snd_nxt t = t.snd_nxt

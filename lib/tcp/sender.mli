@@ -1,14 +1,20 @@
 (** TCP sender state machine (one subflow).
 
-    Implements the loss-recovery mechanics of a NewReno sender — the
-    machinery shared by every congestion-control algorithm in the paper:
+    Implements the loss-recovery mechanics of the Linux SACK sender the
+    paper measured — the machinery shared by every congestion-control
+    algorithm in the paper:
 
-    - window-clocked transmission ([cwnd] + dup-ACK inflation);
-    - three duplicate ACKs trigger fast retransmit and fast recovery,
-      with NewReno partial-ACK retransmission (RFC 6582);
-    - retransmission timeout collapses to go-back-N from [snd_una] with
-      exponential backoff (RFC 6298), honouring Karn's rule for RTT
-      samples;
+    - the subflow starts established (the SYN exchange is over before
+      the measured transfer) with a 10-segment initial window (IW10);
+    - window-clocked transmission: bytes in flight (the RFC 6675 pipe)
+      stay below [cwnd];
+    - three duplicate ACKs, or three SACKed segments, trigger fast
+      retransmit and SACK recovery (RFC 2018/6675): the receiver's SACK
+      blocks feed a scoreboard, and recovery retransmits only true
+      holes until an ACK covers everything sent before it began;
+    - retransmission timeout collapses to go-back-N from [snd_una],
+      skipping SACKed segments, with exponential backoff (RFC 6298),
+      honouring Karn's rule for RTT samples;
     - window growth/decrease is delegated to a {!Cc.instance}, so CUBIC,
       Reno and the coupled MPTCP algorithms plug in unchanged.
 
@@ -29,21 +35,6 @@ type source = max_len:int -> chunk option
 
 type config = {
   mss : int;
-  initial_cwnd : float;      (** MSS; Linux IW10 default *)
-  initial_ssthresh : float;  (** effectively infinite by default *)
-  dupack_threshold : int;
-  sack : bool;
-      (** SACK-based loss recovery (RFC 2018/6675): the receiver's SACK
-          blocks feed a scoreboard, recovery retransmits only true holes,
-          and post-RTO go-back-N skips delivered segments.  Default
-          [true], matching the Linux stack the paper measured; [false]
-          selects plain NewReno with dup-ACK window inflation. *)
-  handshake : bool;
-      (** model the SYN / SYN-ACK exchange: the subflow sends nothing
-          until the handshake completes (one RTT, with RTO-backed SYN
-          retransmission), and the SYN round-trip primes the RTT
-          estimator.  Default [false]: subflows start established, the
-          calibrated behaviour of the reproduction experiments. *)
   ecn : bool;
       (** send data as ECN-capable (ECT) and respond to ECN Echo like a
           loss, at most once per window (RFC 3168).  Pairs with an
@@ -55,6 +46,15 @@ type config = {
 }
 
 val default_config : config
+
+val initial_cwnd : float
+(** 10 MSS, Linux's initial window (IW10). *)
+
+val initial_ssthresh : float
+(** 1e9 MSS, effectively infinite: slow start runs to the first loss. *)
+
+val dupack_threshold : int
+(** 3: the duplicate ACKs, or SACKed segments, that start recovery. *)
 
 type stats = {
   mutable segments_sent : int;
@@ -93,13 +93,7 @@ val create :
     omitted, every segment allocates as before. *)
 
 val handle_ack : t -> Packet.tcp -> unit
-(** Feed an arriving ACK (or SYN-ACK) for this subflow. *)
-
-val is_established : t -> bool
-(** [true] once the handshake completed (always, when [handshake] is
-    off). *)
-
-val syn_retransmits : t -> int
+(** Feed an arriving ACK for this subflow. *)
 
 val kick : t -> unit
 (** Attempt to transmit now (new data became available, or the scheduler
@@ -161,9 +155,8 @@ val tap : t -> event Engine.Tap.t
     emit site pays one length test and builds no event. *)
 
 val consecutive_timeouts : t -> int
-(** RTO expiries (data or SYN) since the last forward ACK progress —
-    resets to zero whenever [snd_una] advances or the handshake
-    completes.  A run of these is the liveness signal that the path is
+(** RTO expiries since the last forward ACK progress — resets to zero
+    whenever [snd_una] advances.  A run of these is the liveness signal that the path is
     dead (every retransmission, at exponentially backed-off intervals,
     vanished). *)
 

@@ -25,8 +25,7 @@ let model_of_spec (spec : Core.Scenario.spec) =
          (Mptcp.Algorithm.name spec.Core.Scenario.cc))
   | Some kind ->
     let config =
-      { Fluid.Model.default_config with
-        mss_bytes = spec.Core.Scenario.sender_config.Tcp.Sender.mss;
+      { Fluid.Model.mss_bytes = spec.Core.Scenario.sender_config.Tcp.Sender.mss;
         buffer_pkts = spec.Core.Scenario.net_config.Netsim.Net.limit_pkts }
     in
     let paths = List.map snd spec.Core.Scenario.paths in

@@ -949,22 +949,20 @@ let join_delay_respected () =
   let net = Netsim.Net.create ~sched ~rng:(Engine.Rng.create 3) topo in
   let src = Tcp.Endpoint.create net ~node:a in
   let dst = Tcp.Endpoint.create net ~node:z in
-  let config =
-    { Mptcp.Connection.default_config with
-      Mptcp.Connection.join_delay = Engine.Time.ms 500 }
-  in
   let conn =
     Mptcp.Connection.establish ~net ~src ~dst ~conn:1 ~paths
-      ~cc:Mptcp.Algorithm.Lia ~config ()
+      ~cc:Mptcp.Algorithm.Lia ()
   in
-  Engine.Sched.run ~until:(Engine.Time.ms 400) sched;
+  let join = Mptcp.Connection.join_delay in
+  Alcotest.(check int) "join delay is 10 ms" (Engine.Time.ms 10) join;
+  Engine.Sched.run ~until:(Engine.Time.sub join (Engine.Time.us 1)) sched;
   Alcotest.(check bool) "default subflow sending" true
     ((Tcp.Sender.stats (Mptcp.Connection.subflow_sender conn 0))
        .Tcp.Sender.segments_sent > 0);
   Alcotest.(check int) "second subflow still quiet" 0
     (Tcp.Sender.stats (Mptcp.Connection.subflow_sender conn 1))
       .Tcp.Sender.segments_sent;
-  Engine.Sched.run ~until:(Engine.Time.s 1) sched;
+  Engine.Sched.run ~until:join sched;
   Alcotest.(check bool) "second subflow joined" true
     ((Tcp.Sender.stats (Mptcp.Connection.subflow_sender conn 1))
        .Tcp.Sender.segments_sent > 0)

@@ -9,8 +9,8 @@ let spec ?obs ?(audit = false) ?(seed = 1) () =
     ~duration:(Engine.Time.ms 600) ~sampling:(Engine.Time.ms 100) ~seed
     ~audit ?obs ()
 
-let obs_conf ?(trace = true) ?(metrics = true) ?(capacity = 65536) () =
-  { Obs.Collect.trace; metrics; trace_capacity = capacity }
+let obs_conf ?(trace = true) ?(metrics = true) () =
+  { Obs.Collect.trace; metrics }
 
 (* --- ring --- *)
 
@@ -145,14 +145,14 @@ let test_chrome_monotone_per_track () =
 
 let test_trace_ring_bounded () =
   let result =
-    Core.Scenario.run (spec ~obs:(obs_conf ~capacity:256 ()) ())
+    Core.Scenario.run (spec ~obs:(obs_conf ()) ())
   in
   let tr =
     match result.Core.Scenario.obs with
     | Some o -> Option.get (Obs.Collect.trace o)
     | None -> Alcotest.fail "obs missing"
   in
-  Alcotest.(check int) "kept at most capacity" 256
+  Alcotest.(check int) "kept at most capacity" 65536
     (List.length (Obs.Trace.events tr));
   Alcotest.(check bool) "overflow recorded" true (Obs.Trace.dropped tr > 0);
   (* ring order is emission order, so sim_ns is nondecreasing *)
@@ -329,7 +329,7 @@ type observer = Collector | Auditor
 
 let watched = [ "netsim.pkts_enqueued"; "tcp.acks"; "mptcp.sched_grants" ]
 
-let run_attached order =
+let run_attached ?(trace = false) ?(until = Engine.Time.ms 300) order =
   let sched = Engine.Sched.create () in
   let rng = Engine.Rng.create 1 in
   let topo = Core.Paper_net.topology () in
@@ -350,7 +350,7 @@ let run_attached order =
   List.iter
     (function
       | Collector ->
-        let o = Obs.Collect.create ~sched (obs_conf ~trace:false ()) in
+        let o = Obs.Collect.create ~sched (obs_conf ~trace ()) in
         Obs.Collect.attach o net conn;
         collector := Some o
       | Auditor ->
@@ -359,7 +359,7 @@ let run_attached order =
         Audit.attach_connection a ~label:"conn1" conn;
         auditor := Some a)
     order;
-  Engine.Sched.run ~until:(Engine.Time.ms 300) sched;
+  Engine.Sched.run ~until sched;
   let counters =
     Option.map
       (fun o ->
@@ -375,12 +375,12 @@ let run_attached order =
         Audit.report a)
       !auditor
   in
-  (counters, report)
+  (counters, report, Option.bind !collector Obs.Collect.trace)
 
 let test_attach_order () =
-  let alone, _ = run_attached [ Collector ] in
-  let _, audit_alone = run_attached [ Auditor ] in
-  let both, audit_both = run_attached [ Collector; Auditor ] in
+  let alone, _, _ = run_attached [ Collector ] in
+  let _, audit_alone, _ = run_attached [ Auditor ] in
+  let both, audit_both, _ = run_attached [ Collector; Auditor ] in
   let alone = Option.get alone and both = Option.get both in
   List.iter
     (fun (name, v) ->
@@ -393,6 +393,47 @@ let test_attach_order () =
   Alcotest.(check int) "audit runs every check" audit_alone.Audit.checks
     audit_both.Audit.checks;
   Alcotest.(check int) "clean run" 0 audit_both.Audit.total_violations
+
+(* Events per kind, by the name the Chrome export gives each. *)
+let kind_counts tr =
+  let prefix = {|{"ph":"i","s":"t","name":"|} in
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun line ->
+      if String.starts_with ~prefix line then begin
+        let i = String.length prefix in
+        let name = String.sub line i (String.index_from line i '"' - i) in
+        Hashtbl.replace counts name
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts name))
+      end)
+    (chrome_lines tr);
+  List.sort compare (List.of_seq (Hashtbl.to_seq counts))
+
+(* The check above with the trace on.  The metrics read the layers' own
+   counters, so only the trace subscribes to taps: this is the variant
+   that fails if the collector misses events when the audit attaches
+   after it, or before it.  The run is short enough that the ring keeps
+   every event. *)
+let test_attach_order_traced () =
+  let traced order =
+    match run_attached ~trace:true ~until:(Engine.Time.ms 150) order with
+    | _, _, Some tr ->
+      Alcotest.(check int) "ring kept every event" 0 (Obs.Trace.dropped tr);
+      (Obs.Trace.recorded tr, kind_counts tr)
+    | _, _, None -> Alcotest.fail "trace missing"
+  in
+  let alone = traced [ Collector ] in
+  Alcotest.(check bool) "saw sends, ACKs, grants and link events" true
+    (List.for_all
+       (fun k -> List.mem_assoc k (snd alone))
+       [ "tcp.sent"; "tcp.ack"; "mptcp.sched.grant"; "link.enqueue" ]);
+  List.iter
+    (fun order ->
+      let recorded, kinds = traced order in
+      Alcotest.(check int) "events recorded" (fst alone) recorded;
+      Alcotest.(check (list (pair string int))) "events per kind" (snd alone)
+        kinds)
+    [ [ Collector; Auditor ]; [ Auditor; Collector ] ]
 
 (* --- pinned end-of-run metrics --- *)
 
@@ -525,6 +566,8 @@ let () =
             test_obs_does_not_perturb;
           Alcotest.test_case "chains with audit" `Quick
             test_obs_chains_with_audit;
+          Alcotest.test_case "attach order does not matter, trace on" `Quick
+            test_attach_order_traced;
           Alcotest.test_case "attach order does not matter" `Quick
             test_attach_order;
           Alcotest.test_case "pinned final metrics" `Quick

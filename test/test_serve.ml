@@ -78,6 +78,64 @@ let hash_ignores_observation () =
     && Core.Canon.short (Core.Canon.hash spec)
        = String.sub (Core.Canon.hash spec) 0 12)
 
+(* The whole canonical text and hash of two specs: the [tiny] preset,
+   and a paper spec built in OCaml with every optional field that
+   renders away from its default (path order, timed events, failover
+   cap, send buffer, transfer size).  A stored record's key is this
+   hash, so any change to the rendering turns the store into misses. *)
+let pinned_spec () =
+  let topo = Core.Paper_net.topology () in
+  Core.Scenario.make ~topo
+    ~paths:(Core.Paper_net.tagged_paths ~default:3 topo)
+    ~cc:Mptcp.Algorithm.Olia ~duration:(Engine.Time.ms 1500)
+    ~events:
+      (Events.Parse.events topo
+         (sexps {|(at-s 0.3 (link-down v2 v3)) (at-s 0.6 (link-up v2 v3))|}))
+    ~rto_cap:2 ~send_buffer:(512 * 1024) ~total_bytes:4_000_000 ()
+
+(* The fields both specs render alike: the sender settings, the start
+   jitter and the paper topology. *)
+let pinned_sender_topo =
+  "(sender-config (dupack-threshold 3) (ecn false) (handshake false) \
+   (initial-cwnd 10) (initial-rto-ns 1000000000) (initial-ssthresh \
+   1000000000) (max-rto-ns 60000000000) (min-rto-ns 200000000) (mss 1448) \
+   (sack true)) (start-jitter-ns 2000000) (topo (nodes s v1 v2 v3 v4 d) \
+   (links (0 0 1 40000000 1000000) (1 0 2 100000000 1000000) (2 1 2 \
+   100000000 1000000) (3 1 4 100000000 500000) (4 2 3 60000000 1000000) (5 \
+   3 4 100000000 1000000) (6 3 5 100000000 1000000) (7 4 5 80000000 \
+   1000000)))"
+
+let pinned_canon =
+  [
+    ( "tiny preset",
+      "(canon 2 (cc cubic) (delayed-ack false) (duration-ns 500000000) \
+       (events) (hybrid-tick-ns 1000000) (join-delay-ns 10000000) \
+       (net-config (delay-jitter-ns 0) (limit-pkts 16) (qdisc drop-tail)) \
+       (paths (2 (nodes 0 1 4 5) (links 0 3 7)) (1 (nodes 0 1 2 3 5) (links \
+       0 2 4 6)) (3 (nodes 0 2 3 4 5) (links 1 4 5 7))) (rto-cap none) \
+       (sampling-ns 100000000) (scheduler minrtt) (seed 1) (send-buffer \
+       none) " ^ pinned_sender_topo ^ " (total-bytes none))",
+      "fb6fe04d30ef4419910db41c79af8425" );
+    ( "spec built in OCaml",
+      "(canon 2 (cc olia) (delayed-ack false) (duration-ns 1500000000) \
+       (events (at-ns 300000000 (link-down 4)) (at-ns 600000000 (link-up \
+       4))) (hybrid-tick-ns 1000000) (join-delay-ns 10000000) (net-config \
+       (delay-jitter-ns 0) (limit-pkts 16) (qdisc drop-tail)) (paths (3 \
+       (nodes 0 2 3 4 5) (links 1 4 5 7)) (1 (nodes 0 1 2 3 5) (links 0 2 4 \
+       6)) (2 (nodes 0 1 4 5) (links 0 3 7))) (rto-cap 2) (sampling-ns \
+       100000000) (scheduler minrtt) (seed 1) (send-buffer 524288) "
+      ^ pinned_sender_topo ^ " (total-bytes 4000000))",
+      "470304238b5da2dcb4b9404658d6c27b" );
+  ]
+
+let canon_pinned () =
+  List.iter2
+    (fun spec (name, text, hash) ->
+      Alcotest.(check string) (name ^ " text") text (Core.Canon.text spec);
+      Alcotest.(check string) (name ^ " hash") hash (Core.Canon.hash spec))
+    [ (tiny ()).Serve.Batch.spec; pinned_spec () ]
+    pinned_canon
+
 (* --- batch parsing --- *)
 
 let grid_expansion () =
@@ -623,6 +681,7 @@ let () =
           Alcotest.test_case "sensitivity" `Quick hash_sensitivity;
           Alcotest.test_case "observation excluded" `Quick
             hash_ignores_observation;
+          Alcotest.test_case "text and hash pinned" `Quick canon_pinned;
         ] );
       ( "batch",
         [

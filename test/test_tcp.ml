@@ -5,7 +5,7 @@
      hand-computed values;
    - a "wire harness" that captures the sender's segments and feeds it
      hand-crafted ACKs, pinning down the loss-recovery state machine
-     (fast retransmit, NewReno partial ACKs, RTO with backoff, Karn);
+     (fast retransmit, SACK recovery, RTO with backoff, Karn);
    - end-to-end runs over the simulated network (throughput reaches the
      bottleneck; competing flows share it). *)
 
@@ -197,11 +197,9 @@ type harness = {
   mutable sent : Packet.t list; (* newest first *)
 }
 
-(* The hand-driven harness feeds ACKs without SACK blocks, exercising
-   the classic NewReno machinery; SACK recovery has its own tests. *)
-let newreno_config = { Tcp.Sender.default_config with Tcp.Sender.sack = false }
-
-let make_harness ?(config = newreno_config) () =
+(* The hand-driven harness feeds ACKs without SACK blocks unless a test
+   adds them ([ack_sack]): three duplicate ACKs alone start recovery. *)
+let make_harness ?(config = Tcp.Sender.default_config) () =
   let sched = Engine.Sched.create () in
   let h = ref None in
   let ids = ref 0 in
@@ -279,43 +277,6 @@ let fast_retransmit_on_3_dupacks () =
     (Tcp.Sender.stats h.sender).Tcp.Sender.fast_recoveries;
   Alcotest.(check (float 0.01)) "window halved" 5.5 (Tcp.Sender.ssthresh h.sender)
 
-let newreno_partial_ack () =
-  let h = make_harness () in
-  Tcp.Sender.kick h.sender;
-  ack h mss;
-  ack h mss; ack h mss; ack h mss; (* enter recovery *)
-  Alcotest.(check bool) "recovering" true (Tcp.Sender.in_recovery h.sender);
-  h.sent <- [];
-  (* Partial ACK: advances but below recover point -> retransmit next
-     hole, stay in recovery. *)
-  ack h (3 * mss);
-  Alcotest.(check bool) "still recovering" true (Tcp.Sender.in_recovery h.sender);
-  (match List.rev h.sent with
-  | p :: _ -> Alcotest.(check int) "hole retransmitted" (3 * mss)
-                (Packet.tcp_exn p).Packet.seq
-  | [] -> Alcotest.fail "expected hole retransmission");
-  (* Full ACK past the recovery point exits recovery. *)
-  ack h (12 * mss);
-  Alcotest.(check bool) "recovered" false (Tcp.Sender.in_recovery h.sender)
-
-let dupack_inflation_sends_new_data () =
-  let h = make_harness () in
-  Tcp.Sender.kick h.sender;
-  ack h mss;
-  ack h mss; ack h mss; ack h mss; (* recovery entered; cwnd 5.5 + 3 *)
-  h.sent <- [];
-  (* Each further dup ACK inflates the window by 1 MSS; once inflation
-     covers the in-flight data, new segments flow again. *)
-  for _ = 1 to 5 do ack h mss done;
-  Alcotest.(check bool) "inflation reopened the window" true
-    (List.length h.sent >= 1);
-  (* New data, not retransmissions: seq >= snd_max before the dupacks. *)
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "new data" true
-        ((Packet.tcp_exn p).Packet.seq >= 11 * mss))
-    h.sent
-
 let rto_fires_and_backs_off () =
   let h = make_harness () in
   Tcp.Sender.kick h.sender;
@@ -369,8 +330,6 @@ let source_refusal_stops_sending () =
 
 (* --- SACK recovery --- *)
 
-let sack_harness () = make_harness ~config:Tcp.Sender.default_config ()
-
 let ack_sack h ?(advance = ms 10) ~sack value =
   Engine.Sched.run ~until:(Engine.Time.add (Engine.Sched.now h.sched) advance)
     h.sched;
@@ -381,7 +340,7 @@ let ack_sack h ?(advance = ms 10) ~sack value =
     }
 
 let sack_triggers_recovery_early () =
-  let h = sack_harness () in
+  let h = make_harness () in
   Tcp.Sender.kick h.sender;
   h.sent <- [];
   (* One duplicate ACK whose SACK blocks already cover three segments is
@@ -398,7 +357,7 @@ let sack_triggers_recovery_early () =
     (Tcp.Sender.stats h.sender).Tcp.Sender.fast_recoveries
 
 let sack_pipe_releases_new_data () =
-  let h = sack_harness () in
+  let h = make_harness () in
   Tcp.Sender.kick h.sender; (* segments 0..9 *)
   ack_sack h ~sack:[ (mss, 4 * mss) ] 0; (* recovery, cwnd 5 *)
   h.sent <- [];
@@ -413,7 +372,7 @@ let sack_pipe_releases_new_data () =
     h.sent
 
 let sack_no_hole_re_retransmit () =
-  let h = sack_harness () in
+  let h = make_harness () in
   Tcp.Sender.kick h.sender;
   ack_sack h ~sack:[ (mss, 4 * mss) ] 0;
   h.sent <- [];
@@ -427,14 +386,35 @@ let sack_no_hole_re_retransmit () =
     h.sent
 
 let sack_full_ack_exits () =
-  let h = sack_harness () in
+  let h = make_harness () in
   Tcp.Sender.kick h.sender;
   ack_sack h ~sack:[ (mss, 4 * mss) ] 0;
   ack_sack h ~sack:[] (11 * mss);
   Alcotest.(check bool) "recovered" false (Tcp.Sender.in_recovery h.sender)
 
+let sack_partial_ack_stays_in_recovery () =
+  let h = make_harness () in
+  Tcp.Sender.kick h.sender; (* 0..9 *)
+  (* Segments 0 and 5 are missing: both are holes, resent at once. *)
+  ack_sack h ~sack:[ (6 * mss, 10 * mss); (mss, 5 * mss) ] 0;
+  let resent = List.filteri (fun i _ -> i >= 10) (seqs h) in
+  Alcotest.(check bool) "both holes resent" true
+    (List.mem 0 resent && List.mem (5 * mss) resent);
+  h.sent <- [];
+  (* The resent segment 0 fills the first hole: a partial ACK, below the
+     recovery point (10 segments), so recovery goes on and the hole at 5,
+     already resent, is not resent again. *)
+  ack_sack h ~sack:[ (6 * mss, 10 * mss) ] (5 * mss);
+  Alcotest.(check bool) "still recovering" true
+    (Tcp.Sender.in_recovery h.sender);
+  Alcotest.(check bool) "hole 5 not resent again" false
+    (List.mem (5 * mss) (seqs h));
+  ack_sack h ~sack:[] (10 * mss);
+  Alcotest.(check bool) "full ACK exits" false
+    (Tcp.Sender.in_recovery h.sender)
+
 let sack_rto_skips_sacked () =
-  let h = sack_harness () in
+  let h = make_harness () in
   Tcp.Sender.kick h.sender; (* 0..9 *)
   (* Receiver holds 1..8; segments 0 and 9 are missing. *)
   ack_sack h ~sack:[ (mss, 9 * mss) ] 0;
@@ -470,10 +450,9 @@ let gen_fuzz_ops =
            (2, map2 (fun a b -> FSack (a, b)) (0 -- 30) (1 -- 6));
            (2, map (fun t -> FTick t) (1 -- 400)) ]))
 
-let qcheck_sender_fuzz sack name =
+let qcheck_sender_fuzz name =
   QCheck.Test.make ~name ~count:300 (QCheck.make gen_fuzz_ops) (fun ops ->
-      let config = { Tcp.Sender.default_config with Tcp.Sender.sack } in
-      let h = make_harness ~config () in
+      let h = make_harness () in
       Tcp.Sender.kick h.sender;
       let una = ref 0 in
       let ok = ref true in
@@ -510,55 +489,6 @@ let qcheck_sender_fuzz sack name =
           if Tcp.Sender.cwnd h.sender < 1.0 || inflight < 0 then ok := false)
         ops;
       !ok)
-
-(* --- handshake --- *)
-
-let hs_config = { Tcp.Sender.default_config with Tcp.Sender.handshake = true }
-
-let syn_ack_packet =
-  {
-    Packet.conn = 1; subflow = 0; kind = Packet.Syn_ack; seq = 0; payload = 0;
-    ack = 0; sack = []; ece = false; dss = None; data_ack = 0;
-  }
-
-let handshake_blocks_data () =
-  let h = make_harness ~config:hs_config () in
-  Tcp.Sender.kick h.sender;
-  (* Only the SYN goes out; no data before the handshake completes. *)
-  Alcotest.(check int) "one packet" 1 (List.length h.sent);
-  (match h.sent with
-  | [ p ] ->
-    Alcotest.(check bool) "it is a SYN" true
-      ((Packet.tcp_exn p).Packet.kind = Packet.Syn)
-  | _ -> Alcotest.fail "expected exactly the SYN");
-  Alcotest.(check bool) "not established" false
-    (Tcp.Sender.is_established h.sender);
-  h.sent <- [];
-  (* SYN-ACK opens the gate: the initial window flows at once. *)
-  Engine.Sched.run ~until:(ms 30) h.sched;
-  Tcp.Sender.handle_ack h.sender syn_ack_packet;
-  Alcotest.(check bool) "established" true (Tcp.Sender.is_established h.sender);
-  Alcotest.(check int) "IW10 released" 10 (List.length h.sent);
-  (* The SYN round trip primed the RTT estimator. *)
-  Alcotest.(check (option int)) "srtt from the handshake" (Some (ms 30))
-    (Tcp.Sender.srtt h.sender)
-
-let handshake_syn_retransmission () =
-  let h = make_harness ~config:hs_config () in
-  Tcp.Sender.kick h.sender;
-  h.sent <- [];
-  (* No SYN-ACK: the initial 1 s RTO fires and the SYN is resent with
-     backoff. *)
-  Engine.Sched.run ~until:(Engine.Time.s 1) h.sched;
-  Alcotest.(check int) "SYN resent" 1 (Tcp.Sender.syn_retransmits h.sender);
-  Engine.Sched.run ~until:(Engine.Time.s 3) h.sched;
-  Alcotest.(check int) "backoff doubles" 2 (Tcp.Sender.syn_retransmits h.sender);
-  (* Karn: the retransmitted SYN's reply must not poison the estimator. *)
-  Tcp.Sender.handle_ack h.sender syn_ack_packet;
-  Alcotest.(check (option int)) "no sample from a retransmitted SYN" None
-    (Tcp.Sender.srtt h.sender);
-  Alcotest.(check bool) "established anyway" true
-    (Tcp.Sender.is_established h.sender)
 
 (* --- receiver --- *)
 
@@ -842,24 +772,6 @@ let endpoint_counts_unmatched () =
   Alcotest.(check int) "unregistered pairs counted" 2
     (Tcp.Endpoint.unmatched dst)
 
-let handshake_end_to_end () =
-  let topo, a1, _, z1, _ = dumbbell () in
-  let sched = Engine.Sched.create () in
-  let net = Netsim.Net.create ~sched ~rng:(Engine.Rng.create 2) topo in
-  Netsim.Net.install_path net ~tag:1
-    (Netgraph.Path.of_names topo [ "a1"; "l"; "r"; "z1" ]);
-  let src = Tcp.Endpoint.create net ~node:a1 in
-  let dst = Tcp.Endpoint.create net ~node:z1 in
-  let flow = Tcp.Flow.start ~src ~dst ~tag:1 ~conn:1 ~config:hs_config () in
-  (* Path RTT is 12 ms + serialization; nothing delivered in the first
-     RTT, plenty soon after. *)
-  Engine.Sched.run ~until:(ms 12) sched;
-  Alcotest.(check int) "nothing before the handshake" 0
-    (Tcp.Flow.bytes_delivered flow);
-  Engine.Sched.run ~until:(Engine.Time.s 3) sched;
-  Alcotest.(check bool) "transfer proceeds" true
-    (Tcp.Flow.bytes_delivered flow > 1_000_000)
-
 let ecn_end_to_end_fewer_drops () =
   (* CUBIC through an ECN-enabled RED bottleneck: throughput comparable,
      but congestion is signalled by marks, not drops. *)
@@ -966,8 +878,8 @@ let bounded_transfer_completes () =
   match Tcp.Flow.completed_at flow with
   | Some t ->
     (* The raw transfer is ~0.1 s at 40 Mbps, but the initial slow-start
-       overshoot costs a multi-RTT NewReno recovery (no SACK), so allow
-       a couple of seconds. *)
+       overshoot costs a multi-RTT recovery, so allow a couple of
+       seconds. *)
     Alcotest.(check bool) "finished within 3 s" true (t < Engine.Time.s 3)
   | None -> Alcotest.fail "transfer never completed"
 
@@ -1126,9 +1038,6 @@ let () =
           Alcotest.test_case "RTT sampled" `Quick rtt_sampled_from_ack;
           Alcotest.test_case "fast retransmit at 3 dupacks" `Quick
             fast_retransmit_on_3_dupacks;
-          Alcotest.test_case "NewReno partial ACK" `Quick newreno_partial_ack;
-          Alcotest.test_case "dupack inflation sends new data" `Quick
-            dupack_inflation_sends_new_data;
           Alcotest.test_case "RTO fires and backs off" `Quick
             rto_fires_and_backs_off;
           Alcotest.test_case "Karn: no sample from retransmits" `Quick
@@ -1146,16 +1055,15 @@ let () =
             sack_no_hole_re_retransmit;
           Alcotest.test_case "full ACK exits recovery" `Quick
             sack_full_ack_exits;
+          Alcotest.test_case "partial ACK stays in recovery" `Quick
+            sack_partial_ack_stays_in_recovery;
           Alcotest.test_case "RTO resends only true holes" `Quick
             sack_rto_skips_sacked;
         ] );
       ( "fuzz",
         [
           QCheck_alcotest.to_alcotest
-            (qcheck_sender_fuzz true "sender survives arbitrary SACK streams");
-          QCheck_alcotest.to_alcotest
-            (qcheck_sender_fuzz false
-               "sender survives arbitrary NewReno streams");
+            (qcheck_sender_fuzz "sender survives arbitrary SACK streams");
         ] );
       ( "ecn",
         [
@@ -1167,14 +1075,6 @@ let () =
             ecn_ignored_when_disabled;
           Alcotest.test_case "receiver echoes CE once" `Quick
             ecn_receiver_echoes_ce;
-        ] );
-      ( "handshake",
-        [
-          Alcotest.test_case "SYN gates data" `Quick handshake_blocks_data;
-          Alcotest.test_case "SYN retransmission with backoff" `Quick
-            handshake_syn_retransmission;
-          Alcotest.test_case "end to end over the simulator" `Quick
-            handshake_end_to_end;
         ] );
       ( "endpoint",
         [

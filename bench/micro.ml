@@ -139,7 +139,7 @@ let rows =
         for i = 0 to 999 do
           Engine.Heap.push h ~key:(i * 7919 mod 1000) ~tie:i i
         done;
-        Engine.Heap.compact h ~keep:(fun ~tie:_ v -> v land 7 = 0);
+        Engine.Heap.compact h ~keep:(fun v -> v land 7 = 0);
         while not (Engine.Heap.is_empty h) do
           ignore (Engine.Heap.pop h)
         done);

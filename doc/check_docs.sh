@@ -7,7 +7,10 @@
 # ocamldoc hard-fails on malformed markup (unclosed {b ...}, bad
 # {!refs} syntax) while cross-library references it cannot resolve
 # only warn, so the gate catches broken comments without demanding a
-# fully linked doc tree.
+# fully linked doc tree.  A module it cannot find ("Module ... not
+# found", "Module or module type ... not found") fails the gate: each
+# library is documented with all its interfaces, so that warning means
+# an in-library reference or alias is broken.
 #
 # Usage: check_docs.sh <build-root> <out-dir>
 #   <build-root>  the dune context root (contains lib/engine/...)
@@ -55,15 +58,38 @@ doc_lib() {
         cat "$out/$lib.log" >&2
         exit 1
     fi
+    if missing_modules "$out/$lib.log" >&2; then
+        echo "check_docs: unresolved module in $lib" >&2
+        exit 1
+    fi
     # Surface real warnings; unresolvable cross-library {!refs} are
     # expected (no linked doc tree) and filtered out.
     grep -v "^Warning: Element .* not found" "$out/$lib.log" || true
     echo "doc ok: $lib ($# interfaces)"
 }
 
+# missing_modules <log>: print ocamldoc's unresolved-module warnings;
+# succeeds when there is at least one.
+missing_modules() {
+    grep -E "^Warning: Module (or module type )?.* not found" "$1"
+}
+
 for dir in "$root"/lib/*/; do
     doc_lib "$(basename "$dir")"
 done
+
+# Negative self-test: a planted reference to a module the library does
+# not have must be reported as unresolved.
+mkdir -p "$out/modcheck"
+printf '(** See {!module:No_such_module}. *)\nval x : int\n' \
+    >"$out/modcheck/planted.mli"
+ocamlfind ocamldoc -dump "$out/modcheck/planted.odump" \
+    "$out/modcheck/planted.mli" >"$out/modcheck/planted.log" 2>&1 || true
+if ! missing_modules "$out/modcheck/planted.log" >/dev/null; then
+    echo "check_docs: a planted unresolved module went unreported" >&2
+    exit 1
+fi
+echo "unresolved-module self-test ok"
 
 # --- dead-export check ---
 # check_exports <tree>: every `val` (at any indentation) in

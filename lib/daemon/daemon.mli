@@ -33,9 +33,13 @@
     store/trend (both are written synchronously per outcome), unlinks
     the socket and shuts the pool down. *)
 
-module Protocol = Protocol
+module Protocol : module type of struct include Protocol end
 (** Re-exported: this module is the library's interface module, which
-    hides its siblings, so the wire protocol rides along here. *)
+    hides its siblings, so the wire protocol rides along here.  Its
+    signature is the sibling's, with every type equal to the
+    sibling's: an alias ([module Protocol = Protocol]) would name the
+    hidden [Daemon__.Protocol], which the documentation gate cannot
+    resolve. *)
 
 (** {1 Configuration and lifecycle} *)
 

@@ -168,7 +168,7 @@ let compact h ~keep =
   let n = h.size in
   let live = ref 0 in
   for i = 0 to n - 1 do
-    if keep ~tie:h.ties.(i) (Obj.obj h.values.(i)) then begin
+    if keep (Obj.obj h.values.(i)) then begin
       h.keys.(!live) <- h.keys.(i);
       h.ties.(!live) <- h.ties.(i);
       h.values.(!live) <- h.values.(i);

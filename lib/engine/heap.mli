@@ -34,9 +34,8 @@ val min_key_exn : 'a t -> int
 
 val min_tie_exn : 'a t -> int
 (** Tie of the minimum entry without removing it.  Raises
-    [Invalid_argument] when empty.  The scheduler tags its entries
-    through the tie's low bit, so dispatch needs the root's tie before
-    deciding how to interpret the popped value. *)
+    [Invalid_argument] when empty.  The scheduler's lockstep shadow
+    compares it with the tie of the event the wheel dispatches. *)
 
 val pop_exn : 'a t -> 'a
 (** Removes the minimum entry and returns its value alone.  Raises
@@ -49,10 +48,9 @@ val clear : 'a t -> unit
 (** Empties the heap.  Freed slots are overwritten, so cleared (and
     popped) values are not retained. *)
 
-val compact : 'a t -> keep:(tie:int -> 'a -> bool) -> unit
+val compact : 'a t -> keep:('a -> bool) -> unit
 (** [compact h ~keep] drops every entry whose value fails [keep], in
-    O(n).  [keep] also sees the entry's tie, so a caller that encodes a
-    value discriminant there (the scheduler's anonymous-timer bit) can
-    avoid misreading the value.  Surviving entries keep their
-    [(key, tie)] pair, so their pop order is unchanged.  The scheduler
-    uses this to purge cancelled timers before they reach the root. *)
+    O(n).  Surviving entries keep their [(key, tie)] pair, so their pop
+    order is unchanged.  The wheel's overflow heap and
+    {!Timer_queue.Of_heap} use this to purge cancelled entries before
+    they reach the root. *)

@@ -1,49 +1,155 @@
+(* Every queued event is one int on the timing wheel: a registered
+   handler's code in the low [code_bits] bits and its argument above
+   them.  Dispatch is one array read and one call, and queueing or
+   firing an event stores no pointer, so the per-hop events the link
+   model registers cost no write barrier.  Closures ([at_anon]) and
+   cancellable timers ([at]) live in free-listed slot tables behind
+   two reserved handlers, whose argument is the slot. *)
+
+let code_bits = 24
+let code_mask = (1 lsl code_bits) - 1
+
+(* An argument must leave the encoded event non-negative: below
+   2^(62 - code_bits), which is 2^38. *)
+let arg_bits = 62 - code_bits
+
+(* A growable table of values indexed by slot, with freed slots chained
+   through [links] as a free list and refilled with [filler], so the
+   table retains nothing past its slot's release.  [stamps] holds one
+   int per slot for the caller. *)
+module Slots = struct
+  type 'a t = {
+    mutable items : 'a array;
+    mutable links : int array;
+    mutable stamps : int array;
+    mutable free : int;
+    filler : 'a;
+  }
+
+  let create filler =
+    { items = [||]; links = [||]; stamps = [||]; free = -1; filler }
+
+  let grow s =
+    let cap = Array.length s.items in
+    let fresh = max 16 (2 * cap) in
+    let items = Array.make fresh s.filler in
+    Array.blit s.items 0 items 0 cap;
+    let links = Array.init fresh (fun i -> if i = fresh - 1 then -1 else i + 1) in
+    let stamps = Array.make fresh 0 in
+    Array.blit s.stamps 0 stamps 0 cap;
+    s.items <- items;
+    s.links <- links;
+    s.stamps <- stamps;
+    s.free <- cap
+
+  let[@inline] add s x ~stamp =
+    if s.free < 0 then grow s;
+    let i = s.free in
+    s.free <- s.links.(i);
+    s.items.(i) <- x;
+    s.stamps.(i) <- stamp;
+    i
+
+  (* The value in slot [i], which goes back to the free list. *)
+  let[@inline] take s i =
+    let x = s.items.(i) in
+    s.items.(i) <- s.filler;
+    s.links.(i) <- s.free;
+    s.free <- i;
+    x
+end
+
+type handler = int
+
 type t = {
-  wheel : timer Wheel.t;
+  wheel : Wheel.t;
   popped : Wheel.popped; (* key and tie of the entry being dispatched *)
   mutable clock : Time.t;
   mutable seq : int;
   mutable fired : int;
   mutable cancelled : int;
   tap : Time.t Tap.t;
-  mutable shadow : timer Heap.t option;
-      (* lockstep cross-check: mirror of every push, popped (skipping
-         cancelled timers) alongside the wheel under [--audit] *)
+  mutable handlers : (int -> unit) array;
+  mutable n_handlers : int;
+  anons : (unit -> unit) Slots.t;
+  timers : timer Slots.t; (* stamp: the timer's tie *)
+  mutable shadow : unit Heap.t option;
+      (* lockstep cross-check: mirror of every push, popped alongside
+         the wheel under [--audit] *)
+  dead : (int, unit) Hashtbl.t;
+      (* ties of timers cancelled while the shadow is armed: the shadow
+         heap keeps their entries and drops them when they reach its
+         root *)
 }
 
 and timer = {
-  mutable alive : bool;
   action : unit -> unit;
   owner : t;
-  mutable cell : int; (* wheel handle; valid only while [alive] *)
+  mutable cell : int; (* wheel handle, -1 once fired or cancelled *)
+  mutable slot : int; (* index in [owner.timers] while queued *)
 }
 
-let create () =
-  {
-    wheel = Wheel.create ();
-    popped = { Wheel.key = 0; tie = 0 };
-    clock = Time.zero;
-    seq = 0;
-    fired = 0;
-    cancelled = 0;
-    tap = Tap.create ();
-    shadow = None;
-  }
+let nothing () = ()
 
 let[@inline] now t = t.clock
 
-(* The wheel holds two kinds of entry, told apart by the tie's low bit:
-   cancellable timers (a [timer] record, bit 0) and anonymous timers
-   (the callback closure itself, bit 1).  Anonymous scheduling skips the
-   handle record entirely — most events a simulation fires (link
-   serializer done, packet arrival) are never cancelled, so this erases
-   a 5-word allocation from the per-packet path.  The [Obj.magic] is
-   confined to this module and guarded by the tie bit: a closure is
-   only ever read back as a closure. *)
+let register t f =
+  if t.n_handlers > code_mask then invalid_arg "Sched.register: too many handlers";
+  if t.n_handlers = Array.length t.handlers then begin
+    let fresh = Array.make (2 * t.n_handlers) ignore in
+    Array.blit t.handlers 0 fresh 0 t.n_handlers;
+    t.handlers <- fresh
+  end;
+  t.handlers.(t.n_handlers) <- f;
+  t.n_handlers <- t.n_handlers + 1;
+  t.n_handlers - 1
 
-let[@inline] fresh_tie t anon =
+(* The two reserved handlers: an anonymous closure, and a cancellable
+   timer.  Each takes its value out of its slot table before running
+   it, so the slot is free again by the time the action schedules. *)
+let run_anon t slot = (Slots.take t.anons slot) ()
+
+let run_timer t slot =
+  let tm = Slots.take t.timers slot in
+  tm.cell <- -1;
+  tm.slot <- -1;
+  tm.action ()
+
+let anon_code = 0
+let timer_code = 1
+let unregistered = 2
+
+let create () =
+  let rec t =
+    {
+      wheel = Wheel.create ();
+      popped = { Wheel.key = 0; tie = 0 };
+      clock = Time.zero;
+      seq = 0;
+      fired = 0;
+      cancelled = 0;
+      tap = Tap.create ();
+      handlers = Array.make 8 ignore;
+      n_handlers = 0;
+      anons = Slots.create nothing;
+      timers =
+        { Slots.items = [||]; links = [||]; stamps = [||]; free = -1; filler };
+      shadow = None;
+      dead = Hashtbl.create 16;
+    }
+  and filler = { action = nothing; owner = t; cell = -1; slot = -1 } in
+  ignore (register t (fun slot -> run_anon t slot) : handler);
+  ignore (register t (fun slot -> run_timer t slot) : handler);
+  ignore
+    (register t (fun _ -> failwith "Sched: event for an unregistered handler")
+      : handler);
+  t
+
+(* One tie per scheduling call, in call order: among equal times,
+   events fire in the order they were scheduled. *)
+let[@inline] fresh_tie t =
   t.seq <- t.seq + 1;
-  (t.seq lsl 1) lor (if anon then 1 else 0)
+  t.seq
 
 let[@inline] check_future t when_ =
   if Time.( < ) when_ t.clock then
@@ -51,31 +157,42 @@ let[@inline] check_future t when_ =
       (Format.asprintf "Sched.at: %a is before now (%a)" Time.pp when_
          Time.pp t.clock)
 
-let[@inline] mirror t ~key ~tie v =
-  match t.shadow with
+let[@inline] push t when_ ~tie code arg =
+  let cell = Wheel.push t.wheel ~key:when_ ~tie ((arg lsl code_bits) lor code) in
+  (match t.shadow with
   | None -> ()
-  | Some h -> Heap.push h ~key ~tie v
+  | Some h -> Heap.push h ~key:when_ ~tie ());
+  cell
+
+let[@inline] at_call t when_ h arg =
+  check_future t when_;
+  if arg lsr arg_bits <> 0 then
+    invalid_arg "Sched.at_call: argument out of range";
+  ignore (push t when_ ~tie:(fresh_tie t) h arg : int)
+
+let[@inline] after_call t delay h arg =
+  if Time.( < ) delay Time.zero then invalid_arg "Sched.after: negative delay";
+  at_call t (Time.add t.clock delay) h arg
 
 let at t when_ f =
   check_future t when_;
-  let tie = fresh_tie t false in
-  let timer = { alive = true; action = f; owner = t; cell = -1 } in
-  timer.cell <- Wheel.push t.wheel ~key:when_ ~tie timer;
-  mirror t ~key:when_ ~tie timer;
-  timer
+  let tie = fresh_tie t in
+  let tm = { action = f; owner = t; cell = -1; slot = -1 } in
+  let slot = Slots.add t.timers tm ~stamp:tie in
+  tm.slot <- slot;
+  tm.cell <- push t when_ ~tie timer_code slot;
+  tm
 
 let after t delay f =
   if Time.( < ) delay Time.zero then invalid_arg "Sched.after: negative delay";
   at t (Time.add t.clock delay) f
 
-let[@inline] at_anon t when_ f =
+let at_anon t when_ f =
   check_future t when_;
-  let tie = fresh_tie t true in
-  let v = (Obj.magic (f : unit -> unit) : timer) in
-  ignore (Wheel.push t.wheel ~key:when_ ~tie v : int);
-  mirror t ~key:when_ ~tie v
+  let tie = fresh_tie t in
+  ignore (push t when_ ~tie anon_code (Slots.add t.anons f ~stamp:0) : int)
 
-let[@inline] after_anon t delay f =
+let after_anon t delay f =
   if Time.( < ) delay Time.zero then invalid_arg "Sched.after: negative delay";
   at_anon t (Time.add t.clock delay) f
 
@@ -84,15 +201,19 @@ let[@inline] after_anon t delay f =
    this replaces).  The shadow heap, when armed, keeps the dead entry
    and filters it at pop time instead. *)
 let cancel tm =
-  if tm.alive then begin
-    tm.alive <- false;
+  if tm.cell >= 0 then begin
     let t = tm.owner in
     Wheel.cancel t.wheel tm.cell;
+    (match t.shadow with
+    | None -> ()
+    | Some _ -> Hashtbl.replace t.dead t.timers.Slots.stamps.(tm.slot) ());
+    ignore (Slots.take t.timers tm.slot : timer);
     tm.cell <- -1;
+    tm.slot <- -1;
     t.cancelled <- t.cancelled + 1
   end
 
-let pending timer = timer.alive
+let pending timer = timer.cell >= 0
 
 let set_lockstep t on =
   if on then begin
@@ -102,19 +223,23 @@ let set_lockstep t on =
       t.shadow <- Some (Heap.create ())
     end
   end
-  else t.shadow <- None
+  else begin
+    t.shadow <- None;
+    Hashtbl.reset t.dead
+  end
 
 let lockstep t = t.shadow <> None
 
 (* Drop cancelled timers sitting at the shadow root, then demand its
    live minimum agrees with what the wheel is about to fire. *)
-let check_shadow h ~key ~tie =
+let check_shadow t h ~key ~tie =
   let rec clean () =
-    match Heap.peek h with
-    | Some (_, ht, v) when ht land 1 = 0 && not v.alive ->
-      ignore (Heap.pop_exn h : timer);
+    if (not (Heap.is_empty h)) && Hashtbl.mem t.dead (Heap.min_tie_exn h)
+    then begin
+      Hashtbl.remove t.dead (Heap.min_tie_exn h);
+      Heap.pop_exn h;
       clean ()
-    | _ -> ()
+    end
   in
   clean ();
   if Heap.is_empty h then
@@ -125,42 +250,24 @@ let check_shadow h ~key ~tie =
       (Printf.sprintf
          "Sched lockstep divergence: wheel fires (%d, %d), heap expects (%d, %d)"
          key tie hk ht);
-  ignore (Heap.pop_exn h : timer)
+  Heap.pop_exn h
 
-let fire t when_ timer =
-  t.clock <- when_;
-  if timer.alive then begin
-    timer.alive <- false;
-    timer.cell <- -1;
-    t.fired <- t.fired + 1;
-    if Array.length t.tap.Tap.subs > 0 then Tap.emit t.tap when_;
-    timer.action ()
-  end
-
-(* What [Wheel.pop_until] returns when nothing is due.  A closure like
-   the anonymous entries, private to this module, so no queued value
-   is ever physically equal to it. *)
-let nothing_due () = ()
-let none = (Obj.magic (nothing_due : unit -> unit) : timer)
-
-(* The one dispatch path of [run]: a single wheel call pops
-   the minimum if it is due by [until] — no option or tuple boxed per
-   event, this is the innermost loop of every simulation. *)
+(* The one dispatch path of [run]: a single wheel call pops the minimum
+   if it is due by [until] — no option or tuple boxed per event, this
+   is the innermost loop of every simulation.  Encoded events are
+   non-negative, so [-1] means nothing is due. *)
 let dispatch t ~until =
-  let v = Wheel.pop_until t.wheel ~until t.popped ~none in
-  if v == none then false
+  let v = Wheel.pop_until t.wheel ~until t.popped ~none:(-1) in
+  if v < 0 then false
   else begin
-    let when_ = t.popped.Wheel.key and tie = t.popped.Wheel.tie in
+    let when_ = t.popped.Wheel.key in
     (match t.shadow with
     | None -> ()
-    | Some h -> check_shadow h ~key:when_ ~tie);
-    if tie land 1 = 1 then begin
-      t.clock <- when_;
-      t.fired <- t.fired + 1;
-      if Array.length t.tap.Tap.subs > 0 then Tap.emit t.tap when_;
-      (Obj.magic (v : timer) : unit -> unit) ()
-    end
-    else fire t when_ v;
+    | Some h -> check_shadow t h ~key:when_ ~tie:t.popped.Wheel.tie);
+    t.clock <- when_;
+    t.fired <- t.fired + 1;
+    if Array.length t.tap.Tap.subs > 0 then Tap.emit t.tap when_;
+    t.handlers.(v land code_mask) (v lsr code_bits);
     true
   end
 

@@ -1,15 +1,46 @@
 (** Discrete-event scheduler.
 
     Single-threaded, deterministic: events fire in (time, insertion-order)
-    order.  Callbacks may schedule and cancel further events freely. *)
+    order.  Callbacks may schedule and cancel further events freely.
+
+    Every queued event is one [int] on the timing wheel ({!Wheel}): the
+    code of a handler registered with {!register}, and an [int]
+    argument.  Queueing and firing such an event allocates nothing and
+    stores no pointer.  Closures ({!at_anon}) and cancellable timers
+    ({!at}) are kept in free-listed slot tables behind two handlers
+    every scheduler reserves, with the slot as the argument. *)
 
 type t
 
 type timer
 (** Handle for a scheduled event, usable to cancel it. *)
 
+type handler = private int
+(** A registered handler's code. *)
+
 val create : unit -> t
 (** Fresh scheduler with clock at {!Time.zero}. *)
+
+val register : t -> (int -> unit) -> handler
+(** [register t f] adds [f] to the scheduler's handlers, once, and
+    returns its code for {!at_call} and {!after_call}.  A scheduler
+    holds up to 2{^24} handlers. *)
+
+val unregistered : handler
+(** A placeholder for a record field that will hold a handler once its
+    owner, which the handler closes over, exists.  An event queued for
+    it raises [Failure] when dispatched. *)
+
+val at_call : t -> Time.t -> handler -> int -> unit
+(** [at_call t when_ h arg] schedules [h arg] at absolute time [when_],
+    without a handle.  [arg] must lie in \[0, 2{^38}).  Raises
+    [Invalid_argument] when [when_] is in the past or [arg] is out of
+    range.  The link model's serializer and arrival events go through
+    this. *)
+
+val after_call : t -> Time.t -> handler -> int -> unit
+(** [after_call t delay h arg] is [at_call t (now t + delay) h arg];
+    [delay >= 0]. *)
 
 val now : t -> Time.t
 (** Current simulated time (the timestamp of the running event, or of the
@@ -24,10 +55,10 @@ val after : t -> Time.t -> (unit -> unit) -> timer
 
 val at_anon : t -> Time.t -> (unit -> unit) -> unit
 (** Like {!at}, but returns no handle: the event cannot be cancelled.
-    The callback is stored directly in the event queue, so anonymous
-    scheduling allocates nothing beyond the closure itself — use it for
-    fire-and-forget events on hot paths (the link model's serializer
-    and arrival events go through this). *)
+    The callback waits in a slot table, so anonymous scheduling
+    allocates nothing beyond the closure itself.  Where the callback
+    would be the same function every time, {!register} it once and use
+    {!at_call}, which stores no pointer at all. *)
 
 val after_anon : t -> Time.t -> (unit -> unit) -> unit
 (** Like {!after}, with {!at_anon}'s no-handle contract. *)

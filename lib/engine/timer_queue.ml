@@ -15,33 +15,46 @@ end
 module Of_wheel : S = struct
   (* The wheel removes cancelled cells eagerly and recycles their
      slots, so a raw cell index must not be cancelled twice or after
-     its pop.  Queued values are boxed with an [alive] flag that the
-     pop clears, which honours the interface's idempotent-cancel
-     contract without touching the wheel itself. *)
-  type 'a box = { mutable alive : bool; mutable cell : int; v : 'a }
+     its pop.  Its payloads are ints, so each queued value sits in a
+     box, keyed in [boxes] by the id the wheel carries; the box's
+     [alive] flag, which the pop clears, honours the interface's
+     idempotent-cancel contract without touching the wheel itself. *)
+  type 'a box = { mutable alive : bool; mutable cell : int; id : int; v : 'a }
   type 'a handle = 'a box
-  type 'a t = 'a box Wheel.t
 
-  let create () = Wheel.create ()
-  let length = Wheel.length
-  let is_empty = Wheel.is_empty
+  type 'a t = {
+    wheel : Wheel.t;
+    boxes : (int, 'a box) Hashtbl.t;
+    mutable next_id : int;
+  }
+
+  let create () =
+    { wheel = Wheel.create (); boxes = Hashtbl.create 16; next_id = 0 }
+
+  let length t = Wheel.length t.wheel
+  let is_empty t = Wheel.is_empty t.wheel
 
   let push t ~key ~tie v =
-    let b = { alive = true; cell = -1; v } in
-    b.cell <- Wheel.push t ~key ~tie b;
+    let b = { alive = true; cell = -1; id = t.next_id; v } in
+    t.next_id <- t.next_id + 1;
+    Hashtbl.replace t.boxes b.id b;
+    b.cell <- Wheel.push t.wheel ~key ~tie b.id;
     b
 
   let cancel t b =
     if b.alive then begin
       b.alive <- false;
-      Wheel.cancel t b.cell
+      Hashtbl.remove t.boxes b.id;
+      Wheel.cancel t.wheel b.cell
     end
 
-  let min_key_exn = Wheel.min_key_exn
-  let min_tie_exn = Wheel.min_tie_exn
+  let min_key_exn t = Wheel.min_key_exn t.wheel
+  let min_tie_exn t = Wheel.min_tie_exn t.wheel
 
   let pop_exn t =
-    let b = Wheel.pop_exn t in
+    let id = Wheel.pop_exn t.wheel in
+    let b = Hashtbl.find t.boxes id in
+    Hashtbl.remove t.boxes id;
     b.alive <- false;
     b.v
 end
@@ -70,7 +83,7 @@ module Of_heap : S = struct
       cell.alive <- false;
       t.live <- t.live - 1;
       if t.live * 2 < Heap.length t.heap then
-        Heap.compact t.heap ~keep:(fun ~tie:_ c -> c.alive)
+        Heap.compact t.heap ~keep:(fun c -> c.alive)
     end
 
   let rec clean t =

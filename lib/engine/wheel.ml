@@ -10,10 +10,11 @@
    cancellation unlinks in O(1) — no dead weight left behind, no
    periodic compaction, unlike the binary heap this replaces.
 
-   Cells are parallel int arrays plus one [Obj.t] value array (same
-   soundness argument as [Heap]: a flat ['a array] would be unsound for
-   ['a = float]).  Freed cells chain through [nexts] as a free list, so
-   steady-state push/cancel/pop allocates nothing.
+   Cells are parallel int arrays, the payload included: the scheduler
+   queues int-coded events, so pushing, popping and freeing a cell
+   store no pointer and call no write barrier.  Freed cells chain
+   through [nexts] as a free list, so steady-state push/cancel/pop
+   allocates nothing.
 
    Ordering is exact, not approximate: [min_key_exn]/[min_tie_exn]/
    [pop_exn]/[pop_until] return the true (key, tie)-lexicographic
@@ -36,10 +37,10 @@
    entries outnumber live ones (the same amortisation the old
    all-heap scheduler used for everything). *)
 
-type 'a t = {
+type t = {
   mutable keys : int array;
   mutable ties : int array;
-  mutable values : Obj.t array;
+  mutable values : int array;
   mutable nexts : int array; (* slot list forward link / free-list link *)
   mutable prevs : int array;
   mutable locs : int array;  (* level*32+slot, or loc_{ovf,ovf_dead,free} *)
@@ -79,15 +80,13 @@ let loc_ovf = -2 (* queued in the overflow heap *)
 let loc_ovf_dead = -3 (* cancelled, awaiting overflow compaction *)
 let loc_free = -4
 
-let nil = Obj.repr 0
-
 let create ?(capacity = 256) () =
   let capacity = max capacity 1 in
   let t =
     {
       keys = Array.make capacity 0;
       ties = Array.make capacity 0;
-      values = Array.make capacity nil;
+      values = Array.make capacity 0;
       nexts = Array.make capacity (-1);
       prevs = Array.make capacity (-1);
       locs = Array.make capacity loc_free;
@@ -132,10 +131,11 @@ let lobit_table =
 let[@inline] lobit x = lobit_table.((((x land -x) * debruijn) land 0xFFFF_FFFF) lsr 27)
 
 (* The level of a key at xor-distance [x = key lxor now] from [now]:
-   the first [l] with [x < 2^(shift + bits * (l + 1))], i.e. [x]
-   compared against the level boundaries 2^17, 2^22, ..., 2^52, in
-   ascending order since nearly every timer the simulator arms lands at
-   level 0 or 1.  [levels] means beyond the span (the overflow heap). *)
+   the first [l] from the given one with [x < 2^(shift + bits * (l +
+   1))], i.e. [x] compared against the level boundaries 2^17, 2^22,
+   ..., 2^52 in ascending order ([place] tests levels 0 and 1 itself,
+   where nearly every timer the simulator arms lands).  [levels] means
+   beyond the span (the overflow heap). *)
 let rec level_from x l =
   if l = levels || x < 1 lsl (shift + (bits * (l + 1))) then l
   else level_from x (l + 1)
@@ -150,7 +150,7 @@ let grow t =
   in
   t.keys <- extend t.keys 0;
   t.ties <- extend t.ties 0;
-  t.values <- extend t.values nil;
+  t.values <- extend t.values 0;
   t.nexts <- extend t.nexts (-1);
   t.prevs <- extend t.prevs (-1);
   t.locs <- extend t.locs loc_free;
@@ -167,7 +167,6 @@ let[@inline] alloc t =
 
 let[@inline] free t c =
   t.locs.(c) <- loc_free;
-  t.values.(c) <- nil;
   t.prevs.(c) <- -1;
   t.nexts.(c) <- t.free_head;
   t.free_head <- c
@@ -208,24 +207,30 @@ let[@inline] link t c lvl slot =
 
 (* Link cell [c] into the slot its key calls for, relative to [t.now].
    Keys at or below [now] (overdue; see the header comment) go into the
-   current level-0 slot. *)
+   current level-0 slot.  Levels 0 and 1, where nearly every simulator
+   timer lands, are tested inline before [level_from]'s loop. *)
 let[@inline] place t c =
   let key = t.keys.(c) and now = t.now in
   if key <= now then link t c 0 ((now lsr shift) land slot_mask)
   else
-    let lvl = level_from (key lxor now) 0 in
-    if lvl = levels then begin
-      t.locs.(c) <- loc_ovf;
-      Heap.push t.overflow ~key ~tie:t.ties.(c) c
-    end
-    else link t c lvl ((key lsr (shift + (bits * lvl))) land slot_mask)
+    let x = key lxor now in
+    if x < 1 lsl (shift + bits) then link t c 0 ((key lsr shift) land slot_mask)
+    else if x < 1 lsl (shift + (2 * bits)) then
+      link t c 1 ((key lsr (shift + bits)) land slot_mask)
+    else
+      let lvl = level_from x 2 in
+      if lvl = levels then begin
+        t.locs.(c) <- loc_ovf;
+        Heap.push t.overflow ~key ~tie:t.ties.(c) c
+      end
+      else link t c lvl ((key lsr (shift + (bits * lvl))) land slot_mask)
 
 let push t ~key ~tie v =
   if key < 0 then invalid_arg "Wheel.push: negative key";
   let c = alloc t in
   t.keys.(c) <- key;
   t.ties.(c) <- tie;
-  t.values.(c) <- Obj.repr v;
+  t.values.(c) <- v;
   place t c;
   t.live <- t.live + 1;
   (* The cached minimum survives a push that cannot beat it, so a peek /
@@ -249,7 +254,7 @@ let[@inline] unlink t c sl =
   end
 
 let compact_overflow t =
-  Heap.compact t.overflow ~keep:(fun ~tie:_ c ->
+  Heap.compact t.overflow ~keep:(fun c ->
       if t.locs.(c) = loc_ovf_dead then begin
         free t c;
         false
@@ -381,11 +386,16 @@ let rec sift keys ties a root len =
     end
   end
 
-let sort_slot t slot =
+(* Advance [now] to level-0 slot [slot]'s granule start, the first step
+   of making it the current, sorted slot. *)
+let[@inline] enter_slot t slot =
   let base =
     t.now land lnot ((1 lsl (shift + bits)) - 1) lor (slot lsl shift)
   in
-  if base > t.now then t.now <- base;
+  if base > t.now then t.now <- base
+
+let sort_slot t slot =
+  enter_slot t slot;
   let keys = t.keys and ties = t.ties in
   let n = ref 0 in
   let c = ref t.slots.(slot) in
@@ -439,7 +449,10 @@ let sort_slot t slot =
    overflow keys are beyond every in-wheel key), so its head IS the
    minimum — no bitmap scan.  Slow path: cascade until level 0 is
    occupied, then sort the lowest level-0 slot (once — it stays sorted
-   while current) and take its head. *)
+   while current) and take its head.  The simulator's timers are
+   sparse, so that slot usually holds one cell: a lone cell is already
+   a sorted list, and it becomes current without [sort_slot]'s scratch
+   walk, with the same effect on [now], [sorted_slot] and [hot]. *)
 let ensure_hot t =
   if t.hot < 0 then
     if t.sorted_slot >= 0 then t.hot <- t.slots.(t.sorted_slot)
@@ -451,7 +464,12 @@ let ensure_hot t =
         cascade t lvl (lobit t.bitmaps.(lvl))
       done;
       let slot = lobit t.bitmaps.(0) in
-      sort_slot t slot;
+      let head = t.slots.(slot) in
+      if t.nexts.(head) < 0 then begin
+        enter_slot t slot;
+        t.sorted_slot <- slot
+      end
+      else sort_slot t slot;
       t.hot <- t.slots.(slot)
     end
 
@@ -471,7 +489,7 @@ let[@inline] take t c =
   t.live <- t.live - 1;
   t.hot <- -1;
   if key > t.now then t.now <- key;
-  Obj.obj v
+  v
 
 let pop_exn t =
   ensure_hot t;

@@ -28,15 +28,20 @@ type t = {
   release : Packet.t -> unit;
       (* terminal fates owned by this queue (drop, link-down loss) hand
          the packet back to the owner's freelist *)
+  pool : Packet.Pool.t;
+      (* gives every packet the queue holds its slot: the rings and the
+         scheduler's events carry slots, not records *)
   queue : Pktring.t; (* flat ring: packet slots + enqueue timestamps *)
   flight : Pktring.t;
       (* packets serialized but not yet arrived, oldest first, each
          stamped with [cuts] at its transmission.  Only used when the
          link has no jitter: propagation is then constant, arrivals are
-         FIFO, and the shared [arrive_done] thunk can pop this ring
-         instead of closing over the packet — one fewer allocation per
-         transmitted packet.  A jittered link can reorder arrivals, so
-         it falls back to a per-packet closure capturing [cuts]. *)
+         FIFO, and each arrival event pops this ring.  A jittered link
+         can reorder arrivals, so its arrival event carries the
+         packet's slot and finds [cuts] in [sent_cuts]. *)
+  mutable sent_cuts : int array;
+      (* jittered links: [cuts] at each in-flight packet's
+         transmission, indexed by its pool slot *)
   mutable busy : bool;
   mutable up : bool;
   mutable cuts : int;
@@ -63,10 +68,12 @@ type t = {
          what the serializer can actually drain, not the nominal rate *)
   mutable rate_since : Engine.Time.t;
   tap : event Engine.Tap.t;
-  mutable tx_done : unit -> unit;
-      (* the serializer-free continuation, allocated once at create
-         instead of a fresh closure per packet *)
-  mutable arrive_done : unit -> unit;
+  mutable tx_done : Engine.Sched.handler;
+      (* the serializer is free: start the next packet *)
+  mutable arrive_next : Engine.Sched.handler;
+      (* jitter-free arrival: the oldest packet of [flight] *)
+  mutable arrive_slot : Engine.Sched.handler;
+      (* jittered arrival: the packet in the argument's slot *)
   stats : stats;
 }
 
@@ -95,7 +102,7 @@ let close_capacity t =
   t.rate_since <- now
 
 let rec create ~sched ~rng ~rate_bps ~delay ?(jitter = Engine.Time.zero) ~qdisc
-    ~limit_pkts ~deliver ?(release = ignore) () =
+    ~limit_pkts ~deliver ?(release = ignore) ~pool () =
   if rate_bps <= 0 then invalid_arg "Linkq.create: rate must be positive";
   if limit_pkts < 1 then invalid_arg "Linkq.create: limit must be >= 1";
   if Engine.Time.( < ) jitter Engine.Time.zero then
@@ -104,9 +111,10 @@ let rec create ~sched ~rng ~rate_bps ~delay ?(jitter = Engine.Time.zero) ~qdisc
     {
       sched; rng; rate_bps; delay; loss = 0.0; jitter; qdisc;
       qstate = Qdisc.make_state qdisc;
-      limit_pkts; deliver; release;
+      limit_pkts; deliver; release; pool;
       queue = Pktring.create ~capacity:(Int.min 64 (limit_pkts + 1)) ();
       flight = Pktring.create ~capacity:16 ();
+      sent_cuts = [||];
       busy = false;
       up = true;
       cuts = 0;
@@ -117,18 +125,22 @@ let rec create ~sched ~rng ~rate_bps ~delay ?(jitter = Engine.Time.zero) ~qdisc
       cap_bits_before = 0.0;
       rate_since = Engine.Sched.now sched;
       tap = Engine.Tap.create ();
-      tx_done = ignore;
-      arrive_done = ignore;
+      tx_done = Engine.Sched.unregistered;
+      arrive_next = Engine.Sched.unregistered;
+      arrive_slot = Engine.Sched.unregistered;
       stats =
         { enqueued = 0; dropped = 0; delivered = 0; bytes_delivered = 0;
           busy_ns = 0; lost_down = 0; marked = 0 };
     }
   in
-  t.tx_done <- (fun () -> start_tx t);
-  t.arrive_done <-
-    (fun () ->
-      let cuts = Pktring.head_stamp t.flight in
-      arrive t (Pktring.pop t.flight) ~cuts);
+  t.tx_done <- Engine.Sched.register sched (fun _ -> start_tx t);
+  t.arrive_next <-
+    Engine.Sched.register sched (fun _ ->
+        let cuts = Pktring.head_stamp t.flight in
+        arrive t (Packet.Pool.packet t.pool (Pktring.pop t.flight)) ~cuts);
+  t.arrive_slot <-
+    Engine.Sched.register sched (fun slot ->
+        arrive t (Packet.Pool.packet t.pool slot) ~cuts:t.sent_cuts.(slot));
   t
 
 (* A packet in flight when the link goes down never arrives: [cuts] is
@@ -150,7 +162,8 @@ and start_tx t =
   if Pktring.is_empty t.queue then t.busy <- false
   else begin
     let enqueued_at = Pktring.head_stamp t.queue in
-    let p = Pktring.pop t.queue in
+    let slot = Pktring.pop t.queue in
+    let p = Packet.Pool.packet t.pool slot in
     let now = Engine.Sched.now t.sched in
     (* CoDel inspects the head packet's sojourn time and may discard it
        (and keep discarding) before anything is serialized. *)
@@ -171,14 +184,13 @@ and start_tx t =
       in
       t.stats.busy_ns <- t.stats.busy_ns + tx;
       (* Last bit on the wire at [now + tx]: the serializer is free then
-         (shared [tx_done] closure), and the packet arrives one
-         propagation delay later.  Both events are scheduled here — the
-         old nested-closure chain allocated a fresh continuation per
-         packet at each stage; [tx_done] first so that a zero-delay link
-         frees the serializer before delivering, as the nesting did. *)
-      Engine.Sched.after_anon t.sched tx t.tx_done;
+         ([tx_done]), and the packet arrives one propagation delay
+         later.  Both events are scheduled here, [tx_done] first so
+         that a zero-delay link frees the serializer before
+         delivering. *)
+      Engine.Sched.after_call t.sched tx t.tx_done 0;
       if t.jitter = Engine.Time.zero then begin
-        Pktring.push t.flight p ~stamp:t.cuts;
+        Pktring.push t.flight slot ~stamp:t.cuts;
         (* [flight] is popped FIFO, so arrivals must be monotone even if
            [set_delay] shrank the delay while packets were in flight. *)
         let at =
@@ -187,16 +199,21 @@ and start_tx t =
           else nominal
         in
         t.last_arrival <- at;
-        Engine.Sched.at_anon t.sched at t.arrive_done
+        Engine.Sched.at_call t.sched at t.arrive_next 0
       end
       else begin
         let prop =
           Engine.Time.add t.delay
             (Engine.Rng.uniform_time t.rng ~lo:Engine.Time.zero ~hi:t.jitter)
         in
-        let cuts = t.cuts in
-        Engine.Sched.after_anon t.sched (Engine.Time.add tx prop) (fun () ->
-            arrive t p ~cuts)
+        if slot >= Array.length t.sent_cuts then begin
+          let a = Array.make (max 64 (2 * (slot + 1))) 0 in
+          Array.blit t.sent_cuts 0 a 0 (Array.length t.sent_cuts);
+          t.sent_cuts <- a
+        end;
+        t.sent_cuts.(slot) <- t.cuts;
+        Engine.Sched.after_call t.sched (Engine.Time.add tx prop) t.arrive_slot
+          slot
       end
     end
   end
@@ -220,7 +237,8 @@ let enqueue t p =
   else begin
     let admit () =
       t.stats.enqueued <- t.stats.enqueued + 1;
-      Pktring.push t.queue p ~stamp:(Engine.Sched.now t.sched);
+      Pktring.push t.queue (Packet.Pool.slot t.pool p)
+        ~stamp:(Engine.Sched.now t.sched);
       if observed t then Engine.Tap.emit t.tap (Enqueued p);
       if not t.busy then start_tx t
     in
@@ -298,8 +316,9 @@ let set_up t up =
     t.cuts <- t.cuts + 1;
     t.stats.lost_down <- t.stats.lost_down + Pktring.length t.queue;
     if observed t then
-      Pktring.iter t.queue (fun p -> Engine.Tap.emit t.tap (Lost_down p));
-    Pktring.iter t.queue t.release;
+      Pktring.iter t.queue (fun slot ->
+          Engine.Tap.emit t.tap (Lost_down (Packet.Pool.packet t.pool slot)));
+    Pktring.iter t.queue (fun slot -> t.release (Packet.Pool.packet t.pool slot));
     Pktring.clear t.queue
   end
 

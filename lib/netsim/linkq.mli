@@ -37,6 +37,7 @@ val create :
   limit_pkts:int ->
   deliver:(Packet.t -> unit) ->
   ?release:(Packet.t -> unit) ->
+  pool:Packet.Pool.t ->
   unit -> t
 (** [deliver] runs at the receiving end of the link, [delay] (plus a
     uniform draw from [\[0, jitter\]], default 0) after each packet's
@@ -48,7 +49,13 @@ val create :
     dequeue) and link-down losses — after the stats and {!tap} have
     seen it.  {!Netsim.Net} passes its freelist's release here.
     Delivered packets are handed to [deliver] instead, which owns their
-    release. *)
+    release.
+
+    [pool] gives each packet the queue holds its {!Packet.Pool.slot}:
+    the buffer and flight rings hold slots, and the serializer-done and
+    arrival events are handlers registered with [sched] at creation,
+    so a hop allocates nothing and stores no pointer.  {!Netsim.Net}
+    passes its own pool. *)
 
 val enqueue : t -> Packet.t -> unit
 (** Admits (or drops, per qdisc) one packet. *)

@@ -94,7 +94,7 @@ let create ~sched ~rng ?(config = default_config) topo =
       ~limit_pkts:config.limit_pkts
       ~deliver:(fun p -> receive t ~node:to_node p)
       ~release:(fun p -> release_pkt t p)
-      ()
+      ~pool:t.pool ()
   in
   (* Per link the reverse direction splits its rng first, the order the
      queues have always been built in, so seeded runs (loss, jitter)

@@ -11,11 +11,14 @@ let bytes_sent t = t.bytes
 let interval ~pkt_bytes ~rate_bps =
   Engine.Time.tx_time ~bits:(pkt_bytes * 8) ~rate_bps
 
-let send net t ~src ~dst ~tag ~pkt_bytes =
+(* Packets come from the net's pool, which gets every one back at its
+   terminal fate: [pool] is the preallocated [Some (Net.pool net)], so
+   the call boxes nothing. *)
+let send net ~pool t ~src ~dst ~tag ~pkt_bytes =
   let sched = Net.sched net in
   let p =
-    Packet.make_plain ~id:(Net.fresh_packet_id net) ~src ~dst ~tag
-      ~born:(Engine.Sched.now sched) ~size:pkt_bytes
+    Packet.Pool.acquire_plain ?pool ~id:(Net.fresh_packet_id net) ~src ~dst
+      ~tag ~born:(Engine.Sched.now sched) ~size:pkt_bytes ()
   in
   t.packets <- t.packets + 1;
   t.bytes <- t.bytes + pkt_bytes;
@@ -26,6 +29,7 @@ let cbr ~net ~src ~dst ~tag ~rate_bps ?(pkt_bytes = 1500)
   if rate_bps <= 0 then invalid_arg "Traffic.cbr: rate must be positive";
   let sched = Net.sched net in
   let t = { running = true; packets = 0; bytes = 0 } in
+  let pool = Some (Net.pool net) in
   let gap = interval ~pkt_bytes ~rate_bps in
   let expired () =
     match stop_at with
@@ -34,7 +38,7 @@ let cbr ~net ~src ~dst ~tag ~rate_bps ?(pkt_bytes = 1500)
   in
   let rec tick () =
     if t.running && not (expired ()) then begin
-      send net t ~src ~dst ~tag ~pkt_bytes;
+      send net ~pool t ~src ~dst ~tag ~pkt_bytes;
       Engine.Sched.after_anon sched gap tick
     end
   in
@@ -46,6 +50,7 @@ let on_off ~net ~rng ~src ~dst ~tag ~rate_bps ~mean_on ~mean_off ?stop_at () =
   if rate_bps <= 0 then invalid_arg "Traffic.on_off: rate must be positive";
   let sched = Net.sched net in
   let t = { running = true; packets = 0; bytes = 0 } in
+  let pool = Some (Net.pool net) in
   let gap = interval ~pkt_bytes ~rate_bps in
   let expired () =
     match stop_at with
@@ -59,7 +64,7 @@ let on_off ~net ~rng ~src ~dst ~tag ~rate_bps ~mean_on ~mean_off ?stop_at () =
   let rec burst until =
     if t.running && not (expired ()) then
       if Engine.Time.( < ) (Engine.Sched.now sched) until then begin
-        send net t ~src ~dst ~tag ~pkt_bytes;
+        send net ~pool t ~src ~dst ~tag ~pkt_bytes;
         Engine.Sched.after_anon sched gap (fun () -> burst until)
       end
       else

@@ -3,7 +3,8 @@
     The paper's network carries only the MPTCP flow, but the examples and
     ablations add background load to show how the optimum shifts when the
     model network is embedded "in the wild".  Both sources emit [Plain]
-    packets (they do not react to loss). *)
+    packets (they do not react to loss), acquired from the net's
+    {!Net.pool}, which recycles each one at its terminal fate. *)
 
 type t
 

@@ -33,6 +33,7 @@ type t = {
   mutable body : body;
   mutable ecn : ecn;
   mutable born : Engine.Time.t;
+  mutable slot : int;
 }
 
 let max_sack_blocks = 3
@@ -68,11 +69,11 @@ let validate_tcp ~payload ~sack ~dss =
 let make_tcp ~id ~src ~dst ~tag ~born tcp =
   validate_tcp ~payload:tcp.payload ~sack:tcp.sack ~dss:tcp.dss;
   { id; src; dst; tag; size = header_bytes + tcp.payload; body = Tcp tcp;
-    ecn = Not_ect; born }
+    ecn = Not_ect; born; slot = -1 }
 
 let make_plain ~id ~src ~dst ~tag ~born ~size =
   if size < 1 then invalid_arg "Packet.make_plain: size must be >= 1";
-  { id; src; dst; tag; size; body = Plain; ecn = Not_ect; born }
+  { id; src; dst; tag; size; body = Plain; ecn = Not_ect; born; slot = -1 }
 
 let copy p =
   let body =
@@ -88,7 +89,7 @@ let copy p =
         }
   in
   { id = p.id; src = p.src; dst = p.dst; tag = p.tag; size = p.size; body;
-    ecn = p.ecn; born = p.born }
+    ecn = p.ecn; born = p.born; slot = -1 }
 
 (* --- freelist --- *)
 
@@ -106,8 +107,16 @@ module Pool = struct
     double_releases : int;
   }
 
+  (* Every record the pool sees gets a slot, its index in [records],
+     stored in the record itself: queues and events carry the slot, an
+     int, and look the record up here.  The freelist holds slots too,
+     so neither releasing nor recycling a record stores a pointer; a
+     record is written into [records] once, when it first gets a
+     slot. *)
   type t = {
-    mutable free : packet array;
+    mutable records : packet array;
+    mutable n_slots : int;
+    mutable free : int array;
     mutable free_len : int;
     mutable debug : bool;
     mutable acquired : int;
@@ -116,9 +125,17 @@ module Pool = struct
     mutable double_releases : int;
   }
 
+  (* Fills the unused end of [records], and is the "no record" answer
+     of [pop].  One record for every pool, so filling or reporting
+     allocates nothing.  Poisoned, so it can never pass for live
+     traffic. *)
+  let filler =
+    { id = poison_id; src = -1; dst = -1; tag = -1; size = 1; body = Plain;
+      ecn = Not_ect; born = 0; slot = -1 }
+
   let create ?(debug = false) () =
-    { free = [||]; free_len = 0; debug; acquired = 0; recycled = 0;
-      released = 0; double_releases = 0 }
+    { records = [||]; n_slots = 0; free = [||]; free_len = 0; debug;
+      acquired = 0; recycled = 0; released = 0; double_releases = 0 }
 
   let set_debug t on = t.debug <- on
 
@@ -128,23 +145,39 @@ module Pool = struct
 
   let live t = t.acquired - t.released
 
-  (* Shared filler for vacated freelist slots, so a popped packet is
-     never reachable from the pool once handed out, and the "freelist
-     empty" answer of [pop].  One record for every pool: filling a slot
-     or reporting an empty list allocates nothing.  Poisoned, so it can
-     never pass for live traffic. *)
-  let filler =
-    { id = poison_id; src = -1; dst = -1; tag = -1; size = 1; body = Plain;
-      ecn = Not_ect; born = 0 }
+  let grow_to a n fill =
+    let b = Array.make (max 64 (max n (2 * Array.length a))) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* A record whose [slot] names itself in [records] keeps it; any
+     other record (fresh, a copy, or one from another pool) gets the
+     next slot. *)
+  let[@inline] slot t p =
+    let s = p.slot in
+    if s >= 0 && s < t.n_slots && t.records.(s) == p then s
+    else begin
+      let s = t.n_slots in
+      if s = Array.length t.records then t.records <- grow_to t.records (s + 1) filler;
+      t.records.(s) <- p;
+      t.n_slots <- s + 1;
+      p.slot <- s;
+      s
+    end
+
+  let[@inline] packet t s =
+    let p = t.records.(s) in
+    if t.debug && is_poisoned p then
+      failwith
+        (Printf.sprintf
+           "Packet.Pool.packet: slot %d holds a released packet" s);
+    p
 
   let push t p =
-    let cap = Array.length t.free in
-    if t.free_len = cap then begin
-      let fresh = Array.make (max 64 (2 * cap)) filler in
-      Array.blit t.free 0 fresh 0 t.free_len;
-      t.free <- fresh
-    end;
-    t.free.(t.free_len) <- p;
+    let s = slot t p in
+    if t.free_len = Array.length t.free then
+      t.free <- grow_to t.free (t.free_len + 1) 0;
+    t.free.(t.free_len) <- s;
     t.free_len <- t.free_len + 1
 
   (* The most recently released record, or [filler] when the freelist
@@ -153,8 +186,7 @@ module Pool = struct
     if t.free_len = 0 then filler
     else begin
       let i = t.free_len - 1 in
-      let p = t.free.(i) in
-      t.free.(i) <- filler;
+      let p = t.records.(t.free.(i)) in
       t.free_len <- i;
       if t.debug && not (is_poisoned p) then
         failwith
@@ -214,7 +246,7 @@ module Pool = struct
     let size = header_bytes + payload in
     let p = recycle pool in
     if p == filler then
-      { id; src; dst; tag; size; ecn; born;
+      { id; src; dst; tag; size; ecn; born; slot = -1;
         body =
           Tcp { conn; subflow; kind; seq; payload; ack; sack; ece; dss;
                 data_ack } }
@@ -242,6 +274,23 @@ module Pool = struct
         p.body <-
           Tcp { conn; subflow; kind; seq; payload; ack; sack; ece; dss;
                 data_ack });
+      p
+    end
+
+  let acquire_plain ?pool ~id ~src ~dst ~tag ~born ~size () =
+    if size < 1 then invalid_arg "Packet.make_plain: size must be >= 1";
+    let p = recycle pool in
+    if p == filler then
+      { id; src; dst; tag; size; body = Plain; ecn = Not_ect; born; slot = -1 }
+    else begin
+      p.id <- id;
+      p.src <- src;
+      p.dst <- dst;
+      p.tag <- tag;
+      p.size <- size;
+      p.ecn <- Not_ect;
+      p.born <- born;
+      p.body <- Plain;
       p
     end
 end

@@ -64,6 +64,9 @@ type t = {
   mutable body : body;
   mutable ecn : ecn;        (** queues mark packets in flight *)
   mutable born : Engine.Time.t;  (** when the packet entered the network *)
+  mutable slot : int;
+      (** the record's index in the {!Pool} that last gave it one, -1
+          for none; the pool's to set, see {!Pool.slot} *)
 }
 
 val header_bytes : int
@@ -92,7 +95,8 @@ val make_plain :
 (** Cross-traffic packet of explicit wire [size] (>= 1 byte). *)
 
 val copy : t -> t
-(** Deep snapshot (including the TCP header record).  Anything that
+(** Deep snapshot (including the TCP header record), with no pool slot
+    ([slot = -1]).  Anything that
     retains a packet past the handler it was delivered to — e.g. a
     capture trace rendered after the run — must copy, because the pool
     may rewrite the original in place once it is released. *)
@@ -113,10 +117,17 @@ val is_poisoned : t -> bool
     no-route).  Recycling is deterministic (LIFO), so pooled runs stay
     bit-identical across domain counts.
 
-    An acquire served from the freelist allocates nothing: the slot it
-    vacates is refilled with one shared, poisoned filler record (never
-    handed out), so no popped packet stays reachable from the pool and
-    no placeholder is built per pop.  Optional arguments are where
+    Every record the pool sees gets a slot: its index in the pool's
+    record table, kept in the record's [slot] field.  The link queues
+    and the scheduler's events carry slots, which are ints, and look
+    the records up with {!packet}; the freelist holds slots too.  So a
+    record is stored into the pool once, when it first gets its slot,
+    and releasing, recycling or queueing it stores no pointer.  The
+    pool keeps every record it has given a slot, live or free, for its
+    own lifetime.
+
+    An acquire served from the freelist allocates nothing.  Optional
+    arguments are where
     garbage can creep back in at the call site: pass the pool as a
     preallocated option ([?pool:opt]) — [~pool:p] boxes a fresh [Some]
     on every call — and likewise pass [?ecn] rather than [~ecn].
@@ -162,10 +173,28 @@ module Pool : sig
       freelist record that is not poisoned (a released packet written
       to since) raises [Failure]. *)
 
+  val acquire_plain :
+    ?pool:t -> id:int -> src:addr -> dst:addr -> tag:tag
+    -> born:Engine.Time.t -> size:int -> unit -> packet
+  (** Like {!make_plain}, recycling a released record as
+      {!acquire_tcp} does (a record last used as a TCP segment drops
+      its header). *)
+
   val release : t -> packet -> unit
   (** Returns a packet to the freelist.  The caller asserts nothing will
       read the record again.  A double release is counted (and raises
       [Failure] in debug mode); the record is not pushed twice. *)
+
+  val slot : t -> packet -> int
+  (** The record's slot in this pool.  A record that has none here — a
+      fresh one, a {!copy}, or one that got its slot from another pool
+      — gets the next free index.  A slot is stable across release and
+      recycle. *)
+
+  val packet : t -> int -> packet
+  (** The record in a slot [slot t p] returned ([packet t (slot t p) ==
+      p]).  In debug mode a released (poisoned) record raises
+      [Failure]: a queue popped a packet after its release. *)
 end
 
 val pp : Format.formatter -> t -> unit

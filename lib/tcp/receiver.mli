@@ -4,7 +4,14 @@
     segment triggers an immediate ACK carrying [rcv_nxt] (duplicate ACKs
     are what drive the sender's fast retransmit).  In-order payload is
     handed, with its DSS mapping, to the connection layer for
-    data-sequence reassembly. *)
+    data-sequence reassembly.
+
+    Out-of-order segments wait in sorted parallel int arrays (seq, len,
+    and the DSS as two ints and a flag) with binary-search insertion; a
+    later segment at the same seq replaces the earlier one.  Each is
+    delivered whole, with its original (seq, len, DSS), once [rcv_nxt]
+    reaches its seq.  SACK blocks are built in one pass over the
+    arrays. *)
 
 type t
 

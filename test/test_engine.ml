@@ -94,7 +94,7 @@ let heap_capacity () =
 let heap_compact_basic () =
   let h = Heap.create () in
   List.iteri (fun i k -> Heap.push h ~key:k ~tie:i k) [ 5; 1; 4; 2; 3 ];
-  Heap.compact h ~keep:(fun ~tie:_ v -> v mod 2 = 1);
+  Heap.compact h ~keep:(fun v -> v mod 2 = 1);
   check_int "three survivors" 3 (Heap.length h);
   let popped =
     List.init 3 (fun _ ->
@@ -155,7 +155,7 @@ let heap_qcheck_compact_order =
     (fun entries ->
       let h = Heap.create () in
       List.iteri (fun i (k, keep) -> Heap.push h ~key:k ~tie:i keep) entries;
-      Heap.compact h ~keep:(fun ~tie:_ b -> b);
+      Heap.compact h ~keep:(fun b -> b);
       let surviving =
         List.mapi (fun i (k, keep) -> (k, i, keep)) entries
         |> List.filter (fun (_, _, keep) -> keep)
@@ -165,6 +165,19 @@ let heap_qcheck_compact_order =
       drain_pairs h = surviving)
 
 (* --- Wheel --- *)
+
+(* The wheel carries int payloads; the cases below name their entries
+   by an index into [labels]. *)
+let labels = ref [||]
+
+let label s =
+  match Array.find_index (String.equal s) !labels with
+  | Some i -> i
+  | None ->
+    labels := Array.append !labels [| s |];
+    Array.length !labels - 1
+
+let unlabel i = !labels.(i)
 
 let wheel_drain w =
   let rec go acc =
@@ -179,52 +192,72 @@ let wheel_drain w =
 let wheel_basic () =
   let w = Wheel.create () in
   check_bool "empty" true (Wheel.is_empty w);
-  ignore (Wheel.push w ~key:5 ~tie:2 "five");
-  ignore (Wheel.push w ~key:1 ~tie:0 "one");
-  ignore (Wheel.push w ~key:3 ~tie:1 "three");
+  ignore (Wheel.push w ~key:5 ~tie:2 (label "five"));
+  ignore (Wheel.push w ~key:1 ~tie:0 (label "one"));
+  ignore (Wheel.push w ~key:3 ~tie:1 (label "three"));
   check_int "length" 3 (Wheel.length w);
   check_int "min key" 1 (Wheel.min_key_exn w);
   Alcotest.(check (list string)) "sorted" [ "one"; "three"; "five" ]
-    (List.map (fun (_, _, v) -> v) (wheel_drain w));
+    (List.map (fun (_, _, v) -> unlabel v) (wheel_drain w));
   check_bool "drained" true (Wheel.is_empty w)
 
 let wheel_fifo_ties () =
   let w = Wheel.create () in
-  List.iteri (fun i v -> ignore (Wheel.push w ~key:7 ~tie:i v)) [ "a"; "b"; "c" ];
+  List.iteri
+    (fun i v -> ignore (Wheel.push w ~key:7 ~tie:i (label v)))
+    [ "a"; "b"; "c" ];
   Alcotest.(check (list string)) "FIFO among equal keys" [ "a"; "b"; "c" ]
-    (List.map (fun (_, _, v) -> v) (wheel_drain w))
+    (List.map (fun (_, _, v) -> unlabel v) (wheel_drain w))
 
 let wheel_overdue_push () =
   (* Popping advances the wheel's position; a later push below that
      position is "overdue" and must still pop first, in full (key, tie)
      order against other overdue entries. *)
   let w = Wheel.create () in
-  ignore (Wheel.push w ~key:1_000_000 ~tie:0 "future");
+  ignore (Wheel.push w ~key:1_000_000 ~tie:0 (label "future"));
   check_int "positioned" 1_000_000 (Wheel.min_key_exn w);
   ignore (Wheel.pop_exn w);
-  ignore (Wheel.push w ~key:10 ~tie:1 "overdue-b");
-  ignore (Wheel.push w ~key:3 ~tie:2 "overdue-a");
-  ignore (Wheel.push w ~key:2_000_000 ~tie:3 "future-2");
+  ignore (Wheel.push w ~key:10 ~tie:1 (label "overdue-b"));
+  ignore (Wheel.push w ~key:3 ~tie:2 (label "overdue-a"));
+  ignore (Wheel.push w ~key:2_000_000 ~tie:3 (label "future-2"));
   Alcotest.(check (list string)) "overdue first, ordered"
     [ "overdue-a"; "overdue-b"; "future-2" ]
-    (List.map (fun (_, _, v) -> v) (wheel_drain w))
+    (List.map (fun (_, _, v) -> unlabel v) (wheel_drain w))
 
 let wheel_cancel () =
   let w = Wheel.create () in
-  let _a = Wheel.push w ~key:1 ~tie:0 "a" in
-  let b = Wheel.push w ~key:2 ~tie:1 "b" in
-  let _c = Wheel.push w ~key:3 ~tie:2 "c" in
+  let _a = Wheel.push w ~key:1 ~tie:0 (label "a") in
+  let b = Wheel.push w ~key:2 ~tie:1 (label "b") in
+  let _c = Wheel.push w ~key:3 ~tie:2 (label "c") in
   Wheel.cancel w b;
   check_int "length after cancel" 2 (Wheel.length w);
   Alcotest.(check (list string)) "survivors in order" [ "a"; "c" ]
-    (List.map (fun (_, _, v) -> v) (wheel_drain w));
+    (List.map (fun (_, _, v) -> unlabel v) (wheel_drain w));
   check_bool "stale handle rejected" true
     (try Wheel.cancel w b; false with Invalid_argument _ -> true)
+
+let wheel_peek_then_push_below () =
+  (* A peek makes the lowest level-0 slot current without popping
+     ([Sched.run ~until] peeks past its horizon).  A later push may
+     then fall between the wheel's position and that slot; it must
+     still pop first, whether the slot held one cell (taken without a
+     sort) or several. *)
+  List.iter
+    (fun later ->
+      let w = Wheel.create () in
+      List.iter (fun k -> ignore (Wheel.push w ~key:k ~tie:k k)) later;
+      check_int "peeked" (List.hd later) (Wheel.min_key_exn w);
+      ignore (Wheel.push w ~key:50_000 ~tie:0 50_000);
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d cell(s) in the peeked slot" (List.length later))
+        (50_000 :: later)
+        (List.map (fun (_, _, v) -> v) (wheel_drain w)))
+    [ [ 100_000 ]; [ 100_000; 100_001 ] ]
 
 let wheel_negative_key_rejected () =
   let w = Wheel.create () in
   check_bool "raises" true
-    (try ignore (Wheel.push w ~key:(-1) ~tie:0 ()); false
+    (try ignore (Wheel.push w ~key:(-1) ~tie:0 0); false
      with Invalid_argument _ -> true)
 
 let wheel_overflow_level () =
@@ -232,15 +265,15 @@ let wheel_overflow_level () =
      must migrate in as the wheel drains — including after a cancel. *)
   let span = 1 lsl 52 in
   let w = Wheel.create () in
-  ignore (Wheel.push w ~key:5 ~tie:0 "near");
-  ignore (Wheel.push w ~key:(span + 7) ~tie:1 "far-b");
-  let dead = Wheel.push w ~key:(span + 3) ~tie:2 "dead" in
-  ignore (Wheel.push w ~key:(span + 1) ~tie:3 "far-a");
+  ignore (Wheel.push w ~key:5 ~tie:0 (label "near"));
+  ignore (Wheel.push w ~key:(span + 7) ~tie:1 (label "far-b"));
+  let dead = Wheel.push w ~key:(span + 3) ~tie:2 (label "dead") in
+  ignore (Wheel.push w ~key:(span + 1) ~tie:3 (label "far-a"));
   check_int "all queued" 4 (Wheel.length w);
   Wheel.cancel w dead;
   Alcotest.(check (list string)) "near then migrated overflow in order"
     [ "near"; "far-a"; "far-b" ]
-    (List.map (fun (_, _, v) -> v) (wheel_drain w))
+    (List.map (fun (_, _, v) -> unlabel v) (wheel_drain w))
 
 let wheel_qcheck_vs_heap =
   (* The wheel and the heap implement the same ordering contract: any
@@ -282,18 +315,18 @@ let wheel_span_boundary () =
      the boundary, and equal keys on both sides of it keep FIFO ties. *)
   let span = 1 lsl 52 in
   let w = Wheel.create () in
-  ignore (Wheel.push w ~key:(span - 1) ~tie:0 "last-in-wheel");
-  ignore (Wheel.push w ~key:span ~tie:1 "first-overflow");
-  ignore (Wheel.push w ~key:(span + 1) ~tie:2 "second-overflow");
-  ignore (Wheel.push w ~key:0 ~tie:3 "now");
-  ignore (Wheel.push w ~key:span ~tie:4 "first-overflow-tie");
+  ignore (Wheel.push w ~key:(span - 1) ~tie:0 (label "last-in-wheel"));
+  ignore (Wheel.push w ~key:span ~tie:1 (label "first-overflow"));
+  ignore (Wheel.push w ~key:(span + 1) ~tie:2 (label "second-overflow"));
+  ignore (Wheel.push w ~key:0 ~tie:3 (label "now"));
+  ignore (Wheel.push w ~key:span ~tie:4 (label "first-overflow-tie"));
   Alcotest.(check (list string))
     "seamless order across the span edge"
     [
       "now"; "last-in-wheel"; "first-overflow"; "first-overflow-tie";
       "second-overflow";
     ]
-    (List.map (fun (_, _, v) -> v) (wheel_drain w))
+    (List.map (fun (_, _, v) -> unlabel v) (wheel_drain w))
 
 let wheel_level_edges_vs_heap () =
   (* A key's level comes from comparing [key lxor now] with the level
@@ -562,6 +595,124 @@ let sched_qcheck_cancel_order =
       in
       List.rev !log = expected)
 
+(* A random scheduler program: event [i] waits [delay] us after the
+   start (no [parent]) or after its parent fires, is a handler call
+   with argument [i], an [at_anon] closure, a timer, or a timer
+   cancelled at once and re-armed at the same key; when it fires it
+   schedules its children, in index order, and cancels timer
+   [cancels] if that one is pending.  Delays of 0-3 us make equal
+   keys common.  [sched_program] runs it on [Sched] (with the lockstep
+   shadow armed or not) and [heap_program] on the reference [Heap] by
+   (key, insertion); each returns the ids in firing order. *)
+type prog_event = { delay : int; kind : int; parent : int; cancels : int }
+
+let prog_events raw =
+  List.mapi
+    (fun i (delay, kind, parent, cancels) ->
+      { delay; kind; parent = (parent mod (i + 1)) - 1; cancels = cancels mod 40 })
+    raw
+  |> Array.of_list
+
+let sched_program ~lockstep prog =
+  let s = Sched.create () in
+  if lockstep then Sched.set_lockstep s true;
+  let n = Array.length prog in
+  let log = ref [] and timers = Array.make n None in
+  let rec fire i =
+    log := i :: !log;
+    let e = prog.(i) in
+    (if e.cancels < n then
+       match timers.(e.cancels) with
+       | Some tm -> Sched.cancel tm
+       | None -> ());
+    Array.iteri (fun j c -> if c.parent = i then arm j) prog
+  and h = lazy (Sched.register s fire)
+  and arm i =
+    let e = prog.(i) in
+    let at = Time.add (Sched.now s) (Time.us e.delay) in
+    match e.kind with
+    | 0 -> Sched.at_call s at (Lazy.force h) i
+    | 1 -> Sched.at_anon s at (fun () -> fire i)
+    | 2 -> timers.(i) <- Some (Sched.at s at (fun () -> fire i))
+    | _ ->
+      Sched.cancel (Sched.at s at (fun () -> failwith "cancelled timer fired"));
+      timers.(i) <- Some (Sched.at s at (fun () -> fire i))
+  in
+  Array.iteri (fun i e -> if e.parent < 0 then arm i) prog;
+  Sched.run s;
+  (List.rev !log, Sched.events_processed s)
+
+let heap_program prog =
+  let h = Heap.create () in
+  let n = Array.length prog in
+  let seq = ref 0 and now = ref 0 and log = ref [] in
+  (* Insertion number -> live?, and timer id -> its live insertion. *)
+  let live = Hashtbl.create 64 and timer_entry = Array.make n (-1) in
+  let push at i =
+    incr seq;
+    Heap.push h ~key:at ~tie:!seq i;
+    Hashtbl.replace live !seq true;
+    !seq
+  in
+  let arm i =
+    let e = prog.(i) in
+    let at = !now + Time.us e.delay in
+    match e.kind with
+    | 0 | 1 -> ignore (push at i : int)
+    | 2 -> timer_entry.(i) <- push at i
+    | _ ->
+      Hashtbl.replace live (push at i) false;
+      timer_entry.(i) <- push at i
+  in
+  Array.iteri (fun i e -> if e.parent < 0 then arm i) prog;
+  let rec loop () =
+    match Heap.pop h with
+    | None -> ()
+    | Some (key, tie, i) ->
+      if Hashtbl.find live tie then begin
+        Hashtbl.replace live tie false;
+        now := key;
+        log := i :: !log;
+        let e = prog.(i) in
+        if e.cancels < n && timer_entry.(e.cancels) >= 0 then
+          Hashtbl.replace live timer_entry.(e.cancels) false;
+        Array.iteri (fun j c -> if c.parent = i then arm j) prog
+      end;
+      loop ()
+  in
+  loop ();
+  (List.rev !log, List.length !log)
+
+let sched_qcheck_program_order =
+  QCheck.Test.make
+    ~name:"handler, closure and timer events fire in heap order" ~count:300
+    QCheck.(
+      pair bool
+        (list_of_size Gen.(1 -- 40)
+           (quad (int_bound 3) (int_bound 3) (int_bound 40) (int_bound 60))))
+    (fun (lockstep, raw) ->
+      let prog = prog_events raw in
+      sched_program ~lockstep prog = heap_program prog)
+
+let sched_call_argument_range () =
+  let s = Sched.create () in
+  let got = ref [] in
+  let h = Sched.register s (fun arg -> got := arg :: !got) in
+  let big = (1 lsl 38) - 1 in
+  Sched.after_call s Time.zero h big;
+  Sched.after_call s Time.zero h 0;
+  Sched.run s;
+  Alcotest.(check (list int)) "arguments arrive whole" [ big; 0 ] (List.rev !got);
+  List.iter
+    (fun arg ->
+      check_bool (Printf.sprintf "argument %d rejected" arg) true
+        (try Sched.after_call s Time.zero h arg; false
+         with Invalid_argument _ -> true))
+    [ -1; 1 lsl 38 ];
+  Sched.after_call s Time.zero Sched.unregistered 0;
+  check_bool "unregistered handler raises" true
+    (try Sched.run s; false with Failure _ -> true)
+
 let sched_lockstep_shadow () =
   (* With the heap shadow armed, every dispatch is cross-checked; a
      mixed workload with cancellation must run to completion in the
@@ -772,6 +923,8 @@ let () =
           Alcotest.test_case "level edges vs heap" `Quick
             wheel_level_edges_vs_heap;
           QCheck_alcotest.to_alcotest wheel_qcheck_vs_heap;
+          Alcotest.test_case "peek then push below the current slot" `Quick
+            wheel_peek_then_push_below;
         ] );
       ( "sched",
         [
@@ -795,6 +948,9 @@ let () =
           Alcotest.test_case "lockstep requires empty queue" `Quick
             sched_lockstep_requires_empty;
           QCheck_alcotest.to_alcotest sched_qcheck_cancel_order;
+          QCheck_alcotest.to_alcotest sched_qcheck_program_order;
+          Alcotest.test_case "call arguments and their range" `Quick
+            sched_call_argument_range;
         ] );
       ( "tap",
         [

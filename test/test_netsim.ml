@@ -501,6 +501,39 @@ let cbr_stop () =
   Alcotest.(check bool) "stopped around 100 packets" true
     (sent >= 99 && sent <= 102)
 
+let cbr_recycles_through_pool () =
+  (* A CBR-only run acquires every packet from the net's pool and gets
+     each back at its terminal fate: every acquire beyond the most
+     packets ever in the network at once is served from the freelist,
+     and the live heap does not grow with the run's length. *)
+  let sched, net, a, z, _ = two_nodes ~capacity:(mb 100) () in
+  Netsim.Net.attach_host net ~node:z (fun _ -> ());
+  let pool = Netsim.Net.pool net in
+  let peak = ref 0 in
+  Engine.Tap.subscribe (Netsim.Net.inject_tap net ~node:a) (fun _ ->
+      peak := max !peak (Packet.Pool.live pool));
+  let src = Netsim.Traffic.cbr ~net ~src:a ~dst:z ~tag:1 ~rate_bps:(mb 50) () in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  Engine.Sched.run ~until:(Engine.Time.s 2) sched;
+  let short = live_words () in
+  Engine.Sched.run ~until:(Engine.Time.s 20) sched;
+  let long = live_words () in
+  let sent = Netsim.Traffic.packets_sent src in
+  let st = Packet.Pool.stats pool in
+  Alcotest.(check int) "acquired = sent" sent st.Packet.Pool.acquired;
+  Alcotest.(check bool)
+    (Printf.sprintf "recycled %d >= sent %d - in flight %d"
+       st.Packet.Pool.recycled sent !peak)
+    true
+    (!peak < 10 && st.Packet.Pool.recycled >= sent - !peak);
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap flat: %d words at 2 s, %d at 20 s" short long)
+    true
+    (long - short < 4096)
+
 let on_off_duty_cycle () =
   let sched, net, a, z, _ = two_nodes ~capacity:(mb 100) () in
   let bytes = ref 0 in
@@ -520,20 +553,19 @@ let on_off_duty_cycle () =
 
 (* --- pktring --- *)
 
-let ring_pkt id = Packet.make_plain ~id ~src:0 ~dst:1 ~tag:1 ~born:0 ~size:100
+(* The ring holds packet slots: the cases push small ints. *)
 
 let pktring_fifo_across_growth () =
   (* Start tiny so several doublings happen mid-stream. *)
   let r = Netsim.Pktring.create ~capacity:2 () in
   for i = 1 to 100 do
-    Netsim.Pktring.push r (ring_pkt i) ~stamp:(i * 10)
+    Netsim.Pktring.push r i ~stamp:(i * 10)
   done;
   Alcotest.(check int) "length" 100 (Netsim.Pktring.length r);
   Alcotest.(check bool) "capacity grew" true (Netsim.Pktring.capacity r >= 100);
   for i = 1 to 100 do
     Alcotest.(check int) "head stamp" (i * 10) (Netsim.Pktring.head_stamp r);
-    let p = Netsim.Pktring.pop r in
-    Alcotest.(check int) "FIFO order" i p.Packet.id
+    Alcotest.(check int) "FIFO order" i (Netsim.Pktring.pop r)
   done;
   Alcotest.(check bool) "empty" true (Netsim.Pktring.is_empty r)
 
@@ -542,10 +574,10 @@ let pktring_wraparound () =
      triggering growth, then force one growth from a wrapped state. *)
   let r = Netsim.Pktring.create ~capacity:4 () in
   let next = ref 0 and expect = ref 0 in
-  let push () = incr next; Netsim.Pktring.push r (ring_pkt !next) ~stamp:!next in
+  let push () = incr next; Netsim.Pktring.push r !next ~stamp:!next in
   let pop () =
     incr expect;
-    Alcotest.(check int) "wrap FIFO" !expect (Netsim.Pktring.pop r).Packet.id
+    Alcotest.(check int) "wrap FIFO" !expect (Netsim.Pktring.pop r)
   in
   push (); push (); push ();
   pop (); pop ();
@@ -560,11 +592,11 @@ let pktring_wraparound () =
 let pktring_iter_and_clear () =
   let r = Netsim.Pktring.create ~capacity:4 () in
   (* Wrap the ring first so iter must follow the head offset. *)
-  Netsim.Pktring.push r (ring_pkt 90) ~stamp:0;
+  Netsim.Pktring.push r 90 ~stamp:0;
   ignore (Netsim.Pktring.pop r);
-  for i = 1 to 4 do Netsim.Pktring.push r (ring_pkt i) ~stamp:i done;
+  for i = 1 to 4 do Netsim.Pktring.push r i ~stamp:i done;
   let seen = ref [] in
-  Netsim.Pktring.iter r (fun p -> seen := p.Packet.id :: !seen);
+  Netsim.Pktring.iter r (fun s -> seen := s :: !seen);
   Alcotest.(check (list int)) "iter oldest first" [ 1; 2; 3; 4 ]
     (List.rev !seen);
   Netsim.Pktring.clear r;
@@ -578,20 +610,17 @@ let pktring_iter_and_clear () =
      with Invalid_argument _ -> true)
 
 let pktring_does_not_retain_popped () =
-  (* Popped/cleared slots must be overwritten, otherwise the ring keeps
-     recycled pool records alive behind the freelist's back.  We can't
-     observe GC reachability directly, so check the observable contract:
-     after pop the slot is reused for the next push (physical equality of
-     the dummy is an implementation detail; reuse of indices is not). *)
+  (* A popped element's place is reused by the next push: no growth
+     while the ring has room, and FIFO order holds across the reuse. *)
   let r = Netsim.Pktring.create ~capacity:2 () in
-  Netsim.Pktring.push r (ring_pkt 1) ~stamp:1;
-  Netsim.Pktring.push r (ring_pkt 2) ~stamp:2;
+  Netsim.Pktring.push r 1 ~stamp:1;
+  Netsim.Pktring.push r 2 ~stamp:2;
   ignore (Netsim.Pktring.pop r);
-  Netsim.Pktring.push r (ring_pkt 3) ~stamp:3;
+  Netsim.Pktring.push r 3 ~stamp:3;
   Alcotest.(check int) "no growth needed after pop" 2
     (Netsim.Pktring.capacity r);
-  Alcotest.(check int) "order preserved" 2 (Netsim.Pktring.pop r).Packet.id;
-  Alcotest.(check int) "order preserved" 3 (Netsim.Pktring.pop r).Packet.id
+  Alcotest.(check int) "order preserved" 2 (Netsim.Pktring.pop r);
+  Alcotest.(check int) "order preserved" 3 (Netsim.Pktring.pop r)
 
 let () =
   Alcotest.run "netsim"
@@ -660,5 +689,7 @@ let () =
           Alcotest.test_case "CBR rate" `Quick cbr_rate;
           Alcotest.test_case "CBR stop" `Quick cbr_stop;
           Alcotest.test_case "on/off duty cycle" `Quick on_off_duty_cycle;
+          Alcotest.test_case "CBR packets recycle through the pool" `Quick
+            cbr_recycles_through_pool;
         ] );
     ]

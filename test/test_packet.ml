@@ -176,6 +176,46 @@ let pool_debug_scrubs () =
   Alcotest.(check bool) "pp guards released records" true
     (contains ~needle:"released" s)
 
+let pool_slots () =
+  let pool = Packet.Pool.create () in
+  let p = acquire ~pool ~id:1 () in
+  let s = Packet.Pool.slot pool p in
+  Alcotest.(check bool) "packet (slot p) == p" true
+    (Packet.Pool.packet pool s == p);
+  Alcotest.(check int) "asked again, same slot" s (Packet.Pool.slot pool p);
+  Packet.Pool.release pool p;
+  let q = acquire ~pool ~id:2 () in
+  Alcotest.(check bool) "record recycled" true (q == p);
+  Alcotest.(check int) "slot stable across release and recycle" s
+    (Packet.Pool.slot pool q);
+  let c = Packet.copy q in
+  Alcotest.(check int) "a copy has no slot" (-1) c.Packet.slot;
+  let cs = Packet.Pool.slot pool c in
+  Alcotest.(check bool) "the copy gets its own slot" true
+    (cs <> s && Packet.Pool.packet pool cs == c);
+  (* A record whose slot names another pool's table gets a new slot
+     here, even where the index is taken by another record. *)
+  let other = Packet.Pool.create () in
+  let f = acquire ~pool:other ~id:3 () in
+  let fs = Packet.Pool.slot other f in
+  Alcotest.(check int) "first slot of the other pool" s fs;
+  let here = Packet.Pool.slot pool f in
+  Alcotest.(check bool) "foreign record gets a new slot" true
+    (here <> s && here <> cs && Packet.Pool.packet pool here == f);
+  Alcotest.(check bool) "the other pool's table still holds it" true
+    (Packet.Pool.packet other fs == f)
+
+let pool_debug_lookup_of_released_raises () =
+  let pool = Packet.Pool.create ~debug:true () in
+  let p = acquire ~pool ~id:1 () in
+  let s = Packet.Pool.slot pool p in
+  Packet.Pool.release pool p;
+  Alcotest.(check bool) "looking up a released record raises" true
+    (try
+       ignore (Packet.Pool.packet pool s : Packet.t);
+       false
+     with Failure _ -> true)
+
 let copy_is_deep () =
   let p =
     Packet.make_tcp ~id:5 ~src:0 ~dst:1 ~tag:2 ~born:0
@@ -241,5 +281,9 @@ let () =
             pool_debug_scrubs;
           Alcotest.test_case "copy is deep" `Quick copy_is_deep;
           Alcotest.test_case "SACK bound check is O(1)" `Quick sack_bound_o1;
+          Alcotest.test_case "slots: lookup, stability, copies, foreign records"
+            `Quick pool_slots;
+          Alcotest.test_case "debug mode raises on a released slot" `Quick
+            pool_debug_lookup_of_released_raises;
         ] );
     ]

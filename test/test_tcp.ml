@@ -692,6 +692,107 @@ let qcheck_receiver_permutation =
       Tcp.Receiver.rcv_nxt r = n * mss
       && got = List.init n (fun i -> (i * mss, mss)))
 
+(* The receiver's out-of-order store against a model kept here: the
+   map-based store it replaced (seq -> len, dss; a later segment at the
+   same seq replaces the earlier one; drain delivers whole segments
+   whose seq has been reached; the newest arrival's SACK block goes
+   first).  Arrivals are random segments of 1-3 units at unit-aligned
+   seqs, with and without DSS, so duplicates, overlaps and same-seq
+   replacements all occur.  After every segment the ACK's SACK list
+   and cumulative ACK must match the model's, and so must the whole
+   delivery sequence. *)
+module Ooo_model = struct
+  module Imap = Map.Make (Int)
+
+  type t = {
+    mutable rcv_nxt : int;
+    mutable ooo : (int * Packet.dss option) Imap.t;
+    mutable last_sacked : int;
+    mutable delivered : (int * int * Packet.dss option) list;
+  }
+
+  let create () =
+    { rcv_nxt = 0; ooo = Imap.empty; last_sacked = -1; delivered = [] }
+
+  let sack_blocks t =
+    let ranges =
+      Imap.fold
+        (fun seq (len, _) acc ->
+          match acc with
+          | (s, e) :: rest when seq <= e -> (s, max e (seq + len)) :: rest
+          | _ -> (seq, seq + len) :: acc)
+        t.ooo []
+      |> List.rev
+    in
+    let newest, others =
+      List.partition (fun (s, e) -> s <= t.last_sacked && t.last_sacked < e)
+        ranges
+    in
+    List.filteri (fun i _ -> i < Packet.max_sack_blocks) (newest @ others)
+
+  let deliver t seq len dss =
+    t.delivered <- (seq, len, dss) :: t.delivered;
+    t.rcv_nxt <- seq + len
+
+  let rec drain t =
+    match Imap.min_binding_opt t.ooo with
+    | Some (seq, (len, dss)) when seq <= t.rcv_nxt ->
+      t.ooo <- Imap.remove seq t.ooo;
+      if seq + len > t.rcv_nxt then deliver t seq len dss;
+      drain t
+    | Some _ | None -> ()
+
+  (* The (ack, sack) of the ACK the segment triggers. *)
+  let handle t ~seq ~len ~dss =
+    if seq = t.rcv_nxt then begin
+      deliver t seq len dss;
+      drain t
+    end
+    else if seq > t.rcv_nxt then begin
+      t.ooo <- Imap.add seq (len, dss) t.ooo;
+      t.last_sacked <- seq
+    end;
+    (t.rcv_nxt, sack_blocks t)
+end
+
+let qcheck_receiver_vs_map_model =
+  let unit = 100 in
+  QCheck.Test.make ~name:"receiver out-of-order store matches a map model"
+    ~count:500
+    QCheck.(
+      list_of_size Gen.(1 -- 60)
+        (triple (int_bound 24) (int_range 1 3) (int_bound 5)))
+    (fun arrivals ->
+      let delivered = ref [] and last_ack = ref (0, []) in
+      let r =
+        Tcp.Receiver.create ~sched:(Engine.Sched.create ()) ~conn:1 ~subflow:0
+          ~addr:1 ~peer:0 ~tag:1 ~fresh_id:(fun () -> 0)
+          ~transmit:(fun p ->
+            let tcp = Packet.tcp_exn p in
+            last_ack := (tcp.Packet.ack, tcp.Packet.sack))
+          ~on_deliver:(fun ~seq ~len ~dss ->
+            delivered := (seq, len, dss) :: !delivered)
+          ~data_ack:(fun () -> 0) ()
+      in
+      let m = Ooo_model.create () in
+      List.for_all
+        (fun (k, units, d) ->
+          let seq = k * unit and len = units * unit in
+          let dss =
+            if d = 0 then None else Some { Packet.dseq = d * 1000; dlen = len }
+          in
+          Tcp.Receiver.handle_data r
+            (Packet.make_tcp ~id:0 ~src:0 ~dst:1 ~tag:1 ~born:0
+               {
+                 Packet.conn = 1; subflow = 0; kind = Packet.Data; seq;
+                 payload = len; ack = 0; sack = []; ece = false; dss;
+                 data_ack = 0;
+               });
+          !last_ack = Ooo_model.handle m ~seq ~len ~dss
+          && Tcp.Receiver.out_of_order r = Ooo_model.Imap.cardinal m.ooo)
+        arrivals
+      && !delivered = m.delivered)
+
 (* --- end-to-end over the simulated network --- *)
 
 let dumbbell ?(bottleneck = 40) () =
@@ -1098,6 +1199,7 @@ let () =
             delack_timer_fires;
           Alcotest.test_case "delayed ACK: immediate on gap" `Quick
             delack_immediate_on_gap;
+          QCheck_alcotest.to_alcotest qcheck_receiver_vs_map_model;
         ] );
       ( "end-to-end",
         [

@@ -15,39 +15,53 @@ let arg_bits = 62 - code_bits
 
 (* A growable table of values indexed by slot, with freed slots chained
    through [links] as a free list and refilled with [filler], so the
-   table retains nothing past its slot's release.  [stamps] holds one
-   int per slot for the caller. *)
+   table retains nothing past its slot's release.  It is made on first
+   use at [first_capacity] slots (a fresh scheduler that queues no
+   closure or timer allocates none) and doubles when full; every slot
+   is taken then, so only the new half needs chaining.
+
+   A doubled table is too large for the minor heap, and [Array.make]
+   of a major-heap block with a young initial value (the timer table's
+   filler, made with its scheduler) first forces a minor collection,
+   which promotes everything the scheduler has just allocated.  So the
+   table doubles by appending itself and refilling the new half, which
+   forces nothing. *)
 module Slots = struct
   type 'a t = {
     mutable items : 'a array;
     mutable links : int array;
-    mutable stamps : int array;
     mutable free : int;
     filler : 'a;
   }
 
-  let create filler =
-    { items = [||]; links = [||]; stamps = [||]; free = -1; filler }
+  let first_capacity = 256
+
+  let create filler = { items = [||]; links = [||]; free = -1; filler }
 
   let grow s =
     let cap = Array.length s.items in
-    let fresh = max 16 (2 * cap) in
-    let items = Array.make fresh s.filler in
-    Array.blit s.items 0 items 0 cap;
-    let links = Array.init fresh (fun i -> if i = fresh - 1 then -1 else i + 1) in
-    let stamps = Array.make fresh 0 in
-    Array.blit s.stamps 0 stamps 0 cap;
+    let fresh = max first_capacity (2 * cap) in
+    let items =
+      if cap = 0 then Array.make fresh s.filler
+      else begin
+        let a = Array.append s.items s.items in
+        Array.fill a cap cap s.filler;
+        a
+      end
+    in
+    let links = Array.make fresh (-1) in
+    for i = cap to fresh - 2 do
+      links.(i) <- i + 1
+    done;
     s.items <- items;
     s.links <- links;
-    s.stamps <- stamps;
     s.free <- cap
 
-  let[@inline] add s x ~stamp =
+  let[@inline] add s x =
     if s.free < 0 then grow s;
     let i = s.free in
     s.free <- s.links.(i);
     s.items.(i) <- x;
-    s.stamps.(i) <- stamp;
     i
 
   (* The value in slot [i], which goes back to the free list. *)
@@ -72,14 +86,17 @@ type t = {
   mutable handlers : (int -> unit) array;
   mutable n_handlers : int;
   anons : (unit -> unit) Slots.t;
-  timers : timer Slots.t; (* stamp: the timer's tie *)
-  mutable shadow : unit Heap.t option;
-      (* lockstep cross-check: mirror of every push, popped alongside
-         the wheel under [--audit] *)
+  timers : timer Slots.t;
+  mutable shadow : shadow option;
+}
+
+(* The lockstep cross-check, armed under [--audit]: a mirror of every
+   push, popped alongside the wheel. *)
+and shadow = {
+  heap : unit Heap.t;
   dead : (int, unit) Hashtbl.t;
-      (* ties of timers cancelled while the shadow is armed: the shadow
-         heap keeps their entries and drops them when they reach its
-         root *)
+      (* ties of cancelled timers: the heap keeps their entries and
+         drops them when they reach its root *)
 }
 
 and timer = {
@@ -132,10 +149,8 @@ let create () =
       handlers = Array.make 8 ignore;
       n_handlers = 0;
       anons = Slots.create nothing;
-      timers =
-        { Slots.items = [||]; links = [||]; stamps = [||]; free = -1; filler };
+      timers = { Slots.items = [||]; links = [||]; free = -1; filler };
       shadow = None;
-      dead = Hashtbl.create 16;
     }
   and filler = { action = nothing; owner = t; cell = -1; slot = -1 } in
   ignore (register t (fun slot -> run_anon t slot) : handler);
@@ -161,7 +176,7 @@ let[@inline] push t when_ ~tie code arg =
   let cell = Wheel.push t.wheel ~key:when_ ~tie ((arg lsl code_bits) lor code) in
   (match t.shadow with
   | None -> ()
-  | Some h -> Heap.push h ~key:when_ ~tie ());
+  | Some sh -> Heap.push sh.heap ~key:when_ ~tie ());
   cell
 
 let[@inline] at_call t when_ h arg =
@@ -178,7 +193,7 @@ let at t when_ f =
   check_future t when_;
   let tie = fresh_tie t in
   let tm = { action = f; owner = t; cell = -1; slot = -1 } in
-  let slot = Slots.add t.timers tm ~stamp:tie in
+  let slot = Slots.add t.timers tm in
   tm.slot <- slot;
   tm.cell <- push t when_ ~tie timer_code slot;
   tm
@@ -190,7 +205,7 @@ let after t delay f =
 let at_anon t when_ f =
   check_future t when_;
   let tie = fresh_tie t in
-  ignore (push t when_ ~tie anon_code (Slots.add t.anons f ~stamp:0) : int)
+  ignore (push t when_ ~tie anon_code (Slots.add t.anons f) : int)
 
 let after_anon t delay f =
   if Time.( < ) delay Time.zero then invalid_arg "Sched.after: negative delay";
@@ -203,10 +218,10 @@ let after_anon t delay f =
 let cancel tm =
   if tm.cell >= 0 then begin
     let t = tm.owner in
-    Wheel.cancel t.wheel tm.cell;
     (match t.shadow with
     | None -> ()
-    | Some _ -> Hashtbl.replace t.dead t.timers.Slots.stamps.(tm.slot) ());
+    | Some sh -> Hashtbl.replace sh.dead (Wheel.tie t.wheel tm.cell) ());
+    Wheel.cancel t.wheel tm.cell;
     ignore (Slots.take t.timers tm.slot : timer);
     tm.cell <- -1;
     tm.slot <- -1;
@@ -220,23 +235,20 @@ let set_lockstep t on =
     if t.shadow = None then begin
       if not (Wheel.is_empty t.wheel) then
         invalid_arg "Sched.set_lockstep: scheduler already has queued events";
-      t.shadow <- Some (Heap.create ())
+      t.shadow <- Some { heap = Heap.create (); dead = Hashtbl.create 16 }
     end
   end
-  else begin
-    t.shadow <- None;
-    Hashtbl.reset t.dead
-  end
+  else t.shadow <- None
 
 let lockstep t = t.shadow <> None
 
 (* Drop cancelled timers sitting at the shadow root, then demand its
    live minimum agrees with what the wheel is about to fire. *)
-let check_shadow t h ~key ~tie =
+let check_shadow { heap = h; dead } ~key ~tie =
   let rec clean () =
-    if (not (Heap.is_empty h)) && Hashtbl.mem t.dead (Heap.min_tie_exn h)
+    if (not (Heap.is_empty h)) && Hashtbl.mem dead (Heap.min_tie_exn h)
     then begin
-      Hashtbl.remove t.dead (Heap.min_tie_exn h);
+      Hashtbl.remove dead (Heap.min_tie_exn h);
       Heap.pop_exn h;
       clean ()
     end
@@ -263,7 +275,7 @@ let dispatch t ~until =
     let when_ = t.popped.Wheel.key in
     (match t.shadow with
     | None -> ()
-    | Some h -> check_shadow t h ~key:when_ ~tie:t.popped.Wheel.tie);
+    | Some sh -> check_shadow sh ~key:when_ ~tie:t.popped.Wheel.tie);
     t.clock <- when_;
     t.fired <- t.fired + 1;
     if Array.length t.tap.Tap.subs > 0 then Tap.emit t.tap when_;

@@ -1,62 +1,63 @@
 module type S = sig
-  type 'a t
-  type 'a handle
+  type t
+  type handle
 
-  val create : unit -> 'a t
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-  val push : 'a t -> key:int -> tie:int -> 'a -> 'a handle
-  val cancel : 'a t -> 'a handle -> unit
-  val min_key_exn : 'a t -> int
-  val min_tie_exn : 'a t -> int
-  val pop_exn : 'a t -> 'a
+  val create : unit -> t
+  val length : t -> int
+  val is_empty : t -> bool
+  val push : t -> key:int -> tie:int -> int -> handle
+  val cancel : t -> handle -> unit
+  val min_key_exn : t -> int
+  val min_tie_exn : t -> int
+  val pop_exn : t -> int
 end
 
 module Of_wheel : S = struct
-  (* The wheel removes cancelled cells eagerly and recycles their
-     slots, so a raw cell index must not be cancelled twice or after
-     its pop.  Its payloads are ints, so each queued value sits in a
-     box, keyed in [boxes] by the id the wheel carries; the box's
-     [alive] flag, which the pop clears, honours the interface's
-     idempotent-cancel contract without touching the wheel itself. *)
-  type 'a box = { mutable alive : bool; mutable cell : int; id : int; v : 'a }
-  type 'a handle = 'a box
+  (* The wheel removes cancelled cells eagerly and recycles them, so a
+     raw cell index must not be cancelled twice or after its pop.  The
+     n-th push's handle is [handles.(n)], and the wheel carries [n]; the
+     pop clears the handle's [alive] flag, which honours the
+     interface's idempotent-cancel contract without touching the wheel
+     itself.  Handles are never reused: the adapter serves test
+     programs of a few hundred operations. *)
+  type handle = { mutable alive : bool; mutable cell : int; v : int }
 
-  type 'a t = {
+  type t = {
     wheel : Wheel.t;
-    boxes : (int, 'a box) Hashtbl.t;
-    mutable next_id : int;
+    mutable handles : handle array;
+    mutable pushed : int;
   }
 
-  let create () =
-    { wheel = Wheel.create (); boxes = Hashtbl.create 16; next_id = 0 }
-
+  let create () = { wheel = Wheel.create (); handles = [||]; pushed = 0 }
   let length t = Wheel.length t.wheel
   let is_empty t = Wheel.is_empty t.wheel
 
   let push t ~key ~tie v =
-    let b = { alive = true; cell = -1; id = t.next_id; v } in
-    t.next_id <- t.next_id + 1;
-    Hashtbl.replace t.boxes b.id b;
-    b.cell <- Wheel.push t.wheel ~key ~tie b.id;
-    b
+    let h = { alive = true; cell = -1; v } in
+    let n = t.pushed in
+    if n = Array.length t.handles then begin
+      let bigger = Array.make (max 16 (2 * n)) h in
+      Array.blit t.handles 0 bigger 0 n;
+      t.handles <- bigger
+    end;
+    t.handles.(n) <- h;
+    t.pushed <- n + 1;
+    h.cell <- Wheel.push t.wheel ~key ~tie n;
+    h
 
-  let cancel t b =
-    if b.alive then begin
-      b.alive <- false;
-      Hashtbl.remove t.boxes b.id;
-      Wheel.cancel t.wheel b.cell
+  let cancel t h =
+    if h.alive then begin
+      h.alive <- false;
+      Wheel.cancel t.wheel h.cell
     end
 
   let min_key_exn t = Wheel.min_key_exn t.wheel
   let min_tie_exn t = Wheel.min_tie_exn t.wheel
 
   let pop_exn t =
-    let id = Wheel.pop_exn t.wheel in
-    let b = Hashtbl.find t.boxes id in
-    Hashtbl.remove t.boxes id;
-    b.alive <- false;
-    b.v
+    let h = t.handles.(Wheel.pop_exn t.wheel) in
+    h.alive <- false;
+    h.v
 end
 
 module Of_heap : S = struct
@@ -64,9 +65,9 @@ module Of_heap : S = struct
      entry dead and pops filter: before any root read the dead prefix
      is dropped, which makes the observable pop stream identical to the
      wheel's eager removal. *)
-  type 'a cell = { mutable alive : bool; v : 'a }
-  type 'a handle = 'a cell
-  type 'a t = { heap : 'a cell Heap.t; mutable live : int }
+  type cell = { mutable alive : bool; v : int }
+  type handle = cell
+  type t = { heap : cell Heap.t; mutable live : int }
 
   let create () = { heap = Heap.create (); live = 0 }
   let length t = t.live

@@ -9,35 +9,36 @@
     {!Sched.set_lockstep}) checks end-to-end on real simulations. *)
 
 module type S = sig
-  type 'a t
+  type t
 
-  type 'a handle
+  type handle
   (** Handle for one queued entry, valid until it pops. *)
 
-  val create : unit -> 'a t
+  val create : unit -> t
 
-  val length : 'a t -> int
+  val length : t -> int
   (** Queued, not-cancelled entries. *)
 
-  val is_empty : 'a t -> bool
+  val is_empty : t -> bool
 
-  val push : 'a t -> key:int -> tie:int -> 'a -> 'a handle
+  val push : t -> key:int -> tie:int -> int -> handle
   (** Queue a value; among equal keys the smaller [tie] pops first.
-      Keys must be non-negative. *)
+      Keys must be non-negative.  Values are [int]s, as the scheduler's
+      event codes are. *)
 
-  val cancel : 'a t -> 'a handle -> unit
+  val cancel : t -> handle -> unit
   (** Remove a queued entry.  Idempotent; cancelling after the entry
       popped is a no-op. *)
 
-  val min_key_exn : 'a t -> int
+  val min_key_exn : t -> int
   (** Key of the minimum live entry; raises [Invalid_argument] when
       empty. *)
 
-  val min_tie_exn : 'a t -> int
+  val min_tie_exn : t -> int
   (** Tie of the minimum live entry; raises [Invalid_argument] when
       empty. *)
 
-  val pop_exn : 'a t -> 'a
+  val pop_exn : t -> int
   (** Remove and return the minimum live entry's value; raises
       [Invalid_argument] when empty. *)
 end

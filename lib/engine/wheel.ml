@@ -473,6 +473,8 @@ let ensure_hot t =
       t.hot <- t.slots.(slot)
     end
 
+let tie t c = t.ties.(c)
+
 let min_key_exn t =
   ensure_hot t;
   t.keys.(t.hot)

@@ -52,6 +52,9 @@ val cancel : t -> int -> unit
     marked dead and reaped when they outnumber live ones).  Raises
     [Invalid_argument] on a handle already popped or cancelled. *)
 
+val tie : t -> int -> int
+(** [tie t c] is the tie of the queued entry with handle [c]. *)
+
 val min_key_exn : t -> int
 (** Key of the minimum entry without removing it; raises
     [Invalid_argument] when empty.  With {!min_tie_exn} and {!pop_exn}

@@ -88,7 +88,7 @@ let olia_quality v k =
   let l = 1.0 /. Minmax.max v.loss.(k) 1e-12 in
   l *. l /. v.rtt.(k)
 
-let dwindows kind v ~extras ~dextras ~out =
+let dwindows kind v ~extras ~dextras ~k_memo ~out =
   let n = v.n in
   match kind with
   | Reno ->
@@ -155,8 +155,17 @@ let dwindows kind v ~extras ~dextras ~out =
       let ack_rate = x *. (1.0 -. p) in
       let loss_rate = x *. p in
       let s = extras.(2 * i) and w_max = extras.((2 * i) + 1) in
+      let arg = Minmax.max 0.0 (w_max *. (1.0 -. cubic_beta)) /. cubic_c in
+      (* A finite-difference Jacobian moves one state per call, so
+         [w_max], and with it [K], is mostly the last call's. *)
       let k =
-        Float.cbrt (Minmax.max 0.0 (w_max *. (1.0 -. cubic_beta)) /. cubic_c)
+        if arg = k_memo.(2 * i) then k_memo.((2 * i) + 1)
+        else begin
+          let k = Float.cbrt arg in
+          k_memo.(2 * i) <- arg;
+          k_memo.((2 * i) + 1) <- k;
+          k
+        end
       in
       let ds = s -. k in
       let growth_cubic = 3.0 *. cubic_c *. ds *. ds in

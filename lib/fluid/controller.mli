@@ -64,14 +64,18 @@ type view = {
 
 val dwindows :
   kind -> view -> extras:float array -> dextras:float array
-  -> out:float array -> unit
-(** [dwindows kind v ~extras ~dextras ~out] writes [dw_i/dt] (MSS per
-    second) for every subflow into [out], reading and differentiating
-    the controller's auxiliary states in [extras]/[dextras] (laid out
-    as [extra_dim kind] consecutive slots per subflow).  Batched so the
-    coupled laws compute their shared rate sums and argmax sets once
-    per call instead of once per subflow.  Pure float arithmetic; does
-    not allocate. *)
+  -> k_memo:float array -> out:float array -> unit
+(** [dwindows kind v ~extras ~dextras ~k_memo ~out] writes [dw_i/dt]
+    (MSS per second) for every subflow into [out], reading and
+    differentiating the controller's auxiliary states in
+    [extras]/[dextras] (laid out as [extra_dim kind] consecutive slots
+    per subflow).  Batched so the coupled laws compute their shared
+    rate sums and argmax sets once per call instead of once per
+    subflow.  [k_memo] is CUBIC's scratch, [extra_dim kind] slots per
+    subflow kept between calls: the last [cbrt] argument of its [K] and
+    the result, so a call whose [w_max] did not move skips the [cbrt].
+    Fill it with [nan] (equal to no argument) before the first call.
+    Pure float arithmetic; does not allocate. *)
 
 val dwindows_single :
   kind -> idx:int array -> w:float array -> rtt:float array

@@ -24,7 +24,10 @@ let residual dim y dy =
 
 let norm2 v =
   let acc = ref 0.0 in
-  Array.iter (fun x -> acc := !acc +. (x *. x)) v;
+  for i = 0 to Array.length v - 1 do
+    let x = Array.unsafe_get v i in
+    acc := !acc +. (x *. x)
+  done;
   !acc
 
 let dot dim a b =
@@ -39,7 +42,9 @@ let dot dim a b =
    factors of the last finite-difference build plus a list of
    Sherman-Morrison rank-1 corrections [us.(j) vs.(j)^T] from Broyden
    updates, so a rebuild costs an O(dim^3 / 3) factorisation instead of
-   a full O(dim^3) inversion and applying the inverse stays O(dim^2). *)
+   a full O(dim^3) inversion and applying the inverse stays O(dim^2).
+   A correction's rows are made when the rank first reaches it: a solve
+   seldom uses more than a few of the [max_rank1]. *)
 let max_rank1 = 24
 
 type qn_scratch = {
@@ -59,8 +64,8 @@ type qn_scratch = {
 let qn_scratch dim =
   { lu = Array.make_matrix dim dim 0.0;
     piv = Array.make dim 0;
-    us = Array.make_matrix max_rank1 dim 0.0;
-    vs = Array.make_matrix max_rank1 dim 0.0;
+    us = Array.make max_rank1 [||];
+    vs = Array.make max_rank1 [||];
     delta = Array.make dim 0.0;
     y_try = Array.make dim 0.0;
     f0 = Array.make dim 0.0;
@@ -289,6 +294,10 @@ let qn_polish p s ~y ~tol ~max_steps =
             let denom = dot dim s.t2 s.f1 in
             if Float.abs denom > 1e-300 then begin
               let inv_denom = 1.0 /. denom in
+              if Array.length s.us.(!rank) = 0 then begin
+                s.us.(!rank) <- Array.make dim 0.0;
+                s.vs.(!rank) <- Array.make dim 0.0
+              end;
               let u = s.us.(!rank) and v = s.vs.(!rank) in
               for i = 0 to dim - 1 do
                 u.(i) <- (s.dvec.(i) -. s.t1.(i)) *. inv_denom;

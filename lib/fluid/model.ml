@@ -26,6 +26,7 @@ type t = {
   link_arrival : float array;
   extras : float array;
   dextras : float array;
+  k_memo : float array;
 }
 
 let compile topo ~paths ~controller ?(config = default_config) () =
@@ -78,7 +79,8 @@ let compile topo ~paths ~controller ?(config = default_config) () =
     link_surv = Array.make m 0.0;
     link_arrival = Array.make m 0.0;
     extras = Array.make extra 0.0;
-    dextras = Array.make extra 0.0 }
+    dextras = Array.make extra 0.0;
+    k_memo = Array.make extra Float.nan }
 
 (* Width (in pseudo-time seconds) of the Lipschitz boundary layer that
    replaces hard derivative stalls at the state box's edges. *)
@@ -88,13 +90,14 @@ let boundary_tau = 2e-3
    the one field compilation shared between the connection model here
    and the per-class background fields in {!Background}, so both
    engines agree on what a given queue level means. *)
-let ramp_loss ~q0 ~qmax q =
-  let q = Minmax.min qmax (Minmax.max 0.0 q) in
+let[@inline] ramp ~q0 ~qmax q =
   if q <= q0 then 0.0
   else begin
     let r = Minmax.min 1.0 ((q -. q0) /. (qmax -. q0)) in
     r *. r
   end
+
+let ramp_loss ~q0 ~qmax q = ramp ~q0 ~qmax (Minmax.min qmax (Minmax.max 0.0 q))
 
 let controller t = t.kind
 let n_flows t = t.n
@@ -107,7 +110,7 @@ let refresh_view t y =
   let v = t.view in
   for l = 0 to t.m - 1 do
     let q = Minmax.min t.qmax (Minmax.max 0.0 (Array.unsafe_get y (t.n + l))) in
-    let p = ramp_loss ~q0:t.q0 ~qmax:t.qmax q in
+    let p = ramp ~q0:t.q0 ~qmax:t.qmax q in
     Array.unsafe_set t.link_loss l p;
     Array.unsafe_set t.link_surv l (1.0 -. p);
     Array.unsafe_set t.link_qdelay l (q /. Array.unsafe_get t.cap_pps l)
@@ -161,7 +164,8 @@ let deriv t y dy =
      field Lipschitz at the window floor. *)
   let extra = t.dim - t.extra_off in
   if extra > 0 then Array.blit y t.extra_off t.extras 0 extra;
-  Controller.dwindows t.kind v ~extras:t.extras ~dextras:t.dextras ~out:dy;
+  Controller.dwindows t.kind v ~extras:t.extras ~dextras:t.dextras
+    ~k_memo:t.k_memo ~out:dy;
   for i = 0 to t.n - 1 do
     let slack = (y.(i) -. Tcp.Cc.min_cwnd) /. boundary_tau in
     dy.(i) <- Minmax.max dy.(i) (-.Minmax.max 0.0 slack)

@@ -29,19 +29,11 @@ type t = {
       (* terminal fates owned by this queue (drop, link-down loss) hand
          the packet back to the owner's freelist *)
   pool : Packet.Pool.t;
-      (* gives every packet the queue holds its slot: the rings and the
-         scheduler's events carry slots, not records *)
+      (* gives every packet the queue holds its slot: the ring and the
+         scheduler's events carry slots, not records.  A packet's
+         {!Packet.Pool.stamp} holds [cuts] at its transmission while it
+         is on the wire. *)
   queue : Pktring.t; (* flat ring: packet slots + enqueue timestamps *)
-  flight : Pktring.t;
-      (* packets serialized but not yet arrived, oldest first, each
-         stamped with [cuts] at its transmission.  Only used when the
-         link has no jitter: propagation is then constant, arrivals are
-         FIFO, and each arrival event pops this ring.  A jittered link
-         can reorder arrivals, so its arrival event carries the
-         packet's slot and finds [cuts] in [sent_cuts]. *)
-  mutable sent_cuts : int array;
-      (* jittered links: [cuts] at each in-flight packet's
-         transmission, indexed by its pool slot *)
   mutable busy : bool;
   mutable up : bool;
   mutable cuts : int;
@@ -50,8 +42,9 @@ type t = {
          never arrives even if the link is back up by then *)
   mutable last_arrival : Engine.Time.t;
       (* latest scheduled no-jitter arrival: a delay decrease must not
-         let a later packet overtake one already in [flight] (the wire
-         delivers in order), so arrivals are clamped to be monotone *)
+         let a later packet overtake one already on the wire (a
+         jitter-free wire delivers in order), so arrivals are clamped
+         to be monotone *)
   mutable bg_occupancy : float;
       (* fluid background queue sharing this buffer (packets); the qdisc
          sees it on top of the real ring, so background load costs the
@@ -70,10 +63,8 @@ type t = {
   tap : event Engine.Tap.t;
   mutable tx_done : Engine.Sched.handler;
       (* the serializer is free: start the next packet *)
-  mutable arrive_next : Engine.Sched.handler;
-      (* jitter-free arrival: the oldest packet of [flight] *)
-  mutable arrive_slot : Engine.Sched.handler;
-      (* jittered arrival: the packet in the argument's slot *)
+  mutable arrival : Engine.Sched.handler;
+      (* the packet in the argument's slot reaches the far end *)
   stats : stats;
 }
 
@@ -113,8 +104,6 @@ let rec create ~sched ~rng ~rate_bps ~delay ?(jitter = Engine.Time.zero) ~qdisc
       qstate = Qdisc.make_state qdisc;
       limit_pkts; deliver; release; pool;
       queue = Pktring.create ~capacity:(Int.min 64 (limit_pkts + 1)) ();
-      flight = Pktring.create ~capacity:16 ();
-      sent_cuts = [||];
       busy = false;
       up = true;
       cuts = 0;
@@ -126,21 +115,17 @@ let rec create ~sched ~rng ~rate_bps ~delay ?(jitter = Engine.Time.zero) ~qdisc
       rate_since = Engine.Sched.now sched;
       tap = Engine.Tap.create ();
       tx_done = Engine.Sched.unregistered;
-      arrive_next = Engine.Sched.unregistered;
-      arrive_slot = Engine.Sched.unregistered;
+      arrival = Engine.Sched.unregistered;
       stats =
         { enqueued = 0; dropped = 0; delivered = 0; bytes_delivered = 0;
           busy_ns = 0; lost_down = 0; marked = 0 };
     }
   in
   t.tx_done <- Engine.Sched.register sched (fun _ -> start_tx t);
-  t.arrive_next <-
-    Engine.Sched.register sched (fun _ ->
-        let cuts = Pktring.head_stamp t.flight in
-        arrive t (Packet.Pool.packet t.pool (Pktring.pop t.flight)) ~cuts);
-  t.arrive_slot <-
+  t.arrival <-
     Engine.Sched.register sched (fun slot ->
-        arrive t (Packet.Pool.packet t.pool slot) ~cuts:t.sent_cuts.(slot));
+        arrive t (Packet.Pool.packet t.pool slot)
+          ~cuts:(Packet.Pool.stamp t.pool slot));
   t
 
 (* A packet in flight when the link goes down never arrives: [cuts] is
@@ -189,30 +174,24 @@ and start_tx t =
          that a zero-delay link frees the serializer before
          delivering. *)
       Engine.Sched.after_call t.sched tx t.tx_done 0;
+      Packet.Pool.set_stamp t.pool slot t.cuts;
       if t.jitter = Engine.Time.zero then begin
-        Pktring.push t.flight slot ~stamp:t.cuts;
-        (* [flight] is popped FIFO, so arrivals must be monotone even if
-           [set_delay] shrank the delay while packets were in flight. *)
+        (* The wire delivers in order, even if [set_delay] shrank the
+           delay while packets were on it. *)
         let at =
           let nominal = Engine.Time.add now (Engine.Time.add tx t.delay) in
           if Engine.Time.( < ) nominal t.last_arrival then t.last_arrival
           else nominal
         in
         t.last_arrival <- at;
-        Engine.Sched.at_call t.sched at t.arrive_next 0
+        Engine.Sched.at_call t.sched at t.arrival slot
       end
       else begin
         let prop =
           Engine.Time.add t.delay
             (Engine.Rng.uniform_time t.rng ~lo:Engine.Time.zero ~hi:t.jitter)
         in
-        if slot >= Array.length t.sent_cuts then begin
-          let a = Array.make (max 64 (2 * (slot + 1))) 0 in
-          Array.blit t.sent_cuts 0 a 0 (Array.length t.sent_cuts);
-          t.sent_cuts <- a
-        end;
-        t.sent_cuts.(slot) <- t.cuts;
-        Engine.Sched.after_call t.sched (Engine.Time.add tx prop) t.arrive_slot
+        Engine.Sched.after_call t.sched (Engine.Time.add tx prop) t.arrival
           slot
       end
     end

@@ -52,10 +52,13 @@ val create :
     release.
 
     [pool] gives each packet the queue holds its {!Packet.Pool.slot}:
-    the buffer and flight rings hold slots, and the serializer-done and
-    arrival events are handlers registered with [sched] at creation,
-    so a hop allocates nothing and stores no pointer.  {!Netsim.Net}
-    passes its own pool. *)
+    the buffer ring holds slots, and the serializer-done and arrival
+    events are handlers registered with [sched] at creation, the
+    arrival's argument the packet's slot, so a hop allocates nothing
+    and stores no pointer.  A packet on the wire keeps the link's cut
+    count at its transmission in its {!Packet.Pool.stamp}, which is
+    why every link of a net shares one pool.  {!Netsim.Net} passes its
+    own pool. *)
 
 val enqueue : t -> Packet.t -> unit
 (** Admits (or drops, per qdisc) one packet. *)

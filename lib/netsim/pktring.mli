@@ -1,7 +1,7 @@
 (** Growable flat FIFO of packet slots, each with an integer stamp.
 
-    The link queue's buffer and flight list: parallel int arrays hold
-    each packet's {!Packet.Pool} slot and its stamp, so the
+    The link queue's buffer: parallel int arrays hold each packet's
+    {!Packet.Pool} slot and its stamp (its enqueue time), so the
     steady-state enqueue/dequeue path allocates nothing and stores no
     pointer.  The ring holds no packet record, so it retains nothing
     past a dequeue. *)
@@ -19,9 +19,7 @@ val capacity : t -> int
 (** Current slot count (for tests; capacity growth is amortised O(1)). *)
 
 val push : t -> int -> stamp:int -> unit
-(** Appends a packet's pool slot with an integer stamp: its enqueue
-    time (ns) in a link's buffer, the link's cut count at transmission
-    in its flight ring. *)
+(** Appends a packet's pool slot with an integer stamp. *)
 
 val head_stamp : t -> int
 (** Stamp of the oldest element.  Raises [Invalid_argument] when

@@ -115,6 +115,7 @@ module Pool = struct
      slot. *)
   type t = {
     mutable records : packet array;
+    mutable stamps : int array; (* one int per slot, for its holder *)
     mutable n_slots : int;
     mutable free : int array;
     mutable free_len : int;
@@ -134,7 +135,8 @@ module Pool = struct
       ecn = Not_ect; born = 0; slot = -1 }
 
   let create ?(debug = false) () =
-    { records = [||]; n_slots = 0; free = [||]; free_len = 0; debug;
+    { records = [||]; stamps = [||]; n_slots = 0; free = [||]; free_len = 0;
+      debug;
       acquired = 0; recycled = 0; released = 0; double_releases = 0 }
 
   let set_debug t on = t.debug <- on
@@ -158,7 +160,10 @@ module Pool = struct
     if s >= 0 && s < t.n_slots && t.records.(s) == p then s
     else begin
       let s = t.n_slots in
-      if s = Array.length t.records then t.records <- grow_to t.records (s + 1) filler;
+      if s = Array.length t.records then begin
+        t.records <- grow_to t.records (s + 1) filler;
+        t.stamps <- grow_to t.stamps (s + 1) 0
+      end;
       t.records.(s) <- p;
       t.n_slots <- s + 1;
       p.slot <- s;
@@ -172,6 +177,9 @@ module Pool = struct
         (Printf.sprintf
            "Packet.Pool.packet: slot %d holds a released packet" s);
     p
+
+  let[@inline] stamp t s = t.stamps.(s)
+  let[@inline] set_stamp t s v = t.stamps.(s) <- v
 
   let push t p =
     let s = slot t p in

@@ -195,6 +195,16 @@ module Pool : sig
   (** The record in a slot [slot t p] returned ([packet t (slot t p) ==
       p]).  In debug mode a released (poisoned) record raises
       [Failure]: a queue popped a packet after its release. *)
+
+  val stamp : t -> int -> int
+  (** The int kept with a slot (0 until set).  It belongs to whoever
+      holds the record at the time: a link stamps a packet with its cut
+      count when the packet starts transmission and reads the stamp
+      back on arrival.  A packet is on one link at a time, so every
+      link of a net shares its pool's stamps. *)
+
+  val set_stamp : t -> int -> int -> unit
+  (** [set_stamp t s v] sets slot [s]'s stamp to [v]. *)
 end
 
 val pp : Format.formatter -> t -> unit

@@ -694,6 +694,41 @@ let sched_qcheck_program_order =
       let prog = prog_events raw in
       sched_program ~lockstep prog = heap_program prog)
 
+let sched_large_population () =
+  (* A fresh scheduler holding 1 000 timers and 1 000 closures at once:
+     both slot tables double past the minor heap's largest block while
+     their slots are all taken.  Every other timer is cancelled, each
+     survivor is re-armed once from its own callback, and the firing
+     order must stay (time, insertion) throughout, with the lockstep
+     shadow armed. *)
+  let s = Sched.create () in
+  Sched.set_lockstep s true;
+  let log = ref [] in
+  let timers =
+    Array.init 1000 (fun i ->
+        Sched.at s (Time.us (2 * i)) (fun () ->
+            log := (`T, i) :: !log;
+            ignore
+              (Sched.after s (Time.us 1) (fun () -> log := (`R, i) :: !log)
+                : Sched.timer)))
+  in
+  for i = 0 to 999 do
+    Sched.at_anon s (Time.us (2 * i)) (fun () -> log := (`A, i) :: !log)
+  done;
+  Array.iteri (fun i tm -> if i mod 2 = 1 then Sched.cancel tm) timers;
+  check_int "live after cancels" 1500 (Sched.queue_length s);
+  Sched.run s;
+  let expected =
+    List.concat
+      (List.init 1000 (fun i ->
+           (* at 2i: the timer (if live), then the closure queued after
+              it; the re-armed timer at 2i + 1. *)
+           if i mod 2 = 0 then [ (`T, i); (`A, i); (`R, i) ] else [ (`A, i) ]))
+  in
+  check_bool "firing order" true (List.rev !log = expected);
+  check_int "fired" 2000 (Sched.events_processed s);
+  check_int "cancelled" 500 (Sched.cancelled_count s)
+
 let sched_call_argument_range () =
   let s = Sched.create () in
   let got = ref [] in
@@ -951,6 +986,8 @@ let () =
           QCheck_alcotest.to_alcotest sched_qcheck_program_order;
           Alcotest.test_case "call arguments and their range" `Quick
             sched_call_argument_range;
+          Alcotest.test_case "a thousand timers and closures at once" `Quick
+            sched_large_population;
         ] );
       ( "tap",
         [

@@ -205,6 +205,28 @@ let pool_slots () =
   Alcotest.(check bool) "the other pool's table still holds it" true
     (Packet.Pool.packet other fs == f)
 
+let pool_stamps () =
+  (* One int per slot, kept by slot: a link stamps a packet at
+     transmission and reads the stamp on arrival. *)
+  let pool = Packet.Pool.create () in
+  let ps = List.init 100 (fun i -> acquire ~pool ~id:i ()) in
+  let slots = List.map (Packet.Pool.slot pool) ps in
+  List.iter
+    (fun s -> Alcotest.(check int) "a new slot's stamp is 0" 0
+        (Packet.Pool.stamp pool s))
+    slots;
+  List.iter (fun s -> Packet.Pool.set_stamp pool s (1000 + s)) slots;
+  List.iter
+    (fun s -> Alcotest.(check int) "stamp read back by slot" (1000 + s)
+        (Packet.Pool.stamp pool s))
+    slots;
+  let p = List.hd ps and s = List.hd slots in
+  Packet.Pool.release pool p;
+  let q = acquire ~pool ~id:200 () in
+  Alcotest.(check int) "recycled record, same slot" s (Packet.Pool.slot pool q);
+  Alcotest.(check int) "its stamp stays until rewritten" (1000 + s)
+    (Packet.Pool.stamp pool s)
+
 let pool_debug_lookup_of_released_raises () =
   let pool = Packet.Pool.create ~debug:true () in
   let p = acquire ~pool ~id:1 () in
@@ -285,5 +307,6 @@ let () =
             `Quick pool_slots;
           Alcotest.test_case "debug mode raises on a released slot" `Quick
             pool_debug_lookup_of_released_raises;
+          Alcotest.test_case "stamps are kept by slot" `Quick pool_stamps;
         ] );
     ]

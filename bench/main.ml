@@ -972,18 +972,14 @@ let gate_check ~microbench_ns ~alloc ~hybrid =
         (fun ns -> check (name ^ " ns/run") ns (json_number base name))
         (row name))
     [ Micro.sim_row; Micro.fluid_row ];
-  (* Absolute floor, not a baseline ratio: the fluid solve must stay
-     >= 50x faster than the packet sim measured in this same run.  The
-     floor was 100x in the heap era; the round-2 wheel/scoreboard work
-     sped the packet sim (the denominator) ~1.5x with the solver
-     untouched, and the round-robin min-of-N reads 58-71x. *)
+  (* Reported, not gated: sim time over fluid time in this same run.
+     It read the packet simulator's speed as much as the solver's, so
+     every packet-path gain narrowed it with the solver untouched; the
+     fluid solve's own work is pinned below instead. *)
   (match (row Micro.sim_row, row Micro.fluid_row) with
   | Some sim_ns, Some fluid_ns ->
-    let speedup = sim_ns /. fluid_ns in
-    Printf.printf "  %-34s %12.0fx (floor 50x)%s\n" "fluid speedup vs sim"
-      speedup
-      (if speedup < 50.0 then "  REGRESSION" else "");
-    if speedup < 50.0 then failures := "fluid speedup vs sim" :: !failures
+    Printf.printf "  %-34s %12.0fx (reported, not gated)\n"
+      "fluid speedup vs sim" (sim_ns /. fluid_ns)
   | _ -> ());
   check "alloc words_per_packet" alloc.a_words_per_packet
     (json_number base "words_per_packet");
@@ -1002,6 +998,21 @@ let gate_check ~microbench_ns ~alloc ~hybrid =
       (if current > limit then "  REGRESSION" else "");
     if current > limit then failures := name :: !failures
   in
+  (* The fluid solve's work, a deterministic count: each paper
+     equilibrium must converge within the field evaluations it spent
+     when these pins were set.  The row's time keeps its baseline
+     ratio above. *)
+  List.iter
+    (fun (cc, controller, pin) ->
+      floor_check
+        (Printf.sprintf "fluid %s field evaluations" cc)
+        (float_of_int (Micro.fluid_solve controller))
+        (float_of_int pin))
+    [
+      ("CUBIC", Fluid.Controller.Cubic, 120);
+      ("LIA", Fluid.Controller.Lia, 101);
+      ("OLIA", Fluid.Controller.Olia, 78);
+    ];
   (* Load-immune structural check: heap and wheel run the same keys in
      the same process moments apart, so background noise cancels.  The
      wheel must beat the heap outright on realistic (us-spaced) keys —
@@ -1115,6 +1126,13 @@ let write_bench_json ~microbench_ns ~alloc ~hybrid ~daemon ~total_s =
   add "    \"warm_p50_ms\": %.3f,\n" daemon.dm_warm_p50_ms;
   add "    \"warm_p99_ms\": %.3f\n" daemon.dm_warm_p99_ms;
   add "  },\n";
+  (match
+     ( List.assoc_opt Micro.sim_row microbench_ns,
+       List.assoc_opt Micro.fluid_row microbench_ns )
+   with
+  | Some sim_ns, Some fluid_ns ->
+    add "  \"fluid_speedup_vs_sim\": %.1f,\n" (sim_ns /. fluid_ns)
+  | _ -> ());
   add "  \"microbench_ns\": {\n";
   let n = List.length microbench_ns in
   List.iteri

@@ -155,9 +155,10 @@ let rows =
        above is the cost of the pops. *)
     ("wheel push only 1k", fun () ->
         wheel_push (Engine.Wheel.create ()) us_key);
-    (* Worst case: every key inside one level-0 granule, so pops lean
-       entirely on the sorted-slot path (heapsort over the full slot).
-       Held to stay within the heap's ballpark, not to beat it. *)
+    (* Worst case: every key inside one granule, so the insertion walk
+       gives up and the slot is sorted once when it becomes current
+       (heapsort over the full slot).  Held to stay within the heap's
+       ballpark, not to beat it. *)
     ("wheel push+pop 1k dense slot", fun () ->
         let w = Engine.Wheel.create () in
         wheel_push w (fun i -> i * 7919 mod 1000);
@@ -205,6 +206,15 @@ let rows =
         List.iteri
           (fun i tm -> if i mod 10 <> 0 then Engine.Sched.cancel tm)
           timers;
+        Engine.Sched.run s);
+    (* The RTO pattern: one timer re-armed to a later deadline on every
+       ACK, then left to fire. *)
+    ("sched 1k rearm", fun () ->
+        let s = Engine.Sched.create () in
+        let tm = Engine.Sched.idle_timer s (fun () -> ()) in
+        for i = 1 to 1000 do
+          Engine.Sched.rearm_after tm (Engine.Time.us i)
+        done;
         Engine.Sched.run s);
     ("pool map 8 jobs (2 domains)", fun () ->
         ignore

@@ -3,8 +3,15 @@
    them.  Dispatch is one array read and one call, and queueing or
    firing an event stores no pointer, so the per-hop events the link
    model registers cost no write barrier.  Closures ([at_anon]) and
-   cancellable timers ([at]) live in free-listed slot tables behind
-   two reserved handlers, whose argument is the slot. *)
+   cancellable timers ([at], [idle_timer]) live in free-listed slot
+   tables behind two reserved handlers, whose argument is the slot.
+
+   A timer re-armed while pending keeps its wheel cell when that cell
+   is due no later than the new deadline: the timer stores the new
+   (deadline, tie), and when the cell pops early [dispatch] re-queues
+   it at that pair instead of firing.  So the per-ACK re-arm of a
+   retransmission timer stores two ints, and the timer's cell moves
+   once per expiry of the old deadline rather than once per re-arm. *)
 
 let code_bits = 24
 let code_mask = (1 lsl code_bits) - 1
@@ -102,8 +109,15 @@ and shadow = {
 and timer = {
   action : unit -> unit;
   owner : t;
-  mutable cell : int; (* wheel handle, -1 once fired or cancelled *)
-  mutable slot : int; (* index in [owner.timers] while queued *)
+  owned : bool;
+      (* made by [idle_timer]: holds its slot in [owner.timers] for life,
+         where an [at] timer gives it back when it fires or is cancelled *)
+  mutable cell : int; (* wheel handle, -1 while not pending *)
+  mutable slot : int; (* index in [owner.timers], -1 while given back *)
+  mutable deadline : Time.t;
+  mutable tie : int;
+      (* while pending, the (deadline, tie) the timer fires at; its cell
+         may be queued at an earlier pair (see [rearm_after]) *)
 }
 
 let nothing () = ()
@@ -123,13 +137,17 @@ let register t f =
 
 (* The two reserved handlers: an anonymous closure, and a cancellable
    timer.  Each takes its value out of its slot table before running
-   it, so the slot is free again by the time the action schedules. *)
+   it, so the slot is free again by the time the action schedules; an
+   owned timer keeps its slot. *)
 let run_anon t slot = (Slots.take t.anons slot) ()
 
 let run_timer t slot =
-  let tm = Slots.take t.timers slot in
+  let tm = t.timers.Slots.items.(slot) in
+  if not tm.owned then begin
+    ignore (Slots.take t.timers slot : timer);
+    tm.slot <- -1
+  end;
   tm.cell <- -1;
-  tm.slot <- -1;
   tm.action ()
 
 let anon_code = 0
@@ -152,7 +170,10 @@ let create () =
       timers = { Slots.items = [||]; links = [||]; free = -1; filler };
       shadow = None;
     }
-  and filler = { action = nothing; owner = t; cell = -1; slot = -1 } in
+  and filler =
+    { action = nothing; owner = t; owned = false; cell = -1; slot = -1;
+      deadline = Time.zero; tie = 0 }
+  in
   ignore (register t (fun slot -> run_anon t slot) : handler);
   ignore (register t (fun slot -> run_timer t slot) : handler);
   ignore
@@ -179,6 +200,13 @@ let[@inline] push t when_ ~tie code arg =
   | Some sh -> Heap.push sh.heap ~key:when_ ~tie ());
   cell
 
+(* Queue a timer that is not pending, which holds a slot, at [when_]. *)
+let[@inline] arm t tm when_ =
+  let tie = fresh_tie t in
+  tm.deadline <- when_;
+  tm.tie <- tie;
+  tm.cell <- push t when_ ~tie timer_code tm.slot
+
 let[@inline] at_call t when_ h arg =
   check_future t when_;
   if arg lsr arg_bits <> 0 then
@@ -191,11 +219,20 @@ let[@inline] after_call t delay h arg =
 
 let at t when_ f =
   check_future t when_;
-  let tie = fresh_tie t in
-  let tm = { action = f; owner = t; cell = -1; slot = -1 } in
-  let slot = Slots.add t.timers tm in
-  tm.slot <- slot;
-  tm.cell <- push t when_ ~tie timer_code slot;
+  let tm =
+    { action = f; owner = t; owned = false; cell = -1; slot = -1;
+      deadline = when_; tie = 0 }
+  in
+  tm.slot <- Slots.add t.timers tm;
+  arm t tm when_;
+  tm
+
+let idle_timer t f =
+  let tm =
+    { action = f; owner = t; owned = true; cell = -1; slot = -1;
+      deadline = Time.zero; tie = 0 }
+  in
+  tm.slot <- Slots.add t.timers tm;
   tm
 
 let after t delay f =
@@ -220,12 +257,45 @@ let cancel tm =
     let t = tm.owner in
     (match t.shadow with
     | None -> ()
-    | Some sh -> Hashtbl.replace sh.dead (Wheel.tie t.wheel tm.cell) ());
+    | Some sh -> Hashtbl.replace sh.dead tm.tie ());
     Wheel.cancel t.wheel tm.cell;
-    ignore (Slots.take t.timers tm.slot : timer);
+    if not tm.owned then begin
+      ignore (Slots.take t.timers tm.slot : timer);
+      tm.slot <- -1
+    end;
     tm.cell <- -1;
-    tm.slot <- -1;
     t.cancelled <- t.cancelled + 1
+  end
+
+(* [cancel] then [at] on the same handle, with the same tie and
+   counts.  A pending timer whose cell is due no later than the new
+   deadline keeps the cell and stores the new pair; [dispatch] moves
+   the cell when it pops.  The shadow heap mirrors the logical pair. *)
+let rearm_after tm delay =
+  if Time.( < ) delay Time.zero then
+    invalid_arg "Sched.rearm_after: negative delay";
+  let t = tm.owner in
+  let when_ = Time.add t.clock delay in
+  if tm.cell < 0 then begin
+    if tm.slot < 0 then tm.slot <- Slots.add t.timers tm;
+    arm t tm when_
+  end
+  else begin
+    t.cancelled <- t.cancelled + 1;
+    let tie = fresh_tie t in
+    (match t.shadow with
+    | None -> ()
+    | Some sh ->
+      Hashtbl.replace sh.dead tm.tie ();
+      Heap.push sh.heap ~key:when_ ~tie ());
+    if Wheel.key t.wheel tm.cell > when_ then begin
+      Wheel.cancel t.wheel tm.cell;
+      tm.cell <-
+        Wheel.push t.wheel ~key:when_ ~tie
+          ((tm.slot lsl code_bits) lor timer_code)
+    end;
+    tm.deadline <- when_;
+    tm.tie <- tie
   end
 
 let pending timer = timer.cell >= 0
@@ -264,23 +334,42 @@ let check_shadow { heap = h; dead } ~key ~tie =
          key tie hk ht);
   Heap.pop_exn h
 
+(* A timer cell that pops with a tie other than its timer's was left
+   queued by an in-place re-arm: queue it again at the timer's own
+   (deadline, tie).  Ties are unique, so the tie alone tells. *)
+let[@inline] requeued t slot =
+  let tm = t.timers.Slots.items.(slot) in
+  tm.tie <> t.popped.Wheel.tie
+  && begin
+       tm.cell <-
+         Wheel.push t.wheel ~key:tm.deadline ~tie:tm.tie
+           ((slot lsl code_bits) lor timer_code);
+       true
+     end
+
 (* The one dispatch path of [run]: a single wheel call pops the minimum
    if it is due by [until] — no option or tuple boxed per event, this
    is the innermost loop of every simulation.  Encoded events are
-   non-negative, so [-1] means nothing is due. *)
+   non-negative, so [-1] means nothing is due.  A re-queued timer cell
+   is not an event: the clock stays, nothing counts it, and neither the
+   tap nor the action runs. *)
 let dispatch t ~until =
   let v = Wheel.pop_until t.wheel ~until t.popped ~none:(-1) in
   if v < 0 then false
   else begin
-    let when_ = t.popped.Wheel.key in
-    (match t.shadow with
-    | None -> ()
-    | Some sh -> check_shadow sh ~key:when_ ~tie:t.popped.Wheel.tie);
-    t.clock <- when_;
-    t.fired <- t.fired + 1;
-    if Array.length t.tap.Tap.subs > 0 then Tap.emit t.tap when_;
-    t.handlers.(v land code_mask) (v lsr code_bits);
-    true
+    let code = v land code_mask and arg = v lsr code_bits in
+    if code = timer_code && requeued t arg then true
+    else begin
+      let when_ = t.popped.Wheel.key in
+      (match t.shadow with
+      | None -> ()
+      | Some sh -> check_shadow sh ~key:when_ ~tie:t.popped.Wheel.tie);
+      t.clock <- when_;
+      t.fired <- t.fired + 1;
+      if Array.length t.tap.Tap.subs > 0 then Tap.emit t.tap when_;
+      t.handlers.(code) arg;
+      true
+    end
   end
 
 let run ?until t =

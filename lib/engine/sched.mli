@@ -7,8 +7,11 @@
     code of a handler registered with {!register}, and an [int]
     argument.  Queueing and firing such an event allocates nothing and
     stores no pointer.  Closures ({!at_anon}) and cancellable timers
-    ({!at}) are kept in free-listed slot tables behind two handlers
-    every scheduler reserves, with the slot as the argument. *)
+    ({!at}, {!idle_timer}) are kept in free-listed slot tables behind
+    two handlers every scheduler reserves, with the slot as the
+    argument.  A timer that is re-armed over and over ({!rearm_after})
+    is one handle for life, and a re-arm to a later deadline allocates
+    nothing and stores no pointer. *)
 
 type t
 
@@ -52,6 +55,24 @@ val at : t -> Time.t -> (unit -> unit) -> timer
 
 val after : t -> Time.t -> (unit -> unit) -> timer
 (** [after t delay f] schedules [f] at [now t + delay]; [delay >= 0]. *)
+
+val idle_timer : t -> (unit -> unit) -> timer
+(** [idle_timer t f] is a handle for [f] that is not pending:
+    {!rearm_after} schedules it, as often as needed.  It holds its
+    place in the scheduler's timer table for the scheduler's life, so
+    make one per owner (a retransmission or delayed-ACK timer), not one
+    per event. *)
+
+val rearm_after : timer -> Time.t -> unit
+(** [rearm_after tm delay] is [cancel tm] followed by scheduling [tm]'s
+    action at [now + delay] on the same handle ([delay >= 0]): it draws
+    one tie, and {!cancelled_count}, {!queue_length} and
+    {!events_processed} read as after [cancel] and {!after}.  When the
+    timer is pending and its queued entry is due no later than the new
+    deadline, the entry stays queued and the timer stores the new
+    deadline; when the entry pops early, the scheduler queues it again
+    at that deadline, which is not an event (the clock does not move,
+    nothing counts it, the tap and the action do not run). *)
 
 val at_anon : t -> Time.t -> (unit -> unit) -> unit
 (** Like {!at}, but returns no handle: the event cannot be cancelled.

@@ -1,28 +1,30 @@
-(** Hierarchical timing wheel — the event queue behind {!Sched}.
+(** Calendar queue — the event queue behind {!Sched}.
 
     Same ordering contract as {!Heap} (pop in lexicographic (key, tie)
     order, exact, deterministic) but with O(1) insert, O(1) cancel via
-    an explicit cell handle, and amortised O(1) expiry: eight levels of
-    32 slots over a coarse 2{^12} ns level-0 granule cover 2{^52} ns of
-    future, entries beyond that wait in an overflow heap and migrate in
-    as the wheel drains.  Timer cells are
-    free-listed parallel int arrays and each entry's payload is an
-    [int] (the scheduler's event code), so steady-state operation
-    allocates nothing and stores no pointer.
+    an explicit cell handle, and O(1) expiry: one circular array of
+    1 024 slots over a 2{^12} ns granule covers a window of 2{^22} ns
+    (about 4.2 ms) ahead of the wheel's position, and entries beyond
+    the window wait in an overflow heap and move in as the window
+    reaches them.  Timer cells are free-listed parallel int arrays and
+    each entry's payload is an [int] (the scheduler's event code), so
+    steady-state operation allocates nothing and stores no pointer.
 
-    A key's level is chosen by comparing [key lxor now] against the
-    level boundaries 2{^17}, 2{^22}, ..., 2{^52}: the first boundary it
-    falls below names the level (level [l] holds distances under
-    2{^12+5(l+1)}), and a key at or past 2{^52} goes to the overflow
-    heap.  Keys at or below [now] are overdue and join the current
-    level-0 slot.  The lowest occupied slot or level is found by a
-    de Bruijn table lookup, not a bit loop.
+    A key goes to the slot of its granule, chosen by its distance in
+    granules from the position; keys at or below the position are
+    overdue and join the current slot.  Each slot's list is kept in
+    (key, tie) order by an insertion walk from its tail; a walk longer
+    than a small bound flags the slot instead, and a flagged slot is
+    sorted once, when it becomes current, so a dense slot costs
+    O(k log k).  The next occupied slot is found through a two-level
+    occupancy bitmap and a de Bruijn table lookup, not a bit loop.
 
     Keys must be non-negative (they are {!Time.t} nanosecond stamps in
     the scheduler).  Unlike a search structure, the wheel has a notion
     of current position: it only moves forward, so a key below the
     highest key already popped still pops correctly (it is queued as
-    overdue) but costs a scan rather than O(1). *)
+    overdue) but costs a walk through the current slot rather than
+    O(1). *)
 
 type t
 
@@ -52,8 +54,8 @@ val cancel : t -> int -> unit
     marked dead and reaped when they outnumber live ones).  Raises
     [Invalid_argument] on a handle already popped or cancelled. *)
 
-val tie : t -> int -> int
-(** [tie t c] is the tie of the queued entry with handle [c]. *)
+val key : t -> int -> int
+(** [key t c] is the key of the queued entry with handle [c]. *)
 
 val min_key_exn : t -> int
 (** Key of the minimum entry without removing it; raises
@@ -80,6 +82,6 @@ val pop_until : t -> until:int -> popped -> none:int -> int
     {!is_empty}, {!min_key_exn}, {!min_tie_exn} and {!pop_exn} do
     together, allocating nothing — the scheduler's per-event pop. *)
 
-val cascade_count : t -> int
-(** Total slot redistributions performed (diagnostics: each cascade
-    relinks one slot's cells one level down). *)
+val pull_count : t -> int
+(** Total entries moved from the overflow heap into the calendar
+    (diagnostics). *)

@@ -12,10 +12,7 @@ type t = {
   data_ack : unit -> int;
   delayed_ack : bool;
   mutable pending_segs : int; (* in-order segments not yet acknowledged *)
-  mutable ack_timer : Engine.Sched.timer option;
-  mutable ack_thunk : unit -> unit;
-      (* delayed-ACK fire action, built once on first arm rather than a
-         fresh closure per armed timer *)
+  ack_timer : Engine.Sched.timer; (* delayed ACK, one handle for life *)
   mutable acks_sent : int;
   mutable rcv_nxt : int;
   (* Out-of-order segments, sorted by seq, at indices [ooo_lo, ooo_hi)
@@ -33,83 +30,101 @@ type t = {
   mutable ce_pending : bool; (* echo Congestion Experienced on the next ACK *)
   mutable duplicates : int;
   mutable delivered : int; (* segments handed to [on_deliver] *)
-  (* scratch for sack_blocks: merged ranges as parallel arrays, reused
-     across calls so range merging allocates nothing *)
-  mutable scratch_s : int array;
-  mutable scratch_e : int array;
-  mutable scratch_n : int;
+  (* The out-of-order store merged into byte ranges (segments that
+     overlap or touch share one), ascending at indices [0, r_n): kept as
+     segments are buffered, replaced and drained, so an ACK's SACK
+     blocks cost O(ranges), not a merge of the whole store. *)
+  mutable r_start : int array;
+  mutable r_end : int array;
+  mutable r_n : int;
   tap : event Engine.Tap.t;
 }
 
 and event = Delivered of { seq : int; len : int }
 
-(* Not-yet-built sentinel for the cached delayed-ACK thunk.  A
-   module-level closure has one stable identity; [ignore] does not — it
-   is the primitive [%ignore], eta-expanded to a distinct closure at
-   every use site, so [t.ack_thunk == ignore] would never be true and
-   the timer would fire the sentinel no-op forever. *)
-let unarmed () = ()
-
 (* Delayed-ACK timeout, the Linux quick-ack ballpark. *)
 let ack_delay = Engine.Time.ms 40
 
-let create ~sched ~conn ~subflow ~addr ~peer ~tag ~fresh_id ~transmit ?pool
-    ~on_deliver ~data_ack ?(delayed_ack = false) () =
-  { sched; conn; subflow; addr; peer; tag; fresh_id; transmit; pool;
-    on_deliver; data_ack; delayed_ack; pending_segs = 0;
-    ack_timer = None; ack_thunk = unarmed; acks_sent = 0; rcv_nxt = 0;
-    o_seq = [||]; o_len = [||]; o_dseq = [||]; o_dlen = [||];
-    o_has_dss = [||]; ooo_lo = 0; ooo_hi = 0;
-    last_sacked = -1; ce_pending = false; duplicates = 0; delivered = 0;
-    scratch_s = Array.make 16 0; scratch_e = Array.make 16 0; scratch_n = 0;
-    tap = Engine.Tap.create () }
+(* Room for one more range at the top. *)
+let grow_ranges t =
+  let cap = 2 * Array.length t.r_start in
+  let widen a = let b = Array.make cap 0 in Array.blit a 0 b 0 t.r_n; b in
+  t.r_start <- widen t.r_start;
+  t.r_end <- widen t.r_end
 
-let scratch_push t s e =
-  if t.scratch_n = Array.length t.scratch_s then begin
-    let cap = 2 * t.scratch_n in
-    let ns = Array.make cap 0 and ne = Array.make cap 0 in
-    Array.blit t.scratch_s 0 ns 0 t.scratch_n;
-    Array.blit t.scratch_e 0 ne 0 t.scratch_n;
-    t.scratch_s <- ns;
-    t.scratch_e <- ne
-  end;
-  t.scratch_s.(t.scratch_n) <- s;
-  t.scratch_e.(t.scratch_n) <- e;
-  t.scratch_n <- t.scratch_n + 1
-
-(* Merge the out-of-order store into contiguous byte ranges and emit up
-   to [Packet.max_sack_blocks], the block containing the newest arrival
-   first (RFC 2018 section 4).  The common case — no out-of-order data —
-   returns the shared empty list; otherwise one pass over the sorted
-   store merges the ranges on the receiver's scratch arrays and only
-   the (bounded) result list is allocated. *)
-let sack_blocks t =
-  if t.ooo_lo = t.ooo_hi then []
+(* Merge [s, e) into the ranges: it joins every range it overlaps or
+   touches, else it becomes a range of its own.  Segments mostly extend
+   the highest range, so the search runs down from the top. *)
+let add_range t s e =
+  let lo = ref t.r_n in
+  while !lo > 0 && t.r_end.(!lo - 1) >= s do
+    decr lo
+  done;
+  let lo = !lo in
+  let hi = ref lo in
+  while !hi < t.r_n && t.r_start.(!hi) <= e do
+    incr hi
+  done;
+  let hi = !hi in
+  if lo = hi then begin
+    if t.r_n = Array.length t.r_start then grow_ranges t;
+    Array.blit t.r_start lo t.r_start (lo + 1) (t.r_n - lo);
+    Array.blit t.r_end lo t.r_end (lo + 1) (t.r_n - lo);
+    t.r_start.(lo) <- s;
+    t.r_end.(lo) <- e;
+    t.r_n <- t.r_n + 1
+  end
   else begin
-    t.scratch_n <- 0;
-    for i = t.ooo_lo to t.ooo_hi - 1 do
-      let seq = t.o_seq.(i) and end_ = t.o_seq.(i) + t.o_len.(i) in
-      let n = t.scratch_n in
-      if n > 0 && seq <= t.scratch_e.(n - 1) then begin
-        if end_ > t.scratch_e.(n - 1) then t.scratch_e.(n - 1) <- end_
-      end
-      else scratch_push t seq end_
-    done;
-    (* Index of the range holding the newest arrival, if any. *)
+    t.r_start.(lo) <- Int.min s t.r_start.(lo);
+    t.r_end.(lo) <- Int.max e t.r_end.(hi - 1);
+    let gone = hi - lo - 1 in
+    if gone > 0 then begin
+      Array.blit t.r_start hi t.r_start (lo + 1) (t.r_n - hi);
+      Array.blit t.r_end hi t.r_end (lo + 1) (t.r_n - hi);
+      t.r_n <- t.r_n - gone
+    end
+  end
+
+(* Rebuild the ranges from the store: one pass over the sorted
+   segments.  Only a same-seq replacement by a shorter segment needs it,
+   since that can shrink a range or split it. *)
+let rebuild_ranges t =
+  t.r_n <- 0;
+  for i = t.ooo_lo to t.ooo_hi - 1 do
+    let seq = t.o_seq.(i) and end_ = t.o_seq.(i) + t.o_len.(i) in
+    let n = t.r_n in
+    if n > 0 && seq <= t.r_end.(n - 1) then begin
+      if end_ > t.r_end.(n - 1) then t.r_end.(n - 1) <- end_
+    end
+    else begin
+      if n = Array.length t.r_start then grow_ranges t;
+      t.r_start.(n) <- seq;
+      t.r_end.(n) <- end_;
+      t.r_n <- n + 1
+    end
+  done
+
+(* Up to [Packet.max_sack_blocks] ranges, the one holding the newest
+   arrival first (RFC 2018 section 4), then the rest in order.  The
+   common case — no out-of-order data — returns the shared empty list;
+   otherwise only the (bounded) result list is allocated. *)
+let sack_blocks t =
+  if t.r_n = 0 then []
+  else begin
     let newest = ref (-1) in
-    for i = 0 to t.scratch_n - 1 do
-      if t.scratch_s.(i) <= t.last_sacked && t.last_sacked < t.scratch_e.(i)
-      then newest := i
+    for i = 0 to t.r_n - 1 do
+      if t.r_start.(i) <= t.last_sacked && t.last_sacked < t.r_end.(i) then
+        newest := i
     done;
     let blocks = ref [] and count = ref 0 in
     let add i =
       if !count < Packet.max_sack_blocks then begin
-        blocks := (t.scratch_s.(i), t.scratch_e.(i)) :: !blocks;
+        blocks := (t.r_start.(i), t.r_end.(i)) :: !blocks;
         incr count
       end
     in
     if !newest >= 0 then add !newest;
-    for i = 0 to t.scratch_n - 1 do
+    for i = 0 to t.r_n - 1 do
       if i <> !newest then add i
     done;
     List.rev !blocks
@@ -119,11 +134,7 @@ let send_ack_now t =
   t.pending_segs <- 0;
   let ece = t.ce_pending in
   t.ce_pending <- false;
-  (match t.ack_timer with
-  | Some timer ->
-    Engine.Sched.cancel timer;
-    t.ack_timer <- None
-  | None -> ());
+  Engine.Sched.cancel t.ack_timer;
   t.acks_sent <- t.acks_sent + 1;
   let p =
     Packet.Pool.acquire_tcp ?pool:t.pool ~id:(t.fresh_id ()) ~src:t.addr
@@ -133,6 +144,23 @@ let send_ack_now t =
   in
   t.transmit p
 
+let create ~sched ~conn ~subflow ~addr ~peer ~tag ~fresh_id ~transmit ?pool
+    ~on_deliver ~data_ack ?(delayed_ack = false) () =
+  let fire_ack = ref ignore in
+  let t =
+  { sched; conn; subflow; addr; peer; tag; fresh_id; transmit; pool;
+    on_deliver; data_ack; delayed_ack; pending_segs = 0;
+    ack_timer = Engine.Sched.idle_timer sched (fun () -> !fire_ack ());
+    acks_sent = 0; rcv_nxt = 0;
+    o_seq = [||]; o_len = [||]; o_dseq = [||]; o_dlen = [||];
+    o_has_dss = [||]; ooo_lo = 0; ooo_hi = 0;
+    last_sacked = -1; ce_pending = false; duplicates = 0; delivered = 0;
+    r_start = Array.make 4 0; r_end = Array.make 4 0; r_n = 0;
+    tap = Engine.Tap.create () }
+  in
+  fire_ack := (fun () -> if t.pending_segs > 0 then send_ack_now t);
+  t
+
 (* Delayed-ACK policy: an immediate ACK for anything out of the ordinary
    (gap, duplicate), otherwise at most one unacknowledged segment. *)
 let ack_for_in_order t =
@@ -140,14 +168,8 @@ let ack_for_in_order t =
   else begin
     t.pending_segs <- t.pending_segs + 1;
     if t.pending_segs >= 2 then send_ack_now t
-    else if t.ack_timer = None then begin
-      if t.ack_thunk == unarmed then
-        t.ack_thunk <-
-          (fun () ->
-            t.ack_timer <- None;
-            if t.pending_segs > 0 then send_ack_now t);
-      t.ack_timer <- Some (Engine.Sched.after t.sched ack_delay t.ack_thunk)
-    end
+    else if not (Engine.Sched.pending t.ack_timer) then
+      Engine.Sched.rearm_after t.ack_timer ack_delay
   end
 
 (* Room for one more segment at [ooo_hi]: slide the live range down to
@@ -175,7 +197,9 @@ let make_room t =
   t.ooo_hi <- n
 
 (* Buffer an out-of-order segment in seq order: a binary search finds
-   its place, and a segment already at [seq] is replaced. *)
+   its place, and a segment already at [seq] is replaced.  The ranges
+   follow: the new segment joins them, unless it replaced a longer one,
+   which can leave a gap. *)
 let buffer t ~seq ~len ~dss =
   if t.ooo_hi = Array.length t.o_seq then make_room t;
   let a = ref t.ooo_lo and b = ref t.ooo_hi in
@@ -184,6 +208,7 @@ let buffer t ~seq ~len ~dss =
     if t.o_seq.(mid) < seq then a := mid + 1 else b := mid
   done;
   let i = !a in
+  let shrunk = i < t.ooo_hi && t.o_seq.(i) = seq && t.o_len.(i) > len in
   if i = t.ooo_hi then t.ooo_hi <- i + 1 (* the commonest: above all *)
   else if t.o_seq.(i) <> seq then begin
     let shift a = Array.blit a i a (i + 1) (t.ooo_hi - i) in
@@ -193,6 +218,7 @@ let buffer t ~seq ~len ~dss =
   end;
   t.o_seq.(i) <- seq;
   t.o_len.(i) <- len;
+  if shrunk then rebuild_ranges t else add_range t seq (seq + len);
   match dss with
   | Some { Packet.dseq; dlen } ->
     t.o_dseq.(i) <- dseq;
@@ -202,8 +228,10 @@ let buffer t ~seq ~len ~dss =
 
 (* Deliver the buffered segments that [rcv_nxt] has reached, lowest seq
    first, each whole with its original (seq, len, dss); one that lies
-   wholly below [rcv_nxt] is dropped. *)
-let rec drain t =
+   wholly below [rcv_nxt] is dropped.  [rcv_nxt] ends at the highest
+   end delivered, so a drain takes whole ranges: every one that starts
+   at or below the new [rcv_nxt], and no other. *)
+let rec drain_segments t =
   let i = t.ooo_lo in
   if i < t.ooo_hi && t.o_seq.(i) <= t.rcv_nxt then begin
     let seq = t.o_seq.(i) and len = t.o_len.(i) in
@@ -224,7 +252,20 @@ let rec drain t =
       if Array.length t.tap.Engine.Tap.subs > 0 then
         Engine.Tap.emit t.tap (Delivered { seq; len })
     end;
-    drain t
+    drain_segments t
+  end
+
+let drain t =
+  drain_segments t;
+  let k = ref 0 in
+  while !k < t.r_n && t.r_start.(!k) <= t.rcv_nxt do
+    incr k
+  done;
+  let k = !k in
+  if k > 0 then begin
+    Array.blit t.r_start k t.r_start 0 (t.r_n - k);
+    Array.blit t.r_end k t.r_end 0 (t.r_n - k);
+    t.r_n <- t.r_n - k
   end
 
 let handle_data t p =

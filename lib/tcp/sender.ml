@@ -82,11 +82,9 @@ type t = {
          Pulled back whenever a segment below it is marked lost, reset
          on entering recovery — so [next_hole] is amortised O(1) instead
          of a scan from the left edge per call *)
-  mutable rto_timer : Engine.Sched.timer option;
-  mutable rto_thunk : unit -> unit;
-      (* [fun () -> on_rto t], built once on first arm: the RTO is
-         rearmed on every ACK, so a fresh closure per arm is
-         steady-state allocation *)
+  rto_timer : Engine.Sched.timer;
+      (* one handle for the sender's life: the RTO is re-armed on every
+         ACK, in place ([Engine.Sched.rearm_after]) *)
   mutable established : bool;
   mutable first_send : Engine.Time.t option;
   (* OLIA loss intervals: bytes acked since the last loss event, and in
@@ -114,13 +112,6 @@ let cc_exn t =
   | Some cc -> cc
   | None -> assert false
 
-(* Not-yet-built sentinel for the cached RTO thunk.  A module-level
-   closure has one stable identity; [ignore] does not — it is the
-   primitive [%ignore], eta-expanded to a distinct closure at every use
-   site, so [t.rto_thunk == ignore] would never be true and the timer
-   would fire the sentinel no-op forever. *)
-let unarmed () = ()
-
 let default_srtt_s = 0.01 (* before any sample: 10 ms, a LAN-scale guess *)
 
 let srtt_s t =
@@ -138,78 +129,6 @@ let sync_group_slot t (g : Cc.group) i =
   g.Cc.loss_intervals.(i) <-
     float_of_int (Int.max t.interval_cur t.interval_prev);
   Cc.group_set_established g i t.established
-
-let create ~sched ~config ~conn ~subflow ~src ~dst ~tag ~fresh_id ~transmit
-    ?pool ~source ~cc ?group ?self_index () =
-  let t =
-    {
-      sched; config; conn; subflow; src; dst; tag; fresh_id; transmit; pool;
-      data_ecn = (if config.ecn then Some Packet.Ect else None);
-      source;
-      rtt =
-        Rtt.create ~initial_rto:config.initial_rto ~min_rto:config.min_rto
-          ~max_rto:config.max_rto ();
-      cc = None;
-      cwnd = initial_cwnd;
-      ssthresh = initial_ssthresh;
-      sb = Scoreboard.create ();
-      pipe_bytes = 0;
-      snd_una = 0;
-      snd_nxt = 0;
-      snd_max = 0;
-      dupacks = 0;
-      in_recovery = false;
-      recover = 0;
-      recovery_epoch = 0;
-      highest_sacked = 0;
-      holes_below = 0;
-      hole_seq = 0;
-      rto_timer = None;
-      rto_thunk = unarmed;
-      established = false;
-      first_send = None;
-      interval_cur = 0;
-      interval_prev = 0;
-      ecn_react_until = 0;
-      consecutive_timeouts = 0;
-      on_timeout = None;
-      tap = Engine.Tap.create ();
-      stats =
-        { segments_sent = 0; retransmits = 0; timeouts = 0;
-          fast_recoveries = 0; bytes_acked = 0; acks = 0 };
-    }
-  in
-  let group =
-    match group with
-    | Some f -> f
-    | None ->
-      (* Single-path default: a one-slot group refreshed from this
-         sender alone. *)
-      let g = Cc.group_create 1 in
-      fun () ->
-        sync_group_slot t g 0;
-        g
-  in
-  let self_index = match self_index with Some f -> f | None -> fun () -> 0 in
-  let ctx =
-    {
-      Cc.now_s = (fun () -> Engine.Time.to_float_s (Engine.Sched.now sched));
-      mss = config.mss;
-      get_cwnd = (fun () -> t.cwnd);
-      set_cwnd =
-        (fun w ->
-          t.cwnd <- Float.max 1.0 w;
-          if observed t then
-            Engine.Tap.emit t.tap (Cwnd_changed { cwnd = t.cwnd }));
-      get_ssthresh = (fun () -> t.ssthresh);
-      set_ssthresh = (fun w -> t.ssthresh <- Float.max Cc.min_cwnd w);
-      srtt_s = (fun () -> srtt_s t);
-      group;
-      self_index;
-    }
-  in
-  t.cc <- Some (cc ctx);
-  t
 
 (* --- SACK scoreboard --- *)
 
@@ -320,20 +239,11 @@ let next_hole t =
 
 (* --- timers --- *)
 
-let cancel_rto t =
-  match t.rto_timer with
-  | Some timer ->
-    Engine.Sched.cancel timer;
-    t.rto_timer <- None
-  | None -> ()
+let cancel_rto t = Engine.Sched.cancel t.rto_timer
 
 let rec arm_rto t =
-  cancel_rto t;
-  if not (Scoreboard.is_empty t.sb) then begin
-    if t.rto_thunk == unarmed then t.rto_thunk <- (fun () -> on_rto t);
-    t.rto_timer <-
-      Some (Engine.Sched.after t.sched (Rtt.rto t.rtt) t.rto_thunk)
-  end
+  if Scoreboard.is_empty t.sb then cancel_rto t
+  else Engine.Sched.rearm_after t.rto_timer (Rtt.rto t.rtt)
 
 (* --- transmission --- *)
 
@@ -365,7 +275,7 @@ and send_seg t p ~is_retx =
   t.transmit pkt;
   if observed t then
     Engine.Tap.emit t.tap (Seg_sent { seq; len; retx = is_retx });
-  match t.rto_timer with None -> arm_rto t | Some _ -> ()
+  if not (Engine.Sched.pending t.rto_timer) then arm_rto t
 
 and window_bytes t = int_of_float (t.cwnd *. float_of_int t.config.mss)
 
@@ -425,7 +335,6 @@ and loss_event t =
   t.interval_cur <- 0
 
 and on_rto t =
-  t.rto_timer <- None;
   if not (Scoreboard.is_empty t.sb) then begin
     t.stats.timeouts <- t.stats.timeouts + 1;
     t.consecutive_timeouts <- t.consecutive_timeouts + 1;
@@ -447,6 +356,79 @@ and on_rto t =
     try_send t;
     match t.on_timeout with None -> () | Some f -> f ()
   end
+
+let create ~sched ~config ~conn ~subflow ~src ~dst ~tag ~fresh_id ~transmit
+    ?pool ~source ~cc ?group ?self_index () =
+  let fire_rto = ref ignore in
+  let t =
+    {
+      sched; config; conn; subflow; src; dst; tag; fresh_id; transmit; pool;
+      data_ecn = (if config.ecn then Some Packet.Ect else None);
+      source;
+      rtt =
+        Rtt.create ~initial_rto:config.initial_rto ~min_rto:config.min_rto
+          ~max_rto:config.max_rto ();
+      cc = None;
+      cwnd = initial_cwnd;
+      ssthresh = initial_ssthresh;
+      sb = Scoreboard.create ();
+      pipe_bytes = 0;
+      snd_una = 0;
+      snd_nxt = 0;
+      snd_max = 0;
+      dupacks = 0;
+      in_recovery = false;
+      recover = 0;
+      recovery_epoch = 0;
+      highest_sacked = 0;
+      holes_below = 0;
+      hole_seq = 0;
+      rto_timer = Engine.Sched.idle_timer sched (fun () -> !fire_rto ());
+      established = false;
+      first_send = None;
+      interval_cur = 0;
+      interval_prev = 0;
+      ecn_react_until = 0;
+      consecutive_timeouts = 0;
+      on_timeout = None;
+      tap = Engine.Tap.create ();
+      stats =
+        { segments_sent = 0; retransmits = 0; timeouts = 0;
+          fast_recoveries = 0; bytes_acked = 0; acks = 0 };
+    }
+  in
+  let group =
+    match group with
+    | Some f -> f
+    | None ->
+      (* Single-path default: a one-slot group refreshed from this
+         sender alone. *)
+      let g = Cc.group_create 1 in
+      fun () ->
+        sync_group_slot t g 0;
+        g
+  in
+  let self_index = match self_index with Some f -> f | None -> fun () -> 0 in
+  let ctx =
+    {
+      Cc.now_s = (fun () -> Engine.Time.to_float_s (Engine.Sched.now sched));
+      mss = config.mss;
+      get_cwnd = (fun () -> t.cwnd);
+      set_cwnd =
+        (fun w ->
+          t.cwnd <- Float.max 1.0 w;
+          if observed t then
+            Engine.Tap.emit t.tap (Cwnd_changed { cwnd = t.cwnd }));
+      get_ssthresh = (fun () -> t.ssthresh);
+      set_ssthresh = (fun w -> t.ssthresh <- Float.max Cc.min_cwnd w);
+      srtt_s = (fun () -> srtt_s t);
+      group;
+      self_index;
+    }
+  in
+  t.cc <- Some (cc ctx);
+  fire_rto := (fun () -> on_rto t);
+  t
 
 let enter_recovery t =
   t.in_recovery <- true;

@@ -275,22 +275,45 @@ let wheel_overflow_level () =
     [ "near"; "far-a"; "far-b" ]
     (List.map (fun (_, _, v) -> unlabel v) (wheel_drain w))
 
+(* The calendar's window: 1 024 slots of 2^12 ns from the current
+   granule on. *)
+let window = 1 lsl 22
+
 let wheel_qcheck_vs_heap =
   (* The wheel and the heap implement the same ordering contract: any
-     multiset of (key, tie) pairs drains identically, across level
-     boundaries and into the overflow region. *)
+     multiset of (key, tie) pairs drains identically — inside the
+     window, past it in the overflow heap, with cancels on both sides
+     of the window's edge, and with one granule holding [dense] keys,
+     past the insertion walk's bound when there are more than eight. *)
   QCheck.Test.make ~name:"wheel pops exactly like the heap" ~count:200
-    QCheck.(list (pair (int_bound 5_000_000) (int_bound 1000)))
-    (fun pairs ->
+    QCheck.(
+      triple
+        (list (triple (int_bound (3 * window)) (int_bound 1000) bool))
+        (int_bound window) (int_bound 40))
+    (fun (entries, dense_at, dense) ->
+      let granule = dense_at land lnot 4095 in
+      let entries =
+        Array.of_list
+          (entries
+          @ List.init dense (fun i -> (granule + (i * 7919 mod 4096), i, false)))
+      in
       let w = Wheel.create ~capacity:4 () in
       let h = Heap.create () in
       (* Make ties unique so the expected order is total. *)
-      List.iteri
-        (fun i (k, t) ->
-          let tie = (t * 10_000) + i in
-          ignore (Wheel.push w ~key:k ~tie i);
-          Heap.push h ~key:k ~tie i)
-        pairs;
+      let cells =
+        Array.mapi
+          (fun i (k, t, _) ->
+            let tie = (t * 10_000) + i in
+            Heap.push h ~key:k ~tie i;
+            Wheel.push w ~key:k ~tie i)
+          entries
+      in
+      Array.iteri
+        (fun i (_, _, cancel) -> if cancel then Wheel.cancel w cells.(i))
+        entries;
+      Heap.compact h ~keep:(fun i ->
+          let _, _, cancel = entries.(i) in
+          not cancel);
       let rec drain_heap acc =
         match Heap.pop h with
         | None -> List.rev acc
@@ -298,15 +321,25 @@ let wheel_qcheck_vs_heap =
       in
       wheel_drain w = drain_heap [])
 
-let wheel_cascades_counted () =
+let wheel_overflow_pulls_counted () =
+  (* Keys inside the window are placed directly; keys past it wait in
+     the overflow heap, and each moves in once as the window reaches
+     it.  A cancelled overflow entry is never pulled. *)
   let w = Wheel.create () in
-  (* Spread entries over several levels, then drain: redistributions
-     must have happened and been counted. *)
-  for i = 0 to 199 do
+  for i = 0 to 99 do
     ignore (Wheel.push w ~key:(i * 7919) ~tie:i i)
   done;
   ignore (wheel_drain w);
-  check_bool "cascades happened" true (Wheel.cascade_count w > 0)
+  check_int "nothing pulled inside the window" 0 (Wheel.pull_count w);
+  let base = Wheel.now w in
+  let far = List.init 50 (fun i -> base + window + (i * 300_007)) in
+  let cells = List.mapi (fun i k -> Wheel.push w ~key:k ~tie:(100 + i) k) far in
+  Wheel.cancel w (List.nth cells 7);
+  Alcotest.(check (list int))
+    "overflow keys pop in order"
+    (List.filteri (fun i _ -> i <> 7) far)
+    (List.map (fun (_, _, v) -> v) (wheel_drain w));
+  check_int "each live overflow entry pulled once" 49 (Wheel.pull_count w)
 
 let wheel_span_boundary () =
   (* The exact edge of the wheel's 2^52 ns span: span - 1 is the last
@@ -383,6 +416,84 @@ let wheel_level_edges_vs_heap () =
     pop "drain"
   done;
   check_bool "heap drained too" true (Heap.is_empty h)
+
+(* Push [key] into both the wheel and the heap under one fresh tie, and
+   pop one entry from each, checking they agree. *)
+let wheel_vs_heap () =
+  let w = Wheel.create () and h = Heap.create () in
+  let tie = ref 0 in
+  let push key =
+    incr tie;
+    ignore (Wheel.push w ~key ~tie:!tie key);
+    Heap.push h ~key ~tie:!tie key
+  in
+  let pop ctx =
+    check_int (ctx ^ ": min key") (Heap.min_key_exn h) (Wheel.min_key_exn w);
+    check_int (ctx ^ ": min tie") (Heap.min_tie_exn h) (Wheel.min_tie_exn w);
+    check_int (ctx ^ ": popped") (Heap.pop_exn h) (Wheel.pop_exn w)
+  in
+  let drain ctx =
+    while not (Wheel.is_empty w) do
+      pop ctx
+    done;
+    check_bool (ctx ^ ": heap drained too") true (Heap.is_empty h)
+  in
+  (w, push, pop, drain)
+
+let wheel_window_edges_vs_heap () =
+  (* The window reaches 2^22 ns past the start of the current granule:
+     from an unaligned [now], keys 2^22 - 1, 2^22 and 2^22 + 1 ns ahead
+     straddle its end (the last two past it, in the overflow heap, and
+     the first inside or past it by the granule offset).  Each round
+     pushes the edges around the moved [now], pops a few and, last,
+     drains: every pop must match the reference heap. *)
+  let w, push, pop, drain = wheel_vs_heap () in
+  let start = (3 * window) + 12_345 in
+  push start;
+  pop "advance";
+  check_int "now at the unaligned start" start (Wheel.now w);
+  for round = 0 to 3 do
+    let now = Wheel.now w in
+    List.iter
+      (fun d -> push (now + d))
+      [ window - 1; window; window + 1; 1; window / 2; 0 ];
+    for i = 1 to 4 do
+      pop (Printf.sprintf "round %d pop %d" round i)
+    done
+  done;
+  drain "drain"
+
+let wheel_wrapping_pulls_vs_heap () =
+  (* Keys spread over several windows: as pops move the window, slot
+     indices wrap round the calendar, and overflow entries move in
+     while earlier ones still wait in high slots.  Interleaved pushes
+     land near [now], at the window's end and past it. *)
+  let w, push, pop, drain = wheel_vs_heap () in
+  for i = 0 to 199 do
+    push (i * 104_729)
+  done;
+  for i = 1 to 150 do
+    pop (Printf.sprintf "pop %d" i);
+    let now = Wheel.now w in
+    push (now + (i * 4_099 mod window));
+    if i mod 3 = 0 then push (now + window - 1 + (i mod 5))
+  done;
+  drain "drain"
+
+let wheel_dense_slot () =
+  (* A thousand keys inside one granule, pushed out of order: the
+     insertion walk gives up past its bound and the slot is sorted when
+     it becomes current; pushes into the current slot still land in
+     order. *)
+  let w, push, pop, drain = wheel_vs_heap () in
+  for i = 0 to 999 do
+    push (49_152 + (i * 7919 mod 4_096))
+  done;
+  for i = 1 to 300 do
+    pop (Printf.sprintf "pop %d" i);
+    push (Wheel.now w + (i * 37 mod 500))
+  done;
+  drain "drain"
 
 let wheel_mixed_cancel_vs_heap () =
   (* Satellite conformance pin: a deterministic program that pushes
@@ -774,6 +885,122 @@ let sched_lockstep_requires_empty () =
     (Invalid_argument "Sched.set_lockstep: scheduler already has queued events")
     (fun () -> Sched.set_lockstep s true)
 
+(* --- Re-arming in place --- *)
+
+let sched_rearm_later_never_early () =
+  (* Armed at 10 us, re-armed to 50 us: the cell stays queued at 10 us
+     and pops there, which must not run the action, count an event,
+     reach the tap or move the clock.  A probe queued at 10 us after
+     the first arming pops right after the early cell. *)
+  let s = Sched.create () in
+  let fired = ref [] and tapped = ref [] and probe = ref (-1, -1) in
+  Tap.subscribe (Sched.tap s) (fun at -> tapped := at :: !tapped);
+  let tm = Sched.idle_timer s (fun () -> fired := Sched.now s :: !fired) in
+  check_bool "idle timer not pending" false (Sched.pending tm);
+  Sched.rearm_after tm (Time.us 10);
+  ignore
+    (Sched.at s (Time.us 10) (fun () ->
+         probe := (Sched.now s, Sched.events_processed s))
+      : Sched.timer);
+  Sched.rearm_after tm (Time.us 50);
+  check_bool "pending" true (Sched.pending tm);
+  check_int "one entry per timer" 2 (Sched.queue_length s);
+  check_int "a re-arm counts a cancel" 1 (Sched.cancelled_count s);
+  Sched.run ~until:(Time.us 40) s;
+  check_int "the probe ran at 10 us" (Time.us 10) (fst !probe);
+  check_int "the probe was the only event" 1 (snd !probe);
+  Alcotest.(check (list int)) "not fired early" [] !fired;
+  Alcotest.(check (list int)) "the tap saw the probe alone" [ Time.us 10 ]
+    !tapped;
+  check_int "events" 1 (Sched.events_processed s);
+  check_int "still pending" 1 (Sched.queue_length s);
+  Sched.run s;
+  Alcotest.(check (list int)) "fired at the new deadline" [ Time.us 50 ]
+    !fired;
+  check_int "events after" 2 (Sched.events_processed s);
+  check_bool "fired: not pending" false (Sched.pending tm);
+  check_int "drained" 0 (Sched.queue_length s)
+
+(* A random re-arm program over [rearm_timers] timers.  Each op is
+   (kind, target, delay): re-arm timer [target] to [delay] us from now,
+   cancel it, log whether it is pending, or queue a one-off event
+   [delay] us out.  Every dispatched event logs its source and time,
+   runs the next two ops, then logs the scheduler's counters, so a
+   timer is re-armed from its own handler, from another timer's and
+   from one-off events alike.  Delays of 0-12 us make earlier, later
+   and equal deadlines all common.  [rearm_program ~in_place:true]
+   uses one [Sched.idle_timer] per timer and [Sched.rearm_after];
+   [~in_place:false] is the model, a fresh [Sched.after] handle per
+   arming after a [Sched.cancel] of the last. *)
+let rearm_timers = 4
+
+type rearm_log =
+  | Fired of int * Time.t
+  | Pending of bool
+  | Counts of int * int * int
+
+let rearm_program ~in_place ~lockstep (starts, ops) =
+  let s = Sched.create () in
+  if lockstep then Sched.set_lockstep s true;
+  let ops = Array.of_list ops and cursor = ref 0 and log = ref [] in
+  let fire = ref (fun (_ : int) -> ()) in
+  let owned =
+    Array.init rearm_timers (fun j ->
+        Sched.idle_timer s (fun () -> !fire j))
+  in
+  let model = Array.make rearm_timers None in
+  let rearm j delay =
+    if in_place then Sched.rearm_after owned.(j) (Time.us delay)
+    else begin
+      Option.iter Sched.cancel model.(j);
+      model.(j) <- Some (Sched.after s (Time.us delay) (fun () -> !fire j))
+    end
+  in
+  let cancel j =
+    if in_place then Sched.cancel owned.(j)
+    else Option.iter Sched.cancel model.(j)
+  in
+  let pending j =
+    if in_place then Sched.pending owned.(j)
+    else Option.fold ~none:false ~some:Sched.pending model.(j)
+  in
+  (fire :=
+     fun src ->
+       log := Fired (src, Sched.now s) :: !log;
+       for _ = 1 to 2 do
+         if !cursor < Array.length ops then begin
+           let kind, target, delay = ops.(!cursor) in
+           incr cursor;
+           let j = target mod rearm_timers in
+           match kind mod 4 with
+           | 0 -> rearm j delay
+           | 1 -> cancel j
+           | 2 -> log := Pending (pending j) :: !log
+           | _ -> Sched.after_anon s (Time.us delay) (fun () -> !fire (-1))
+         end
+       done;
+       log :=
+         Counts
+           ( Sched.events_processed s,
+             Sched.cancelled_count s,
+             Sched.queue_length s )
+         :: !log);
+  List.iteri (fun j d -> if j < rearm_timers then rearm j d) starts;
+  Sched.run s;
+  List.rev !log
+
+let sched_qcheck_rearm_vs_model =
+  QCheck.Test.make ~name:"re-arm in place matches cancel then at" ~count:300
+    QCheck.(
+      pair bool
+        (pair
+           (list_of_size Gen.(1 -- rearm_timers) (int_bound 12))
+           (list_of_size Gen.(0 -- 80)
+              (triple small_nat small_nat (int_bound 12)))))
+    (fun (lockstep, prog) ->
+      rearm_program ~in_place:true ~lockstep prog
+      = rearm_program ~in_place:false ~lockstep:false prog)
+
 let sched_past_rejected () =
   let s = Sched.create () in
   ignore (Sched.at s (Time.ms 5) (fun () -> ()));
@@ -950,7 +1177,14 @@ let () =
             wheel_negative_key_rejected;
           Alcotest.test_case "overflow level migrates in order" `Quick
             wheel_overflow_level;
-          Alcotest.test_case "cascades counted" `Quick wheel_cascades_counted;
+          Alcotest.test_case "overflow pulls counted" `Quick
+            wheel_overflow_pulls_counted;
+          Alcotest.test_case "window edges vs heap" `Quick
+            wheel_window_edges_vs_heap;
+          Alcotest.test_case "pulls while the window wraps vs heap" `Quick
+            wheel_wrapping_pulls_vs_heap;
+          Alcotest.test_case "dense slot past the walk bound" `Quick
+            wheel_dense_slot;
           Alcotest.test_case "span boundary seamless" `Quick
             wheel_span_boundary;
           Alcotest.test_case "mixed wheel/overflow cancel vs heap" `Quick
@@ -988,6 +1222,9 @@ let () =
             sched_call_argument_range;
           Alcotest.test_case "a thousand timers and closures at once" `Quick
             sched_large_population;
+          Alcotest.test_case "a timer re-armed later never fires early" `Quick
+            sched_rearm_later_never_early;
+          QCheck_alcotest.to_alcotest sched_qcheck_rearm_vs_model;
         ] );
       ( "tap",
         [

@@ -4,8 +4,8 @@
    covers a window of 2^22 ns (~4.2 ms) from the current granule on.  A
    key goes to the slot of its granule, [(key lsr 12) land 1023]: its
    distance in granules from [now] picks the slot, so placement is a
-   shift, a subtraction and a mask, with no level to choose and nothing
-   to cascade later.  Keys at or below [now] are overdue and join the
+   shift, a subtraction and a mask, and a queued cell never moves
+   between slots.  Keys at or below [now] are overdue and join the
    current slot; keys past the window wait in an overflow heap and move
    in as the window reaches them.
 
@@ -72,10 +72,10 @@ let words = slot_count / 32
 
 (* Steps an insertion walk may take before it flags its slot instead.
    The simulator's slots hold a handful of cells: over the paper grid
-   (bench/sample/grid.exe) 2.2 M of 50.9 M pushes walked at all, 49 k
-   took two steps or more and 112 four or more.  The bound keeps a
-   dense slot (keys pushed out of order into one granule) from costing
-   O(k) per push. *)
+   (bench/sample/grid.exe) 2.2 M of 50.9 M pushes sorted before their
+   slot's last cell, 0.5 M of them took a step back past it, 49 k two
+   or more and 2 five.  The bound keeps a dense slot (keys pushed out
+   of order into one granule) from costing O(k) per push. *)
 let walk_bound = 4
 
 let loc_ovf = -2 (* queued in the overflow heap *)

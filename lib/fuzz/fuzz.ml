@@ -212,8 +212,8 @@ let wheel_test ?(count = 400) () =
               match a mod 5 with
               | 0 -> !clock + (a / 5 mod 1_000)          (* near future *)
               | 1 -> max 0 (!clock - (a / 5 mod 1_000))  (* overdue *)
-              | 2 -> !clock + (a / 5 * 1_000_000)        (* higher levels *)
-              | 3 -> !clock + (1 lsl 52) + a             (* overflow heap *)
+              | 2 -> !clock + (a / 5 * 1_000_000)        (* window edge, past it *)
+              | 3 -> !clock + (1 lsl 52) + a             (* far overflow *)
               | _ -> a                                   (* anywhere *)
             in
             incr tie;

@@ -40,8 +40,8 @@ val wheel_test : ?count:int -> unit -> QCheck.Test.t
 (** Timer-queue equivalence: [count] (default 400) random
     insert/cancel/pop programs driven against {!Engine.Timer_queue}'s
     wheel and heap implementations in lockstep must produce identical
-    lengths, minima and pop streams.  Keys cover overdue pushes,
-    multi-level cascades and beyond-span overflow entries. *)
+    lengths, minima and pop streams.  Keys cover overdue pushes, the
+    calendar's window and its edge, and overflow entries far past it. *)
 
 val scoreboard_test : ?count:int -> unit -> QCheck.Test.t
 (** Scoreboard equivalence: [count] (default 400) random

@@ -237,11 +237,11 @@ let wheel_cancel () =
     (try Wheel.cancel w b; false with Invalid_argument _ -> true)
 
 let wheel_peek_then_push_below () =
-  (* A peek makes the lowest level-0 slot current without popping
+  (* A peek makes the lowest occupied slot current without popping
      ([Sched.run ~until] peeks past its horizon).  A later push may
-     then fall between the wheel's position and that slot; it must
-     still pop first, whether the slot held one cell (taken without a
-     sort) or several. *)
+     then fall between the wheel's position and that slot's granule;
+     it must still pop first, whether the slot held one cell or
+     several. *)
   List.iter
     (fun later ->
       let w = Wheel.create () in
@@ -261,8 +261,9 @@ let wheel_negative_key_rejected () =
      with Invalid_argument _ -> true)
 
 let wheel_overflow_level () =
-  (* Keys beyond the wheel's 2^52 ns span wait in the overflow heap and
-     must migrate in as the wheel drains — including after a cancel. *)
+  (* Keys far past the calendar's window (2^52 ns here) wait in the
+     overflow heap and must move in as the window reaches them —
+     including after a cancel. *)
   let span = 1 lsl 52 in
   let w = Wheel.create () in
   ignore (Wheel.push w ~key:5 ~tie:0 (label "near"));
@@ -342,10 +343,10 @@ let wheel_overflow_pulls_counted () =
   check_int "each live overflow entry pulled once" 49 (Wheel.pull_count w)
 
 let wheel_span_boundary () =
-  (* The exact edge of the wheel's 2^52 ns span: span - 1 is the last
-     key the levels can hold, span and beyond live in the overflow heap
-     until the drain reaches them.  Ordering must be seamless across
-     the boundary, and equal keys on both sides of it keep FIFO ties. *)
+  (* Keys around 2^52 ns, the span of the eight-level wheel this
+     calendar replaced, all far past the window: they wait in the
+     overflow heap until the drain reaches them.  Ordering must be
+     seamless across them, and equal keys keep FIFO ties. *)
   let span = 1 lsl 52 in
   let w = Wheel.create () in
   ignore (Wheel.push w ~key:(span - 1) ~tie:0 (label "last-in-wheel"));
@@ -362,13 +363,15 @@ let wheel_span_boundary () =
     (List.map (fun (_, _, v) -> unlabel v) (wheel_drain w))
 
 let wheel_level_edges_vs_heap () =
-  (* A key's level comes from comparing [key lxor now] with the level
-     boundaries 2^b, b = 17, 22, ..., 52 (2^52: the overflow heap).
-     From an unaligned [now], push keys at distance 2^b - 1, 2^b and
-     2^b + 1 (in the xor sense) around every boundary, pop a few, push
-     the edges again around the moved [now], and drain: every pop must
-     match the reference heap.  [start] has bits b and b - 1 clear for
-     every boundary b, so each first-round key lies above it. *)
+  (* The level boundaries of the eight-level wheel this calendar
+     replaced, 2^b for b = 17, 22, ..., 52, kept as data: they fall
+     inside the calendar's window (b = 17), at its edge (b = 22) and
+     past it.  From an unaligned [now], push keys at distance 2^b - 1,
+     2^b and 2^b + 1 (in the xor sense) around every boundary, pop a
+     few, push the edges again around the moved [now], and drain:
+     every pop must match the reference heap.  [start] has bits b and
+     b - 1 clear for every boundary b, so each first-round key lies
+     above it. *)
   let boundaries = List.init 8 (fun l -> 17 + (5 * l)) in
   let start =
     List.fold_left
@@ -496,9 +499,9 @@ let wheel_dense_slot () =
   drain "drain"
 
 let wheel_mixed_cancel_vs_heap () =
-  (* Satellite conformance pin: a deterministic program that pushes
-     across every key regime (near, multi-level, beyond-span), cancels
-     a third of the handles — some in the wheel levels, some in the
+  (* A conformance pin: a deterministic program that pushes across
+     every key regime (near, inside the window, far past it), cancels
+     a third of the handles — some in calendar slots, some in the
      overflow heap, one already popped — and interleaves pops, driven
      against the reference heap through the shared Timer_queue
      signature.  Lengths, minima and pop streams must agree at every
@@ -919,7 +922,16 @@ let sched_rearm_later_never_early () =
     !fired;
   check_int "events after" 2 (Sched.events_processed s);
   check_bool "fired: not pending" false (Sched.pending tm);
-  check_int "drained" 0 (Sched.queue_length s)
+  check_int "drained" 0 (Sched.queue_length s);
+  (* A one-shot timer that has fired can be re-armed on its handle. *)
+  let again = ref 0 in
+  let once = Sched.after s (Time.us 5) (fun () -> incr again) in
+  Sched.run s;
+  Sched.rearm_after once (Time.us 5);
+  check_bool "re-armed after firing" true (Sched.pending once);
+  Sched.run s;
+  check_int "fired twice" 2 !again;
+  check_int "clock" (Time.us 60) (Sched.now s)
 
 (* A random re-arm program over [rearm_timers] timers.  Each op is
    (kind, target, delay): re-arm timer [target] to [delay] us from now,

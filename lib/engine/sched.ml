@@ -193,8 +193,12 @@ let[@inline] check_future t when_ =
       (Format.asprintf "Sched.at: %a is before now (%a)" Time.pp when_
          Time.pp t.clock)
 
+let[@inline] wheel_push t when_ ~tie code arg =
+  Wheel.push t.wheel ~key:when_ ~tie ((arg lsl code_bits) lor code)
+
+(* Queue an event and mirror it into the lockstep shadow, if armed. *)
 let[@inline] push t when_ ~tie code arg =
-  let cell = Wheel.push t.wheel ~key:when_ ~tie ((arg lsl code_bits) lor code) in
+  let cell = wheel_push t when_ ~tie code arg in
   (match t.shadow with
   | None -> ()
   | Some sh -> Heap.push sh.heap ~key:when_ ~tie ());
@@ -217,23 +221,22 @@ let[@inline] after_call t delay h arg =
   if Time.( < ) delay Time.zero then invalid_arg "Sched.after: negative delay";
   at_call t (Time.add t.clock delay) h arg
 
-let at t when_ f =
-  check_future t when_;
+(* A timer for [f], in a slot of the timer table, not pending. *)
+let make_timer t f ~owned =
   let tm =
-    { action = f; owner = t; owned = false; cell = -1; slot = -1;
-      deadline = when_; tie = 0 }
-  in
-  tm.slot <- Slots.add t.timers tm;
-  arm t tm when_;
-  tm
-
-let idle_timer t f =
-  let tm =
-    { action = f; owner = t; owned = true; cell = -1; slot = -1;
+    { action = f; owner = t; owned; cell = -1; slot = -1;
       deadline = Time.zero; tie = 0 }
   in
   tm.slot <- Slots.add t.timers tm;
   tm
+
+let at t when_ f =
+  check_future t when_;
+  let tm = make_timer t f ~owned:false in
+  arm t tm when_;
+  tm
+
+let idle_timer t f = make_timer t f ~owned:true
 
 let after t delay f =
   if Time.( < ) delay Time.zero then invalid_arg "Sched.after: negative delay";
@@ -290,9 +293,7 @@ let rearm_after tm delay =
       Heap.push sh.heap ~key:when_ ~tie ());
     if Wheel.key t.wheel tm.cell > when_ then begin
       Wheel.cancel t.wheel tm.cell;
-      tm.cell <-
-        Wheel.push t.wheel ~key:when_ ~tie
-          ((tm.slot lsl code_bits) lor timer_code)
+      tm.cell <- wheel_push t when_ ~tie timer_code tm.slot
     end;
     tm.deadline <- when_;
     tm.tie <- tie
@@ -341,9 +342,7 @@ let[@inline] requeued t slot =
   let tm = t.timers.Slots.items.(slot) in
   tm.tie <> t.popped.Wheel.tie
   && begin
-       tm.cell <-
-         Wheel.push t.wheel ~key:tm.deadline ~tie:tm.tie
-           ((slot lsl code_bits) lor timer_code);
+       tm.cell <- wheel_push t tm.deadline ~tie:tm.tie timer_code slot;
        true
      end
 

@@ -85,23 +85,13 @@ let add_range t s e =
     end
   end
 
-(* Rebuild the ranges from the store: one pass over the sorted
-   segments.  Only a same-seq replacement by a shorter segment needs it,
+(* Rebuild the ranges from the store, adding the segments in seq
+   order.  Only a same-seq replacement by a shorter segment needs it,
    since that can shrink a range or split it. *)
 let rebuild_ranges t =
   t.r_n <- 0;
   for i = t.ooo_lo to t.ooo_hi - 1 do
-    let seq = t.o_seq.(i) and end_ = t.o_seq.(i) + t.o_len.(i) in
-    let n = t.r_n in
-    if n > 0 && seq <= t.r_end.(n - 1) then begin
-      if end_ > t.r_end.(n - 1) then t.r_end.(n - 1) <- end_
-    end
-    else begin
-      if n = Array.length t.r_start then grow_ranges t;
-      t.r_start.(n) <- seq;
-      t.r_end.(n) <- end_;
-      t.r_n <- n + 1
-    end
+    add_range t t.o_seq.(i) (t.o_seq.(i) + t.o_len.(i))
   done
 
 (* Up to [Packet.max_sack_blocks] ranges, the one holding the newest
@@ -148,15 +138,15 @@ let create ~sched ~conn ~subflow ~addr ~peer ~tag ~fresh_id ~transmit ?pool
     ~on_deliver ~data_ack ?(delayed_ack = false) () =
   let fire_ack = ref ignore in
   let t =
-  { sched; conn; subflow; addr; peer; tag; fresh_id; transmit; pool;
-    on_deliver; data_ack; delayed_ack; pending_segs = 0;
-    ack_timer = Engine.Sched.idle_timer sched (fun () -> !fire_ack ());
-    acks_sent = 0; rcv_nxt = 0;
-    o_seq = [||]; o_len = [||]; o_dseq = [||]; o_dlen = [||];
-    o_has_dss = [||]; ooo_lo = 0; ooo_hi = 0;
-    last_sacked = -1; ce_pending = false; duplicates = 0; delivered = 0;
-    r_start = Array.make 4 0; r_end = Array.make 4 0; r_n = 0;
-    tap = Engine.Tap.create () }
+    { sched; conn; subflow; addr; peer; tag; fresh_id; transmit; pool;
+      on_deliver; data_ack; delayed_ack; pending_segs = 0;
+      ack_timer = Engine.Sched.idle_timer sched (fun () -> !fire_ack ());
+      acks_sent = 0; rcv_nxt = 0;
+      o_seq = [||]; o_len = [||]; o_dseq = [||]; o_dlen = [||];
+      o_has_dss = [||]; ooo_lo = 0; ooo_hi = 0;
+      last_sacked = -1; ce_pending = false; duplicates = 0; delivered = 0;
+      r_start = Array.make 4 0; r_end = Array.make 4 0; r_n = 0;
+      tap = Engine.Tap.create () }
   in
   fire_ack := (fun () -> if t.pending_segs > 0 then send_ack_now t);
   t

@@ -239,10 +239,10 @@ let next_hole t =
 
 (* --- timers --- *)
 
-let cancel_rto t = Engine.Sched.cancel t.rto_timer
-
+(* Restart the retransmission timer, or stop it with nothing
+   outstanding. *)
 let rec arm_rto t =
-  if Scoreboard.is_empty t.sb then cancel_rto t
+  if Scoreboard.is_empty t.sb then Engine.Sched.cancel t.rto_timer
   else Engine.Sched.rearm_after t.rto_timer (Rtt.rto t.rtt)
 
 (* --- transmission --- *)
@@ -510,7 +510,7 @@ let handle_ack t (tcp : Packet.tcp) =
       t.in_recovery <- false;
       if observed t then Engine.Tap.emit t.tap (State_changed { state = Open })
     end;
-    if Scoreboard.is_empty t.sb then cancel_rto t else arm_rto t;
+    arm_rto t;
     try_send t
   end
   else if not (Scoreboard.is_empty t.sb) then begin

@@ -109,11 +109,8 @@ and shadow = {
 and timer = {
   action : unit -> unit;
   owner : t;
-  owned : bool;
-      (* made by [idle_timer]: holds its slot in [owner.timers] for life,
-         where an [at] timer gives it back when it fires or is cancelled *)
   mutable cell : int; (* wheel handle, -1 while not pending *)
-  mutable slot : int; (* index in [owner.timers], -1 while given back *)
+  mutable slot : int; (* index in [owner.timers] while queued *)
   mutable deadline : Time.t;
   mutable tie : int;
       (* while pending, the (deadline, tie) the timer fires at; its cell
@@ -137,17 +134,13 @@ let register t f =
 
 (* The two reserved handlers: an anonymous closure, and a cancellable
    timer.  Each takes its value out of its slot table before running
-   it, so the slot is free again by the time the action schedules; an
-   owned timer keeps its slot. *)
+   it, so the slot is free again by the time the action schedules. *)
 let run_anon t slot = (Slots.take t.anons slot) ()
 
 let run_timer t slot =
-  let tm = t.timers.Slots.items.(slot) in
-  if not tm.owned then begin
-    ignore (Slots.take t.timers slot : timer);
-    tm.slot <- -1
-  end;
+  let tm = Slots.take t.timers slot in
   tm.cell <- -1;
+  tm.slot <- -1;
   tm.action ()
 
 let anon_code = 0
@@ -171,8 +164,8 @@ let create () =
       shadow = None;
     }
   and filler =
-    { action = nothing; owner = t; owned = false; cell = -1; slot = -1;
-      deadline = Time.zero; tie = 0 }
+    { action = nothing; owner = t; cell = -1; slot = -1; deadline = Time.zero;
+      tie = 0 }
   in
   ignore (register t (fun slot -> run_anon t slot) : handler);
   ignore (register t (fun slot -> run_timer t slot) : handler);
@@ -204,8 +197,9 @@ let[@inline] push t when_ ~tie code arg =
   | Some sh -> Heap.push sh.heap ~key:when_ ~tie ());
   cell
 
-(* Queue a timer that is not pending, which holds a slot, at [when_]. *)
+(* Queue a timer that is not pending at [when_], in a fresh slot. *)
 let[@inline] arm t tm when_ =
+  tm.slot <- Slots.add t.timers tm;
   let tie = fresh_tie t in
   tm.deadline <- when_;
   tm.tie <- tie;
@@ -221,22 +215,15 @@ let[@inline] after_call t delay h arg =
   if Time.( < ) delay Time.zero then invalid_arg "Sched.after: negative delay";
   at_call t (Time.add t.clock delay) h arg
 
-(* A timer for [f], in a slot of the timer table, not pending. *)
-let make_timer t f ~owned =
-  let tm =
-    { action = f; owner = t; owned; cell = -1; slot = -1;
-      deadline = Time.zero; tie = 0 }
-  in
-  tm.slot <- Slots.add t.timers tm;
-  tm
+(* A timer for [f], not pending. *)
+let idle_timer t f =
+  { action = f; owner = t; cell = -1; slot = -1; deadline = Time.zero; tie = 0 }
 
 let at t when_ f =
   check_future t when_;
-  let tm = make_timer t f ~owned:false in
+  let tm = idle_timer t f in
   arm t tm when_;
   tm
-
-let idle_timer t f = make_timer t f ~owned:true
 
 let after t delay f =
   if Time.( < ) delay Time.zero then invalid_arg "Sched.after: negative delay";
@@ -262,11 +249,9 @@ let cancel tm =
     | None -> ()
     | Some sh -> Hashtbl.replace sh.dead tm.tie ());
     Wheel.cancel t.wheel tm.cell;
-    if not tm.owned then begin
-      ignore (Slots.take t.timers tm.slot : timer);
-      tm.slot <- -1
-    end;
+    ignore (Slots.take t.timers tm.slot : timer);
     tm.cell <- -1;
+    tm.slot <- -1;
     t.cancelled <- t.cancelled + 1
   end
 
@@ -279,10 +264,7 @@ let rearm_after tm delay =
     invalid_arg "Sched.rearm_after: negative delay";
   let t = tm.owner in
   let when_ = Time.add t.clock delay in
-  if tm.cell < 0 then begin
-    if tm.slot < 0 then tm.slot <- Slots.add t.timers tm;
-    arm t tm when_
-  end
+  if tm.cell < 0 then arm t tm when_
   else begin
     t.cancelled <- t.cancelled + 1;
     let tie = fresh_tie t in

@@ -58,10 +58,7 @@ val after : t -> Time.t -> (unit -> unit) -> timer
 
 val idle_timer : t -> (unit -> unit) -> timer
 (** [idle_timer t f] is a handle for [f] that is not pending:
-    {!rearm_after} schedules it, as often as needed.  It holds its
-    place in the scheduler's timer table for the scheduler's life, so
-    make one per owner (a retransmission or delayed-ACK timer), not one
-    per event. *)
+    {!rearm_after} schedules it, as often as needed. *)
 
 val rearm_after : timer -> Time.t -> unit
 (** [rearm_after tm delay] is [cancel tm] followed by scheduling [tm]'s

@@ -956,24 +956,24 @@ let rearm_program ~in_place ~lockstep (starts, ops) =
   if lockstep then Sched.set_lockstep s true;
   let ops = Array.of_list ops and cursor = ref 0 and log = ref [] in
   let fire = ref (fun (_ : int) -> ()) in
-  let owned =
+  let handles =
     Array.init rearm_timers (fun j ->
         Sched.idle_timer s (fun () -> !fire j))
   in
   let model = Array.make rearm_timers None in
   let rearm j delay =
-    if in_place then Sched.rearm_after owned.(j) (Time.us delay)
+    if in_place then Sched.rearm_after handles.(j) (Time.us delay)
     else begin
       Option.iter Sched.cancel model.(j);
       model.(j) <- Some (Sched.after s (Time.us delay) (fun () -> !fire j))
     end
   in
   let cancel j =
-    if in_place then Sched.cancel owned.(j)
+    if in_place then Sched.cancel handles.(j)
     else Option.iter Sched.cancel model.(j)
   in
   let pending j =
-    if in_place then Sched.pending owned.(j)
+    if in_place then Sched.pending handles.(j)
     else Option.fold ~none:false ~some:Sched.pending model.(j)
   in
   (fire :=

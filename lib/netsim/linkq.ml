@@ -60,13 +60,6 @@ type t = {
          [rate_since] — the bound on *delivered* bits, so it integrates
          what the serializer can actually drain, not the nominal rate *)
   mutable rate_since : Engine.Time.t;
-  mutable memo_bits : int;
-  mutable memo_rate_bps : int;
-  mutable memo_tx : Engine.Time.t;
-      (* the last (wire bits, effective rate) serialized and its time:
-         a link mostly carries one packet size at one rate, and the
-         64-bit division in [Time.tx_time] was about a fifth of
-         [start_tx]'s sampled time *)
   tap : event Engine.Tap.t;
   mutable tx_done : Engine.Sched.handler;
       (* the serializer is free: start the next packet *)
@@ -120,9 +113,6 @@ let rec create ~sched ~rng ~rate_bps ~delay ?(jitter = Engine.Time.zero) ~qdisc
       min_eff_rate_bps = rate_bps;
       cap_bits_before = 0.0;
       rate_since = Engine.Sched.now sched;
-      memo_bits = -1;
-      memo_rate_bps = 0;
-      memo_tx = Engine.Time.zero;
       tap = Engine.Tap.create ();
       tx_done = Engine.Sched.unregistered;
       arrival = Engine.Sched.unregistered;
@@ -173,16 +163,9 @@ and start_tx t =
     end
     else begin
       t.busy <- true;
-      let bits = Packet.wire_bits p and rate_bps = effective_rate_bps t in
       let tx =
-        if bits = t.memo_bits && rate_bps = t.memo_rate_bps then t.memo_tx
-        else begin
-          let tx = Engine.Time.tx_time ~bits ~rate_bps in
-          t.memo_bits <- bits;
-          t.memo_rate_bps <- rate_bps;
-          t.memo_tx <- tx;
-          tx
-        end
+        Engine.Time.tx_time ~bits:(Packet.wire_bits p)
+          ~rate_bps:(effective_rate_bps t)
       in
       t.stats.busy_ns <- t.stats.busy_ns + tx;
       (* Last bit on the wire at [now + tx]: the serializer is free then

@@ -14,10 +14,11 @@
 
 open Cmdliner
 
-(* A value the library checks reject (a bad --default, --sampling,
-   --tick-ms, --background-flows, --horizon or --samples) is a
-   one-line usage error with exit 2, as a malformed batch is for
-   serve, not an uncaught exception. *)
+(* A value the library checks reject (a bad --default, --duration,
+   --sampling, --send-buffer, --tick-ms, --background-flows,
+   --background-rtt-ms, --horizon or --samples) is a one-line usage
+   error with exit 2, as a malformed batch is for serve, not an
+   uncaught exception. *)
 let or_usage_error f =
   try f ()
   with Invalid_argument msg ->
@@ -81,11 +82,15 @@ let jobs_t =
            machine's recommended domain count).  Results are identical \
            for every value; 1 disables parallelism.")
 
-let check_jobs = function
-  | Some j when j < 1 ->
-    Format.eprintf "--jobs must be >= 1@.";
+let require_at_least flag lo v =
+  if v < lo then begin
+    Format.eprintf "--%s must be >= %d@." flag lo;
     exit 2
-  | jobs -> jobs
+  end
+
+let check_jobs jobs =
+  Option.iter (require_at_least "jobs" 1) jobs;
+  jobs
 
 (* --- paths --- *)
 
@@ -204,22 +209,23 @@ let run_cmd =
               Format.eprintf "unknown --background-cc %s@." name;
               exit 2)
         in
-        let ev =
-          Events.Event.at
-            (Events.Event.Background_start
-               { src; dst; classes = background; flows = background_flows;
-                 cc = bg_cc;
-                 rate_bps = int_of_float (background_mbps *. 1e6);
-                 rtt = Engine.Time.of_float_s (background_rtt_ms /. 1e3) })
-            ~at:Engine.Time.zero
-        in
-        let spec =
-          { spec with
-            Core.Scenario.events = spec.Core.Scenario.events @ [ ev ];
-            hybrid_tick = Engine.Time.of_float_s (tick_ms /. 1e3) }
-        in
-        or_usage_error (fun () -> Core.Scenario.validate spec);
-        spec
+        or_usage_error (fun () ->
+            let ev =
+              Events.Event.at
+                (Events.Event.Background_start
+                   { src; dst; classes = background; flows = background_flows;
+                     cc = bg_cc;
+                     rate_bps = int_of_float (background_mbps *. 1e6);
+                     rtt = Engine.Time.of_float_s (background_rtt_ms /. 1e3) })
+                ~at:Engine.Time.zero
+            in
+            let spec =
+              { spec with
+                Core.Scenario.events = spec.Core.Scenario.events @ [ ev ];
+                hybrid_tick = Engine.Time.of_float_s (tick_ms /. 1e3) }
+            in
+            Core.Scenario.validate spec;
+            spec)
       end
     in
     let wall0 = Unix.gettimeofday () in
@@ -1048,11 +1054,12 @@ let figures_cmd =
 let scaling_cmd =
   let exec max_n duration csv jobs =
     let jobs = check_jobs jobs in
+    require_at_least "max-n" 2 max_n;
+    let duration = or_usage_error (fun () -> Engine.Time.of_float_s duration) in
     let rows =
       Core.Scaling.sweep
         ~ns:(List.init (max_n - 1) (fun i -> i + 2))
-        ~duration:(Engine.Time.of_float_s duration)
-        ?jobs ()
+        ~duration ?jobs ()
     in
     Format.printf "%a@." Core.Scaling.pp_table rows;
     match csv with
@@ -1083,11 +1090,12 @@ let scaling_cmd =
 let sweep_cmd =
   let exec duration seeds csv jobs =
     let jobs = check_jobs jobs in
+    require_at_least "seeds" 1 seeds;
+    let duration = or_usage_error (fun () -> Engine.Time.of_float_s duration) in
     let rows =
       Core.Summary.sweep
         ~seeds:(List.init seeds (fun i -> i + 1))
-        ~duration:(Engine.Time.of_float_s duration)
-        ?jobs ()
+        ~duration ?jobs ()
     in
     Format.printf "%a@." Core.Summary.pp_table rows;
     Format.printf

@@ -51,7 +51,11 @@ let run_case ~label ~subflows =
   in
   let src = Tcp.Endpoint.create net ~node:h1 in
   let dst = Tcp.Endpoint.create net ~node:h2 in
-  let capture = Measure.Capture.attach net ~node:h2 ~conn:1 () in
+  let horizon = Engine.Time.s 10 in
+  let capture =
+    Measure.Capture.attach net ~node:h2 ~conn:1 ~window:(Engine.Time.ms 500)
+      ~until:horizon
+  in
   let conn =
     Mptcp.Connection.establish ~net ~src ~dst ~conn:1 ~paths
       ~cc:Mptcp.Algorithm.Lia ()
@@ -65,11 +69,8 @@ let run_case ~label ~subflows =
     Netsim.Traffic.cbr ~net ~src:leaf1 ~dst:leaf2 ~tag:99
       ~rate_bps:(Netgraph.Topology.mbps 20) ()
   in
-  let horizon = Engine.Time.s 10 in
   Engine.Sched.run ~until:horizon sched;
-  let _, total =
-    Measure.Sampler.per_tag capture ~window:(Engine.Time.ms 500) ~until:horizon
-  in
+  let _, total = Measure.Capture.per_tag capture in
   Format.printf "%-28s %.1f Mbps (delivered %.1f MB)@." label
     (Measure.Series.mean_from total ~from_s:2.0)
     (float_of_int (Mptcp.Connection.delivered_bytes conn) /. 1e6);

@@ -39,7 +39,11 @@ let () =
 
   let src = Tcp.Endpoint.create net ~node:a in
   let dst = Tcp.Endpoint.create net ~node:z in
-  let capture = Measure.Capture.attach net ~node:z ~conn:1 () in
+  let horizon = Engine.Time.s 24 in
+  let capture =
+    Measure.Capture.attach net ~node:z ~conn:1 ~window:(Engine.Time.ms 250)
+      ~until:horizon
+  in
   let _mptcp =
     Mptcp.Connection.establish ~net ~src ~dst ~conn:1 ~paths
       ~cc:Mptcp.Algorithm.Lia ()
@@ -47,27 +51,21 @@ let () =
   let tcp = Tcp.Flow.start ~src ~dst ~tag:7 ~conn:2 () in
 
   (* Fail and restore the primary path's middle link. *)
-  ignore
-    (Engine.Sched.at sched (Engine.Time.s 8) (fun () ->
-         Netsim.Net.set_link_up net ~link:primary_mid false));
-  ignore
-    (Engine.Sched.at sched (Engine.Time.s 16) (fun () ->
-         Netsim.Net.set_link_up net ~link:primary_mid true));
+  Engine.Sched.at_anon sched (Engine.Time.s 8) (fun () ->
+      Netsim.Net.set_link_up net ~link:primary_mid false);
+  Engine.Sched.at_anon sched (Engine.Time.s 16) (fun () ->
+      Netsim.Net.set_link_up net ~link:primary_mid true);
 
   let tcp_marks = ref [] in
   List.iter
     (fun t ->
-      ignore
-        (Engine.Sched.at sched (Engine.Time.s t) (fun () ->
-             tcp_marks := (t, Tcp.Flow.bytes_delivered tcp) :: !tcp_marks)))
+      Engine.Sched.at_anon sched (Engine.Time.s t) (fun () ->
+          tcp_marks := (t, Tcp.Flow.bytes_delivered tcp) :: !tcp_marks))
     [ 8; 16; 24 ];
 
-  let horizon = Engine.Time.s 24 in
   Engine.Sched.run ~until:horizon sched;
 
-  let per_tag, total =
-    Measure.Sampler.per_tag capture ~window:(Engine.Time.ms 250) ~until:horizon
-  in
+  let per_tag, total = Measure.Capture.per_tag capture in
   let named =
     List.map
       (fun (tag, s) -> ((if tag = 1 then "primary" else "secondary"), s))
@@ -96,8 +94,7 @@ let () =
       (float_of_int (at16 - at8) /. 1e6)
       (float_of_int (at24 - at16) /. 1e6)
   | _ -> ());
+  (* The mean rate over the whole run, in Mbps, times its length is the
+     megabits captured. *)
   Printf.printf "MPTCP delivered %.1f MB in total.\n"
-    (float_of_int
-       (Measure.Capture.bytes_for_tag capture 1
-        + Measure.Capture.bytes_for_tag capture 2)
-     /. 1e6)
+    (Measure.Series.mean total *. Engine.Time.to_float_s horizon /. 8.0)

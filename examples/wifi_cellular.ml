@@ -42,7 +42,11 @@ let () =
 
   let src = Tcp.Endpoint.create net ~node:server in
   let dst = Tcp.Endpoint.create net ~node:phone in
-  let capture = Measure.Capture.attach net ~node:phone ~conn:1 () in
+  let horizon = Engine.Time.s 20 in
+  let capture =
+    Measure.Capture.attach net ~node:phone ~conn:1
+      ~window:(Engine.Time.ms 250) ~until:horizon
+  in
   let conn =
     Mptcp.Connection.establish ~net ~src ~dst ~conn:1 ~paths
       ~cc:Mptcp.Algorithm.Lia ()
@@ -59,12 +63,9 @@ let () =
       ~start:(Engine.Time.s 10) ()
   in
 
-  let horizon = Engine.Time.s 20 in
   Engine.Sched.run ~until:horizon sched;
 
-  let per_tag, total =
-    Measure.Sampler.per_tag capture ~window:(Engine.Time.ms 250) ~until:horizon
-  in
+  let per_tag, total = Measure.Capture.per_tag capture in
   let named =
     List.map (fun (tag, s) ->
         ((if tag = 1 then "wifi" else "lte"), s))

@@ -47,6 +47,10 @@ let validate spec =
     invalid_arg "Scenario.make: hybrid tick must be positive";
   if Engine.Time.( <= ) spec.sampling Engine.Time.zero then
     invalid_arg "Scenario.make: sampling period must be positive";
+  (match spec.send_buffer with
+  | Some b when b < 1 ->
+    invalid_arg "Scenario.make: send buffer must be at least 1 byte"
+  | Some _ | None -> ());
   (* Background classes need a fluid window law; reject the algorithms
      without one here rather than mid-run. *)
   List.iter
@@ -142,7 +146,10 @@ let run spec =
   Option.iter (fun a -> Audit.attach_net a net) auditor;
   let src_ep = Tcp.Endpoint.create net ~node:src_node in
   let dst_ep = Tcp.Endpoint.create net ~node:dst_node in
-  let capture = Measure.Capture.attach net ~node:dst_node ~conn:1 () in
+  let capture =
+    Measure.Capture.attach net ~node:dst_node ~conn:1 ~window:spec.sampling
+      ~until:spec.duration
+  in
   let trace =
     Option.map
       (fun limit ->
@@ -268,9 +275,7 @@ let run spec =
          else 0.0);
       Obs.Collect.snapshot o)
     obs;
-  let per_tag, total =
-    Measure.Sampler.per_tag capture ~window:spec.sampling ~until:spec.duration
-  in
+  let per_tag, total = Measure.Capture.per_tag capture in
   let path_list = List.map snd spec.paths in
   let optimum = Netgraph.Constraints.optimum spec.topo path_list in
   let audit_report =

@@ -80,9 +80,9 @@ val validate : spec -> unit
 (** The checks {!make} applies, for a spec changed by record update
     after [make] built it.  Raises [Invalid_argument] when there are no
     paths, when {!Events.Event.validate} rejects the event list, when
-    the hybrid tick or the sampling period is not positive, or when a
-    background declaration names a congestion control without a fluid
-    model. *)
+    the hybrid tick or the sampling period is not positive, when the
+    send buffer is below 1 byte, or when a background declaration names
+    a congestion control without a fluid model. *)
 
 type subflow_report = {
   tag : Packet.tag;

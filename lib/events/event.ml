@@ -178,12 +178,11 @@ let apply_capacity_ramp ~sched ~net ~link ~to_bps ~over ~steps =
       from_bps + int_of_float (frac *. float_of_int (to_bps - from_bps))
     in
     let rate = if k = steps then to_bps else max 1 rate in
-    ignore
-      (Engine.Sched.at sched
-         (Engine.Time.add start (Engine.Time.scale over frac))
-         (fun () ->
-           if Netsim.Net.link_is_up net ~link then
-             Netsim.Net.set_link_rate net ~link rate))
+    Engine.Sched.at_anon sched
+      (Engine.Time.add start (Engine.Time.scale over frac))
+      (fun () ->
+        if Netsim.Net.link_is_up net ~link then
+          Netsim.Net.set_link_rate net ~link rate)
   done
 
 let apply ~sched ~net ?conn action =
@@ -231,8 +230,7 @@ let arm ~sched ~net ?conn events =
            hybrid fluid driver before the run starts. *)
         ()
       | _ ->
-        ignore
-          (Engine.Sched.at sched when_ (fun () ->
-               apply ~sched ~net ?conn action)))
+        Engine.Sched.at_anon sched when_ (fun () ->
+            apply ~sched ~net ?conn action))
     events;
   List.rev !sources

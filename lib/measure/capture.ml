@@ -1,68 +1,52 @@
-type event = { time : Engine.Time.t; tag : Packet.tag; bytes : int }
-
-(* Parallel int arrays instead of an array of event records: one data
-   packet is one capture record, so a boxed event per packet would be
-   steady-state allocation in the hot path.  The boxed view is built on
-   demand by [events] (once per run, in Sampler). *)
+(* One int bin per window for each tag seen, and one for the total,
+   sized when the capture starts: a packet adds to two bins and
+   allocates nothing.  A run sees a handful of tags, so the tag lookup
+   is a short list walk. *)
 type t = {
-  mutable times : int array;
-  mutable tags_ : int array;
-  mutable sizes : int array;
-  mutable size : int;
+  window : Engine.Time.t;
+  until : Engine.Time.t;
+  total : int array;
+  mutable tags : (Packet.tag * int array) list;
 }
 
-let create () = { times = [||]; tags_ = [||]; sizes = [||]; size = 0 }
+let create ~window ~until =
+  if Engine.Time.( <= ) window Engine.Time.zero then
+    invalid_arg "Capture.create: window must be positive";
+  let nbins = max 1 ((until + window - 1) / window) in
+  { window; until; total = Array.make nbins 0; tags = [] }
+
+let bins_of t tag =
+  try List.assq tag t.tags
+  with Not_found ->
+    let bins = Array.make (Array.length t.total) 0 in
+    t.tags <- (tag, bins) :: t.tags;
+    bins
 
 let record t ~time ~tag ~bytes =
-  let cap = Array.length t.times in
-  if t.size = cap then begin
-    let fresh_cap = max 1024 (2 * cap) in
-    let grow a =
-      let fresh = Array.make fresh_cap 0 in
-      Array.blit a 0 fresh 0 t.size;
-      fresh
-    in
-    t.times <- grow t.times;
-    t.tags_ <- grow t.tags_;
-    t.sizes <- grow t.sizes
-  end;
-  t.times.(t.size) <- time;
-  t.tags_.(t.size) <- tag;
-  t.sizes.(t.size) <- bytes;
-  t.size <- t.size + 1
+  let bins = bins_of t tag in
+  if time < t.until then begin
+    let i = time / t.window in
+    bins.(i) <- bins.(i) + bytes;
+    t.total.(i) <- t.total.(i) + bytes
+  end
 
-let attach net ~node ?conn () =
-  let t = create () in
+let attach net ~node ~conn ~window ~until =
+  let t = create ~window ~until in
   let sched = Netsim.Net.sched net in
   Engine.Tap.subscribe (Netsim.Net.arrival_tap net ~node) (fun p ->
-      if p.Packet.dst = node && Packet.is_data p then begin
-        let keep =
-          match conn with
-          | None -> true
-          | Some c -> (Packet.tcp_exn p).Packet.conn = c
-        in
-        if keep then
-          record t ~time:(Engine.Sched.now sched) ~tag:p.Packet.tag
-            ~bytes:p.Packet.size
-      end);
+      if
+        p.Packet.dst = node && Packet.is_data p
+        && (Packet.tcp_exn p).Packet.conn = conn
+      then
+        record t ~time:(Engine.Sched.now sched) ~tag:p.Packet.tag
+          ~bytes:p.Packet.size);
   t
 
-let events t =
-  Array.init t.size (fun i ->
-      { time = t.times.(i); tag = t.tags_.(i); bytes = t.sizes.(i) })
+let series t bins =
+  let w_s = Engine.Time.to_float_s t.window in
+  Series.create ~t0:0.0 ~dt:w_s
+    (Array.map (fun b -> float_of_int (b * 8) /. w_s /. 1e6) bins)
 
-let count t = t.size
-
-let bytes_for_tag t tag =
-  let acc = ref 0 in
-  for i = 0 to t.size - 1 do
-    if t.tags_.(i) = tag then acc := !acc + t.sizes.(i)
-  done;
-  !acc
-
-let tags t =
-  let seen = Hashtbl.create 8 in
-  for i = 0 to t.size - 1 do
-    Hashtbl.replace seen t.tags_.(i) ()
-  done;
-  Hashtbl.fold (fun tag () acc -> tag :: acc) seen [] |> List.sort Int.compare
+let per_tag t =
+  let tags = List.sort (fun (a, _) (b, _) -> Int.compare a b) t.tags in
+  (List.map (fun (tag, bins) -> (tag, series t bins)) tags, series t t.total)

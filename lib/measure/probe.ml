@@ -1,26 +1,21 @@
 type t = {
   period : Engine.Time.t;
   started : Engine.Time.t;
-  mutable values : float array;
+  values : float array;
   mutable size : int;
 }
 
-let push t v =
-  let cap = Array.length t.values in
-  if cap = 0 then t.values <- Array.make 256 v
-  else if t.size = cap then begin
-    let fresh = Array.make (2 * cap) v in
-    Array.blit t.values 0 fresh 0 t.size;
-    t.values <- fresh
-  end;
-  t.values.(t.size) <- v;
-  t.size <- t.size + 1
-
 let attach ~sched ~period ~until f =
-  let t =
-    { period; started = Engine.Sched.now sched; values = [||]; size = 0 }
-  in
-  Engine.Sched.periodic sched ~period ~until (fun () -> push t (f ()));
+  if Engine.Time.( <= ) period Engine.Time.zero then
+    invalid_arg "Probe.attach: period must be positive";
+  let started = Engine.Sched.now sched in
+  (* [periodic] fires at [started + k * period] for every k >= 1 that
+     lands at or before [until]: that many samples, known now. *)
+  let ticks = max 0 ((until - started) / period) in
+  let t = { period; started; values = Array.make ticks 0.0; size = 0 } in
+  Engine.Sched.periodic sched ~period ~until (fun () ->
+      t.values.(t.size) <- f ();
+      t.size <- t.size + 1);
   t
 
 let series t =

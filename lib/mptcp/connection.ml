@@ -212,9 +212,8 @@ let source t sf ~max_len =
                && subflow_is_active t t.subflows.(j) ->
           (* Hand the transmission opportunity to the preferred subflow,
              outside the requester's send loop. *)
-          ignore
-            (Engine.Sched.after t.sched Engine.Time.zero (fun () ->
-                 Tcp.Sender.kick (sender_exn t.subflows.(j))))
+          Engine.Sched.after_anon t.sched Engine.Time.zero (fun () ->
+              Tcp.Sender.kick (sender_exn t.subflows.(j)))
         | Some _ | None -> ());
         None
     end)
@@ -225,9 +224,8 @@ let kick_live t ?(but = -1) () =
   Array.iter
     (fun sf ->
       if sf.index <> but && sf.joined && subflow_is_active t sf then
-        ignore
-          (Engine.Sched.after t.sched Engine.Time.zero (fun () ->
-               Tcp.Sender.kick (sender_exn sf))))
+        Engine.Sched.after_anon t.sched Engine.Time.zero (fun () ->
+            Tcp.Sender.kick (sender_exn sf)))
     t.subflows
 
 let deactivate_subflow t i =
@@ -259,9 +257,8 @@ let reactivate_subflow t i =
          the rto_cap on the next (backed-off) expiry *)
       Tcp.Sender.forgive_timeouts s;
       if sf.joined then
-        ignore
-          (Engine.Sched.after t.sched Engine.Time.zero (fun () ->
-               Tcp.Sender.kick s))
+        Engine.Sched.after_anon t.sched Engine.Time.zero (fun () ->
+            Tcp.Sender.kick s)
     | None -> ())
   end
 
@@ -387,10 +384,9 @@ let establish ~net ~src ~dst ~conn ~paths ~cc ?(config = default_config)
         Engine.Time.add (jitter ())
           (if sf.index = 0 then Engine.Time.zero else join_delay)
       in
-      ignore
-        (Engine.Sched.at sched when_ (fun () ->
-             sf.joined <- true;
-             Tcp.Sender.kick (sender_exn sf))))
+      Engine.Sched.at_anon sched when_ (fun () ->
+          sf.joined <- true;
+          Tcp.Sender.kick (sender_exn sf)))
     subflows;
   t
 

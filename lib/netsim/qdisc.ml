@@ -119,9 +119,4 @@ let dequeue_drop t state ~sojourn ~now =
     end
     else false
 
-let admit t state ~queue_pkts ~limit_pkts ~rng =
-  match decide t state ~queue_pkts ~limit_pkts ~ecn_capable:false ~rng with
-  | Admit -> true
-  | Mark | Drop -> false
-
 let avg_queue state = state.avg

@@ -57,10 +57,6 @@ val decide : t -> state -> queue_pkts:int -> limit_pkts:int
     ([queue_pkts >= limit_pkts]) always drops; RED's early "drops" become
     {!Mark}s when both the discipline and the packet are ECN-capable. *)
 
-val admit : t -> state -> queue_pkts:int -> limit_pkts:int
-  -> rng:Engine.Rng.t -> bool
-(** [decide] without ECN, as a boolean — kept for plain uses and tests. *)
-
 val dequeue_drop : t -> state -> sojourn:Engine.Time.t
   -> now:Engine.Time.t -> bool
 (** CoDel's head-drop decision, consulted by the link each time a packet

@@ -393,6 +393,23 @@ let make_rejects_zero_sampling () =
         (Core.Scenario.make ~topo ~paths:(Core.Paper_net.tagged_paths topo)
            ~cc:Mptcp.Algorithm.Cubic ~sampling:Engine.Time.zero ()))
 
+let validate_rejects_empty_send_buffer () =
+  let topo = Core.Paper_net.topology () in
+  let spec =
+    Core.Scenario.make ~topo ~paths:(Core.Paper_net.tagged_paths topo)
+      ~cc:Mptcp.Algorithm.Cubic ()
+  in
+  List.iter
+    (fun bytes ->
+      Alcotest.check_raises
+        (Printf.sprintf "send buffer %d rejected" bytes)
+        (Invalid_argument "Scenario.make: send buffer must be at least 1 byte")
+        (fun () ->
+          Core.Scenario.validate
+            { spec with Core.Scenario.send_buffer = Some bytes }))
+    [ 0; -5 ];
+  Core.Scenario.validate { spec with Core.Scenario.send_buffer = Some 1 }
+
 let figures_parallel_match () =
   let strip (f : Core.Figures.figure) = (f.Core.Figures.id, f.Core.Figures.chart, f.Core.Figures.csv) in
   Alcotest.(check bool) "charts identical across jobs" true
@@ -425,6 +442,8 @@ let () =
           Alcotest.test_case "packet trace on demand" `Quick scenario_trace;
           Alcotest.test_case "make rejects sampling 0" `Quick
             make_rejects_zero_sampling;
+          Alcotest.test_case "validate rejects an empty send buffer" `Quick
+            validate_rejects_empty_send_buffer;
         ] );
       ( "figures",
         [

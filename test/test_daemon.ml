@@ -483,16 +483,18 @@ let drain_with_in_flight () =
                (submit ~seed:11 "drainee")))
       ()
   in
-  (* wait until the submission is actually in flight *)
+  (* wait until the submission is actually in flight: it stays there
+     only as long as its run, a few milliseconds, so poll well inside
+     that *)
   let rec wait_busy tries =
     if tries = 0 then Alcotest.fail "submission never became in-flight";
     match Daemon.handle t P.Status with
     | P.Status_reply s when s.P.queue_depth > 0 -> ()
     | _ ->
-      Thread.delay 0.01;
+      Thread.delay 0.0005;
       wait_busy (tries - 1)
   in
-  wait_busy 1000;
+  wait_busy 20_000;
   Daemon.initiate_drain t;
   (* new work is refused with the typed drain error *)
   (match Daemon.handle t (submit "latecomer") with

@@ -1,4 +1,4 @@
-(* Tests for the measurement layer: capture recording, exact sampler
+(* Tests for the measurement layer: capture recording and exact
    binning, series statistics, convergence metrics, and rendering. *)
 
 let ms = Engine.Time.ms
@@ -6,41 +6,28 @@ let ms = Engine.Time.ms
 (* --- Capture --- *)
 
 let capture_manual () =
-  let c = Measure.Capture.create () in
+  let c = Measure.Capture.create ~window:(ms 100) ~until:(ms 100) in
   Measure.Capture.record c ~time:(ms 10) ~tag:1 ~bytes:1500;
   Measure.Capture.record c ~time:(ms 20) ~tag:2 ~bytes:1500;
   Measure.Capture.record c ~time:(ms 30) ~tag:1 ~bytes:52;
-  Alcotest.(check int) "count" 3 (Measure.Capture.count c);
-  Alcotest.(check int) "tag 1 bytes" 1552 (Measure.Capture.bytes_for_tag c 1);
-  Alcotest.(check (list int)) "tags" [ 1; 2 ] (Measure.Capture.tags c);
-  let evs = Measure.Capture.events c in
-  Alcotest.(check int) "events array" 3 (Array.length evs);
-  Alcotest.(check int) "arrival order" (ms 10) evs.(0).Measure.Capture.time
+  let per, total = Measure.Capture.per_tag c in
+  Alcotest.(check (list int)) "tags" [ 1; 2 ] (List.map fst per);
+  (* 1552 B in 0.1 s = 0.12416 Mbps. *)
+  Alcotest.(check (float 1e-9)) "tag 1's bin" 0.12416
+    (Measure.Series.value_at (List.assoc 1 per) 0);
+  Alcotest.(check (float 1e-9)) "the total's bin" 0.24416
+    (Measure.Series.value_at total 0)
 
-let capture_growth () =
-  (* Force several internal array doublings. *)
-  let c = Measure.Capture.create () in
-  for i = 1 to 5000 do
-    Measure.Capture.record c ~time:i ~tag:(i mod 3) ~bytes:100
-  done;
-  Alcotest.(check int) "all kept" 5000 (Measure.Capture.count c);
-  (* i = 1, 4, ..., 4999: 1667 events with tag 1. *)
-  Alcotest.(check int) "per-tag split" (1667 * 100)
-    (Measure.Capture.bytes_for_tag c 1)
-
-(* --- Sampler --- *)
+(* --- Binning: the capture's series --- *)
 
 let sampler_exact_bins () =
-  let c = Measure.Capture.create () in
-  (* Window 100 ms: events at 50 ms and 99 ms land in bin 0; 100 ms in
+  let c = Measure.Capture.create ~window:(ms 100) ~until:(ms 300) in
+  (* Window 100 ms: packets at 50 ms and 99 ms land in bin 0; 100 ms in
      bin 1. *)
   Measure.Capture.record c ~time:(ms 50) ~tag:1 ~bytes:1250;
   Measure.Capture.record c ~time:(ms 99) ~tag:1 ~bytes:1250;
   Measure.Capture.record c ~time:(ms 100) ~tag:1 ~bytes:2500;
-  let s =
-    Measure.Sampler.throughput (Measure.Capture.events c) ~window:(ms 100)
-      ~until:(ms 300) ()
-  in
+  let _, s = Measure.Capture.per_tag c in
   Alcotest.(check int) "three bins" 3 (Measure.Series.length s);
   (* 2500 B in 0.1 s = 0.2 Mbps. *)
   Alcotest.(check (float 1e-9)) "bin 0" 0.2 (Measure.Series.value_at s 0);
@@ -48,20 +35,18 @@ let sampler_exact_bins () =
   Alcotest.(check (float 1e-9)) "bin 2 empty" 0.0 (Measure.Series.value_at s 2)
 
 let sampler_tag_filter () =
-  let c = Measure.Capture.create () in
+  let c = Measure.Capture.create ~window:(ms 100) ~until:(ms 100) in
   Measure.Capture.record c ~time:(ms 10) ~tag:1 ~bytes:1000;
   Measure.Capture.record c ~time:(ms 20) ~tag:2 ~bytes:3000;
-  let s1 =
-    Measure.Sampler.throughput (Measure.Capture.events c) ~window:(ms 100)
-      ~until:(ms 100) ~tag:1 ()
-  in
-  Alcotest.(check (float 1e-9)) "only tag 1" 0.08 (Measure.Series.value_at s1 0)
+  let per, _ = Measure.Capture.per_tag c in
+  Alcotest.(check (float 1e-9)) "only tag 1" 0.08
+    (Measure.Series.value_at (List.assoc 1 per) 0)
 
 let sampler_per_tag_total () =
-  let c = Measure.Capture.create () in
+  let c = Measure.Capture.create ~window:(ms 100) ~until:(ms 100) in
   Measure.Capture.record c ~time:(ms 10) ~tag:1 ~bytes:1000;
   Measure.Capture.record c ~time:(ms 20) ~tag:2 ~bytes:3000;
-  let per, total = Measure.Sampler.per_tag c ~window:(ms 100) ~until:(ms 100) in
+  let per, total = Measure.Capture.per_tag c in
   Alcotest.(check int) "two tags" 2 (List.length per);
   Alcotest.(check (float 1e-9)) "total is the sum" 0.32
     (Measure.Series.value_at total 0);
@@ -73,15 +58,70 @@ let sampler_per_tag_total () =
   Alcotest.(check (float 1e-9)) "per-tag adds up" 0.32 sum
 
 let sampler_events_beyond_horizon_dropped () =
-  let c = Measure.Capture.create () in
+  let c = Measure.Capture.create ~window:(ms 100) ~until:(ms 100) in
   Measure.Capture.record c ~time:(ms 150) ~tag:1 ~bytes:1000;
-  let s =
-    Measure.Sampler.throughput (Measure.Capture.events c) ~window:(ms 100)
-      ~until:(ms 100) ()
-  in
+  let per, s = Measure.Capture.per_tag c in
   Alcotest.(check int) "one bin" 1 (Measure.Series.length s);
   Alcotest.(check (float 1e-9)) "nothing counted" 0.0
-    (Measure.Series.value_at s 0)
+    (Measure.Series.value_at s 0);
+  Alcotest.(check (list int)) "its tag still listed" [ 1 ] (List.map fst per)
+
+let capture_validation () =
+  Alcotest.(check bool) "zero window rejected" true
+    (try ignore (Measure.Capture.create ~window:0 ~until:(ms 10)); false
+     with Invalid_argument _ -> true)
+
+(* Reference model: keep every arrival, then bin the log after the run
+   at the capture's window, once per tag seen and once for the total —
+   the post-processing the capture's bins replace. *)
+let binned_after_the_fact ~window ~until arrivals =
+  let mbps keep =
+    let bytes = Array.make (max 1 ((until + window - 1) / window)) 0 in
+    List.iter
+      (fun (time, tag, b) ->
+        if keep tag && time < until then
+          bytes.(time / window) <- bytes.(time / window) + b)
+      arrivals;
+    let w_s = Engine.Time.to_float_s window in
+    Measure.Series.create ~t0:0.0 ~dt:w_s
+      (Array.map (fun b -> float_of_int (b * 8) /. w_s /. 1e6) bytes)
+  in
+  let tags =
+    List.sort_uniq Int.compare (List.map (fun (_, g, _) -> g) arrivals)
+  in
+  (List.map (fun g -> (g, mbps (Int.equal g))) tags, mbps (fun _ -> true))
+
+let gen_arrivals =
+  QCheck.Gen.(
+    map Engine.Time.us (1 -- 50_000) >>= fun window ->
+    map Engine.Time.us (0 -- 500_000) >>= fun until ->
+    (* Times anywhere up to two windows past the horizon, and often
+       exactly on it or on a bin boundary. *)
+    let time =
+      frequency
+        [ (3, 0 -- (until + (2 * window)));
+          (1, return until);
+          (1, map (fun k -> k * window) (0 -- ((until / window) + 2))) ]
+    in
+    list_size (0 -- 60) (triple time (0 -- 4) (1 -- 9_000)) >>= fun arrivals ->
+    return (window, until, arrivals))
+
+let qcheck_capture_vs_model =
+  QCheck.Test.make ~name:"bins equal binning after the fact"
+    ~count:500
+    (QCheck.make gen_arrivals
+       ~print:(fun (window, until, arrivals) ->
+         Printf.sprintf "window %d until %d arrivals [%s]" window until
+           (String.concat "; "
+              (List.map
+                 (fun (t, g, b) -> Printf.sprintf "(%d,%d,%d)" t g b)
+                 arrivals))))
+    (fun (window, until, arrivals) ->
+      let c = Measure.Capture.create ~window ~until in
+      List.iter
+        (fun (time, tag, bytes) -> Measure.Capture.record c ~time ~tag ~bytes)
+        arrivals;
+      Measure.Capture.per_tag c = binned_after_the_fact ~window ~until arrivals)
 
 (* --- Series --- *)
 
@@ -398,7 +438,8 @@ let () =
       ( "capture",
         [
           Alcotest.test_case "manual recording" `Quick capture_manual;
-          Alcotest.test_case "array growth" `Quick capture_growth;
+          Alcotest.test_case "window validation" `Quick capture_validation;
+          QCheck_alcotest.to_alcotest qcheck_capture_vs_model;
         ] );
       ( "sampler",
         [

@@ -754,7 +754,10 @@ let failover_shifts_traffic () =
   let net = Netsim.Net.create ~sched ~rng:(Engine.Rng.create 3) topo in
   let src = Tcp.Endpoint.create net ~node:a in
   let dst = Tcp.Endpoint.create net ~node:z in
-  let capture = Measure.Capture.attach net ~node:z ~conn:1 () in
+  let capture =
+    Measure.Capture.attach net ~node:z ~conn:1 ~window:(Engine.Time.ms 250)
+      ~until:(Engine.Time.s 12)
+  in
   let _conn =
     Mptcp.Connection.establish ~net ~src ~dst ~conn:1 ~paths
       ~cc:Mptcp.Algorithm.Lia ()
@@ -766,10 +769,7 @@ let failover_shifts_traffic () =
     (Engine.Sched.at sched (Engine.Time.s 8) (fun () ->
          Netsim.Net.set_link_up net ~link:up_z true));
   Engine.Sched.run ~until:(Engine.Time.s 12) sched;
-  let per_tag, total =
-    Measure.Sampler.per_tag capture ~window:(Engine.Time.ms 250)
-      ~until:(Engine.Time.s 12)
-  in
+  let per_tag, total = Measure.Capture.per_tag capture in
   let s1 = List.assoc 1 per_tag and s2 = List.assoc 2 per_tag in
   Alcotest.(check (float 0.01)) "cut path silent during the outage" 0.0
     (Measure.Series.mean_between s1 ~from_s:5.0 ~to_s:8.0);

@@ -396,16 +396,24 @@ let qdisc_unit () =
   let rng = Engine.Rng.create 3 in
   let st = Netsim.Qdisc.make_state Netsim.Qdisc.Drop_tail in
   Alcotest.(check bool) "drop-tail admits below limit" true
-    (Netsim.Qdisc.admit Netsim.Qdisc.Drop_tail st ~queue_pkts:9 ~limit_pkts:10 ~rng);
+    (Netsim.Qdisc.decide Netsim.Qdisc.Drop_tail st ~queue_pkts:9
+       ~limit_pkts:10 ~ecn_capable:false ~rng
+     = Netsim.Qdisc.Admit);
   Alcotest.(check bool) "drop-tail drops at limit" false
-    (Netsim.Qdisc.admit Netsim.Qdisc.Drop_tail st ~queue_pkts:10 ~limit_pkts:10 ~rng);
+    (Netsim.Qdisc.decide Netsim.Qdisc.Drop_tail st ~queue_pkts:10
+       ~limit_pkts:10 ~ecn_capable:false ~rng
+     = Netsim.Qdisc.Admit);
   let red = Netsim.Qdisc.Red Netsim.Qdisc.default_red in
   let st = Netsim.Qdisc.make_state red in
   (* With a persistently long queue, the EWMA average must eventually
      exceed max_th and force drops. *)
   let forced = ref false in
   for _ = 1 to 20_000 do
-    if not (Netsim.Qdisc.admit red st ~queue_pkts:25 ~limit_pkts:100 ~rng) then
+    if
+      Netsim.Qdisc.decide red st ~queue_pkts:25 ~limit_pkts:100
+        ~ecn_capable:false ~rng
+      <> Netsim.Qdisc.Admit
+    then
       forced := true
   done;
   Alcotest.(check bool) "red eventually drops" true !forced;
